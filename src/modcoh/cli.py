@@ -13,6 +13,10 @@ Z12, Z3Q16, ...) or `file:path` in the grammar of modcoh.fileio.  Subgroup
 specs: `sylow:P`, `center`, `order:N` (first cyclic subgroup of that order
 by element scan), or `gens:i,j,...` with element indices.
 
+`--p` must be a prime no larger than fplinalg.MAX_PRIME (2^21); larger
+primes would overflow int64 arithmetic and are refused with PrimeTooLarge
+and exit code 1 (EXIT_INPUT), before anything is written to stdout.
+
 Exit codes: 0 success/match, 1 input error, 2 catalog-expectation mismatch,
 3 rational-function fit failure.
 """
@@ -25,7 +29,7 @@ import io
 import json
 import sys
 
-from . import catalog, fileio
+from . import catalog, fileio, fplinalg
 from .actions import full_report
 from .cohmaps import double_coset_identity_check, restriction, transfer, \
     trivial_coefficients
@@ -47,6 +51,7 @@ EXIT_NOFIT = 3
 
 
 def _require_prime(p: int) -> int:
+    fplinalg.check_prime_size(p)  # before trial division, which is O(sqrt p)
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise ModcohError(f"--p must be prime, got {p}")
     return p

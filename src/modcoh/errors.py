@@ -29,6 +29,10 @@ class NotContained(ModcohError):
     """Claimed subspace inclusion W <= U does not hold."""
 
 
+class PrimeTooLarge(ModcohError):
+    """Prime exceeds fplinalg.MAX_PRIME, so int64 arithmetic mod p could overflow."""
+
+
 # -- modules --------------------------------------------------------------
 
 class GroupMismatch(ModcohError):

@@ -7,16 +7,40 @@ left-to-right, which makes every derived basis canonical and reproducible.
 
 A bit-packed GF(2) elimination path kicks in for wide matrices; it is an
 optimization only, the computed RREF is identical by uniqueness.
+
+Pivots are computed once and kept: `_rref` returns the pivot columns with
+the RREF, and `FpSubspace` and `RowSpan` store them beside their bases, so
+membership tests (`residual_rows`) never search for them again.  A basis
+that comes without its pivots gets them from `pivot_columns`, the one
+place that reads pivots off an RREF.
+
+The generic elimination reduces mod p lazily: only the pivot column and
+the pivot row are reduced at each step, the rank-1 updates run unreduced,
+and one final `% p` makes the result canonical.  An unreduced entry stays
+below p + rank * (p - 1)^2 in absolute value, and a dot product of length L
+below L * (p - 1)^2.  All arithmetic is int64, so the prime is capped at
+`MAX_PRIME` = 2^21: then (p - 1)^2 < 2^42, which leaves room for 2^21 terms
+before 2^63.  Larger primes raise `PrimeTooLarge` instead of wrapping.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotContained
+from .errors import DimensionMismatch, NotContained, PrimeTooLarge
 
 # Use the packed GF(2) path once rows are at least this wide.
 _GF2_PACK_THRESHOLD = 192
+
+# Largest admissible modulus; the module docstring gives the int64 bound.
+MAX_PRIME = 2 ** 21
+
+
+def check_prime_size(p: int) -> None:
+    """Raise PrimeTooLarge when int64 arithmetic mod p could overflow."""
+    if p > MAX_PRIME:
+        raise PrimeTooLarge(
+            f"p = {p} exceeds MAX_PRIME = {MAX_PRIME}; int64 products would overflow")
 
 
 class FpMatrix:
@@ -55,7 +79,7 @@ class FpMatrix:
 class FpSubspace:
     """Subspace of F_p^n held as a canonical RREF row basis."""
 
-    __slots__ = ("p", "ambient_dim", "basis")
+    __slots__ = ("p", "ambient_dim", "basis", "_pivots")
 
     def __init__(self, p: int, ambient_dim: int, basis_rows) -> None:
         self.p = int(p)
@@ -63,6 +87,7 @@ class FpSubspace:
         rows = np.asarray(basis_rows, dtype=np.int64).reshape(-1, ambient_dim)
         reduced, pivots = _rref(rows % p, p)
         self.basis = reduced[: len(pivots)]
+        self._pivots = np.asarray(pivots, dtype=np.intp)
 
     @property
     def dim(self) -> int:
@@ -72,14 +97,16 @@ class FpSubspace:
         v = np.asarray(v, dtype=np.int64) % self.p
         if v.shape != (self.ambient_dim,):
             raise DimensionMismatch("vector has wrong length")
-        return not residual_rows(v.reshape(1, -1), self.basis, self.p).any()
+        return not residual_rows(v.reshape(1, -1), self.basis, self.p,
+                                 self._pivots).any()
 
     def contains(self, other: "FpSubspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         if other.dim == 0:
             return True
-        return not residual_rows(other.basis, self.basis, self.p).any()
+        return not residual_rows(other.basis, self.basis, self.p,
+                                 self._pivots).any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpSubspace):
@@ -97,7 +124,17 @@ class FpSubspace:
 # -- array-level kernels ----------------------------------------------------
 
 def _rref_mod(a: np.ndarray, p: int):
-    """Generic modular Gauss-Jordan; returns (rref, pivot column list)."""
+    """Generic modular Gauss-Jordan; returns (rref, pivot column list).
+
+    Reduction mod p is lazy.  Each step reduces the column it searches and
+    the pivot row, so pivot choices and multipliers are those of an eager
+    elimination; the rank-1 update then runs without `% p`, and a single
+    `% p` at the end yields the same canonical RREF.  Every update
+    subtracts c * x with residues 0 <= c, x < p, and a row is reduced again
+    when it becomes a pivot row, so after `rank` steps any entry lies in
+    [-rank * (p - 1)^2, p).  With p <= MAX_PRIME = 2^21 that is below
+    2^21 * 2^42 = 2^63 whenever rank < 2^21, so int64 never wraps.
+    """
     a = np.mod(a.astype(np.int64, copy=True), p)
     m, n = a.shape
     r = 0
@@ -105,23 +142,26 @@ def _rref_mod(a: np.ndarray, p: int):
     for col in range(n):
         if r == m:
             break
-        sub = a[r:, col]
-        nz = np.nonzero(sub)[0]
+        nz = (a[r:, col] % p).nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        entry = int(a[r, col])
+        row = a[r, col:] % p
+        entry = int(row[0])
         if entry != 1:
-            a[r] = (a[r] * pow(entry, p - 2, p)) % p
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != r]
+            row = (row * pow(entry, p - 2, p)) % p
+        a[r, :col] = 0  # columns left of a pivot are zero mod p in its row
+        a[r, col:] = row
+        factors = a[:, col] % p
+        factors[r] = 0
+        others = factors.nonzero()[0]
         if others.size:
-            a[others] = (a[others] - np.outer(a[others, col], a[r])) % p
+            a[others, col:] -= np.outer(factors[others], row)
         pivots.append(col)
         r += 1
-    return a, pivots
+    return np.mod(a, p, out=a), pivots
 
 
 def _pack_gf2(a: np.ndarray) -> np.ndarray:
@@ -159,6 +199,7 @@ def _rref_gf2(a: np.ndarray, p: int):
 
 
 def _rref(a: np.ndarray, p: int):
+    check_prime_size(p)
     if p == 2 and a.shape[1] >= _GF2_PACK_THRESHOLD and a.shape[0] > 0:
         return _rref_gf2(a, p)
     return _rref_mod(a, p)
@@ -171,27 +212,21 @@ def rref_array(a, p: int):
     return reduced, len(pivots)
 
 
-def rref_pivots(a, p: int):
-    a = np.asarray(a, dtype=np.int64)
-    return _rref(a % p, p)
-
-
 def kernel_array(a, p: int) -> np.ndarray:
     """Canonical RREF basis (rows) of the right kernel {v : a @ v = 0}."""
     a = np.asarray(a, dtype=np.int64)
     m, n = a.shape
     reduced, pivots = _rref(a % p, p)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    if not free_cols:
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free_cols = is_free.nonzero()[0]
+    if not free_cols.size:
         return np.zeros((0, n), dtype=np.int64)
-    basis = np.zeros((len(free_cols), n), dtype=np.int64)
-    for k, fc in enumerate(free_cols):
-        basis[k, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[k, pc] = (-int(reduced[row_idx, fc])) % p
+    basis = np.zeros((free_cols.size, n), dtype=np.int64)
+    basis[np.arange(free_cols.size), free_cols] = 1
+    basis[:, pivots] = (-reduced[: len(pivots)][:, free_cols].T) % p
     reduced_basis, _ = _rref(basis, p)
-    return reduced_basis[: len(free_cols)]
+    return reduced_basis[: free_cols.size]
 
 
 def solve_array(a, b, p: int):
@@ -234,18 +269,25 @@ def solve_batch(a, rhs_cols, p: int):
     return x
 
 
-def residual_rows(rows, rref_basis, p: int) -> np.ndarray:
+def pivot_columns(rref_basis: np.ndarray) -> np.ndarray:
+    """Pivot column of each row of an RREF basis (rows must be nonzero)."""
+    return np.argmax(rref_basis != 0, axis=1)
+
+
+def residual_rows(rows, rref_basis, p: int, pivots=None) -> np.ndarray:
     """Reduce rows against an RREF basis.
 
     Valid only when rref_basis is in reduced echelon form: the coordinates
     of any member of the row span are exactly its entries at the pivot
-    columns, so one matrix product does the reduction.
+    columns, so one matrix product does the reduction.  Pass the basis's
+    pivot columns when they are known; otherwise they are read off it.
     """
     rows = np.asarray(rows, dtype=np.int64) % p
     if rref_basis.shape[0] == 0:
         return rows
-    pivot_cols = [int(np.nonzero(r)[0][0]) for r in rref_basis]
-    coeffs = rows[:, pivot_cols]
+    if pivots is None:
+        pivots = pivot_columns(rref_basis)
+    coeffs = rows[:, pivots]
     return (rows - coeffs @ rref_basis) % p
 
 
@@ -260,6 +302,7 @@ class RowSpan:
         self.p = p
         self.ambient_dim = ambient_dim
         self._basis = np.zeros((0, ambient_dim), dtype=np.int64)
+        self._pivots = np.zeros(0, dtype=np.intp)
 
     @property
     def rank(self) -> int:
@@ -267,13 +310,14 @@ class RowSpan:
 
     def contains(self, v) -> bool:
         v = np.asarray(v, dtype=np.int64).reshape(1, -1)
-        return not residual_rows(v, self._basis, self.p).any()
+        return not residual_rows(v, self._basis, self.p, self._pivots).any()
 
     def add_rows(self, rows) -> None:
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient_dim)
         stacked = np.vstack([self._basis, rows % self.p])
         reduced, pivots = _rref(stacked, self.p)
         self._basis = reduced[: len(pivots)].copy()
+        self._pivots = np.asarray(pivots, dtype=np.intp)
 
     def basis(self) -> np.ndarray:
         return self._basis.copy()
@@ -309,14 +353,6 @@ def quotient_dim(U: FpSubspace, W: FpSubspace) -> int:
     if not U.contains(W):
         raise NotContained("W is not contained in U")
     return U.dim - W.dim
-
-
-def matmul(A: FpMatrix, B: FpMatrix) -> FpMatrix:
-    if A.p != B.p:
-        raise DimensionMismatch("different moduli")
-    if A.cols != B.rows:
-        raise DimensionMismatch(f"{A.data.shape} @ {B.data.shape}")
-    return FpMatrix(A.p, (A.data @ B.data) % A.p)
 
 
 def identity(p: int, n: int) -> FpMatrix:

@@ -25,6 +25,7 @@ class GModule:
     def __init__(self, group: FiniteGroup, p: int, action, validate=None) -> None:
         self.group = group
         self.p = int(p)
+        fplinalg.check_prime_size(self.p)
         arr = np.mod(np.asarray(action, dtype=np.int64), self.p)
         if arr.ndim != 3 or arr.shape[0] != group.order or arr.shape[1] != arr.shape[2]:
             raise BadParameters(f"action tensor has shape {arr.shape}")

@@ -65,7 +65,7 @@ class DiagonalMap:
                 X = fplinalg.solve_batch(D, Z.T, p)
                 if X is None:
                     raise LiftFailure(f"boundary d_{i} does not cover the kernel")
-                pivots = [int(np.nonzero(r)[0][0]) for r in Z]
+                pivots = fplinalg.pivot_columns(Z)
                 amb = np.zeros((self._space_dim(i), self._space_dim(i - 1)),
                                dtype=np.int64)
                 amb[:, pivots] = X

@@ -265,7 +265,7 @@ def syzygy(M: GModule, i: int) -> GModule:
     k = len(kernel_rows)
     action = np.zeros((M.group.order, k, k), dtype=np.int64)
     if k:
-        pivots = [int(np.nonzero(r)[0][0]) for r in kernel_rows]
+        pivots = fplinalg.pivot_columns(kernel_rows)
         for g in range(M.group.order):
             translated = kernel_rows.reshape(k, rank, n)[:, :, res._take[g]]
             translated = translated.reshape(k, rank * n)

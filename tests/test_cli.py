@@ -68,6 +68,14 @@ class TestDims:
         assert code == 1
         assert "prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["4294967311", str(2 ** 61 - 1)])
+    def test_prime_above_max_prime_rejected(self, p, capsys):
+        from modcoh.cli import EXIT_INPUT
+        code, text = run(["dims", "--group", "Z2", "--p", p, "--max-deg", "2"])
+        assert code == EXIT_INPUT
+        assert text == ""
+        assert "PrimeTooLarge" in capsys.readouterr().err
+
     def test_json_format(self):
         import json
         code, text = run(["dims", "--group", "Q8", "--p", "2",

@@ -182,3 +182,158 @@ class TestRowSpan:
             span.add_rows([row])
         _, r = rref_array(M.data, M.p)
         assert span.rank == r
+
+
+# -- differential checks against the eager elimination ----------------------
+
+def _eager_rref_mod(a, p):
+    """Reference Gauss-Jordan that reduces the whole matrix after each pivot."""
+    a = np.mod(a.astype(np.int64, copy=True), p)
+    m, n = a.shape
+    r = 0
+    pivots = []
+    for col in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        entry = int(a[r, col])
+        if entry != 1:
+            a[r] = (a[r] * pow(entry, p - 2, p)) % p
+        others = np.nonzero(a[:, col])[0]
+        others = others[others != r]
+        if others.size:
+            a[others] = (a[others] - np.outer(a[others, col], a[r])) % p
+        pivots.append(col)
+        r += 1
+    return a, pivots
+
+
+# largest prime below MAX_PRIME = 2^21
+_BIG_PRIME = 2097143
+DIFF_PRIMES = (2, 3, 5, 7, 101, _BIG_PRIME)
+DIFF_SHAPES = ((1, 1), (3, 17), (5, 40), (17, 4), (40, 6), (12, 12), (0, 5),
+               (6, 0), (30, 30))
+
+
+def _random_matrix(rng, p, shape, kind):
+    m, n = shape
+    if kind == "zero" or m == 0 or n == 0:
+        return np.zeros((m, n), dtype=np.int64)
+    if kind == "deficient":
+        k = max(1, min(m, n) // 3)
+        left = rng.integers(0, p, size=(m, k))
+        right = rng.integers(0, p, size=(k, n))
+        return (left @ right) % p
+    return rng.integers(0, p, size=(m, n))
+
+
+def _cases(seed):
+    rng = np.random.default_rng(seed)
+    for p in DIFF_PRIMES:
+        for shape in DIFF_SHAPES:
+            for kind in ("full", "deficient", "zero"):
+                yield p, _random_matrix(rng, p, shape, kind)
+
+
+class TestLazyElimination:
+    def test_lazy_matches_eager(self):
+        from modcoh.fplinalg import _rref_mod
+        for p, a in _cases(2024):
+            ra, pa = _rref_mod(a.copy(), p)
+            rb, pb = _eager_rref_mod(a.copy(), p)
+            assert pa == pb
+            assert np.array_equal(ra, rb)
+
+    def test_unreduced_input_matches_eager(self):
+        from modcoh.fplinalg import _rref_mod
+        rng = np.random.default_rng(5)
+        for p in DIFF_PRIMES:
+            a = rng.integers(-3 * p, 3 * p, size=(9, 14))
+            ra, pa = _rref_mod(a.copy(), p)
+            rb, pb = _eager_rref_mod(a.copy(), p)
+            assert pa == pb
+            assert np.array_equal(ra, rb)
+
+    def test_packed_gf2_matches_eager_above_threshold(self):
+        from modcoh.fplinalg import _GF2_PACK_THRESHOLD, _rref, _rref_mod
+        rng = np.random.default_rng(3)
+        n = _GF2_PACK_THRESHOLD + 37
+        for m in (1, 8, 60, 300):
+            for kind in ("full", "deficient", "zero"):
+                a = _random_matrix(rng, 2, (m, n), kind)
+                ra, pa = _rref(a.copy(), 2)
+                rb, pb = _rref_mod(a.copy(), 2)
+                rc, pc = _eager_rref_mod(a.copy(), 2)
+                assert pa == pb == pc
+                assert np.array_equal(ra, rb)
+                assert np.array_equal(ra, rc)
+
+    def test_kernel_annihilates_with_complementary_dim(self):
+        for p, a in _cases(99):
+            ker = kernel_array(a, p)
+            _, rank = rref_array(a, p)
+            n = a.shape[1]
+            assert ker.shape == (n - rank, n)
+            if ker.size and a.size:
+                assert not ((ker @ a.T) % p).any()
+            reduced, r = rref_array(ker, p)
+            assert r == ker.shape[0]
+            assert np.array_equal(reduced[:r], ker)
+
+    def test_kernel_matches_loop_construction(self):
+        for p, a in _cases(7):
+            n = a.shape[1]
+            reduced, pivots = _eager_rref_mod(a % p, p)
+            free = [c for c in range(n) if c not in pivots]
+            loop = np.zeros((len(free), n), dtype=np.int64)
+            for k, fc in enumerate(free):
+                loop[k, fc] = 1
+                for row_idx, pc in enumerate(pivots):
+                    loop[k, pc] = (-int(reduced[row_idx, fc])) % p
+            want, _ = _eager_rref_mod(loop, p)
+            assert np.array_equal(kernel_array(a, p), want[: len(free)])
+
+    def test_rowspan_pivots_track_basis(self):
+        from modcoh.fplinalg import pivot_columns
+        rng = np.random.default_rng(17)
+        for p in DIFF_PRIMES:
+            for width in (5, 23, 250):
+                span = RowSpan(p, width)
+                for _ in range(6):
+                    k = int(rng.integers(1, 4))
+                    span.add_rows(_random_matrix(rng, p, (k, width), "deficient"))
+                    basis = span.basis()
+                    assert np.array_equal(span._pivots, pivot_columns(basis))
+                    assert np.array_equal(
+                        span._pivots, np.argmax(basis != 0, axis=1))
+
+    def test_subspace_pivots_and_membership(self):
+        from modcoh.fplinalg import residual_rows
+        rng = np.random.default_rng(23)
+        for p in DIFF_PRIMES:
+            rows = _random_matrix(rng, p, (4, 9), "deficient")
+            U = FpSubspace(p, 9, rows)
+            assert np.array_equal(U._pivots, np.argmax(U.basis != 0, axis=1))
+            member = (rng.integers(0, p, size=4) @ rows) % p
+            assert U.contains_vector(member)
+            probe = rng.integers(0, p, size=(5, 9))
+            assert np.array_equal(residual_rows(probe, U.basis, p),
+                                  residual_rows(probe, U.basis, p, U._pivots))
+
+
+class TestPrimeBound:
+    def test_max_prime_accepted(self):
+        from modcoh.fplinalg import MAX_PRIME
+        assert _BIG_PRIME <= MAX_PRIME
+        _, r = rref_array([[1, 2], [3, 4]], _BIG_PRIME)
+        assert r == 2
+
+    def test_rref_rejects_large_prime(self):
+        from modcoh.errors import PrimeTooLarge
+        with pytest.raises(PrimeTooLarge):
+            rref_array([[1, 2], [3, 4]], 4294967311)

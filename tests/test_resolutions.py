@@ -77,6 +77,11 @@ class TestConstruction:
         for i in range(1, res.length + 1):
             assert res.image_in_radical(i)
 
+    def test_prime_above_max_prime_raises(self):
+        from modcoh.errors import PrimeTooLarge
+        with pytest.raises(PrimeTooLarge):
+            cohomology_dims(catalog.get_group("Z5"), 4294967311, 4)
+
     def test_minimal_rejected_for_non_p_group(self, A4):
         with pytest.raises(MinimalityUnavailable):
             free_resolution(trivial_module(A4, 2), 3, minimal=True)
