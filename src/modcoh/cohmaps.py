@@ -186,12 +186,7 @@ class CochainContext:
             cobound = reduced[:r]
         span = fplinalg.RowSpan(p, self.cochain_dim(i))
         span.add_rows(cobound)
-        reps = []
-        for row in cocycles:
-            if not span.contains(row):
-                reps.append(row)
-                span.add_rows(row.reshape(1, -1))
-        reps = np.array(reps, dtype=np.int64).reshape(-1, self.cochain_dim(i))
+        reps = cocycles[span.select(cocycles)]
         basis = CohBasis(self, i, reps, cobound)
         self._bases[i] = basis
         return basis

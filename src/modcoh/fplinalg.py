@@ -21,6 +21,27 @@ below p + rank * (p - 1)^2 in absolute value, and a dot product of length L
 below L * (p - 1)^2.  All arithmetic is int64, so the prime is capped at
 `MAX_PRIME` = 2^21: then (p - 1)^2 < 2^42, which leaves room for 2^21 terms
 before 2^63.  Larger primes raise `PrimeTooLarge` instead of wrapping.
+
+Products of residue matrices (`_matmul_mod`) run in float64 BLAS with one
+`fmod` at the end whenever the inner dimension k satisfies
+k * (p - 1)^2 < 2^53 (Dumas-Giorgi-Pernet, FFLAS-FFPACK): every partial sum
+is then an integer below 2^53, which float64 holds exactly, so the result
+equals the int64 product mod p.  Above that bound they fall back to int64.
+
+`RowSpan` grows incrementally.  New rows are reduced against the stored
+RREF basis, only their nonzero residuals are eliminated, the new pivot
+columns are cleared from the old rows with one product, and the rows are
+merged by pivot.  The result has the union of the pivots, is reduced, and
+spans the same space, so by uniqueness it is the RREF of all rows added so
+far.  `RowSpan.select` runs a greedy membership scan on that basis.
+
+`kernel_array` needs one elimination.  It row-reduces the matrix with its
+columns reversed and builds the usual free-column kernel basis there: each
+vector has a 1 at its free column and other entries only at pivot columns
+to its left.  Reversing columns and rows again gives vectors whose first
+nonzero entry is that 1, at a column where every other vector is zero,
+sorted by that column: a reduced echelon basis of the kernel, hence the
+canonical one.
 """
 
 from __future__ import annotations
@@ -34,6 +55,9 @@ _GF2_PACK_THRESHOLD = 192
 
 # Largest admissible modulus; the module docstring gives the int64 bound.
 MAX_PRIME = 2 ** 21
+
+# float64 represents every integer below this exactly.
+_FLOAT_EXACT = 2 ** 53
 
 
 def check_prime_size(p: int) -> None:
@@ -139,7 +163,8 @@ def _rref_mod(a: np.ndarray, p: int):
     m, n = a.shape
     r = 0
     pivots: list[int] = []
-    for col in range(n):
+    # row operations keep a zero column zero: search only the others
+    for col in a.any(axis=0).nonzero()[0].tolist():
         if r == m:
             break
         nz = (a[r:, col] % p).nonzero()[0]
@@ -177,9 +202,11 @@ def _rref_gf2(a: np.ndarray, p: int):
     """Bit-packed Gauss-Jordan over GF(2); same result as _rref_mod."""
     m, n = a.shape
     packed = _pack_gf2(np.mod(a, 2))
+    # row operations keep a zero column zero: search only the others
+    live = _unpack_gf2(np.bitwise_or.reduce(packed, axis=0)[None], n)[0]
     r = 0
     pivots: list[int] = []
-    for col in range(n):
+    for col in live.nonzero()[0].tolist():
         if r == m:
             break
         word, bit = col >> 3, np.uint8(1 << (col & 7))
@@ -213,10 +240,14 @@ def rref_array(a, p: int):
 
 
 def kernel_array(a, p: int) -> np.ndarray:
-    """Canonical RREF basis (rows) of the right kernel {v : a @ v = 0}."""
+    """Canonical RREF basis (rows) of the right kernel {v : a @ v = 0}.
+
+    One elimination of the column-reversed matrix; the module docstring
+    explains why the reversed free-column basis is already canonical.
+    """
     a = np.asarray(a, dtype=np.int64)
     m, n = a.shape
-    reduced, pivots = _rref(a % p, p)
+    reduced, pivots = _rref(a[:, ::-1] % p, p)
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free_cols = is_free.nonzero()[0]
@@ -225,8 +256,7 @@ def kernel_array(a, p: int) -> np.ndarray:
     basis = np.zeros((free_cols.size, n), dtype=np.int64)
     basis[np.arange(free_cols.size), free_cols] = 1
     basis[:, pivots] = (-reduced[: len(pivots)][:, free_cols].T) % p
-    reduced_basis, _ = _rref(basis, p)
-    return reduced_basis[: free_cols.size]
+    return basis[::-1, ::-1].copy()
 
 
 def solve_array(a, b, p: int):
@@ -274,6 +304,18 @@ def pivot_columns(rref_basis: np.ndarray) -> np.ndarray:
     return np.argmax(rref_basis != 0, axis=1)
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p for residue matrices, entries in [0, p).
+
+    float64 BLAS when the inner dimension k keeps k * (p - 1)^2 below 2^53,
+    so the product is exact; int64 otherwise.
+    """
+    if a.shape[1] * (p - 1) ** 2 < _FLOAT_EXACT:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return np.fmod(prod, p, out=prod).astype(np.int64)
+    return (a @ b) % p
+
+
 def residual_rows(rows, rref_basis, p: int, pivots=None) -> np.ndarray:
     """Reduce rows against an RREF basis.
 
@@ -287,15 +329,15 @@ def residual_rows(rows, rref_basis, p: int, pivots=None) -> np.ndarray:
         return rows
     if pivots is None:
         pivots = pivot_columns(rref_basis)
-    coeffs = rows[:, pivots]
-    return (rows - coeffs @ rref_basis) % p
+    rows -= _matmul_mod(rows[:, pivots], rref_basis, p)
+    return np.mod(rows, p, out=rows)
 
 
 class RowSpan:
-    """Incrementally grown row space with membership tests.
+    """Incrementally grown row space for greedy generator selection.
 
-    Used for greedy generator pruning: scan candidate vectors, keep the
-    ones outside the current span, fold in batches of new rows.
+    The basis is the RREF of every row added so far, kept with its pivots;
+    the module docstring gives the incremental update.
     """
 
     def __init__(self, p: int, ambient_dim: int) -> None:
@@ -308,16 +350,74 @@ class RowSpan:
     def rank(self) -> int:
         return self._basis.shape[0]
 
-    def contains(self, v) -> bool:
-        v = np.asarray(v, dtype=np.int64).reshape(1, -1)
-        return not residual_rows(v, self._basis, self.p, self._pivots).any()
-
     def add_rows(self, rows) -> None:
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient_dim)
-        stacked = np.vstack([self._basis, rows % self.p])
-        reduced, pivots = _rref(stacked, self.p)
-        self._basis = reduced[: len(pivots)].copy()
-        self._pivots = np.asarray(pivots, dtype=np.intp)
+        self._absorb(residual_rows(rows, self._basis, self.p, self._pivots))
+
+    def _absorb(self, residuals: np.ndarray):
+        """Fold in rows already reduced against the basis.
+
+        Returns the new basis rows (RREF, zero at the old pivots) and their
+        pivot columns; both are empty when the span did not grow.
+        """
+        residuals = residuals[residuals.any(axis=1)]
+        if not len(residuals):
+            return residuals, np.zeros(0, dtype=np.intp)
+        reduced, pivots = _rref(residuals, self.p)
+        new = reduced[: len(pivots)]
+        new_pivots = np.asarray(pivots, dtype=np.intp)
+        self._merge(new, new_pivots)
+        return new, new_pivots
+
+    def _merge(self, new: np.ndarray, new_pivots: np.ndarray) -> None:
+        """Join RREF rows that are zero at the basis pivots."""
+        old = self._basis
+        if len(old) and len(new):
+            old -= _matmul_mod(old[:, new_pivots], new, self.p)
+            np.mod(old, self.p, out=old)
+        pivots_all = np.concatenate([self._pivots, new_pivots])
+        order = np.argsort(pivots_all, kind="stable")
+        self._basis = np.vstack([old, new])[order]
+        self._pivots = pivots_all[order]
+
+    def select(self, rows, expand=None) -> np.ndarray:
+        """Greedy scan: indices of the rows outside the span when reached.
+
+        Each kept row is folded in before the next row is tested, as the row
+        itself or as the rows `expand(row)` returns, so the result is that
+        of a sequential test-then-add loop.  Residuals of all rows are
+        computed once and, after each kept row, updated by the new basis
+        rows only.  A row whose residual is zero lies in the span, stays
+        there as the span grows, and is dropped.
+        """
+        p = self.p
+        rows = np.asarray(rows, dtype=np.int64)
+        res = residual_rows(rows, self._basis, p, self._pivots)
+        # What the scan adds, reduced against the basis, grows as its own
+        # span and is merged once at the end: each step then updates only
+        # the rows added so far, not the whole basis.
+        fresh = RowSpan(p, self.ambient_dim)
+        live = res.any(axis=1)
+        idx, res = live.nonzero()[0], res[live]
+        kept = []
+        while len(idx):
+            i = int(idx[0])
+            kept.append(i)
+            if expand is None:
+                new, new_pivots = fresh._absorb(res[:1])
+            else:
+                added = residual_rows(expand(rows[i]), self._basis, p, self._pivots)
+                new, new_pivots = fresh._absorb(
+                    residual_rows(added, fresh._basis, p, fresh._pivots))
+            idx, res = idx[1:], res[1:]
+            if len(new_pivots) and len(idx):
+                res -= _matmul_mod(res[:, new_pivots], new, p)
+                np.mod(res, p, out=res)
+                live = res.any(axis=1)
+                if not live.all():
+                    idx, res = idx[live], res[live]
+        self._merge(fresh._basis, fresh._pivots)
+        return np.asarray(kept, dtype=np.intp)
 
     def basis(self) -> np.ndarray:
         return self._basis.copy()
@@ -354,6 +454,3 @@ def quotient_dim(U: FpSubspace, W: FpSubspace) -> int:
         raise NotContained("W is not contained in U")
     return U.dim - W.dim
 
-
-def identity(p: int, n: int) -> FpMatrix:
-    return FpMatrix(p, np.eye(n, dtype=np.int64))

@@ -75,24 +75,34 @@ class FiniteGroup:
         if mul_table is None:
             mul_table = self._build_mul_table()
         self.mul = np.asarray(mul_table, dtype=np.int32)
-        self.inv = np.empty(len(self.elements), dtype=np.int32)
-        for i in range(len(self.elements)):
-            hits = np.nonzero(self.mul[i] == 0)[0]
-            if hits.size != 1:
-                raise BadParameters("multiplication table is not a group table")
-            self.inv[i] = hits[0]
+        is_identity = self.mul == 0
+        if (is_identity.sum(axis=1) != 1).any():
+            raise BadParameters("multiplication table is not a group table")
+        self.inv = is_identity.argmax(axis=1).astype(np.int32)
         self._orders: np.ndarray | None = None
 
     def _build_mul_table(self) -> np.ndarray:
+        n, d = len(self.elements), self.degree
+        if d == 0:  # only the empty permutation: the trivial group
+            return np.zeros((n, n), dtype=np.int32)
         imgs = np.array([e.images for e in self.elements], dtype=np.int32)
-        table = np.empty((len(self.elements),) * 2, dtype=np.int32)
-        for i in range(len(self.elements)):
-            composed = imgs[i][imgs]  # row j = elements[i] * elements[j]
-            for j in range(len(self.elements)):
-                idx = self._index.get(tuple(int(x) for x in composed[j]))
-                if idx is None:
-                    raise BadParameters("elements are not closed under product")
-                table[i, j] = idx
+        # Each image row as one opaque key: exact at any degree, where an
+        # integer mixed-radix key would overflow int64.
+        key = np.dtype((np.void, imgs.itemsize * d))
+        keys = imgs.view(key).ravel()
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        table = np.empty((n, n), dtype=np.int32)
+        block = max(1, (1 << 20) // (n * d))  # rows composed at once
+        for start in range(0, n, block):
+            # composed[i, j] = elements[start + i] * elements[j]
+            composed = imgs[start:start + block][:, imgs]
+            flat = composed.reshape(-1, d).view(key).ravel()
+            pos = np.searchsorted(sorted_keys, flat)
+            idx = order[np.minimum(pos, n - 1)].reshape(composed.shape[:2])
+            if not np.array_equal(imgs[idx], composed):
+                raise BadParameters("elements are not closed under product")
+            table[start:start + block] = idx
         return table
 
     @property

@@ -84,22 +84,14 @@ class FreeResolution:
     # -- construction ---------------------------------------------------
 
     def _stage_zero_generators(self, M: GModule, pad_rank0: bool):
-        p, dim = M.p, M.dim
-        eye = np.eye(dim, dtype=np.int64)
-        gens = []
+        eye = np.eye(M.dim, dtype=np.int64)
+        acc = RowSpan(M.p, M.dim)
         if self.minimal:
-            acc = RowSpan(p, dim)
             acc.add_rows(gmodules.coinvariant_coordinates(M))
-            for i in range(dim):
-                if not acc.contains(eye[i]):
-                    gens.append(eye[i])
-                    acc.add_rows(eye[i:i + 1])
+            kept = acc.select(eye)
         else:
-            acc = RowSpan(p, dim)
-            for i in range(dim):
-                if not acc.contains(eye[i]):
-                    gens.append(eye[i])
-                    acc.add_rows(M.action[:, :, i])
+            kept = acc.select(eye, expand=lambda v: M.action @ v)
+        gens = [eye[i] for i in kept]
         if pad_rank0 and gens:
             gens.append(gens[0])
         return gens
@@ -113,25 +105,17 @@ class FreeResolution:
 
     def _kernel_generators(self, kernel_rows: np.ndarray, rank_prev: int):
         p, n = self.p, self._n
-        width = rank_prev * n
-        gens = []
+        acc = RowSpan(p, rank_prev * n)
         if self.minimal:
-            acc = RowSpan(p, width)
             if len(kernel_rows):
                 translated = self._translate_rows(kernel_rows, rank_prev)
                 tiled = np.tile(kernel_rows, (n, 1))
                 acc.add_rows((translated - tiled) % p)  # spans I . K
-            for row in kernel_rows:
-                if not acc.contains(row):
-                    gens.append(row)
-                    acc.add_rows(row.reshape(1, -1))
+            kept = acc.select(kernel_rows)
         else:
-            acc = RowSpan(p, width)
-            for row in kernel_rows:
-                if not acc.contains(row):
-                    gens.append(row)
-                    acc.add_rows(self._translate_rows(row.reshape(1, -1), rank_prev))
-        return gens
+            kept = acc.select(kernel_rows, expand=lambda row: self._translate_rows(
+                row.reshape(1, -1), rank_prev))
+        return kernel_rows[kept]
 
     def _append_stage(self) -> None:
         n = self._n

@@ -164,15 +164,29 @@ class TestQuotient:
             quotient_dim(U, W)
 
 
+def _contains(span, v):
+    """Membership through select on a copy, so span itself does not grow."""
+    trial = RowSpan(span.p, span.ambient_dim)
+    trial.add_rows(span.basis())
+    return len(trial.select([v])) == 0
+
+
 class TestRowSpan:
     def test_grows_and_tests_membership(self):
         span = RowSpan(3, 3)
-        assert not span.contains([1, 0, 0])
+        assert not _contains(span, [1, 0, 0])
         span.add_rows([[1, 0, 2]])
-        assert span.contains([2, 0, 1])
-        assert not span.contains([0, 1, 0])
+        assert _contains(span, [2, 0, 1])
+        assert not _contains(span, [0, 1, 0])
         span.add_rows([[0, 1, 0], [1, 1, 2]])
         assert span.rank == 2
+
+    def test_select_keeps_rows_outside_span(self):
+        span = RowSpan(3, 3)
+        span.add_rows([[1, 0, 2]])
+        kept = span.select([[2, 0, 1], [0, 1, 0], [1, 1, 2], [0, 0, 1]])
+        assert kept.tolist() == [1, 3]
+        assert span.rank == 3
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)
@@ -324,6 +338,144 @@ class TestLazyElimination:
             probe = rng.integers(0, p, size=(5, 9))
             assert np.array_equal(residual_rows(probe, U.basis, p),
                                   residual_rows(probe, U.basis, p, U._pivots))
+
+
+class _SequentialRowSpan:
+    """Reference span: per-row membership test, full re-RREF on every add."""
+
+    def __init__(self, p, width):
+        self.p = p
+        self.basis = np.zeros((0, width), dtype=np.int64)
+        self.pivots = []
+
+    def contains(self, v):
+        v = np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p
+        if not len(self.basis):
+            return not v.any()
+        coeffs = v[:, self.pivots]
+        return not ((v - coeffs @ self.basis) % self.p).any()
+
+    def add_rows(self, rows):
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.basis.shape[1])
+        stacked = np.vstack([self.basis, rows % self.p])
+        reduced, pivots = _eager_rref_mod(stacked, self.p)
+        self.basis = reduced[: len(pivots)]
+        self.pivots = pivots
+
+    def select(self, rows, expand=None):
+        kept = []
+        for i, row in enumerate(rows):
+            if not self.contains(row):
+                kept.append(i)
+                self.add_rows(row.reshape(1, -1) if expand is None else expand(row))
+        return kept
+
+
+def _shifts(k):
+    """Expansion by k cyclic shifts, standing in for group translates."""
+    return lambda row: np.stack([np.roll(row, s) for s in range(k)])
+
+
+def _shifted_double(row):
+    """Expansion that does not contain the row itself."""
+    return np.stack([np.roll(2 * row, 1), np.roll(row, 3)])
+
+
+def _two_rref_kernel(a, p):
+    """Kernel from the RREF of a, re-canonicalised by a second RREF."""
+    n = a.shape[1]
+    reduced, pivots = _eager_rref_mod(a % p, p)
+    free = np.array([c for c in range(n) if c not in pivots], dtype=np.intp)
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-reduced[: len(pivots)][:, free].T) % p
+    want, _ = _eager_rref_mod(basis, p)
+    return want[: len(free)]
+
+
+class TestIncrementalSpan:
+    def test_select_matches_sequential_loop(self):
+        rng = np.random.default_rng(31)
+        expansions = (None, _shifts(1), _shifts(4), _shifted_double)
+        for p in DIFF_PRIMES:
+            for width in (1, 6, 23, 250):
+                for expand in expansions:
+                    for kind in ("full", "deficient", "zero"):
+                        seed = _random_matrix(rng, p, (3, width), "deficient")
+                        rows = _random_matrix(rng, p, (12, width), kind)
+                        rows = np.vstack([rows, rows[:3], seed[:1]])
+                        span, ref = RowSpan(p, width), _SequentialRowSpan(p, width)
+                        span.add_rows(seed)
+                        ref.add_rows(seed)
+                        kept = span.select(rows, expand)
+                        assert kept.tolist() == ref.select(rows, expand)
+                        assert np.array_equal(span.basis(), ref.basis)
+                        assert span._pivots.tolist() == ref.pivots
+
+    def test_select_on_empty_span_and_no_rows(self):
+        span = RowSpan(5, 4)
+        assert span.select(np.zeros((0, 4), dtype=np.int64)).tolist() == []
+        assert span.select(np.zeros((3, 4), dtype=np.int64)).tolist() == []
+        assert span.rank == 0
+        assert span.select([[0, 5, 0, 0], [0, 2, 0, 0], [1, 0, 0, 0]]).tolist() == [1, 2]
+
+    def test_add_rows_matches_full_rref(self):
+        rng = np.random.default_rng(37)
+        for p in DIFF_PRIMES:
+            for width in (1, 5, 23, 250):
+                span = RowSpan(p, width)
+                added = np.zeros((0, width), dtype=np.int64)
+                for step in range(8):
+                    k = int(rng.integers(0, 5))
+                    kind = ("full", "deficient", "zero")[step % 3]
+                    rows = _random_matrix(rng, p, (k, width), kind)
+                    if step == 5:
+                        rows = np.vstack([rows, added[:2]])  # rows already inside
+                    span.add_rows(rows)
+                    added = np.vstack([added, rows])
+                    reduced, pivots = _eager_rref_mod(added, p)
+                    assert np.array_equal(span.basis(), reduced[: len(pivots)])
+                    assert span._pivots.tolist() == pivots
+
+    def test_kernel_matches_two_rref_version(self):
+        from modcoh.fplinalg import _GF2_PACK_THRESHOLD
+        rng = np.random.default_rng(41)
+        for p, a in _cases(43):
+            assert np.array_equal(kernel_array(a, p), _two_rref_kernel(a, p))
+        wide = _GF2_PACK_THRESHOLD + 21
+        for shape in ((5, wide), (wide, 7), (40, wide), (wide, wide)):
+            for kind in ("full", "deficient", "zero"):
+                a = _random_matrix(rng, 2, shape, kind)
+                assert np.array_equal(kernel_array(a, 2), _two_rref_kernel(a, 2))
+
+    @pytest.mark.parametrize("p", (1048573, _BIG_PRIME))
+    def test_matmul_mod_at_float_bound(self, p):
+        from modcoh.fplinalg import _matmul_mod
+        rng = np.random.default_rng(p)
+        k_max = (2 ** 53 - 1) // (p - 1) ** 2  # deepest exact float64 product
+        for k in (k_max, k_max + 1):
+            for a, b in ((np.full((3, k), p - 1), np.full((k, 4), p - 1)),
+                         (np.full((3, k), p - 2), np.full((k, 4), p - 2)),
+                         (rng.integers(0, p, size=(3, k)),
+                          rng.integers(0, p, size=(k, 4)))):
+                got = _matmul_mod(a, b, p)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, (a @ b) % p)
+                exact = [[sum(int(x) * int(y) for x, y in zip(r, c)) % p
+                          for c in b.T] for r in a]
+                assert got.tolist() == exact
+        # one term past the bound a float64 product is no longer exact
+        odd = np.full((1, k_max + 1), p - 2, dtype=np.float64)
+        assert int((odd @ odd.T)[0, 0]) != (k_max + 1) * (p - 2) ** 2
+
+    def test_matmul_mod_small_primes(self):
+        from modcoh.fplinalg import _matmul_mod
+        rng = np.random.default_rng(47)
+        for p in DIFF_PRIMES:
+            for m, k, n in ((0, 3, 2), (3, 0, 2), (4, 7, 5), (30, 60, 9)):
+                a = rng.integers(0, p, size=(m, k))
+                b = rng.integers(0, p, size=(k, n))
+                assert np.array_equal(_matmul_mod(a, b, p), (a @ b) % p)
 
 
 class TestPrimeBound:

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoh.errors import GroupTooLarge, NonPermutation
+from modcoh.errors import BadParameters, GroupTooLarge, NonPermutation
 from modcoh.groups import (
     DoubleCosetDecomposition,
+    FiniteGroup,
     Permutation,
     Subgroup,
     center,
@@ -140,6 +141,44 @@ class TestGenerateGroup:
         G = dihedral8()
         assert np.array_equal(G.mul[0], np.arange(G.order))
         assert np.array_equal(G.mul[:, 0], np.arange(G.order))
+
+
+def dihedral_on(n):
+    """Dihedral group of order 2n acting on n points."""
+    rot = Permutation(tuple(range(1, n)) + (0,))
+    flip = Permutation((0,) + tuple(range(n - 1, 0, -1)))
+    return generate_group(n, [rot, flip], name=f"D{2 * n}")
+
+
+def _loop_tables(G):
+    """Reference mul table from a dict of image tuples, inverses row by row."""
+    index = {e.images: i for i, e in enumerate(G.elements)}
+    mul = np.array([[index[tuple(a.images[y] for y in b.images)]
+                     for b in G.elements] for a in G.elements])
+    inv = np.array([int(np.nonzero(row == 0)[0][0]) for row in mul])
+    return mul, inv
+
+
+class TestMulTable:
+    @pytest.mark.parametrize("make", [
+        lambda: cyclic(1), lambda: cyclic(12), lambda: cyclic(48), dihedral8,
+        quaternion8, alternating4, symmetric4, lambda: dihedral_on(50)])
+    def test_matches_loop_construction(self, make):
+        G = make()
+        mul, inv = _loop_tables(G)
+        assert G.mul.dtype == np.int32 and G.inv.dtype == np.int32
+        assert np.array_equal(G.mul, mul)
+        assert np.array_equal(G.inv, inv)
+
+    def test_rejects_unclosed_elements(self):
+        elements = [Permutation((0, 1, 2)), Permutation((1, 2, 0))]
+        with pytest.raises(BadParameters, match="not closed under product"):
+            FiniteGroup(3, elements, (1,))
+
+    def test_rejects_table_without_unique_inverses(self):
+        elements = [Permutation((0, 1)), Permutation((1, 0))]
+        with pytest.raises(BadParameters, match="not a group table"):
+            FiniteGroup(2, elements, (1,), mul_table=[[0, 1], [1, 1]])
 
 
 class TestSubgroups:
