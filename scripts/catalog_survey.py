@@ -14,22 +14,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from modcoh import catalog
 from modcoh.actions import full_report
+from modcoh.groups import prime_factors
 from modcoh.resolutions import auto_poincare_fit, cohomology_dims, pole_order_at_one
 
 
 def survey(name: str, max_deg: int) -> None:
     G = catalog.get_group(name)
     print(f"== {name} (order {G.order}, degree {G.degree})")
-    n = G.order
-    primes = []
-    p = 2
-    while n > 1:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    for p in primes:
+    for p in prime_factors(G.order):
         series = cohomology_dims(G, p, max_deg)
         fit = auto_poincare_fit(series, max_part=2 * G.order)
         print(f"  p={p}: dims {list(series.dims)}")

@@ -10,33 +10,55 @@ involution is central" and "every subgroup of order 2q (q prime) is
 cyclic".  They are not equivalent in general (any noncyclic elementary
 abelian 2-group is central-involution but has a noncyclic order-4
 subgroup), so the report carries both booleans instead of choosing.
+
+The subgroup conditions need no subgroup enumeration.  A noncyclic group
+of order p^2 is Z/p x Z/p, so one exists iff the p-rank is at least 2.  A
+noncyclic group of order pq with p != q primes is nonabelian, since an
+abelian one is cyclic.  Such a subgroup exists iff some h of prime order q
+and some g of prime order p != q have g h g^-1 in <h> but not equal to h.
+If p < q, a nonabelian group of order pq has a normal Sylow q-subgroup
+<h>, and some element g of order p does not commute with h, else the
+group would be abelian.  Conversely such a g normalizes <h>, so
+<h><g> = <g, h> is a subgroup of order pq, nonabelian since g h != h g.
+`_nonabelian_pq_orders` scans those pairs once, and each condition is a
+filter over its result and the p-ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParameters
-from .groups import FiniteGroup, center, p_rank, subgroup_closure
-from .resolutions import (
-    auto_poincare_fit,
-    cohomology_dims,
-    pole_order_at_one,
-)
+from .groups import FiniteGroup, center, p_rank, prime_factors
+from .resolutions import cohomology_dims, krull_dimension_estimate
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _nonabelian_pq_orders(G: FiniteGroup) -> set[int]:
+    """The orders pq (p != q primes) of the nonabelian subgroups of G.
+
+    The module docstring gives the pair criterion this scan applies.
+    """
+    primes = prime_factors(G.order)
+    orders = np.array([G.element_order(g) for g in range(G.order)])
+    by_prime = {p: np.flatnonzero(orders == p) for p in primes}
+    found: set[int] = set()
+    for q in primes:
+        for h in by_prime[q].tolist():
+            powers = np.zeros(G.order, dtype=bool)
+            x = h
+            for _ in range(q):
+                powers[x] = True
+                x = int(G.mul[x, h])
+            for p in primes:
+                if p == q or p * q in found:
+                    continue
+                g = by_prime[p]
+                moved = G.mul[G.mul[g, h], G.inv[g]]
+                if (powers[moved] & (moved != h)).any():
+                    found.add(p * q)
+    return found
 
 
 def p2_condition(G: FiniteGroup, p: int) -> bool:
@@ -52,30 +74,13 @@ def twop_condition(G: FiniteGroup) -> bool:
 
 def twop_condition_cyclic_form(G: FiniteGroup) -> bool:
     """Every subgroup of order 2q (q prime, q = 2 included) is cyclic."""
-    for g in range(1, G.order):
-        for h in range(1, G.order):
-            S = subgroup_closure(G, [g, h])
-            if S.order % 2 == 0 and _is_twice_prime(S.order) \
-                    and not _is_cyclic(S):
-                return False
-    return True
-
-
-def _is_twice_prime(n: int) -> bool:
-    if n % 2:
-        return False
-    q = n // 2
-    return q >= 2 and all(q % d for d in range(2, int(q ** 0.5) + 1))
-
-
-def _is_cyclic(S) -> bool:
-    G = S.parent
-    return any(G.element_order(g) == S.order for g in S.member_indices)
+    return p2_condition(G, 2) and not any(
+        n % 2 == 0 for n in _nonabelian_pq_orders(G))
 
 
 def swan_condition(G: FiniteGroup) -> bool:
     """Every abelian subgroup cyclic: p-rank at most one at every prime."""
-    return all(p2_condition(G, p) for p in _prime_divisors(G.order))
+    return all(p2_condition(G, p) for p in prime_factors(G.order))
 
 
 def mtw_condition(G: FiniteGroup) -> bool:
@@ -85,21 +90,7 @@ def mtw_condition(G: FiniteGroup) -> bool:
 
 def wolf_pq_condition(G: FiniteGroup) -> bool:
     """Every subgroup of order pq (p, q prime, possibly equal) is cyclic."""
-    for g in range(1, G.order):
-        for h in range(1, G.order):
-            S = subgroup_closure(G, [g, h])
-            if _is_prime_times_prime(S.order) and not _is_cyclic(S):
-                return False
-    return True
-
-
-def _is_prime_times_prime(n: int) -> bool:
-    divs = _prime_divisors(n)
-    if len(divs) == 1:
-        return n == divs[0] ** 2
-    if len(divs) == 2:
-        return n == divs[0] * divs[1]
-    return False
+    return swan_condition(G) and not _nonabelian_pq_orders(G)
 
 
 def periodicity_report(G: FiniteGroup, p: int, max_deg: int = 10):
@@ -174,32 +165,29 @@ class ConditionReport:
         }
 
 
-def _twop_cyclic_at(G: FiniteGroup, p: int) -> bool:
-    """Order-2p subgroups cyclic at one prime (order 4 when p = 2)."""
-    target = 2 * p
-    for g in range(1, G.order):
-        for h in range(1, G.order):
-            S = subgroup_closure(G, [g, h])
-            if S.order == target and not _is_cyclic(S):
-                return False
-    return True
+def _twop_cyclic_at(p: int, rank: int, pq_orders: set[int]) -> bool:
+    """Order-2p subgroups cyclic at one prime p of p-rank `rank`.
+
+    Order 4 when p = 2, where only Z/2 x Z/2 is noncyclic.
+    """
+    return rank <= 1 if p == 2 else 2 * p not in pq_orders
 
 
 def full_report(G: FiniteGroup, max_deg: int = 10) -> ConditionReport:
     """All section-level conditions plus per-prime rank invariants."""
-    primes = _prime_divisors(G.order)
+    pq_orders = _nonabelian_pq_orders(G)
     prime_reports = []
     Z = center(G)
-    for p in primes:
+    for p in prime_factors(G.order):
+        rank = p_rank(G, p)
         periodic, observed = periodicity_report(G, p, max_deg)
         zr = p_rank(Z.as_group(), p) if Z.order > 1 else 0
-        from .resolutions import krull_dimension_estimate
         pole = krull_dimension_estimate(G, p, max_deg=max(max_deg, 12))
         prime_reports.append(PrimeReport(
             p=p,
-            p2_ok=p2_condition(G, p),
-            twop_cyclic_ok=_twop_cyclic_at(G, p),
-            p_rank=p_rank(G, p),
+            p2_ok=rank <= 1,
+            twop_cyclic_ok=_twop_cyclic_at(p, rank, pq_orders),
+            p_rank=rank,
             duflot_z=zr,
             krull_pole=pole,
             periodic_ok=periodic,
@@ -207,15 +195,17 @@ def full_report(G: FiniteGroup, max_deg: int = 10) -> ConditionReport:
         ))
     r_of_g = max((pr.p_rank for pr in prime_reports), default=0)
     swan = all(pr.p2_ok for pr in prime_reports)
+    twop_central = twop_condition(G)
     report = ConditionReport(
         group=G.name,
         order=G.order,
         r_of_G=r_of_g,
         swan_ok=swan,
-        twop_central_ok=twop_condition(G),
-        twop_cyclic_ok=twop_condition_cyclic_form(G),
-        mtw_ok=swan and twop_condition(G),
-        wolf_pq_ok=wolf_pq_condition(G),
+        twop_central_ok=twop_central,
+        # the 2q clauses at every prime q dividing |G| are the whole condition
+        twop_cyclic_ok=all(pr.twop_cyclic_ok for pr in prime_reports),
+        mtw_ok=swan and twop_central,
+        wolf_pq_ok=swan and not pq_orders,
         periodic_ok=swan,
         primes=tuple(prime_reports),
     )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -34,8 +33,7 @@ from .actions import full_report
 from .cohmaps import double_coset_identity_check, restriction, transfer, \
     trivial_coefficients
 from .errors import ModcohError, NoExpectedData
-from .gmodules import restrict_module
-from .groups import FiniteGroup, center, subgroup_closure, sylow
+from .groups import FiniteGroup, center, prime_factors, subgroup_closure, sylow
 from .resolutions import (
     cohomology_dims,
     complexity,
@@ -52,7 +50,7 @@ EXIT_NOFIT = 3
 
 def _require_prime(p: int) -> int:
     fplinalg.check_prime_size(p)  # before trial division, which is O(sqrt p)
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if prime_factors(p) != [p]:
         raise ModcohError(f"--p must be prime, got {p}")
     return p
 

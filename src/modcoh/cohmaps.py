@@ -26,6 +26,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     conjugate_subgroup,
+    coset_representatives,
     double_cosets,
     intersect,
     normalizer,
@@ -33,7 +34,7 @@ from .groups import (
     sylow,
     whole_group,
 )
-from .resolutions import FreeResolution, cohomology_dims, trivial_resolution
+from .resolutions import FreeResolution, trivial_resolution
 
 
 @dataclass(frozen=True)
@@ -250,24 +251,12 @@ def _restriction_cochain(src: CochainContext, dst: CochainContext, i: int) -> np
     return mat % p
 
 
-def _left_coset_reps_within(K: Subgroup, S: Subgroup) -> list[int]:
-    """Least-index reps of the left cosets cS inside K (S <= K)."""
-    G = K.parent
-    covered: set[int] = set()
-    reps = []
-    for c in K.member_indices:
-        if c in covered:
-            continue
-        reps.append(c)
-        covered.update(int(G.mul[c, s]) for s in S.member_indices)
-    return reps
-
-
 def _transfer_cochain(src: CochainContext, dst: CochainContext, i: int) -> np.ndarray:
     """C^i_S -> C^i_K for S <= K: (tr f)(x) = sum_c c . f(c^{-1} x)."""
     G, p = src.group, src.p
     S, K = src.subgroup, dst.subgroup
-    reps = _left_coset_reps_within(K, S)
+    # least-index reps of the left cosets cS inside K: cS lies in K iff c does
+    reps = [c for c in coset_representatives(G, S) if c in K]
     nt_src, nt_dst = len(src.transversal), len(dst.transversal)
     src.resolution.extend_to(max(i, 1))
     r = src.resolution.ranks[i]

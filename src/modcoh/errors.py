@@ -25,10 +25,6 @@ class DimensionMismatch(ModcohError):
     """Operands have incompatible shapes."""
 
 
-class NotContained(ModcohError):
-    """Claimed subspace inclusion W <= U does not hold."""
-
-
 class PrimeTooLarge(ModcohError):
     """Prime exceeds fplinalg.MAX_PRIME, so int64 arithmetic mod p could overflow."""
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotContained, PrimeTooLarge
+from .errors import DimensionMismatch, PrimeTooLarge
 
 # Use the packed GF(2) path once rows are at least this wide.
 _GF2_PACK_THRESHOLD = 192
@@ -65,39 +65,6 @@ def check_prime_size(p: int) -> None:
     if p > MAX_PRIME:
         raise PrimeTooLarge(
             f"p = {p} exceeds MAX_PRIME = {MAX_PRIME}; int64 products would overflow")
-
-
-class FpMatrix:
-    """Dense matrix with entries reduced mod a prime p."""
-
-    __slots__ = ("p", "data")
-
-    def __init__(self, p: int, data) -> None:
-        self.p = int(p)
-        arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"expected 2-d data, got shape {arr.shape}")
-        self.data = np.mod(arr, self.p)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return self.p == other.p and self.data.shape == other.data.shape \
-            and bool(np.array_equal(self.data, other.data))
-
-    def __hash__(self):  # mutable payload; not hashable
-        raise TypeError("FpMatrix is not hashable")
-
-    def __repr__(self) -> str:
-        return f"FpMatrix(p={self.p}, shape={self.data.shape})"
 
 
 class FpSubspace:
@@ -122,14 +89,6 @@ class FpSubspace:
         if v.shape != (self.ambient_dim,):
             raise DimensionMismatch("vector has wrong length")
         return not residual_rows(v.reshape(1, -1), self.basis, self.p,
-                                 self._pivots).any()
-
-    def contains(self, other: "FpSubspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        if other.dim == 0:
-            return True
-        return not residual_rows(other.basis, self.basis, self.p,
                                  self._pivots).any()
 
     def __eq__(self, other) -> bool:
@@ -421,36 +380,3 @@ class RowSpan:
 
     def basis(self) -> np.ndarray:
         return self._basis.copy()
-
-
-# -- public FpMatrix operations ---------------------------------------------
-
-def rref_rank(M: FpMatrix):
-    """Unique reduced row echelon form and rank."""
-    reduced, pivots = _rref(M.data, M.p)
-    return FpMatrix(M.p, reduced), len(pivots)
-
-
-def rank(M: FpMatrix) -> int:
-    return rref_rank(M)[1]
-
-
-def kernel_basis(M: FpMatrix) -> FpSubspace:
-    """Canonical basis of {v : M v = 0}; dim = cols - rank."""
-    basis = kernel_array(M.data, M.p)
-    return FpSubspace(M.p, M.cols, basis)
-
-
-def solve(A: FpMatrix, b):
-    """Deterministic solution of A x = b, or None when inconsistent."""
-    return solve_array(A.data, b, A.p)
-
-
-def quotient_dim(U: FpSubspace, W: FpSubspace) -> int:
-    """dim U - dim W for a checked inclusion W <= U."""
-    if U.p != W.p or U.ambient_dim != W.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    if not U.contains(W):
-        raise NotContained("W is not contained in U")
-    return U.dim - W.dim
-

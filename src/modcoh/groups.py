@@ -9,6 +9,7 @@ elements and generators in index order.  The identity is always index 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,26 @@ import numpy as np
 from .errors import BadParameters, GroupTooLarge, NonPermutation
 
 DEFAULT_SIZE_CAP = 2000
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n in ascending order (empty for n < 2)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_p_power(n: int, p: int) -> bool:
+    """Whether n >= 1 is a power of the prime p (p^0 = 1 included)."""
+    return prime_factors(n) in ([], [p])
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,18 @@ class FiniteGroup:
             raise BadParameters("multiplication table is not a group table")
         self.inv = is_identity.argmax(axis=1).astype(np.int32)
         self._orders: np.ndarray | None = None
+        # GModule.check_representation tests only the generators, so they
+        # must generate: grow the set of words in them until it stops.
+        reached = np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            fresh = np.zeros(self.order, dtype=bool)
+            fresh[self.mul[frontier][:, self.generator_indices]] = True
+            frontier = (fresh & ~reached).nonzero()[0]
+            reached |= fresh
+        if not reached.all():
+            raise BadParameters("generator_indices do not generate the group")
 
     def _build_mul_table(self) -> np.ndarray:
         n, d = len(self.elements), self.degree
@@ -131,10 +164,7 @@ class FiniteGroup:
         return bool(np.array_equal(self.mul, self.mul.T))
 
     def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return is_p_power(self.order, p)
 
     def conjugate(self, g: int, x: int) -> int:
         """g x g^{-1} as element indices."""
@@ -346,36 +376,27 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     Grown from the least-index p-element by normalizer steps, always
     absorbing the least-index usable element, so repeated calls agree.
     """
-    target = 1
-    n = G.order
-    while n % p == 0:
-        target *= p
-        n //= p
+    # the p-part of |G|: p^k exceeds |G| once k is its bit length
+    target = math.gcd(G.order, p ** G.order.bit_length())
     if target == 1:
         return trivial_subgroup(G)
     start = next(g for g in range(1, G.order)
-                 if _is_p_power(G.element_order(g), p))
+                 if is_p_power(G.element_order(g), p))
     S = subgroup_closure(G, [start])
     while S.order < target:
         N = normalizer(G, S)
         grown = False
         for y in N.member_indices:
-            if y in S or not _is_p_power(G.element_order(y), p):
+            if y in S or not is_p_power(G.element_order(y), p):
                 continue
             T = subgroup_closure(G, list(S.member_indices) + [y])
-            if _is_p_power(T.order, p) and T.order > S.order:
+            if is_p_power(T.order, p) and T.order > S.order:
                 S = T
                 grown = True
                 break
         if not grown:
             raise BadParameters("sylow growth stalled")  # unreachable on groups
     return S
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def elementary_abelian_subgroups(G: FiniteGroup, p: int) -> list[Subgroup]:
@@ -516,15 +537,12 @@ def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def _prime_of_p_group(G: FiniteGroup) -> int:
-    n = G.order
-    if n == 1:
+    primes = prime_factors(G.order)
+    if not primes:
         raise BadParameters("trivial group has no maximal subgroups")
-    p = 2
-    while n % p:
-        p += 1
-    if not G.is_p_group(p):
+    if len(primes) > 1:
         raise BadParameters(f"{G.name} is not a p-group")
-    return p
+    return primes[0]
 
 
 def _hyperplane_functionals(p, k):

@@ -22,7 +22,7 @@ from . import fplinalg
 from .cohmaps import CochainComplex, context, trivial_coefficients
 from .errors import DegreeMismatch, LiftFailure, NotMaximal
 from .gmodules import permutation_module
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, prime_factors
 from .resolutions import FreeResolution, trivial_resolution
 
 
@@ -50,7 +50,7 @@ class DiagonalMap:
     def _build_homotopy(self):
         res, p = self.resolution, self.p
         res.extend_to(self.max_deg + 1)
-        aug = res.augmentation.data
+        aug = res.augmentation
         rho0 = fplinalg.solve_array(aug, np.array([1]), p)
         if rho0 is None:
             raise LiftFailure("augmentation is not surjective")
@@ -59,7 +59,7 @@ class DiagonalMap:
         rho_amb = [None]  # index i >= 1: ambient right inverse of d_i on ker d_{i-1}
         kernels = [fplinalg.kernel_array(aug, p)]
         for i in range(1, self.max_deg + 2):
-            D = res.boundaries[i - 1].data
+            D = res.boundaries[i - 1]
             Z = kernels[-1]
             if len(Z):
                 X = fplinalg.solve_batch(D, Z.T, p)
@@ -78,7 +78,7 @@ class DiagonalMap:
         eye0 = np.eye(self._space_dim(0), dtype=np.int64)
         s[0] = (rho_amb[1] @ ((eye0 - E) % p)) % p
         for i in range(1, self.max_deg + 1):
-            D = res.boundaries[i - 1].data
+            D = res.boundaries[i - 1]
             eye = np.eye(self._space_dim(i), dtype=np.int64)
             s[i] = (rho_amb[i + 1] @ ((eye - rho_amb[i] @ D) % p)) % p
         self._E = E
@@ -147,10 +147,10 @@ class DiagonalMap:
         cols = self.components[deg][(i, j)].reshape(di, dj, -1)
         out = {}
         if i > 0:
-            D = res.boundaries[i - 1].data
+            D = res.boundaries[i - 1]
             out[(i - 1, j)] = np.tensordot(D, cols, axes=([1], [0])) % p
         if j > 0:
-            D = res.boundaries[j - 1].data
+            D = res.boundaries[j - 1]
             term = np.tensordot(cols, D, axes=([1], [1]))
             term = np.transpose(term, (0, 2, 1))
             sign = 1 if i % 2 == 0 else -1
@@ -268,14 +268,6 @@ class SpliceComplex:
     as_cochain: CochainComplex
 
 
-def _group_prime(P: FiniteGroup) -> int:
-    n = P.order
-    p = 2
-    while n % p:
-        p += 1
-    return p
-
-
 def splice_complex(P: FiniteGroup, maximal: list[Subgroup]) -> SpliceComplex:
     """The 2n-term complex splicing the segments for the listed subgroups.
 
@@ -286,9 +278,10 @@ def splice_complex(P: FiniteGroup, maximal: list[Subgroup]) -> SpliceComplex:
     """
     if not maximal:
         raise NotMaximal("need at least one maximal subgroup")
-    p = _group_prime(P)
-    if not P.is_p_group(p):
+    primes = prime_factors(P.order)
+    if len(primes) != 1:
         raise NotMaximal("splice complexes are defined over p-groups")
+    p = primes[0]
     for H in maximal:
         if H.parent is not P or H.order * p != P.order:
             raise NotMaximal(f"subgroup of order {H.order} is not maximal "
@@ -328,7 +321,7 @@ def cochain_cohomology_dims(C: CochainComplex, p: int) -> list[int]:
 
 def sphere_cohomology_check(C: SpliceComplex) -> bool:
     """Whether H^*(C) is that of an odd sphere S^{2n-1}."""
-    p = _group_prime(C.group)
+    p = prime_factors(C.group.order)[0]
     dims = cochain_cohomology_dims(C.as_cochain, p)
     want = [0] * len(dims)
     want[0] = want[-1] = 1

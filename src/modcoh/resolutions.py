@@ -2,8 +2,8 @@
 
 Free modules F_p[G]^r use the flat basis index j*|G| + g (copy j, group
 element g), with g acting by left translation inside each copy.  Boundary
-maps are stored as full matrices; the chosen module generators of each
-kernel sit in the identity columns (g = 0).
+maps are stored as full int64 matrices reduced mod p; the chosen module
+generators of each kernel sit in the identity columns (g = 0).
 
 Minimal resolutions are constructed only over p-groups, where the
 augmentation ideal is the radical; for other groups a greedily pruned free
@@ -27,7 +27,7 @@ from .errors import (
     NoFitFound,
     SeriesTooShort,
 )
-from .fplinalg import FpMatrix, RowSpan
+from .fplinalg import RowSpan
 from .gmodules import GModule, dual_module, restrict_module, trivial_module
 from .groups import FiniteGroup, elementary_abelian_subgroups, sylow
 
@@ -73,12 +73,12 @@ class FreeResolution:
         self._take = np.asarray(self.group.mul[self.group.inv], dtype=np.int64)
         gens = self._stage_zero_generators(M, pad_rank0)
         self.ranks: list[int] = [len(gens)]
-        self.boundaries: list[FpMatrix] = []
+        self.boundaries: list[np.ndarray] = []
         aug = np.zeros((M.dim, len(gens) * n), dtype=np.int64)
         for j, m in enumerate(gens):
             aug[:, j * n:(j + 1) * n] = np.tensordot(
                 M.action, m, axes=([2], [0])).T % self.p
-        self.augmentation = FpMatrix(self.p, aug)
+        self.augmentation = aug
         self._kernel = fplinalg.kernel_array(aug, self.p)
 
     # -- construction ---------------------------------------------------
@@ -127,7 +127,7 @@ class FreeResolution:
         for k, w in enumerate(gens):
             shaped = w.reshape(rank_prev, n)[:, self._take]  # (rank_prev, |G|, n)
             D[:, k * n:(k + 1) * n] = shaped.transpose(1, 0, 2).reshape(n, -1).T
-        self.boundaries.append(FpMatrix(self.p, D))
+        self.boundaries.append(D)
         self._kernel = fplinalg.kernel_array(D, self.p) if r else \
             np.zeros((0, 0), dtype=np.int64)
 
@@ -140,8 +140,7 @@ class FreeResolution:
                 # resolution has terminated; extend with zero modules
                 prev = self.ranks[-1] * self._n
                 self.ranks.append(0)
-                self.boundaries.append(
-                    FpMatrix(self.p, np.zeros((prev, 0), dtype=np.int64)))
+                self.boundaries.append(np.zeros((prev, 0), dtype=np.int64))
                 continue
             self._append_stage()
         return self
@@ -154,7 +153,7 @@ class FreeResolution:
         """Columns w_k = d_i(e_{k, identity}), one per stage-i generator."""
         if i < 1 or i > self.length:
             raise LengthTooSmall(f"boundary d_{i} not computed")
-        D = self.boundaries[i - 1].data
+        D = self.boundaries[i - 1]
         n = self._n
         return D[:, [k * n for k in range(self.ranks[i])]]
 
@@ -163,10 +162,10 @@ class FreeResolution:
     def check_exactness(self) -> None:
         """image(d_{i+1}) = kernel(d_i) at every computed stage."""
         p, n = self.p, self._n
-        aug = self.augmentation.data
+        aug = self.augmentation
         for i in range(self.length):
-            D = self.boundaries[i].data
-            upstream = aug if i == 0 else self.boundaries[i - 1].data
+            D = self.boundaries[i]
+            upstream = aug if i == 0 else self.boundaries[i - 1]
             if ((upstream @ D) % p).any():
                 raise AssertionError(f"d_{i} . d_{i + 1} != 0")
             up_ker = fplinalg.kernel_array(upstream, p)
@@ -177,7 +176,7 @@ class FreeResolution:
 
     def image_in_radical(self, i: int) -> bool:
         """Whether every column of d_i lies in I . F_p[G]^{r_{i-1}}."""
-        D = self.boundaries[i - 1].data
+        D = self.boundaries[i - 1]
         n = self._n
         sums = D.reshape(self.ranks[i - 1], n, D.shape[1]).sum(axis=1) % self.p
         return not sums.any()
@@ -190,8 +189,8 @@ class FreeResolution:
                  f"group {self.group.name}",
                  f"minimal {int(self.minimal)}",
                  "ranks " + " ".join(str(r) for r in self.ranks)]
-        blocks = [("aug", self.augmentation.data)]
-        blocks += [(f"d{i + 1}", B.data) for i, B in enumerate(self.boundaries)]
+        blocks = [("aug", self.augmentation)]
+        blocks += [(f"d{i + 1}", B) for i, B in enumerate(self.boundaries)]
         for tag, arr in blocks:
             lines.append(f"{tag} {arr.shape[0]} {arr.shape[1]}")
             for row in arr:

@@ -5,6 +5,7 @@ regular, permutation and dual-permutation modules), generated with a fixed
 seed so every run sees the same 50 modules.
 """
 
+import functools
 import random
 
 from modcoh import catalog
@@ -60,3 +61,21 @@ def build_corpus(count=50, seed=CORPUS_SEED):
         if M.dim <= _DIM_CAP:
             out.append((name, M))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_closure(max_order=100):
+    """Catalog groups plus their 2-generated subgroups, as standalone groups."""
+    out = []
+    for name in catalog.names():
+        G = catalog.get_group(name)
+        if G.order <= max_order:
+            out.append(G)
+        subs = {}
+        for g in range(G.order):
+            for h in range(g, G.order):
+                S = subgroup_closure(G, [g, h])
+                if S.order <= max_order and S.order < G.order:
+                    subs[S.member_indices] = S
+        out.extend(S.as_group() for S in subs.values())
+    return tuple(out)

@@ -7,12 +7,11 @@ form and the cyclic-2q form provably diverge on noncyclic elementary
 abelian 2-groups, which sit in the catalog closure.  Criterion 14c pins
 the exact divergence set.
 
-The stretch checks (L3(2), A6) are excluded from the default run; set
-MODCOH_STRETCH=1 to include them.
+The stretch checks (L3(2), A6) run in the default suite and carry the
+`stretch` marker, so `-m "not stretch"` leaves them out.
 """
 
 import math
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,7 +36,7 @@ from modcoh.cohmaps import (
     transfer,
     trivial_coefficients,
 )
-from modcoh.fplinalg import FpMatrix, kernel_basis, rref_rank
+from modcoh.fplinalg import FpSubspace, kernel_array, rref_array
 from modcoh.gmodules import (
     permutation_module,
     regular_module,
@@ -72,7 +71,7 @@ from modcoh.resolutions import (
     _is_elementary_abelian,
 )
 
-from corpus import build_corpus
+from corpus import build_corpus, catalog_closure
 from presentations import PRODUCT_ORACLES
 
 
@@ -191,21 +190,10 @@ def test_c10_projectivity_triad():
 
 def test_c11_complexity_rank_pole():
     with criterion(11, "complexity = p-rank = Poincare pole order on the catalog"):
-        from modcoh.groups import p_rank
+        from modcoh.groups import p_rank, prime_factors
         for name in catalog.names():
             G = catalog.get_group(name)
-            if G.order == 1:
-                continue
-            n = G.order
-            p = 2
-            primes = []
-            while n > 1:
-                if n % p == 0:
-                    primes.append(p)
-                    while n % p == 0:
-                        n //= p
-                p += 1
-            for p in primes:
+            for p in prime_factors(G.order):
                 cx = complexity(trivial_module(G, p))
                 rank = p_rank(G, p)
                 pole = krull_dimension_estimate(G, p)
@@ -247,23 +235,6 @@ def test_c13_splice_spheres():
         assert cochain_cohomology_dims(hit[1].as_cochain, 2) == [1, 0, 0, 1]
 
 
-def _catalog_closure(max_order=100):
-    """Catalog groups plus their 2-generated subgroups, as standalone groups."""
-    out = []
-    for name in catalog.names():
-        G = catalog.get_group(name)
-        if G.order <= max_order:
-            out.append(G)
-        subs = {}
-        for g in range(G.order):
-            for h in range(g, G.order):
-                S = subgroup_closure(G, [g, h])
-                if S.order <= max_order and S.order < G.order:
-                    subs[S.member_indices] = S
-        out.extend(S.as_group() for S in subs.values())
-    return out
-
-
 def test_c14_sphere_action_conditions():
     with criterion("14a", "Q8 passes, D6/D8 fail, cyclic groups pass"):
         Q8 = catalog.get_group("Q8")
@@ -290,7 +261,7 @@ def test_c14_sphere_action_conditions():
     "the catalog closure; the reports carry both booleans instead")
 def test_c14b_twop_formulations_agree_on_closure():
     with criterion("14b", "the two 2p formulations agree on the catalog closure"):
-        for H in _catalog_closure():
+        for H in catalog_closure():
             assert twop_condition(H) == twop_condition_cyclic_form(H), \
                 (H.name, H.order)
 
@@ -298,7 +269,7 @@ def test_c14b_twop_formulations_agree_on_closure():
 def test_c14c_twop_divergence_is_exactly_elementary_abelian():
     with criterion("14c", "2p-formulation divergence happens exactly on "
                    "elementary abelian 2-groups of rank >= 2"):
-        for H in _catalog_closure():
+        for H in catalog_closure():
             diverges = twop_condition(H) != twop_condition_cyclic_form(H)
             expected = _is_elementary_abelian(H, 2) and H.order > 2
             assert diverges == expected, (H.name, H.order)
@@ -323,11 +294,11 @@ def test_c15_property_suites():
         for p in (2, 3, 5):
             for _ in range(20):
                 m, n = rng.integers(1, 7, size=2)
-                M = FpMatrix(p, rng.integers(0, p, size=(m, n)))
-                reduced, r = rref_rank(M)
-                again, r2 = rref_rank(reduced)
-                assert r == r2 and np.array_equal(reduced.data, again.data)
-                assert kernel_basis(M).dim == M.cols - r
+                a = rng.integers(0, p, size=(m, n))
+                reduced, r = rref_array(a, p)
+                again, r2 = rref_array(reduced, p)
+                assert r == r2 and np.array_equal(reduced, again)
+                assert FpSubspace(p, n, kernel_array(a, p)).dim == n - r
         # cup commutativity at p = 2 and naturality snapshots
         D8 = catalog.get_group("D8")
         ring = CupRing(D8, 2, 4)
@@ -349,8 +320,6 @@ STRETCH_NAMES = [n for n in catalog.names(include_stretch=True)
 
 
 @pytest.mark.stretch
-@pytest.mark.skipif(not os.environ.get("MODCOH_STRETCH"),
-                    reason="size gate: set MODCOH_STRETCH=1 to run")
 @pytest.mark.parametrize("name", STRETCH_NAMES)
 def test_stretch_simple_groups(name):
     with criterion("S", f"{name} dims match its presentation through degree 6"):

@@ -2,6 +2,8 @@ import pytest
 
 from modcoh import catalog
 from modcoh.actions import (
+    _nonabelian_pq_orders,
+    _twop_cyclic_at,
     full_report,
     mtw_condition,
     p2_condition,
@@ -11,7 +13,9 @@ from modcoh.actions import (
     twop_condition_cyclic_form,
     wolf_pq_condition,
 )
-from modcoh.groups import subgroup_closure
+from modcoh.groups import p_rank, subgroup_closure
+
+from corpus import catalog_closure
 
 
 def oracle_all_abelian_subgroups_cyclic(G):
@@ -25,6 +29,56 @@ def oracle_all_abelian_subgroups_cyclic(G):
                            for x in S.member_indices):
                     return False
     return True
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, n))
+
+
+def oracle_noncyclic_prime_product_orders(G):
+    """Brute force: orders pq (p, q prime, possibly equal) of the noncyclic
+    subgroups, from the closure of every pair of elements.  Every group of
+    order pq is generated by two elements, so none is missed."""
+    found = set()
+    for g in range(1, G.order):
+        for h in range(g, G.order):
+            S = subgroup_closure(G, [g, h])
+            if any(_is_prime(d) and _is_prime(S.order // d)
+                   for d in range(2, S.order) if S.order % d == 0) \
+                    and not any(G.element_order(x) == S.order
+                                for x in S.member_indices):
+                found.add(S.order)
+    return found
+
+
+class TestSubgroupConditionsAgainstPairScans:
+    """The closure-free filters against brute-force subgroup closures."""
+
+    def test_catalog_closure(self):
+        for H in catalog_closure():
+            noncyclic = oracle_noncyclic_prime_product_orders(H)
+            primes = [p for p in range(2, H.order + 1)
+                      if H.order % p == 0 and _is_prime(p)]
+            key = (H.name, H.order)
+            assert twop_condition_cyclic_form(H) == \
+                (not any(n % 2 == 0 for n in noncyclic)), key
+            assert wolf_pq_condition(H) == (not noncyclic), key
+            pq = _nonabelian_pq_orders(H)
+            for p in primes:
+                assert _twop_cyclic_at(p, p_rank(H, p), pq) == \
+                    (2 * p not in noncyclic), (key, p)
+
+    @pytest.mark.parametrize("name, twop_cyclic", [
+        ("L3_2", {2: False, 3: False, 7: True}),
+        ("A6", {2: False, 3: False, 5: False}),
+    ])
+    def test_stretch_groups_pinned(self, name, twop_cyclic):
+        G = catalog.get_group(name)
+        pq = _nonabelian_pq_orders(G)
+        assert {p: _twop_cyclic_at(p, p_rank(G, p), pq)
+                for p in twop_cyclic} == twop_cyclic
+        assert not wolf_pq_condition(G)
+        assert not twop_condition_cyclic_form(G)
 
 
 class TestP2:

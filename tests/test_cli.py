@@ -68,6 +68,20 @@ class TestDims:
         assert code == 1
         assert "prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0", "1", "9", str(2 ** 21 - 1)])
+    def test_non_prime_p_rejected(self, p, capsys):
+        code, text = run(["dims", "--group", "Z2", "--p", p, "--max-deg", "2"])
+        assert code == 1
+        assert text == ""
+        assert "must be prime" in capsys.readouterr().err
+
+    def test_largest_prime_below_max_prime_accepted(self):
+        code, text = run(["dims", "--group", "Z2", "--p", "2097143",
+                          "--max-deg", "2"])
+        assert code == 0
+        dims = [int(line.split()[1]) for line in text.splitlines()[1:]]
+        assert dims == [1, 0, 0]
+
     @pytest.mark.parametrize("p", ["4294967311", str(2 ** 61 - 1)])
     def test_prime_above_max_prime_rejected(self, p, capsys):
         from modcoh.cli import EXIT_INPUT

@@ -122,6 +122,18 @@ class TestRestriction:
 
 
 class TestTransfer:
+    def test_tr_res_is_index_in_intermediate_subgroup(self, S4):
+        # H = Z3 < K = A4 < S4 at p = 3: tr^K_H res^K_H is [K:H] = 4 = 1,
+        # while the cosets of H in all of S4 would give [S4:H] = 8 = 2
+        M = trivial_coefficients(S4, 3)
+        K = sub_by_perms(S4, [(1, 2, 0, 3), (1, 0, 3, 2)])
+        H = sub_by_perms(S4, [(1, 2, 0, 3)])
+        assert (K.order, H.order) == (12, 3)
+        for i in range(4):
+            comp = (transfer(S4, H, M, i, K=K).matrix @
+                    restriction(S4, H, M, i, K=K).matrix) % 3
+            assert np.array_equal(comp, np.eye(len(comp), dtype=np.int64)), i
+
     def test_whole_group_identity(self, Q8):
         M = trivial_coefficients(Q8, 2)
         t = transfer(Q8, whole_group(Q8), M, 3)

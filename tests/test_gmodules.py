@@ -204,6 +204,51 @@ class TestRepresentationProperty:
         with pytest.raises(RepresentationError):
             M.check_representation()
 
+    def test_large_non_representation_rejected_on_construction(self, S4):
+        # dim 24 over S4: |G|^2 dim^3 is about 8e6, so a size budget would
+        # skip the check; it must run on every construction
+        bad = regular_module(S4, 2).action.copy()
+        bad[[1, 2]] = bad[[2, 1]]  # permutation matrices, wrong elements
+        with pytest.raises(RepresentationError):
+            GModule(S4, 2, bad)
+
+    def test_generator_check_matches_all_pairs(self, D8, Q8, A4):
+        """Checking generators only agrees with the check of every pair."""
+        def all_pairs_ok(M):
+            A, mul, p = M.action, M.group.mul, M.p
+            return np.array_equal(A[0], np.eye(M.dim, dtype=np.int64)) and all(
+                np.array_equal((A[g] @ A[h]) % p, A[mul[g, h]])
+                for g in range(M.group.order) for h in range(M.group.order))
+
+        rng = np.random.default_rng(5)
+        mods = [regular_module(D8, 3), permutation_module(Q8, center(Q8), 2),
+                permutation_module(A4, sylow(A4, 3), 2)]
+        for M in mods:
+            n = M.group.order
+            cases = [M.action]
+            for _ in range(6):
+                bad = M.action.copy()
+                g, h = rng.choice(n, size=2, replace=False)
+                bad[g] = M.action[h]
+                cases.append(bad)
+            # wrong on a whole coset x<s> but consistent along it, so only
+            # the generators other than s can see it
+            for s in M.group.generator_indices:
+                C = subgroup_closure(M.group, [s])
+                x = next(g for g in range(n) if g not in C)
+                bad = M.action.copy()
+                for c in C.member_indices:
+                    bad[M.group.mul[x, c]] = M.action[c]
+                cases.append(bad)
+            for action in cases:
+                trial = GModule(M.group, M.p, action, validate=False)
+                try:
+                    trial.check_representation()
+                    ok = True
+                except RepresentationError:
+                    ok = False
+                assert ok == all_pairs_ok(trial)
+
 
 class TestFromGeneratorMatrices:
     def test_regular_rebuild(self, Z4):

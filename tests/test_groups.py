@@ -16,9 +16,11 @@ from modcoh.groups import (
     frattini_subgroup,
     generate_group,
     is_isomorphic,
+    is_p_power,
     maximal_subgroups,
     normalizer,
     p_rank,
+    prime_factors,
     right_coset_representatives,
     subgroup_closure,
     sylow,
@@ -175,6 +177,14 @@ class TestMulTable:
         with pytest.raises(BadParameters, match="not closed under product"):
             FiniteGroup(3, elements, (1,))
 
+    def test_rejects_non_generating_generators(self):
+        # a representation is checked on the generators only, so they must
+        # generate; here they span the rotations of D8 and nothing more
+        G = dihedral8()
+        rot = G.generator_indices[0]
+        with pytest.raises(BadParameters, match="do not generate"):
+            FiniteGroup(G.degree, G.elements, (rot,))
+
     def test_rejects_table_without_unique_inverses(self):
         elements = [Permutation((0, 1)), Permutation((1, 0))]
         with pytest.raises(BadParameters, match="not a group table"):
@@ -211,6 +221,20 @@ class TestSubgroups:
         Z = center(G)
         assert Z.order == 2
         assert G.element_order(Z.member_indices[1]) == 2
+
+
+class TestPrimeFactors:
+    def test_against_naive_definition(self):
+        primes = [q for q in range(2, 2001) if all(q % d for d in range(2, q))]
+        for n in range(0, 2001):
+            want = [q for q in primes if q <= n and n % q == 0]
+            assert prime_factors(n) == want, n
+
+    def test_p_power(self):
+        powers = {(p ** k, p) for p in (2, 3, 5, 7, 11) for k in range(12)}
+        for p in (2, 3, 5, 7, 11):
+            for n in range(1, 3000):
+                assert is_p_power(n, p) == ((n, p) in powers), (n, p)
 
 
 class TestSylow:

@@ -239,6 +239,12 @@ class TestSplice:
         with pytest.raises(NotMaximal):
             splice_complex(Q8, [center(Q8)])
 
+    def test_trivial_group_rejected(self):
+        # |P| = 1 has no prime divisor; a search for one never ended
+        Z1 = catalog.get_group("Z1")
+        with pytest.raises(NotMaximal):
+            splice_complex(Z1, [whole_group(Z1)])
+
 
 class TestProductTable:
     def test_csv_matches_oracle(self, D8):

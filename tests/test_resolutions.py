@@ -53,7 +53,7 @@ class TestConstruction:
         res = trivial_resolution(Z2, 2, 5)
         assert res.ranks[:6] == [1] * 6
         for B in res.boundaries[:5]:
-            assert B.data.tolist() == [[1, 1], [1, 1]]
+            assert B.tolist() == [[1, 1], [1, 1]]
         res.check_exactness()
 
     def test_odd_p_alternating_ranks(self, Z3):
@@ -61,7 +61,7 @@ class TestConstruction:
         assert res.ranks[:7] == [1] * 7
         # boundary ranks alternate: (t-1) has rank p-1, the norm has rank 1
         from modcoh.fplinalg import rref_array
-        got = [rref_array(B.data, 3)[1] for B in res.boundaries[:6]]
+        got = [rref_array(B, 3)[1] for B in res.boundaries[:6]]
         assert got == [2, 1, 2, 1, 2, 1]
         res.check_exactness()
 
