@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameters
+from .errors import BadParameters, InvariantViolation
 from .groups import FiniteGroup, center, p_rank, prime_factors
 from .resolutions import cohomology_dims, krull_dimension_estimate
 
@@ -211,10 +211,10 @@ def full_report(G: FiniteGroup, max_deg: int = 10) -> ConditionReport:
     )
     for pr in report.primes:
         if pr.krull_pole != pr.p_rank:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"Quillen cross-check failed for {G.name} at p={pr.p}: "
                 f"pole order {pr.krull_pole} != p-rank {pr.p_rank}")
         if pr.duflot_z > pr.krull_pole:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"Duflot bound violated for {G.name} at p={pr.p}")
     return report

@@ -18,7 +18,10 @@ primes would overflow int64 arithmetic and are refused with PrimeTooLarge
 and exit code 1 (EXIT_INPUT), before anything is written to stdout.
 
 Exit codes: 0 success/match, 1 input error, 2 catalog-expectation mismatch,
-3 rational-function fit failure.
+3 rational-function fit failure, 4 failed internal invariant
+(InvariantViolation: a computed object failed a consistency check, such as
+exactness of a resolution or agreement of the two projectivity tests, so
+no answer is printed).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from . import catalog, fileio, fplinalg
 from .actions import full_report
 from .cohmaps import double_coset_identity_check, restriction, transfer, \
     trivial_coefficients
-from .errors import ModcohError, NoExpectedData
+from .errors import InvariantViolation, ModcohError, NoExpectedData
 from .groups import FiniteGroup, center, prime_factors, subgroup_closure, sylow
 from .resolutions import (
     cohomology_dims,
@@ -46,6 +49,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_NOFIT = 3
+EXIT_INVARIANT = 4
 
 
 def _require_prime(p: int) -> int:
@@ -235,7 +239,7 @@ def cmd_module(args, out) -> int:
         direct = is_projective(M)
         chou = chouinard_projective(M)
         if direct != chou:
-            raise AssertionError("projectivity tests disagree")
+            raise InvariantViolation("projectivity tests disagree")
         out.write(f"projective: {direct} (minimal-rank probe degrees 1-2)\n")
         out.write(f"chouinard: {chou}\n")
         out.write("agree: True\n")
@@ -314,7 +318,7 @@ def main(argv=None, out=None) -> int:
         return handler(args, out)
     except (ModcohError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INVARIANT if isinstance(exc, InvariantViolation) else EXIT_INPUT
 
 
 def entrypoint() -> None:

@@ -2,10 +2,11 @@
 
 All maps for subgroups S <= G are computed on one shared free resolution
 P_* of the trivial F_p[G]-module: P_* restricted to S is still free (one
-free S-generator per free G-generator and right coset St), so restriction
-is mere re-coordinatization, the transfer is the coset sum on cochains,
-and conjugation c_g is f |-> g . f(g^{-1} . -).  No chain lifting is ever
-needed, and the double-coset identity holds exactly at cochain level.
+free S-generator per free G-generator and right coset St), so all three
+maps are one coset sum on cochains, f |-> sum_{c in C} c . f(c^{-1} . -):
+C = {1} re-coordinatizes (restriction), C = {g} conjugates, and a set of
+coset representatives transfers.  No chain lifting is ever needed, and
+the double-coset identity holds exactly at cochain level.
 
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
 coboundary space, so maps expressed in these bases are reproducible.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplinalg
-from .errors import BadParameters, GroupMismatch, SylowNotAbelian
+from .errors import BadParameters, GroupMismatch, InvariantViolation, SylowNotAbelian
 from .gmodules import GModule, trivial_module
 from .groups import (
     FiniteGroup,
@@ -45,7 +46,8 @@ class CochainComplex:
     def check_composition(self, p: int) -> None:
         for a, b in zip(self.differentials, self.differentials[1:]):
             if ((b @ a) % p).any():
-                raise AssertionError("consecutive differentials do not compose to zero")
+                raise InvariantViolation(
+                    "consecutive differentials do not compose to zero")
 
 
 class CohBasis:
@@ -76,7 +78,7 @@ class CohBasis:
             return np.zeros((0, cols.shape[1]), dtype=np.int64)
         sol = fplinalg.solve_batch(self._solver, cols, p)
         if sol is None:
-            raise AssertionError("vector is not a cocycle of this context")
+            raise InvariantViolation("vector is not a cocycle of this context")
         return sol[: self.dim]
 
 
@@ -147,7 +149,7 @@ class CochainContext:
         m = self.module.dim
         r_cur, r_next = self.resolution.ranks[i], self.resolution.ranks[i + 1]
         A = self.module.action
-        W = self.resolution.generator_columns(i + 1)  # (r_cur * n, r_next)
+        W = self.resolution.boundaries[i]  # (r_cur * n, r_next)
         delta = np.zeros((r_next * nt * m, r_cur * nt * m), dtype=np.int64)
         inv = G.inv
         for k in range(r_next):
@@ -233,65 +235,27 @@ def clear_context_cache() -> None:
 
 # -- cochain-level maps -------------------------------------------------------
 
-def _restriction_cochain(src: CochainContext, dst: CochainContext, i: int) -> np.ndarray:
-    """C^i_K -> C^i_S for S <= K: pure re-coordinatization."""
-    G, p = src.group, src.p
-    K = src.subgroup
+def _coset_sum_cochain(src: CochainContext, dst: CochainContext, i: int,
+                       C: list[int]) -> np.ndarray:
+    """C^i_S -> C^i_{S'}: (phi f)(e_{j, u}) = sum_{c in C} c . f(c^{-1} u . e_j).
+
+    C = {1} gives restriction (S' <= S), C = {g} conjugation by g
+    (S' = gSg^{-1}), and the left-coset representatives of S inside S' the
+    transfer (S <= S').  Each c^{-1} u splits as s . t with s in S and t in
+    src's transversal, where f takes the value s . f(e_{j, t}).
+    """
+    G = src.group
     nt_src, nt_dst = len(src.transversal), len(dst.transversal)
     src.resolution.extend_to(max(i, 1))
-    r = src.resolution.ranks[i]
-    m = src.module.dim
-    A = src.module.action
-    mat = np.zeros((r * nt_dst * m, r * nt_src * m), dtype=np.int64)
-    for ti, t in enumerate(dst.transversal):
-        ui = int(src._rep_of[t])
-        k_elt = int(src._s_of[t])  # t = k . u with k in K
-        for j in range(r):
-            mat[dst._flat(j, ti, nt_dst), src._flat(j, ui, nt_src)] = A[k_elt]
-    return mat % p
-
-
-def _transfer_cochain(src: CochainContext, dst: CochainContext, i: int) -> np.ndarray:
-    """C^i_S -> C^i_K for S <= K: (tr f)(x) = sum_c c . f(c^{-1} x)."""
-    G, p = src.group, src.p
-    S, K = src.subgroup, dst.subgroup
-    # least-index reps of the left cosets cS inside K: cS lies in K iff c does
-    reps = [c for c in coset_representatives(G, S) if c in K]
-    nt_src, nt_dst = len(src.transversal), len(dst.transversal)
-    src.resolution.extend_to(max(i, 1))
-    r = src.resolution.ranks[i]
-    m = src.module.dim
-    A = src.module.action
-    mat = np.zeros((r * nt_dst * m, r * nt_src * m), dtype=np.int64)
+    m, A = src.module.dim, src.module.action
+    block = np.zeros((nt_dst, m, nt_src, m), dtype=np.int64)
     for ui, u in enumerate(dst.transversal):
-        for c in reps:
-            x = int(G.mul[int(G.inv[c]), u])  # c^{-1} u = s . t
-            ti = int(src._rep_of[x])
-            cs = int(G.mul[c, int(src._s_of[x])])
-            block = A[cs]
-            for j in range(r):
-                row, col = dst._flat(j, ui, nt_dst), src._flat(j, ti, nt_src)
-                mat[row, col] = (mat[row, col] + block) % p
-    return mat
-
-
-def _conjugation_cochain(src: CochainContext, dst: CochainContext, g: int,
-                         i: int) -> np.ndarray:
-    """C^i_S -> C^i_{gSg^{-1}}: (c_g f)(x) = g . f(g^{-1} x)."""
-    G, p = src.group, src.p
-    nt_src, nt_dst = len(src.transversal), len(dst.transversal)
-    src.resolution.extend_to(max(i, 1))
-    r = src.resolution.ranks[i]
-    m = src.module.dim
-    A = src.module.action
-    mat = np.zeros((r * nt_dst * m, r * nt_src * m), dtype=np.int64)
-    for ti2, t2 in enumerate(dst.transversal):
-        x = int(G.mul[int(G.inv[g]), t2])  # g^{-1} t' = s . t
-        ti = int(src._rep_of[x])
-        gs = int(G.mul[g, int(src._s_of[x])])
-        for j in range(r):
-            mat[dst._flat(j, ti2, nt_dst), src._flat(j, ti, nt_src)] = A[gs]
-    return mat % p
+        for c in C:
+            x = int(G.mul[int(G.inv[c]), u])
+            block[ui, :, src._rep_of[x]] += A[G.mul[c, src._s_of[x]]]
+    # the same block acts on every free generator j < r_i
+    eye = np.eye(src.resolution.ranks[i], dtype=np.int64)
+    return np.kron(eye, block.reshape(nt_dst * m, nt_src * m)) % src.p
 
 
 def induced_map(src: CochainContext, dst: CochainContext, cochain_matrix,
@@ -317,7 +281,7 @@ def restriction(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
     src = context(G, M, K, length=i + 1)
     dst = context(G, M, H, length=i + 1)
     _require_nested(H, src.subgroup)
-    return induced_map(src, dst, _restriction_cochain(src, dst, i), i)
+    return induced_map(src, dst, _coset_sum_cochain(src, dst, i, [0]), i)
 
 
 def transfer(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
@@ -326,14 +290,20 @@ def transfer(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
     src = context(G, M, H, length=i + 1)
     dst = context(G, M, K, length=i + 1)
     _require_nested(H, dst.subgroup)
-    return induced_map(src, dst, _transfer_cochain(src, dst, i), i)
+    return induced_map(src, dst, _coset_sum_cochain(
+        src, dst, i, _transfer_reps(G, H, dst.subgroup)), i)
 
 
 def conjugation(G: FiniteGroup, g: int, H: Subgroup, M: GModule, i: int) -> CohMap:
     """c_g: H^i(H, M) -> H^i(gHg^{-1}, M)."""
     src = context(G, M, H, length=i + 1)
     dst = context(G, M, conjugate_subgroup(G, H, g), length=i + 1)
-    return induced_map(src, dst, _conjugation_cochain(src, dst, g, i), i)
+    return induced_map(src, dst, _coset_sum_cochain(src, dst, i, [g]), i)
+
+
+def _transfer_reps(G: FiniteGroup, S: Subgroup, K: Subgroup) -> list[int]:
+    """Least-index representatives of the left cosets cS inside K (c in K)."""
+    return [c for c in coset_representatives(G, S) if c in K]
 
 
 def _require_nested(H: Subgroup, K: Subgroup) -> None:

@@ -9,6 +9,10 @@ class ModcohError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvariantViolation(ModcohError):
+    """An internal consistency check failed: a computed object is wrong."""
+
+
 # -- groups ---------------------------------------------------------------
 
 class NonPermutation(ModcohError):
@@ -74,7 +78,7 @@ class SylowNotAbelian(ModcohError):
 # -- products -------------------------------------------------------------
 
 class DegreeMismatch(ModcohError):
-    """Class degrees exceed the computed range of the diagonal map."""
+    """Product degrees exceed the ring's max_deg, beyond which no lift is built."""
 
 
 class LiftFailure(ModcohError):

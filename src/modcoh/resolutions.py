@@ -1,9 +1,12 @@
 """Free and minimal resolutions over F_p[G], and everything built on them.
 
 Free modules F_p[G]^r use the flat basis index j*|G| + g (copy j, group
-element g), with g acting by left translation inside each copy.  Boundary
-maps are stored as full int64 matrices reduced mod p; the chosen module
-generators of each kernel sit in the identity columns (g = 0).
+element g), with g acting by left translation inside each copy.  A boundary
+d_i is stored only as its generator columns W_i = d_i(e_{k, 1}), one column
+per free generator of P_i (the chosen kernel generators, reduced mod p):
+F_p[G]-linearity determines the rest, and `FreeResolution.expand` builds
+the full matrix, |G| times wider, only where one is needed (the kernel of
+the newest stage, exactness checks, text output, chain-map lifts).
 
 Minimal resolutions are constructed only over p-groups, where the
 augmentation ideal is the radical; for other groups a greedily pruned free
@@ -21,6 +24,7 @@ from . import fplinalg, gmodules, groups
 from .errors import (
     GroupMismatch,
     InsufficientData,
+    InvariantViolation,
     LengthTooSmall,
     MinimalityUnavailable,
     ElementaryAbelianInput,
@@ -96,40 +100,43 @@ class FreeResolution:
             gens.append(gens[0])
         return gens
 
-    def _translate_rows(self, rows: np.ndarray, rank: int) -> np.ndarray:
-        """All left translates of each row; output has |G| * len(rows) rows."""
+    def expand(self, images: np.ndarray) -> np.ndarray:
+        """The F_p[G]-linear map sending e_{k, 1} to column k of images.
+
+        images has shape (r' |G|, r); column k |G| + g of the result is
+        g . images[:, k], so expand(boundaries[i - 1]) is the full d_i.
+        """
+        rows, r = images.shape
         n = self._n
-        shaped = rows.reshape(len(rows), rank, n)
-        out = shaped[:, :, self._take]  # (rows, rank, |G|, n)
-        return out.transpose(2, 0, 1, 3).reshape(self._n * len(rows), rank * n)
+        # out[j, h, k, g] = images[j n + g^{-1} h, k]
+        out = images.reshape(rows // n, n, r)[
+            :, self._take.T[:, None, :], np.arange(r)[None, :, None]]
+        return out.reshape(rows, r * n)
+
+    def boundary(self, i: int) -> np.ndarray:
+        """The full matrix of d_i, r_{i-1}|G| x r_i|G|."""
+        return self.expand(self.boundaries[i - 1])
 
     def _kernel_generators(self, kernel_rows: np.ndarray, rank_prev: int):
         p, n = self.p, self._n
         acc = RowSpan(p, rank_prev * n)
         if self.minimal:
             if len(kernel_rows):
-                translated = self._translate_rows(kernel_rows, rank_prev)
-                tiled = np.tile(kernel_rows, (n, 1))
+                translated = self.expand(kernel_rows.T).T
+                tiled = np.repeat(kernel_rows, n, axis=0)
                 acc.add_rows((translated - tiled) % p)  # spans I . K
             kept = acc.select(kernel_rows)
         else:
-            kept = acc.select(kernel_rows, expand=lambda row: self._translate_rows(
-                row.reshape(1, -1), rank_prev))
+            kept = acc.select(kernel_rows,
+                              expand=lambda row: self.expand(row.reshape(-1, 1)).T)
         return kernel_rows[kept]
 
     def _append_stage(self) -> None:
-        n = self._n
-        rank_prev = self.ranks[-1]
-        gens = self._kernel_generators(self._kernel, rank_prev)
-        r = len(gens)
-        self.ranks.append(r)
-        D = np.zeros((rank_prev * n, r * n), dtype=np.int64)
-        for k, w in enumerate(gens):
-            shaped = w.reshape(rank_prev, n)[:, self._take]  # (rank_prev, |G|, n)
-            D[:, k * n:(k + 1) * n] = shaped.transpose(1, 0, 2).reshape(n, -1).T
-        self.boundaries.append(D)
-        self._kernel = fplinalg.kernel_array(D, self.p) if r else \
-            np.zeros((0, 0), dtype=np.int64)
+        gens = self._kernel_generators(self._kernel, self.ranks[-1])
+        self.ranks.append(len(gens))
+        self.boundaries.append(np.ascontiguousarray(gens.T))
+        self._kernel = fplinalg.kernel_array(self.boundary(self.length), self.p) \
+            if len(gens) else np.zeros((0, 0), dtype=np.int64)
 
     def extend_to(self, length: int) -> "FreeResolution":
         """Ensure boundaries d_1 .. d_length exist (idempotent, append-only)."""
@@ -149,37 +156,32 @@ class FreeResolution:
     def length(self) -> int:
         return len(self.boundaries)
 
-    def generator_columns(self, i: int) -> np.ndarray:
-        """Columns w_k = d_i(e_{k, identity}), one per stage-i generator."""
-        if i < 1 or i > self.length:
-            raise LengthTooSmall(f"boundary d_{i} not computed")
-        D = self.boundaries[i - 1]
-        n = self._n
-        return D[:, [k * n for k in range(self.ranks[i])]]
-
     # -- verification ---------------------------------------------------
 
     def check_exactness(self) -> None:
         """image(d_{i+1}) = kernel(d_i) at every computed stage."""
-        p, n = self.p, self._n
-        aug = self.augmentation
+        p = self.p
+        upstream = self.augmentation
         for i in range(self.length):
-            D = self.boundaries[i]
-            upstream = aug if i == 0 else self.boundaries[i - 1]
+            D = self.boundary(i + 1)
             if ((upstream @ D) % p).any():
-                raise AssertionError(f"d_{i} . d_{i + 1} != 0")
+                raise InvariantViolation(f"d_{i} . d_{i + 1} != 0")
             up_ker = fplinalg.kernel_array(upstream, p)
             im_rank = fplinalg.rref_array(D, p)[1]
             if im_rank != len(up_ker):
-                raise AssertionError(
+                raise InvariantViolation(
                     f"stage {i}: image rank {im_rank} != kernel dim {len(up_ker)}")
+            upstream = D
 
     def image_in_radical(self, i: int) -> bool:
-        """Whether every column of d_i lies in I . F_p[G]^{r_{i-1}}."""
-        D = self.boundaries[i - 1]
-        n = self._n
-        sums = D.reshape(self.ranks[i - 1], n, D.shape[1]).sum(axis=1) % self.p
-        return not sums.any()
+        """Whether every column of d_i lies in I . F_p[G]^{r_{i-1}}.
+
+        Translation keeps the augmentation sum of each block, so the
+        generator columns decide it.
+        """
+        W = self.boundaries[i - 1]
+        sums = W.reshape(self.ranks[i - 1], self._n, W.shape[1]).sum(axis=1)
+        return not (sums % self.p).any()
 
     # -- serialization ----------------------------------------------------
 
@@ -190,7 +192,7 @@ class FreeResolution:
                  f"minimal {int(self.minimal)}",
                  "ranks " + " ".join(str(r) for r in self.ranks)]
         blocks = [("aug", self.augmentation)]
-        blocks += [(f"d{i + 1}", B) for i, B in enumerate(self.boundaries)]
+        blocks += [(f"d{i}", self.boundary(i)) for i in range(1, self.length + 1)]
         for tag, arr in blocks:
             lines.append(f"{tag} {arr.shape[0]} {arr.shape[1]}")
             for row in arr:
@@ -243,17 +245,13 @@ def syzygy(M: GModule, i: int) -> GModule:
     if i > 1:
         res.extend_to(i - 1)
     kernel_rows = res._kernel
-    rank = res.ranks[i - 1]
-    n = res._n
-    k = len(kernel_rows)
-    action = np.zeros((M.group.order, k, k), dtype=np.int64)
+    k, n = len(kernel_rows), res._n
+    action = np.zeros((n, k, k), dtype=np.int64)
     if k:
+        # coordinates against an RREF basis are the pivot-column entries
         pivots = fplinalg.pivot_columns(kernel_rows)
-        for g in range(M.group.order):
-            translated = kernel_rows.reshape(k, rank, n)[:, :, res._take[g]]
-            translated = translated.reshape(k, rank * n)
-            # coordinates against an RREF basis are the pivot-column entries
-            action[g] = translated[:, pivots].T % M.p
+        translates = res.expand(kernel_rows.T)[pivots].reshape(k, k, n)
+        action[:] = translates.transpose(2, 0, 1) % M.p
     return GModule(M.group, M.p, action, validate=False)
 
 
@@ -264,7 +262,7 @@ def _hom_delta(res: FreeResolution, N: GModule, i: int) -> np.ndarray:
     p, n = res.p, res._n
     r_next, r_cur = res.ranks[i + 1], res.ranks[i]
     d = N.dim
-    W = res.generator_columns(i + 1)  # (r_cur * n, r_next)
+    W = res.boundaries[i]  # (r_cur * n, r_next)
     delta = np.zeros((r_next * d, r_cur * d), dtype=np.int64)
     if r_next and r_cur:
         coeff = W.T.reshape(r_next, r_cur, n)
@@ -328,7 +326,7 @@ def is_projective(M: GModule) -> bool:
         res = free_resolution(M, 2, minimal=True)
         first, guard = res.ranks[1] == 0, res.ranks[2] == 0
         if first != guard:
-            raise AssertionError("minimal resolution rank probe is inconsistent")
+            raise InvariantViolation("minimal resolution rank probe is inconsistent")
         return first
     return is_projective(restrict_module(M, sylow(G, M.p)))
 

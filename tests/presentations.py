@@ -1,7 +1,7 @@
 """Graded-ring oracle: expand a commutative F_p presentation degree by degree.
 
 Used to predict cohomology dimensions and cup-product span dimensions
-independently of the resolution/diagonal machinery.  Monomials of each
+independently of the resolution and product machinery.  Monomials of each
 degree are enumerated, the ideal's graded piece is spanned by monomial
 multiples of the relations, and everything reduces to ranks over F_p.
 """
@@ -134,13 +134,8 @@ def ring_s4():
     return GradedPresentation(2, (1, 2, 3), [{(1, 0, 1): 1}])
 
 
-def ring_l3_2():
-    # F2[u2, v3, w3] / (v3 w3)
-    return GradedPresentation(2, (2, 3, 3), [{(0, 1, 1): 1}])
-
-
-def ring_a6():
-    # F2[s2, s3, c3] / (s3 c3)
+def ring_u2_v3_w3():
+    # F2[u2, v3, w3] / (v3 w3): the catalog's presentation for L3(2) and A6
     return GradedPresentation(2, (2, 3, 3), [{(0, 1, 1): 1}])
 
 
@@ -150,4 +145,9 @@ PRODUCT_ORACLES = {
     "Q8": ring_q8,
     "A4": ring_a4,
     "S4": ring_s4,
+}
+
+STRETCH_PRODUCT_ORACLES = {
+    "L3_2": ring_u2_v3_w3,
+    "A6": ring_u2_v3_w3,
 }

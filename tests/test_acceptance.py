@@ -7,8 +7,9 @@ form and the cyclic-2q form provably diverge on noncyclic elementary
 abelian 2-groups, which sit in the catalog closure.  Criterion 14c pins
 the exact divergence set.
 
-The stretch checks (L3(2), A6) run in the default suite and carry the
-`stretch` marker, so `-m "not stretch"` leaves them out.
+The stretch checks (L3(2), A6: dimensions through degree 6, cup-product
+spans through degree 4) run in the default suite and carry the `stretch`
+marker, so `-m "not stretch"` leaves them out.
 """
 
 import math
@@ -52,7 +53,6 @@ from modcoh.groups import (
 from modcoh.products import (
     CupRing,
     cochain_cohomology_dims,
-    cup,
     find_sphere_splice,
     product_span_dims,
     splice_complex,
@@ -72,7 +72,7 @@ from modcoh.resolutions import (
 )
 
 from corpus import build_corpus, catalog_closure
-from presentations import PRODUCT_ORACLES
+from presentations import PRODUCT_ORACLES, STRETCH_PRODUCT_ORACLES
 
 
 @contextmanager
@@ -207,7 +207,7 @@ def test_c12_cup_products():
         x = ring.basis(1).classes[0]
         rep = x
         for n in range(2, 9):
-            rep = cup(rep, n - 1, x, 1, ring.diagonal)
+            rep = ring.cup(rep, n - 1, x, 1)
             assert ring.basis(n).class_coordinates(rep).any(), n
         Z3 = catalog.get_group("Z3")
         ring3 = CupRing(Z3, 3, 2)
@@ -309,7 +309,7 @@ def test_c15_property_suites():
                                           ring.cup_class(b, j, a, i))
         # associativity of degree-1 triples
         for a in ring.basis(1).classes:
-            ab = cup(a, 1, a, 1, ring.diagonal)
+            ab = ring.cup(a, 1, a, 1)
             left = ring.cup_class(ab, 2, a, 1)
             right = ring.cup_class(a, 1, ab, 2)
             assert np.array_equal(left, right)
@@ -322,9 +322,16 @@ STRETCH_NAMES = [n for n in catalog.names(include_stretch=True)
 @pytest.mark.stretch
 @pytest.mark.parametrize("name", STRETCH_NAMES)
 def test_stretch_simple_groups(name):
-    with criterion("S", f"{name} dims match its presentation through degree 6"):
+    with criterion("S", f"{name} dims match its presentation through degree 6, "
+                   "product spans through degree 4"):
         G = catalog.get_group(name)
         rec = catalog.expected_record(name, 2)
         got = cohomology_dims(G, 2, rec.verified_through).dims
         want = catalog.expected_dims(name, 2, rec.verified_through).dims
         assert got == want
+        oracle = STRETCH_PRODUCT_ORACLES[name]()
+        ring = CupRing(G, 2, 4)
+        for i in range(1, 4):
+            for j in range(i, 5 - i):
+                got = product_span_dims(G, 2, i, j, ring)
+                assert got == oracle.product_span_dim(i, j), (name, i, j, got)

@@ -166,6 +166,15 @@ class TestMaps:
 
 
 class TestActions:
+    def test_failed_quillen_check_exits_four(self, monkeypatch, capsys):
+        from modcoh import actions
+        monkeypatch.setattr(actions, "krull_dimension_estimate",
+                            lambda G, p, max_deg=12: 99)
+        code, text = run(["actions", "--group", "Z2"])
+        assert code == 4
+        assert text == ""
+        assert "InvariantViolation" in capsys.readouterr().err
+
     def test_q8_all_true(self):
         code, text = run(["actions", "--group", "Q8", "--format", "json"])
         assert code == 0
@@ -216,6 +225,18 @@ class TestModule:
         assert code == 0
         assert "projective: False" in text
         assert "agree: True" in text
+
+    def test_disagreeing_projectivity_tests_exit_four(self, tmp_path, D8,
+                                                      monkeypatch, capsys):
+        from modcoh import cli
+        f = tmp_path / "reg.mod"
+        f.write_text(module_file_for(D8, regular_module(D8, 2)))
+        monkeypatch.setattr(cli, "chouinard_projective", lambda M: False)
+        code, text = run(["module", "--group", "D8", "--file", str(f),
+                          "--task", "projective"])
+        assert code == cli.EXIT_INVARIANT == 4
+        assert text == ""
+        assert "InvariantViolation" in capsys.readouterr().err
 
     def test_bad_module_file(self, tmp_path, Z4, capsys):
         f = tmp_path / "bad.mod"

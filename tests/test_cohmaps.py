@@ -13,9 +13,8 @@ from modcoh.cohmaps import (
     stable_subspace,
     transfer,
     trivial_coefficients,
-    _conjugation_cochain,
-    _restriction_cochain,
-    _transfer_cochain,
+    _coset_sum_cochain,
+    _transfer_reps,
 )
 from modcoh.errors import SylowNotAbelian
 from modcoh.groups import (
@@ -114,8 +113,8 @@ class TestRestriction:
         src = context(S4, M, length=4)
         dst = context(S4, M, sylow(S4, 2), length=4)
         for i in range(3):
-            phi_i = _restriction_cochain(src, dst, i)
-            phi_next = _restriction_cochain(src, dst, i + 1)
+            phi_i = _coset_sum_cochain(src, dst, i, [0])
+            phi_next = _coset_sum_cochain(src, dst, i + 1, [0])
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)
@@ -175,8 +174,9 @@ class TestTransfer:
         dst = context(A4, M, length=4)
         src = context(A4, M, sylow(A4, 2), length=4)
         for i in range(3):
-            phi_i = _transfer_cochain(src, dst, i)
-            phi_next = _transfer_cochain(src, dst, i + 1)
+            reps = _transfer_reps(A4, src.subgroup, dst.subgroup)
+            phi_i = _coset_sum_cochain(src, dst, i, reps)
+            phi_next = _coset_sum_cochain(src, dst, i + 1, reps)
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)
@@ -217,8 +217,8 @@ class TestConjugation:
         dst = context(S4, M, conjugate_subgroup(S4, P, g), length=4)
         src = context(S4, M, P, length=4)
         for i in range(3):
-            phi_i = _conjugation_cochain(src, dst, g, i)
-            phi_next = _conjugation_cochain(src, dst, g, i + 1)
+            phi_i = _coset_sum_cochain(src, dst, i, [g])
+            phi_next = _coset_sum_cochain(src, dst, i + 1, [g])
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)

@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 
 from modcoh import catalog
-from modcoh.cohmaps import context, restriction, trivial_coefficients
-from modcoh.errors import DegreeMismatch, NotMaximal
+from modcoh.cohmaps import _coset_sum_cochain, context, restriction, trivial_coefficients
+from modcoh.errors import DegreeMismatch, LiftFailure, NotMaximal
+from modcoh.gmodules import trivial_module
 from modcoh.groups import maximal_subgroups, sylow, whole_group
 from modcoh.products import (
     CupRing,
     cochain_cohomology_dims,
-    cup,
-    diagonal_approximation,
     find_sphere_splice,
     product_span_dims,
     splice_complex,
     sphere_cohomology_check,
 )
-from modcoh.resolutions import cohomology_dims, trivial_resolution
+from modcoh.resolutions import FreeResolution, cohomology_dims, trivial_resolution
 
+from diagonal_oracle import cup, diagonal_approximation
 from presentations import PRODUCT_ORACLES
 
 
@@ -58,13 +58,63 @@ class TestDiagonal:
             cup(np.array([1]), 2, np.array([1]), 1, diag)
 
 
+# (group, p, max_deg): p = 2 groups through degree 6, odd primes lower; the
+# elementary abelian groups at odd p are the cases where the sign matters
+ORACLE_CASES = [
+    *[(name, 2, 6) for name in ("Z2xZ2", "D8", "Q8", "A4", "S4")],
+    ("S3", 3, 4), ("A4", 3, 4), ("Z3xZ3", 3, 4), ("Z5xZ5", 5, 3),
+]
+
+
+def _oracle_group(name):
+    if name in ("Z3xZ3", "Z5xZ5"):
+        return catalog.make_elementary_abelian(int(name[1]), 2)
+    return catalog.get_group(name)
+
+
+class TestYonedaAgainstDiagonal:
+    @pytest.mark.parametrize("name,p,max_deg", ORACLE_CASES)
+    def test_every_basis_pair(self, name, p, max_deg):
+        ring = CupRing(_oracle_group(name), p, max_deg)
+        diag = diagonal_approximation(ring.resolution, max_deg)
+        for i in range(max_deg + 1):
+            for j in range(max_deg + 1 - i):
+                table = ring.products_of_bases(i, j)
+                top = ring.basis(i + j)
+                pairs = [(a, b) for a in ring.basis(i).classes
+                         for b in ring.basis(j).classes]
+                assert table.shape == (len(pairs), top.dim)
+                for row, (a, b) in zip(table, pairs):
+                    want = top.class_coordinates(cup(a, i, b, j, diag)).reshape(-1)
+                    assert np.array_equal(row, want), (i, j)
+                    assert np.array_equal(ring.cup_class(a, i, b, j), want), (i, j)
+
+    def test_corrupted_generator_column_fails_to_lift(self, Z2):
+        ring = CupRing(Z2, 2, 2)
+        x = ring.basis(1).classes[0]
+        # a fresh resolution: the cached one serves every other test
+        res = FreeResolution(trivial_module(Z2, 2), minimal=True).extend_to(3)
+        res.boundaries[1][0, 0] ^= 1  # now d_2(e) = g e, outside ker d_1
+        ring.resolution = res
+        with pytest.raises(LiftFailure):
+            ring.cup(x, 1, x, 1)
+
+    def test_degree_guard(self, Z2):
+        ring = CupRing(Z2, 2, 2)
+        one = np.array([1])
+        with pytest.raises(DegreeMismatch):
+            ring.cup(one, 2, one, 1)
+        with pytest.raises(DegreeMismatch):
+            ring.products_of_bases(1, 2)
+
+
 class TestCup:
     def test_z2_powers_nonzero(self, Z2):
         ring = CupRing(Z2, 2, 8)
         x = ring.basis(1).classes[0]
         rep = x
         for n in range(2, 9):
-            rep = cup(rep, n - 1, x, 1, ring.diagonal)
+            rep = ring.cup(rep, n - 1, x, 1)
             assert ring.basis(n).class_coordinates(rep).any()
 
     def test_z3_exterior_square_vanishes(self, Z3):
@@ -116,8 +166,8 @@ class TestCup:
             for a in one_forms:
                 for b in one_forms:
                     for c in one_forms:
-                        ab = cup(a, 1, b, 1, ring.diagonal)
-                        bc = cup(b, 1, c, 1, ring.diagonal)
+                        ab = ring.cup(a, 1, b, 1)
+                        bc = ring.cup(b, 1, c, 1)
                         left = ring.cup_class(ab, 2, c, 1)
                         right = ring.cup_class(a, 1, bc, 2)
                         assert np.array_equal(left, right)
@@ -128,6 +178,7 @@ class TestCup:
         M = trivial_coefficients(S4, p)
         P = sylow(S4, 2)
         ring = CupRing(S4, p, 4)
+        diag = diagonal_approximation(ring.resolution, 4)
         sub_ctx = context(S4, M, P, length=5)
         for i, j in [(1, 1), (1, 2), (2, 2)]:
             res_i = restriction(S4, P, M, i)
@@ -137,18 +188,17 @@ class TestCup:
                 for b in ring.basis(j).classes:
                     top = ring.cup_class(a, i, b, j)
                     lhs = (res_ij.matrix @ top) % p
-                    # cup on the restricted context: same diagonal, cochain
-                    # coordinates of the restricted cocycles
+                    # cup on the restricted context through the diagonal
+                    # oracle, cochain coordinates of the restricted cocycles
                     av = _restrict_cochain_vec(S4, P, a, i, ring, sub_ctx)
                     bv = _restrict_cochain_vec(S4, P, b, j, ring, sub_ctx)
-                    prod = _sub_cup(sub_ctx, ring.diagonal, av, i, bv, j)
+                    prod = _sub_cup(sub_ctx, diag, av, i, bv, j)
                     rhs = sub_ctx.basis(i + j).class_coordinates(prod).reshape(-1)
                     assert np.array_equal(lhs, rhs)
 
 
 def _restrict_cochain_vec(G, H, vec, i, ring, sub_ctx):
-    from modcoh.cohmaps import _restriction_cochain
-    mat = _restriction_cochain(ring.context, sub_ctx, i)
+    mat = _coset_sum_cochain(ring.context, sub_ctx, i, [0])
     return (mat @ vec) % ring.p
 
 

@@ -7,6 +7,7 @@ from modcoh import catalog
 from modcoh.errors import (
     ElementaryAbelianInput,
     InsufficientData,
+    InvariantViolation,
     MinimalityUnavailable,
     SeriesTooShort,
 )
@@ -22,6 +23,7 @@ from modcoh.gmodules import (
 from modcoh.groups import center, sylow
 from modcoh.resolutions import (
     DimSeries,
+    FreeResolution,
     auto_poincare_fit,
     chouinard_projective,
     cohomology_dims,
@@ -52,8 +54,9 @@ class TestConstruction:
     def test_z2_minimal_is_multiplication_by_g_minus_1(self, Z2):
         res = trivial_resolution(Z2, 2, 5)
         assert res.ranks[:6] == [1] * 6
-        for B in res.boundaries[:5]:
-            assert B.tolist() == [[1, 1], [1, 1]]
+        for i in range(1, 6):
+            assert res.boundaries[i - 1].tolist() == [[1], [1]]
+            assert res.boundary(i).tolist() == [[1, 1], [1, 1]]
         res.check_exactness()
 
     def test_odd_p_alternating_ranks(self, Z3):
@@ -61,7 +64,7 @@ class TestConstruction:
         assert res.ranks[:7] == [1] * 7
         # boundary ranks alternate: (t-1) has rank p-1, the norm has rank 1
         from modcoh.fplinalg import rref_array
-        got = [rref_array(B, 3)[1] for B in res.boundaries[:6]]
+        got = [rref_array(res.boundary(i), 3)[1] for i in range(1, 7)]
         assert got == [2, 1, 2, 1, 2, 1]
         res.check_exactness()
 
@@ -71,11 +74,33 @@ class TestConstruction:
         res.check_exactness()
         assert res.ranks == [1, 1, 1, 1, 1]
 
+    def test_boundary_matches_translation_loop(self, D8, S4):
+        cases = [(trivial_module(D8, 2), True, False),
+                 (trivial_module(S4, 3), False, False),
+                 (permutation_module(S4, sylow(S4, 2), 2), False, True)]
+        cases += [(M, M.group.is_p_group(2), False) for _, M in build_corpus(6, seed=5)]
+        for M, minimal, pad in cases:
+            res = free_resolution(M, 4, minimal=minimal, pad_rank0=pad)
+            for i in range(1, res.length + 1):
+                assert np.array_equal(res.boundary(i), _boundary_by_loop(res, i))
+
+    def test_corrupted_generator_column_breaks_exactness(self, Q8):
+        res = FreeResolution(trivial_module(Q8, 2), minimal=True).extend_to(3)
+        res.check_exactness()
+        res.boundaries[1][0, 0] ^= 1
+        with pytest.raises(InvariantViolation):
+            res.check_exactness()
+
     def test_minimal_images_in_radical(self, D8):
         res = trivial_resolution(D8, 2, 5)
         assert res.minimal
         for i in range(1, res.length + 1):
             assert res.image_in_radical(i)
+
+    def test_padded_stage_zero_image_leaves_radical(self, D8):
+        # e_0 - e_1 lies in ker(augmentation) but not in I . F_p[G]^2
+        res = free_resolution(trivial_module(D8, 2), 2, pad_rank0=True)
+        assert not res.image_in_radical(1)
 
     def test_prime_above_max_prime_raises(self):
         from modcoh.errors import PrimeTooLarge
@@ -97,6 +122,17 @@ class TestConstruction:
         golden = pathlib.Path(__file__).parent / "data" / \
             "z4_minimal_resolution.txt"
         assert res.to_text() == golden.read_text()
+
+
+def _boundary_by_loop(res, i):
+    """d_i built generator by generator from its column, as once stored."""
+    n = res.group.order
+    W = res.boundaries[i - 1]
+    D = np.zeros((W.shape[0], W.shape[1] * n), dtype=np.int64)
+    for k in range(W.shape[1]):
+        shaped = W[:, k].reshape(-1, n)[:, res._take]  # (rank_prev, |G|, n)
+        D[:, k * n:(k + 1) * n] = shaped.transpose(1, 0, 2).reshape(n, -1).T
+    return D
 
 
 class TestSyzygy:
