@@ -6,7 +6,9 @@ free S-generator per free G-generator and right coset St), so all three
 maps are one coset sum on cochains, f |-> sum_{c in C} c . f(c^{-1} . -):
 C = {1} re-coordinatizes (restriction), C = {g} conjugates, and a set of
 coset representatives transfers.  No chain lifting is ever needed, and
-the double-coset identity holds exactly at cochain level.
+the double-coset identity holds exactly at cochain level.  The differential
+of Hom_S(P_*, M) is `resolutions._hom_delta` over the table of right cosets
+St, the one differential that `ext_dims` uses with S = G.
 
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
 coboundary space, so maps expressed in these bases are reproducible.
@@ -31,11 +33,10 @@ from .groups import (
     double_cosets,
     intersect,
     normalizer,
-    right_coset_representatives,
     sylow,
     whole_group,
 )
-from .resolutions import FreeResolution, trivial_resolution
+from .resolutions import FreeResolution, _hom_delta, trivial_resolution
 
 
 @dataclass(frozen=True)
@@ -114,18 +115,14 @@ class CochainContext:
         self.module = module
         self.p = resolution.p
         self.group = G
-        n = G.order
-        self.transversal = right_coset_representatives(G, subgroup)
-        self._t_index = {}
-        members = list(subgroup.member_indices)
-        self._rep_of = np.empty(n, dtype=np.int64)
-        self._s_of = np.empty(n, dtype=np.int64)
-        for ti, t in enumerate(self.transversal):
-            self._t_index[t] = ti
-            for s in members:
-                g = int(G.mul[s, t])
-                self._rep_of[g] = ti
-                self._s_of[g] = s
+        self.transversal = coset_representatives(G, subgroup, right=True)
+        members = np.asarray(subgroup.member_indices)
+        # _cosets[t, s] = s . t; every g is _s_of[g] . transversal[_rep_of[g]]
+        self._cosets = G.mul[np.ix_(members, self.transversal)].T
+        self._rep_of = np.empty(G.order, dtype=np.int64)
+        self._s_of = np.empty(G.order, dtype=np.int64)
+        self._rep_of[self._cosets] = np.arange(len(self.transversal))[:, None]
+        self._s_of[self._cosets] = members
         self._deltas: dict[int, np.ndarray] = {}
         self._bases: dict[int, CohBasis] = {}
 
@@ -133,46 +130,12 @@ class CochainContext:
         self.resolution.extend_to(max(i, 1))
         return self.resolution.ranks[i] * len(self.transversal) * self.module.dim
 
-    def _flat(self, j: int, ti: int, nt: int) -> slice:
-        m = self.module.dim
-        base = (j * nt + ti) * m
-        return slice(base, base + m)
-
     def differential(self, i: int) -> np.ndarray:
         """delta^i : C^i -> C^{i+1}, as a matrix on column vectors."""
-        if i in self._deltas:
-            return self._deltas[i]
-        G, p = self.group, self.p
-        self.resolution.extend_to(i + 1)
-        n = G.order
-        nt = len(self.transversal)
-        m = self.module.dim
-        r_cur, r_next = self.resolution.ranks[i], self.resolution.ranks[i + 1]
-        A = self.module.action
-        W = self.resolution.boundaries[i]  # (r_cur * n, r_next)
-        delta = np.zeros((r_next * nt * m, r_cur * nt * m), dtype=np.int64)
-        inv = G.inv
-        for k in range(r_next):
-            w = W[:, k].reshape(r_cur, n)
-            for ui, u in enumerate(self.transversal):
-                # translate w by u, then split coordinates along right cosets
-                v = w[:, G.mul[int(inv[u])]]  # (r_cur, n): v[j, g] = w[j, u^{-1} g]
-                row = self._flat(k, ui, nt)
-                for j in range(r_cur):
-                    coeffs = v[j]
-                    nz = np.nonzero(coeffs)[0]
-                    if nz.size == 0:
-                        continue
-                    blocks = np.zeros((nt, m, m), dtype=np.int64)
-                    np.add.at(blocks, self._rep_of[nz],
-                              coeffs[nz, None, None] * A[self._s_of[nz]])
-                    for ti in range(nt):
-                        if blocks[ti].any():
-                            col = self._flat(j, ti, nt)
-                            delta[row, col] = (delta[row, col] + blocks[ti]) % p
-        delta %= p
-        self._deltas[i] = delta
-        return delta
+        if i not in self._deltas:
+            self.resolution.extend_to(i + 1)
+            self._deltas[i] = _hom_delta(self.resolution, self.module, i, self._cosets)
+        return self._deltas[i]
 
     def basis(self, i: int) -> CohBasis:
         if i in self._bases:

@@ -166,6 +166,11 @@ class FiniteGroup:
     def is_p_group(self, p: int) -> bool:
         return is_p_power(self.order, p)
 
+    def is_elementary_abelian(self, p: int) -> bool:
+        """Nontrivial, abelian and of exponent p."""
+        return self.order > 1 and self.is_abelian() and all(
+            self.element_order(g) == p for g in range(1, self.order))
+
     def conjugate(self, g: int, x: int) -> int:
         """g x g^{-1} as element indices."""
         return int(self.mul[self.mul[g, x], self.inv[g]])
@@ -439,20 +444,8 @@ def p_rank(G: FiniteGroup, p: int) -> int:
     return k
 
 
-def coset_representatives(G: FiniteGroup, H: Subgroup) -> list[int]:
-    """Least-index representatives of the left cosets gH, in scan order."""
-    reps = []
-    covered = np.zeros(G.order, dtype=bool)
-    for g in range(G.order):
-        if covered[g]:
-            continue
-        reps.append(g)
-        covered[G.mul[g, list(H.member_indices)]] = True
-    return reps
-
-
-def right_coset_representatives(G: FiniteGroup, H: Subgroup) -> list[int]:
-    """Least-index representatives of the right cosets Hg, in scan order."""
+def coset_representatives(G: FiniteGroup, H: Subgroup, right: bool = False) -> list[int]:
+    """Least-index representatives of the left cosets gH (right: Hg), in scan order."""
     reps = []
     covered = np.zeros(G.order, dtype=bool)
     members = list(H.member_indices)
@@ -460,7 +453,7 @@ def right_coset_representatives(G: FiniteGroup, H: Subgroup) -> list[int]:
         if covered[g]:
             continue
         reps.append(g)
-        covered[G.mul[members, g]] = True
+        covered[G.mul[members, g] if right else G.mul[g, members]] = True
     return reps
 
 
@@ -503,7 +496,12 @@ def frattini_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
 def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Index-p subgroups of a p-group, via hyperplanes of the Frattini quotient."""
-    p = _prime_of_p_group(G)
+    primes = prime_factors(G.order)
+    if not primes:
+        raise BadParameters("trivial group has no maximal subgroups")
+    if len(primes) > 1:
+        raise BadParameters(f"{G.name} is not a p-group")
+    p = primes[0]
     phi = frattini_subgroup(G, p)
     phi_members = list(phi.member_indices)
 
@@ -534,15 +532,6 @@ def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
         maximals.append(Subgroup(G, members))
     uniq = {S.member_indices: S for S in maximals}
     return sorted(uniq.values(), key=lambda s: s.member_indices)
-
-
-def _prime_of_p_group(G: FiniteGroup) -> int:
-    primes = prime_factors(G.order)
-    if not primes:
-        raise BadParameters("trivial group has no maximal subgroups")
-    if len(primes) > 1:
-        raise BadParameters(f"{G.name} is not a p-group")
-    return primes[0]
 
 
 def _hyperplane_functionals(p, k):

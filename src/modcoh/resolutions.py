@@ -257,18 +257,34 @@ def syzygy(M: GModule, i: int) -> GModule:
 
 # -- Hom complex and Ext ------------------------------------------------------
 
-def _hom_delta(res: FreeResolution, N: GModule, i: int) -> np.ndarray:
-    """Differential Hom(P_i, N) -> Hom(P_{i+1}, N) in the N^{r} coordinates."""
-    p, n = res.p, res._n
+def _hom_delta(res: FreeResolution, N: GModule, i: int,
+               cosets: np.ndarray | None = None) -> np.ndarray:
+    """Differential Hom_S(P_i, N) -> Hom_S(P_{i+1}, N), for any S <= G.
+
+    The one Hom-complex differential: `ext_dims` uses it with S = G, and
+    `cohmaps.CochainContext` with every subgroup, S = G and S < G alike.
+
+    cosets[t, s] is the element s . t for the t-th right-coset
+    representative and the s-th member of S, in member order, so column 0
+    is the transversal and row 0 is S itself; None means S = G.  An
+    S-cochain is coordinatised by its values on e_{j, t}, one N-vector per
+    free generator j and representative t, flattened (j, t, N).  Translated
+    by u, a generator column w splits along the cosets St as
+    sum_{s, t} w(u^{-1} s t) s . e_{j, t}, and s acts on f(e_{j, t}) by N(s).
+    """
+    p, G = res.p, res.group
+    if cosets is None:
+        cosets = np.arange(G.order)[None, :]
     r_next, r_cur = res.ranks[i + 1], res.ranks[i]
-    d = N.dim
-    W = res.boundaries[i]  # (r_cur * n, r_next)
-    delta = np.zeros((r_next * d, r_cur * d), dtype=np.int64)
-    if r_next and r_cur:
-        coeff = W.T.reshape(r_next, r_cur, n)
-        blocks = np.tensordot(coeff, N.action, axes=([2], [0])) % p
-        delta = blocks.transpose(0, 2, 1, 3).reshape(r_next * d, r_cur * d)
-    return delta
+    nt, d = len(cosets), N.dim
+    W = res.boundaries[i].reshape(r_cur, G.order, r_next)
+    action = N.action[cosets[0]]
+    delta = np.empty((r_next, nt, d, r_cur * nt * d), dtype=np.int64)
+    for ui, u in enumerate(cosets[:, 0]):
+        v = W[:, G.mul[G.inv[u]][cosets]]  # v[j, t, s, k] = w_k[j](u^{-1} s t)
+        delta[:, ui] = (np.einsum("jtsk,sab->kajtb", v, action) % p).reshape(
+            r_next, d, r_cur * nt * d)
+    return delta.reshape(r_next * nt * d, r_cur * nt * d)
 
 
 def ext_dims(M: GModule, N: GModule, max_deg: int,
@@ -344,18 +360,11 @@ def maximal_subgroup_projectivity(M: GModule) -> bool:
     P = M.group
     if not P.is_p_group(M.p):
         raise MinimalityUnavailable("maximal-subgroup test requires a p-group")
-    if _is_elementary_abelian(P, M.p):
+    if P.is_elementary_abelian(M.p):
         raise ElementaryAbelianInput(
             "the maximal-subgroup criterion excludes elementary abelian groups")
     return all(is_projective(restrict_module(M, K))
                for K in groups.maximal_subgroups(P))
-
-
-def _is_elementary_abelian(G: FiniteGroup, p: int) -> bool:
-    if G.order == 1:
-        return False
-    return G.is_abelian() and all(
-        G.element_order(g) == p for g in range(1, G.order))
 
 
 # -- growth, complexity, Poincare series --------------------------------------

@@ -68,7 +68,6 @@ from modcoh.resolutions import (
     maximal_subgroup_projectivity,
     minimal_rank_identity_check,
     poincare_fit,
-    _is_elementary_abelian,
 )
 
 from corpus import build_corpus, catalog_closure
@@ -184,7 +183,7 @@ def test_c10_projectivity_triad():
             direct = is_projective(M)
             assert chouinard_projective(M) == direct, (name, M.dim)
             G = M.group
-            if G.is_p_group(2) and not _is_elementary_abelian(G, 2):
+            if G.is_p_group(2) and not G.is_elementary_abelian(2):
                 assert maximal_subgroup_projectivity(M) == direct, (name, M.dim)
 
 
@@ -271,7 +270,7 @@ def test_c14c_twop_divergence_is_exactly_elementary_abelian():
                    "elementary abelian 2-groups of rank >= 2"):
         for H in catalog_closure():
             diverges = twop_condition(H) != twop_condition_cyclic_form(H)
-            expected = _is_elementary_abelian(H, 2) and H.order > 2
+            expected = H.is_elementary_abelian(2) and H.order > 2
             assert diverges == expected, (H.name, H.order)
 
 

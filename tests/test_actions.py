@@ -117,10 +117,9 @@ class TestTwoP:
         assert not twop_condition_cyclic_form(V4)
 
     def test_agreement_away_from_elementary_abelian(self):
-        from modcoh.resolutions import _is_elementary_abelian
         for name in catalog.names():
             G = catalog.get_group(name)
-            if G.order > 60 or _is_elementary_abelian(G, 2):
+            if G.order > 60 or G.is_elementary_abelian(2):
                 continue
             assert twop_condition(G) == twop_condition_cyclic_form(G), name
 

@@ -3,6 +3,7 @@ import pytest
 
 from modcoh import catalog
 from modcoh.cohmaps import (
+    CochainContext,
     abelian_sylow_check,
     coh_basis,
     conjugation,
@@ -17,6 +18,7 @@ from modcoh.cohmaps import (
     _transfer_reps,
 )
 from modcoh.errors import SylowNotAbelian
+from modcoh.gmodules import regular_module, trivial_module
 from modcoh.groups import (
     Permutation,
     center,
@@ -27,7 +29,9 @@ from modcoh.groups import (
     trivial_subgroup,
     whole_group,
 )
-from modcoh.resolutions import cohomology_dims
+from modcoh.resolutions import cohomology_dims, trivial_resolution
+
+from cochain_oracle import cochain_differential, coset_tables
 
 
 def sub_by_perms(G, perms):
@@ -69,6 +73,38 @@ class TestCohBasis:
     def test_complex_composes_to_zero(self, S4):
         ctx = context(S4, trivial_coefficients(S4, 2), sylow(S4, 2), length=5)
         ctx.complex_through(4).check_composition(2)
+
+
+class TestDifferentialOracle:
+    """The coset-table differential against the per-coset loop it replaced."""
+
+    # 2^23 entries is 64 MB of int64.  Above it are only the Z3Q16
+    # regular-module differentials on the centre (degree 1) and the trivial
+    # subgroup (degrees 0 and 1): 127 MB to 510 MB each, the same gather at
+    # a larger size, at a cost of seconds per prime.
+    MAX_ENTRIES = 1 << 23
+
+    @pytest.mark.parametrize("name,p", [
+        ("D8", 2), ("Q8", 2), ("A4", 2), ("A4", 3), ("S4", 2), ("S4", 3),
+        ("Z3Q16", 2), ("Z3Q16", 3), ("D6", 2), ("D6", 3),
+    ])
+    def test_bit_identical_to_loop(self, name, p):
+        G = catalog.get_group(name)
+        res = trivial_resolution(G, p, 4)
+        subgroups = {S.member_indices: S for S in (
+            whole_group(G), sylow(G, p), center(G), trivial_subgroup(G))}
+        for S in subgroups.values():
+            for M, top in ((trivial_module(G, p), 3), (regular_module(G, p), 1)):
+                ctx = CochainContext(res, S, M)
+                rep_of, s_of = coset_tables(G, S, ctx.transversal)
+                assert np.array_equal(ctx._rep_of, rep_of)
+                assert np.array_equal(ctx._s_of, s_of)
+                for i in range(top + 1):
+                    if ctx.cochain_dim(i) * ctx.cochain_dim(i + 1) > self.MAX_ENTRIES:
+                        continue
+                    got, want = ctx.differential(i), cochain_differential(ctx, i)
+                    assert got.dtype == want.dtype, (S.order, M.dim, i)
+                    assert np.array_equal(got, want), (S.order, M.dim, i)
 
 
 class TestRestriction:

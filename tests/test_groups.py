@@ -21,7 +21,6 @@ from modcoh.groups import (
     normalizer,
     p_rank,
     prime_factors,
-    right_coset_representatives,
     subgroup_closure,
     sylow,
     trivial_subgroup,
@@ -303,6 +302,15 @@ class TestElementaryAbelian:
         assert p_rank(cyclic(9), 3) == 1
         assert p_rank(cyclic(5), 2) == 0
 
+    def test_is_elementary_abelian(self):
+        V4 = generate_group(4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+        assert V4.is_elementary_abelian(2) and not V4.is_elementary_abelian(3)
+        assert cyclic(2).is_elementary_abelian(2)
+        assert cyclic(3).is_elementary_abelian(3)
+        assert not cyclic(1).is_elementary_abelian(2)
+        assert not cyclic(4).is_elementary_abelian(2)
+        assert not dihedral8().is_elementary_abelian(2)
+
     def test_p_rank_consistent_with_enumeration(self):
         G = symmetric4()
         subs = elementary_abelian_subgroups(G, 2)
@@ -348,10 +356,19 @@ class TestNormalizerCosets:
             seen |= coset
         assert len(seen) == 12
 
+    @pytest.mark.parametrize("right", [False, True])
+    def test_coset_reps_least_index_in_scan_order(self, right):
+        G = symmetric4()
+        H = subgroup_closure(G, [G.element_index(Permutation((1, 0, 2, 3)))])
+        assert not H.is_normal()
+        cosets = {frozenset(int(G.mul[h, g] if right else G.mul[g, h])
+                            for h in H.member_indices) for g in range(G.order)}
+        assert coset_representatives(G, H, right=right) == sorted(min(c) for c in cosets)
+
     def test_right_coset_reps_partition(self):
         G = symmetric4()
         H = sylow(G, 2)
-        reps = right_coset_representatives(G, H)
+        reps = coset_representatives(G, H, right=True)
         seen = set()
         for r in reps:
             coset = {int(G.mul[h, r]) for h in H.member_indices}
@@ -420,6 +437,14 @@ class TestMaximalSubgroups:
         assert [m.order for m in maxes] == [4, 4, 4]
         for m in maxes:
             assert m.as_group().is_abelian()
+
+    def test_rejects_trivial_group(self):
+        with pytest.raises(BadParameters, match="trivial group has no maximal subgroups"):
+            maximal_subgroups(cyclic(1))
+
+    def test_rejects_non_p_group(self):
+        with pytest.raises(BadParameters, match="S4 is not a p-group"):
+            maximal_subgroups(symmetric4())
 
     def test_frattini_of_q8_is_center(self):
         G = quaternion8()

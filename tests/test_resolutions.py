@@ -290,12 +290,11 @@ class TestProjectivity:
         assert is_projective(restrict_module(regular_module(D8, 2), H))
 
     def test_triad_agreement_on_corpus(self):
-        from modcoh.resolutions import _is_elementary_abelian
         for name, M in build_corpus(20):
             direct = is_projective(M)
             assert chouinard_projective(M) == direct
             G = M.group
-            if G.is_p_group(2) and not _is_elementary_abelian(G, 2):
+            if G.is_p_group(2) and not G.is_elementary_abelian(2):
                 assert maximal_subgroup_projectivity(M) == direct
 
 
