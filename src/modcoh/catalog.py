@@ -103,6 +103,7 @@ def make_quaternion(order: int) -> FiniteGroup:
 
 
 def make_alternating(n: int) -> FiniteGroup:
+    """A4, A6 or A7 (order 2520, above the default size cap)."""
     if n == 4:
         return generate_group(4, [Permutation((1, 2, 0, 3)),
                                   Permutation((1, 0, 3, 2))], name="A4")
@@ -110,7 +111,11 @@ def make_alternating(n: int) -> FiniteGroup:
         threecycle = Permutation.from_cycles(6, [(0, 1, 2)])
         fivecycle = Permutation.from_cycles(6, [(1, 2, 3, 4, 5)])
         return generate_group(6, [threecycle, fivecycle], name="A6")
-    raise BadParameters("only A4 and A6 are provided")
+    if n == 7:
+        threecycle = Permutation.from_cycles(7, [(0, 1, 2)])
+        fivecycle = Permutation.from_cycles(7, [(2, 3, 4, 5, 6)])
+        return generate_group(7, [threecycle, fivecycle], name="A7", cap=2520)
+    raise BadParameters("only A4, A6 and A7 are provided")
 
 
 def make_symmetric(n: int) -> FiniteGroup:

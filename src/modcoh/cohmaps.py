@@ -5,10 +5,17 @@ P_* of the trivial F_p[G]-module: P_* restricted to S is still free (one
 free S-generator per free G-generator and right coset St), so all three
 maps are one coset sum on cochains, f |-> sum_{c in C} c . f(c^{-1} . -):
 C = {1} re-coordinatizes (restriction), C = {g} conjugates, and a set of
-coset representatives transfers.  No chain lifting is ever needed, and
-the double-coset identity holds exactly at cochain level.  The differential
-of Hom_S(P_*, M) is `resolutions._hom_delta` over the table of right cosets
-St, the one differential that `ext_dims` uses with S = G.
+coset representatives transfers.  On G's resolution no chain lifting is
+needed, and the double-coset identity holds exactly at cochain level.  The
+differential of Hom_S(P_*, M) is `resolutions._hom_delta` over the table of
+right cosets St, the one differential that `ext_dims` uses with S = G.
+
+Stable elements (`StableElements`, `stable_subspace`) run on the minimal
+resolution of a Sylow p-subgroup P instead, which is |G : P| times smaller.
+Restriction to subgroups of P is the same coset sum there, but g outside P
+does not act on P's resolution: conjugation by d composes cochains with a
+lifted chain map psi, psi(s x) = (d^{-1} s d) psi(x), from
+`FreeResolution.lift`.
 
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
 coboundary space, so maps expressed in these bases are reproducible.
@@ -31,12 +38,18 @@ from .groups import (
     conjugate_subgroup,
     coset_representatives,
     double_cosets,
+    group_cache,
     intersect,
     normalizer,
     sylow,
     whole_group,
 )
-from .resolutions import FreeResolution, _hom_delta, trivial_resolution
+from .resolutions import (
+    FreeResolution,
+    _hom_delta,
+    clear_resolution_cache,
+    trivial_resolution,
+)
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,7 @@ class CochainContext:
         self._rep_of[self._cosets] = np.arange(len(self.transversal))[:, None]
         self._s_of[self._cosets] = members
         self._deltas: dict[int, np.ndarray] = {}
+        self._eliminated: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._bases: dict[int, CohBasis] = {}
 
     def cochain_dim(self, i: int) -> int:
@@ -137,20 +151,36 @@ class CochainContext:
             self._deltas[i] = _hom_delta(self.resolution, self.module, i, self._cosets)
         return self._deltas[i]
 
+    def _eliminate(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Z^i, B^{i+1}) from one elimination of delta^i.
+
+        Z^i is the canonical cocycle basis; B^{i+1} is a basis of the
+        coboundaries, as rows: the independent columns of delta^i that the
+        same elimination finds.
+        """
+        if i not in self._eliminated:
+            delta = self.differential(i)
+            if delta.size:
+                cocycles, cols = fplinalg.kernel_and_image(delta, self.p)
+                self._eliminated[i] = (cocycles, delta[:, cols].T)
+            else:
+                self._eliminated[i] = (np.eye(self.cochain_dim(i), dtype=np.int64),
+                                       np.zeros((0, len(delta)), dtype=np.int64))
+        return self._eliminated[i]
+
+    def coboundaries(self, i: int) -> np.ndarray:
+        """A basis of B^i, as rows (independent, not reduced)."""
+        if i == 0:
+            return np.zeros((0, self.cochain_dim(0)), dtype=np.int64)
+        return self._eliminate(i - 1)[1]
+
     def basis(self, i: int) -> CohBasis:
+        """Canonical H^i basis; it depends on the span of B^i, not its basis."""
         if i in self._bases:
             return self._bases[i]
-        p = self.p
-        delta_i = self.differential(i)
-        cocycles = fplinalg.kernel_array(delta_i, p) if delta_i.size else \
-            np.eye(self.cochain_dim(i), dtype=np.int64)
-        if i == 0:
-            cobound = np.zeros((0, self.cochain_dim(0)), dtype=np.int64)
-        else:
-            prev = self.differential(i - 1)
-            reduced, r = fplinalg.rref_array(prev.T, p)
-            cobound = reduced[:r]
-        span = fplinalg.RowSpan(p, self.cochain_dim(i))
+        cocycles = self._eliminate(i)[0]
+        cobound = self.coboundaries(i)
+        span = fplinalg.RowSpan(self.p, self.cochain_dim(i))
         span.add_rows(cobound)
         reps = cocycles[span.select(cocycles)]
         basis = CohBasis(self, i, reps, cobound)
@@ -165,16 +195,15 @@ class CochainContext:
 
 # -- context registry ---------------------------------------------------------
 
-_CTX_CACHE: dict[tuple, CochainContext] = {}
-_TRIV_COEFF: dict[tuple[int, int], tuple[FiniteGroup, GModule]] = {}
-
+# Kept on the group (groups.group_cache), beside its resolutions, and
+# emptied with them: a context never outlives the resolution it is built on.
 
 def trivial_coefficients(G: FiniteGroup, p: int) -> GModule:
-    key = (id(G), p)
-    hit = _TRIV_COEFF.get(key)
-    if hit is None or hit[0] is not G:
-        _TRIV_COEFF[key] = (G, trivial_module(G, p))
-    return _TRIV_COEFF[key][1]
+    cache = group_cache(G)
+    key = ("coefficients", p)
+    if key not in cache:
+        cache[key] = trivial_module(G, p)
+    return cache[key]
 
 
 def context(G: FiniteGroup, M: GModule, subgroup: Subgroup | None = None,
@@ -183,17 +212,15 @@ def context(G: FiniteGroup, M: GModule, subgroup: Subgroup | None = None,
     if subgroup is None:
         subgroup = whole_group(G)
     res = trivial_resolution(G, M.p, max(length, 1))
-    key = (id(res), id(M), subgroup.member_indices)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None or ctx.module is not M:
-        ctx = CochainContext(res, subgroup, M)
-        _CTX_CACHE[key] = ctx
-    return ctx
+    cache = group_cache(G)
+    key = ("context", M, subgroup.member_indices)
+    if key not in cache:
+        cache[key] = CochainContext(res, subgroup, M)
+    return cache[key]
 
 
-def clear_context_cache() -> None:
-    _CTX_CACHE.clear()
-    _TRIV_COEFF.clear()
+# One clear function serves both names: contexts live beside resolutions.
+clear_context_cache = clear_resolution_cache
 
 
 # -- cochain-level maps -------------------------------------------------------
@@ -297,35 +324,140 @@ def _compose(outer: CohMap, inner: CohMap) -> CohMap:
                   (outer.matrix @ inner.matrix) % outer.source.context.p)
 
 
+class StableElements:
+    """H^*(G, F_p) as the stable elements of H^*(P, F_p).
+
+    Everything runs on the minimal resolution X_* of a Sylow p-subgroup P
+    (Cartan-Eilenberg, Homological Algebra, XII.10).  Its Hom complex with
+    trivial coefficients has zero differential, so H^i(P) = F_p^{r_i} and
+    the standard basis is the canonical one.  A class x is stable when, for
+    every double coset PdP with d outside P,
+
+        res^P_{S_t} x = c_d res^P_{S_s} x  in H^i(S_t),
+
+    where S_t = P n dPd^{-1} and S_s = d^{-1} S_t d, both subgroups of P.
+    Restriction is the coset sum of `_coset_sum_cochain` on contexts of
+    X_*.  Conjugation needs a chain map psi: X_* -> X_* over the identity
+    of F_p with psi(s x) = (d^{-1} s d) psi(x) for s in S_t, lifted by
+    `FreeResolution.lift` with that twist; then c_d f = f . psi.  Double
+    cosets with S_t = 1 impose nothing: H^{>0}(1) = 0, and every degree-0
+    class is stable.  For a p-group P = G, there is no double coset to
+    impose, and H^i(G) is all of F_p^{r_i}.
+
+    P is kept as a standalone group with its own resolution, and nothing
+    here refers back to G: cached on G, this state goes with G by reference
+    counting alone.
+    """
+
+    def __init__(self, G: FiniteGroup, p: int) -> None:
+        P = sylow(G, p)
+        self.p = p
+        self.members = P.member_indices
+        self.group = P.as_group()
+        self.module = trivial_module(self.group, p)
+        self.resolution = FreeResolution(self.module, minimal=True)
+        self.whole = CochainContext(self.resolution, whole_group(self.group), self.module)
+        self.pairs = self._double_coset_pairs(G, P)
+        # psi_0 per pair: u . e_0 -> 1, over the identity of F_p
+        self._lifts = []
+        for _, ctx_t, _, _ in self.pairs:
+            psi0 = np.zeros((self.group.order, len(ctx_t.transversal)), dtype=np.int64)
+            psi0[0] = 1
+            self._lifts.append([psi0])
+        self._stable: dict[int, np.ndarray] = {}
+
+    def _double_coset_pairs(self, G: FiniteGroup, P: Subgroup):
+        """(d, S_t context, S_s context, twist) per double coset PdP, d not in P.
+
+        The twist (S_t's coset table, sigma) gives sigma[s] = d^{-1} s d in
+        P's indices for the s-th member of S_t.
+        """
+        position = {g: k for k, g in enumerate(self.members)}
+        contexts: dict[tuple[int, ...], CochainContext] = {}
+
+        def context_of(S: Subgroup) -> CochainContext:
+            members = tuple(position[g] for g in S.member_indices)
+            if members not in contexts:
+                contexts[members] = CochainContext(
+                    self.resolution, Subgroup(self.group, members), self.module)
+            return contexts[members]
+
+        pairs = []
+        # a trivial P has H^{>0}(P) = 0: no double coset can matter
+        for d in double_cosets(G, P, P).reps if P.order > 1 else ():
+            if d in P:
+                continue
+            target = intersect(P, conjugate_subgroup(G, P, d))
+            if target.order == 1:
+                continue
+            d_inv = int(G.inv[d])
+            ctx_t = context_of(target)
+            sigma = np.array([position[G.conjugate(d_inv, s)]
+                              for s in target.member_indices], dtype=np.intp)
+            ctx_s = context_of(conjugate_subgroup(G, target, d_inv))
+            pairs.append((d, ctx_t, ctx_s, (ctx_t._cosets, sigma)))
+        return pairs
+
+    def lifts(self, top: int) -> list[list[np.ndarray]]:
+        """psi_0 .. psi_top for every pair, by their free S_t-generator images.
+
+        Each call resumes the lifts from the highest degree reached so far.
+        """
+        for (_, _, _, twist), psis in zip(self.pairs, self._lifts):
+            if len(psis) <= top:
+                self.resolution.lift(psis, 0, top, twist)
+        return self._lifts
+
+    def _condition(self, k: int, i: int) -> np.ndarray:
+        """(res_t - c_d res_s) on H^i(P), reduced modulo B^i(S_t): rows per class."""
+        p, n = self.p, self.group.order
+        r = self.resolution.ranks[i]
+        _, ctx_t, ctx_s, _ = self.pairs[k]
+        psi = self._lifts[k][i]
+        # c_d f = f . psi, where an S_s-cochain f takes f(e_{m, t}) on
+        # g e_m for g in the coset S_s t (trivial coefficients)
+        on_coset = np.eye(len(ctx_s.transversal), dtype=np.int64)[ctx_s._rep_of]
+        c_d = (psi.T.reshape(-1, r, n) @ on_coset).reshape(len(psi.T), -1)
+        diff = (_coset_sum_cochain(self.whole, ctx_t, i, [0])
+                - c_d @ _coset_sum_cochain(self.whole, ctx_s, i, [0])) % p
+        reduced, rank = fplinalg.rref_array(ctx_t.coboundaries(i), p)
+        return fplinalg.residual_rows(diff.T, reduced[:rank], p)
+
+    def stable(self, i: int) -> np.ndarray:
+        """Canonical basis (rows) of the stable classes in H^i(P)."""
+        if i not in self._stable:
+            r = self.resolution.extend_to(max(i, 1)).ranks[i]
+            rows = []
+            if i and r and self.pairs:
+                self.lifts(i)
+                rows = [self._condition(k, i) for k in range(len(self.pairs))]
+            self._stable[i] = fplinalg.kernel_array(np.hstack(rows).T, self.p) \
+                if rows else np.eye(r, dtype=np.int64)
+        return self._stable[i]
+
+    def dims(self, max_deg: int) -> tuple[int, ...]:
+        return tuple(len(self.stable(i)) for i in range(max_deg + 1))
+
+
+def stable_elements(G: FiniteGroup, p: int) -> StableElements:
+    """G's cached Sylow-local state at p."""
+    cache = group_cache(G)
+    key = ("stable", p)
+    if key not in cache:
+        cache[key] = StableElements(G, p)
+    return cache[key]
+
+
 def stable_subspace(G: FiniteGroup, p: int, i: int):
     """Cartan-Eilenberg stable classes inside H^i(Syl_p(G), F_p).
 
     Returns (dimension, coefficient rows) over the canonical basis of
-    H^i(P) computed on G's resolution, with stability imposed against all
-    Sylow double-coset representatives.
+    H^i(P) on P's minimal resolution (see `StableElements`).  For a p-group
+    P = G and every class is stable.
     """
     if G.order % p:
         raise BadParameters(f"p = {p} does not divide |{G.name}| = {G.order}")
-    M = trivial_coefficients(G, p)
-    P = sylow(G, p)
-    base = context(G, M, P, length=i + 1).basis(i)
-    if base.dim == 0:
-        return 0, np.zeros((0, 0), dtype=np.int64)
-    rows = []
-    for d in double_cosets(G, P, P).reps:
-        if d == 0:
-            continue
-        S_target = intersect(P, conjugate_subgroup(G, P, d))  # P n dPd^{-1}
-        S_source = intersect(P, conjugate_subgroup(G, P, int(G.inv[d])))
-        res_t = restriction(G, S_target, M, i, K=P)
-        res_s = restriction(G, S_source, M, i, K=P)
-        c_d = conjugation(G, d, S_source, M, i)
-        rows.append((res_t.matrix - c_d.matrix @ res_s.matrix) % p)
-    if not rows:
-        basis = np.eye(base.dim, dtype=np.int64)
-        return base.dim, basis
-    stacked = np.vstack(rows)
-    basis = fplinalg.kernel_array(stacked, p)
+    basis = stable_elements(G, p).stable(i)
     return len(basis), basis
 
 

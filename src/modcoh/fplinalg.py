@@ -199,23 +199,32 @@ def rref_array(a, p: int):
 
 
 def kernel_array(a, p: int) -> np.ndarray:
-    """Canonical RREF basis (rows) of the right kernel {v : a @ v = 0}.
+    """Canonical RREF basis (rows) of the right kernel {v : a @ v = 0}."""
+    return kernel_and_image(a, p)[0]
+
+
+def kernel_and_image(a, p: int):
+    """(kernel, columns): the canonical kernel basis and an image basis.
 
     One elimination of the column-reversed matrix; the module docstring
-    explains why the reversed free-column basis is already canonical.
+    explains why the reversed free-column basis is already canonical.  Its
+    pivot columns are independent columns of the matrix that span its
+    column space, so a[:, columns] is a basis of the image, returned as
+    ascending column indices at no extra cost.
     """
     a = np.asarray(a, dtype=np.int64)
     m, n = a.shape
     reduced, pivots = _rref(a[:, ::-1] % p, p)
+    columns = n - 1 - np.asarray(pivots[::-1], dtype=np.intp)
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free_cols = is_free.nonzero()[0]
     if not free_cols.size:
-        return np.zeros((0, n), dtype=np.int64)
+        return np.zeros((0, n), dtype=np.int64), columns
     basis = np.zeros((free_cols.size, n), dtype=np.int64)
     basis[np.arange(free_cols.size), free_cols] = 1
     basis[:, pivots] = (-reduced[: len(pivots)][:, free_cols].T) % p
-    return basis[::-1, ::-1].copy()
+    return basis[::-1, ::-1].copy(), columns
 
 
 def solve_array(a, b, p: int):

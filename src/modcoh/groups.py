@@ -10,6 +10,7 @@ elements and generators in index order.  The identity is always index 0.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,7 @@ class FiniteGroup:
             raise BadParameters("multiplication table is not a group table")
         self.inv = is_identity.argmax(axis=1).astype(np.int32)
         self._orders: np.ndarray | None = None
+        self._cache: dict = {}
         # GModule.check_representation tests only the generators, so they
         # must generate: grow the set of words in them until it stops.
         reached = np.zeros(self.order, dtype=bool)
@@ -177,6 +179,28 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order}, degree={self.degree})"
+
+
+# Groups whose memo tables may hold entries.  Weak, so it keeps none alive.
+_CACHING: "weakref.WeakSet[FiniteGroup]" = weakref.WeakSet()
+
+
+def group_cache(G: FiniteGroup) -> dict:
+    """G's memo table: resolutions, coefficient modules, cochain contexts
+    and Sylow-local data, keyed by what they depend on besides G.
+
+    Its entries reference G, so they live on G, not in a module-level
+    table: a dropped group takes them with it, and no id() key can serve
+    one group's results to another.
+    """
+    _CACHING.add(G)
+    return G._cache
+
+
+def clear_group_caches() -> None:
+    """Empty the memo table of every group."""
+    while _CACHING:
+        _CACHING.pop()._cache.clear()
 
 
 def generate_group(degree, generators, name="G", cap=DEFAULT_SIZE_CAP) -> FiniteGroup:
@@ -385,6 +409,8 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     target = math.gcd(G.order, p ** G.order.bit_length())
     if target == 1:
         return trivial_subgroup(G)
+    if target == G.order:
+        return whole_group(G)
     start = next(g for g in range(1, G.order)
                  if is_p_power(G.element_order(g), p))
     S = subgroup_closure(G, [start])

@@ -6,10 +6,11 @@ free generators: Phi_k holds tau(e_{m, 1}) in column m, of shape
 (r_k |G|) x r_{i+k}.  Phi_0 is a in row 0 (P_0 has rank one), and Phi_k
 solves d_k Phi_k = tau_{k-1} W_{i+k}, where tau_{k-1} is Phi_{k-1}
 expanded by F_p[G]-linearity and W_{i+k} are the generator columns of
-d_{i+k}.  A right-hand side outside the image of d_k means the resolution
-is not exact there, and raises LiftFailure.  The product is the
-composite b . tau_j with the sign of the diagonal-approximation cup
-product: a cup b = (-1)^{ij} (repeat(b, |G|) @ Phi_j).
+d_{i+k}: the untwisted `FreeResolution.lift`.  A right-hand side outside
+the image of d_k means the resolution is not exact there, and raises
+LiftFailure.  The product is the composite b . tau_j with the sign of the
+diagonal-approximation cup product: a cup b = (-1)^{ij} (repeat(b, |G|) @
+Phi_j).
 
 Only trivial coefficients are supported: every product statement with
 acceptance data lives in H^*(G, F_p).
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import fplinalg
 from .cohmaps import CochainComplex, context, trivial_coefficients
-from .errors import DegreeMismatch, LiftFailure, NotMaximal
+from .errors import DegreeMismatch, NotMaximal
 from .gmodules import permutation_module
 from .groups import FiniteGroup, Subgroup, prime_factors
 from .resolutions import trivial_resolution
@@ -50,19 +51,9 @@ class CupRing:
         Entry k has shape (r_k |G|, c r_{i+k}) for c cocycles: column
         a r_{i+k} + m is the image of e_{m, 1} under the lift of cocycle a.
         """
-        res, p = self.resolution, self.p
         phi = np.zeros((self.group.order, cocycles.size), dtype=np.int64)
-        phi[0] = cocycles.T.reshape(-1) % p
-        lifts = [phi]
-        for k in range(1, steps + 1):
-            tau = res.expand(phi).reshape(len(phi), cocycles.shape[1], -1)
-            rhs = (tau @ res.boundaries[i + k - 1]) % p
-            phi = fplinalg.solve_batch(res.boundary(k), rhs.reshape(len(phi), -1), p)
-            if phi is None:
-                raise LiftFailure(f"degree-{i} cocycles do not lift to "
-                                  f"P_{i + k} -> P_{k}: the resolution is not exact")
-            lifts.append(phi)
-        return lifts
+        phi[0] = cocycles.T.reshape(-1)
+        return self.resolution.lift([phi], i, steps)
 
     def _compose(self, phi: np.ndarray, i: int, bs: np.ndarray, j: int) -> np.ndarray:
         """(a cup b) for every lifted a and every row b of bs, rows in (a, b) order."""

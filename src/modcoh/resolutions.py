@@ -11,7 +11,15 @@ the newest stage, exactness checks, text output, chain-map lifts).
 Minimal resolutions are constructed only over p-groups, where the
 augmentation ideal is the radical; for other groups a greedily pruned free
 resolution is used and all Ext dimensions come out of the Hom complex,
-which is resolution-independent.
+which is resolution-independent.  H^*(G, F_p) itself never needs the
+larger one: every group gets it as the stable elements of H^*(P, F_p)
+on the minimal resolution of a Sylow p-subgroup P (`cohomology_dims`;
+P = G for a p-group).
+
+`FreeResolution.lift` is the one chain-map lift, stored by generator
+images like the boundaries: cup products lift cocycles with it, and
+conjugation on a Sylow subgroup lifts the identity of F_p twisted by
+d^{-1} (-) d.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .errors import (
     InsufficientData,
     InvariantViolation,
     LengthTooSmall,
+    LiftFailure,
     MinimalityUnavailable,
     ElementaryAbelianInput,
     NoFitFound,
@@ -33,7 +42,13 @@ from .errors import (
 )
 from .fplinalg import RowSpan
 from .gmodules import GModule, dual_module, restrict_module, trivial_module
-from .groups import FiniteGroup, elementary_abelian_subgroups, sylow
+from .groups import (
+    FiniteGroup,
+    clear_group_caches,
+    elementary_abelian_subgroups,
+    group_cache,
+    sylow,
+)
 
 
 @dataclass(frozen=True)
@@ -100,18 +115,38 @@ class FreeResolution:
             gens.append(gens[0])
         return gens
 
-    def expand(self, images: np.ndarray) -> np.ndarray:
-        """The F_p[G]-linear map sending e_{k, 1} to column k of images.
+    def expand(self, images: np.ndarray, twist=None) -> np.ndarray:
+        """The full matrix of a map out of F_p[G]^r, from generator images.
 
-        images has shape (r' |G|, r); column k |G| + g of the result is
+        Untwisted, the map is F_p[G]-linear and sends e_{k, 1} to column k
+        of images, of shape (r' |G|, r): column k |G| + g of the result is
         g . images[:, k], so expand(boundaries[i - 1]) is the full d_i.
+
+        A twist (cosets, sigma) makes it semilinear over a subgroup S:
+        x(s . y) = sigma[s] . x(y) for the s-th member of S.  cosets is S's
+        right-coset table as in `_hom_delta` (cosets[u, s] = s . u), and
+        images has one column per free S-generator u . e_k, in (k, u) order,
+        for u = cosets[u, 0].  Every g is s . u, so column k |G| + g of the
+        result is sigma[s] . images[:, (k, u)].
         """
-        rows, r = images.shape
+        rows, cols = images.shape
         n = self._n
-        # out[j, h, k, g] = images[j n + g^{-1} h, k]
-        out = images.reshape(rows // n, n, r)[
-            :, self._take.T[:, None, :], np.arange(r)[None, :, None]]
-        return out.reshape(rows, r * n)
+        if twist is None:
+            # out[j, h, k, g] = images[j n + g^{-1} h, k]
+            out = images.reshape(rows // n, n, cols)[
+                :, self._take.T[:, None, :], np.arange(cols)[None, :, None]]
+            return out.reshape(rows, cols * n)
+        cosets, sigma = twist
+        nu = len(cosets)
+        acting = np.empty(n, dtype=np.intp)
+        acting[cosets] = sigma
+        column = np.empty(n, dtype=np.intp)
+        column[cosets] = np.arange(nu)[:, None]
+        # out[j, h, k, g] = images[j n + acting[g]^{-1} h, (k, column[g])]
+        out = images.reshape(rows // n, n, cols // nu, nu)[
+            :, self._take.T[:, acting][:, None, :],
+            np.arange(cols // nu)[None, :, None], column]
+        return out.reshape(rows, cols // nu * n)
 
     def boundary(self, i: int) -> np.ndarray:
         """The full matrix of d_i, r_{i-1}|G| x r_i|G|."""
@@ -155,6 +190,44 @@ class FreeResolution:
     @property
     def length(self) -> int:
         return len(self.boundaries)
+
+    def lift(self, lifts: list[np.ndarray], shift: int, steps: int,
+             twist=None) -> list[np.ndarray]:
+        """Chain maps P_{shift + *} -> P_* by their generator images.
+
+        lifts starts with Phi_0 (entries reduced mod p), the images in P_0
+        of the free generators of P_shift, for c maps side by side: shape (r_0 |G|, c r_shift) with
+        column a r_shift + m for generator m of map a, and (a, m, u) columns
+        under a twist (see `expand`, whose semilinearity the lifts share).
+        Phi_k solves d_k Phi_k = tau_{k-1} d_{shift+k} on the free
+        generators, where tau_{k-1} is Phi_{k-1} expanded.  The list is
+        extended in place through Phi_steps and returned, so a caller that
+        needs more degrees later resumes where it stopped.  A right-hand
+        side outside the image of d_k means the resolution is not exact
+        there, and raises LiftFailure.
+
+        Cup products lift cocycles untwisted; conjugation on a Sylow
+        subgroup's resolution lifts the identity of F_p with a twist.
+        """
+        p, n = self.p, self._n
+        self.extend_to(max(shift + steps, 1))
+        transversal = [0] if twist is None else twist[0][:, 0]
+        nu = len(transversal)
+        count = lifts[0].shape[1] // max(self.ranks[shift] * nu, 1)
+        for k in range(len(lifts), steps + 1):
+            phi = lifts[-1]
+            r_src = self.ranks[shift + k - 1]
+            tau = self.expand(phi, twist).reshape(len(phi), count, r_src * n)
+            # d_{shift+k} on the free generators u . e_m, columns (m, u)
+            W = self.boundaries[shift + k - 1].reshape(r_src, n, -1)
+            W = W[:, self._take[transversal]].transpose(0, 2, 3, 1)
+            rhs = (tau @ W.reshape(r_src * n, -1)) % p
+            phi = fplinalg.solve_batch(self.boundary(k), rhs.reshape(len(phi), -1), p)
+            if phi is None:
+                raise LiftFailure(f"degree-{shift} maps do not lift to "
+                                  f"P_{shift + k} -> P_{k}: the resolution is not exact")
+            lifts.append(phi)
+        return lifts
 
     # -- verification ---------------------------------------------------
 
@@ -213,21 +286,18 @@ def free_resolution(M: GModule, length: int, minimal: bool = False,
     return res.extend_to(length)
 
 
-_TRIVIAL_CACHE: dict[tuple[int, int], tuple[FiniteGroup, FreeResolution]] = {}
-
-
 def trivial_resolution(G: FiniteGroup, p: int, length: int) -> FreeResolution:
     """Cached resolution of the one-dimensional trivial module."""
-    key = (id(G), p)
-    hit = _TRIVIAL_CACHE.get(key)
-    if hit is None or hit[0] is not G:
-        res = FreeResolution(trivial_module(G, p), minimal=G.is_p_group(p))
-        _TRIVIAL_CACHE[key] = (G, res)
-    return _TRIVIAL_CACHE[key][1].extend_to(length)
+    cache = group_cache(G)
+    key = ("resolution", p)
+    if key not in cache:
+        cache[key] = FreeResolution(trivial_module(G, p), minimal=G.is_p_group(p))
+    return cache[key].extend_to(length)
 
 
 def clear_resolution_cache() -> None:
-    _TRIVIAL_CACHE.clear()
+    """Empty every group's cache: resolutions, and all that is built on them."""
+    clear_group_caches()
 
 
 def syzygy(M: GModule, i: int) -> GModule:
@@ -314,10 +384,16 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
 
 
 def cohomology_dims(G: FiniteGroup, p: int, max_deg: int) -> DimSeries:
-    """dim H^i(G, F_p) for 0 <= i <= max_deg."""
-    triv = trivial_module(G, p)
-    series = ext_dims(triv, triv, max_deg)
-    return DimSeries(series.dims, p, label=f"H^*({G.name}; F_{p})")
+    """dim H^i(G, F_p) for 0 <= i <= max_deg.
+
+    They are the stable elements of H^*(P, F_p) for a Sylow p-subgroup P
+    (`cohmaps.StableElements`), computed on P's minimal resolution, which
+    is |G : P| times smaller than a resolution over F_p[G].  For a p-group
+    P = G and the dims are the ranks of that resolution.
+    """
+    from .cohmaps import stable_elements  # cohmaps builds on this module
+    return DimSeries(stable_elements(G, p).dims(max_deg), p,
+                     label=f"H^*({G.name}; F_{p})")
 
 
 def minimal_rank_identity_check(M: GModule, max_deg: int) -> bool:

@@ -1,0 +1,214 @@
+"""Sylow-local H^*(G, F_p) against G's own resolution, and its caches.
+
+`cohomology_dims` and `stable_subspace` compute H^*(G, F_p) as the stable
+elements of H^*(P, F_p) on the minimal resolution of a Sylow p-subgroup P
+(`cohmaps.StableElements`); for a p-group P = G.  The second path to the
+same numbers runs on G's own resolution: `ext_dims` of the trivial module,
+and the G-resolution stable elements of stable_oracle.py.
+The twisted chain maps behind conjugation are checked exactly.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modcoh import catalog, groups
+from modcoh.cohmaps import (
+    StableElements,
+    clear_context_cache,
+    context,
+    stable_elements,
+    stable_subspace,
+    trivial_coefficients,
+)
+from modcoh.errors import GroupTooLarge
+from modcoh.gmodules import trivial_module
+from modcoh.groups import Permutation, generate_group, prime_factors
+from modcoh.products import CupRing
+from modcoh.resolutions import clear_resolution_cache, cohomology_dims, ext_dims
+
+import stable_oracle
+
+
+def free_dims(G, p, top):
+    M = trivial_module(G, p)
+    return ext_dims(M, M, top).dims
+
+
+def oracle_dims(G, p, top):
+    return tuple(stable_oracle.stable_subspace(G, p, i)[0] for i in range(top + 1))
+
+
+def prime_cases(names, p_groups=False):
+    return [(name, p) for name in names
+            for p in prime_factors(catalog.get_group(name).order)
+            if catalog.get_group(name).is_p_group(p) == p_groups]
+
+
+STRETCH = [n for n in catalog.names(include_stretch=True) if catalog.REGISTRY[n].stretch]
+
+
+class TestAgainstGResolution:
+    @pytest.mark.parametrize("name,p", prime_cases(catalog.names()))
+    def test_catalog_through_degree_8(self, name, p):
+        G = catalog.get_group(name)
+        got = cohomology_dims(G, p, 8).dims
+        assert got == free_dims(G, p, 8) == oracle_dims(G, p, 8)
+        assert got == tuple(stable_subspace(G, p, i)[0] for i in range(9))
+
+    @pytest.mark.stretch
+    @pytest.mark.parametrize("name,p", prime_cases(STRETCH))
+    def test_stretch_through_degree_4(self, name, p):
+        G = catalog.get_group(name)
+        assert cohomology_dims(G, p, 4).dims == free_dims(G, p, 4) == oracle_dims(G, p, 4)
+
+    def test_prime_not_dividing_the_order(self, S4):
+        assert cohomology_dims(S4, 5, 6).dims == free_dims(S4, 5, 6) == (1,) + (0,) * 6
+
+    @pytest.mark.parametrize("name,p", prime_cases(catalog.names(), p_groups=True))
+    def test_p_groups_through_degree_8(self, name, p):
+        """P = G: the dims are the ranks of G's minimal resolution."""
+        G = catalog.get_group(name)
+        assert cohomology_dims(G, p, 8).dims == free_dims(G, p, 8)
+
+    def test_p_group_every_class_stable(self, D8):
+        for i in range(5):
+            dim, basis = stable_subspace(D8, 2, i)
+            assert np.array_equal(basis, np.eye(i + 1, dtype=np.int64))
+        assert not stable_elements(D8, 2).pairs
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """A group on at most 6 points, of order at most 72.
+
+    Generators are added while the closure stays within the cap, so the
+    draw never builds A6 or S6.
+    """
+    degree = draw(st.integers(2, 6))
+    perms = draw(st.lists(st.permutations(list(range(degree))), min_size=1, max_size=3))
+    G = None
+    for k in range(1, len(perms) + 1):
+        try:
+            G = generate_group(degree, [Permutation(tuple(q)) for q in perms[:k]], cap=72)
+        except GroupTooLarge:
+            break
+    return G
+
+
+@given(small_permutation_groups())
+@settings(max_examples=25, deadline=None)
+def test_random_permutation_groups(G):
+    for p in prime_factors(G.order):
+        assert cohomology_dims(G, p, 3).dims == free_dims(G, p, 3) == oracle_dims(G, p, 3)
+
+
+def translation(P, r, h):
+    """h acting on F_p[P]^r: e_{j, x} -> e_{j, hx}."""
+    n = P.order
+    L = np.zeros((r * n, r * n), dtype=np.int64)
+    for j in range(r):
+        L[j * n + P.mul[h], j * n + np.arange(n)] = 1
+    return L
+
+
+@pytest.mark.parametrize("name,p", [
+    ("S3", 3), ("A4", 2), ("S4", 2), ("S4", 3), ("Z3Q16", 2), ("Z3Q16", 3),
+    ("L3_2", 2), ("L3_2", 7), ("A6", 2), ("A6", 3),
+])
+def test_conjugation_lifts_are_twisted_chain_maps(name, p):
+    """d psi = psi d, over the identity of F_p, and psi(s x) = (d^-1 s d) psi(x)."""
+    G = catalog.get_group(name)
+    state = stable_elements(G, p)
+    res, P, top = state.resolution, state.group, 4
+    position = {g: k for k, g in enumerate(state.members)}
+    assert state.pairs
+    for (d, ctx_t, _, twist), phis in zip(state.pairs, state.lifts(top)):
+        full = [res.expand(phi, twist) for phi in phis]
+        assert np.array_equal(res.augmentation @ full[0] % p, res.augmentation)
+        for k in range(1, top + 1):
+            D = res.boundary(k)
+            assert np.array_equal(D @ full[k] % p, full[k - 1] @ D % p), (d, k)
+        d_inv = int(G.inv[d])
+        for s in ctx_t.subgroup.member_indices:
+            g = state.members[s]
+            image = position[int(G.mul[G.mul[d_inv, g], d])]
+            for k, psi in enumerate(full):
+                r = res.ranks[k]
+                assert np.array_equal(psi @ translation(P, r, s) % p,
+                                      translation(P, r, image) @ psi % p), (d, s, k)
+
+
+def test_lifts_resume_where_they_stopped(S4):
+    """Lifting one degree at a time keeps the lower degrees already lifted
+    and gives the lifts of one call to the top."""
+    stepwise, kept = StableElements(S4, 2), []
+    for top in range(5):
+        lifts = stepwise.lifts(top)
+        assert [len(psis) for psis in lifts] == [top + 1] * len(stepwise.pairs)
+        kept.append(lifts[0][top])
+    assert all(a is b for a, b in zip(kept, stepwise.lifts(4)[0]))
+    at_once = StableElements(S4, 2).lifts(4)
+    for psis, want in zip(stepwise.lifts(4), at_once):
+        assert all(np.array_equal(a, b) for a, b in zip(psis, want))
+
+
+@pytest.mark.stretch
+def test_a7_matches_a6_at_2():
+    """H^*(A7; F_2) and H^*(A6; F_2) agree through degree 8 (Adem-Milgram,
+    Cohomology of Finite Groups, ch. VIII), both computed Sylow-locally."""
+    A7 = catalog.make_alternating(7)
+    assert A7.order == 2520
+    want = catalog.expected_dims("A6", 2, 8).dims
+    assert cohomology_dims(catalog.get_group("A6"), 2, 8).dims == want
+    assert cohomology_dims(A7, 2, 8).dims == want
+
+
+class TestCaches:
+    def test_dropped_group_is_collected(self):
+        G = catalog.make_symmetric(4)
+        cohomology_dims(G, 2, 4)
+        stable_subspace(G, 3, 3)
+        context(G, trivial_coefficients(G, 2), length=3).basis(2)
+        CupRing(G, 2, 3).products_of_bases(1, 2)
+        refs = [weakref.ref(G), weakref.ref(stable_elements(G, 2).group)]
+        del G
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    @pytest.mark.parametrize("name,p", [("S4", 3), ("D8", 2)])
+    def test_cold_dims_leave_no_entries_behind(self, name, p):
+        """The Sylow-local state refers back to nothing of G, so dropping G
+        frees it by reference counting, with the collector off.  A p-group
+        takes the same path."""
+        clear_resolution_cache()
+        want = catalog.expected_dims(name, p, 6).dims
+        G = catalog.REGISTRY[name].builder()
+        ref = weakref.ref(G)
+        gc.disable()
+        try:
+            assert cohomology_dims(G, p, 6).dims == want
+            assert G._cache
+            del G
+            assert ref() is None
+            assert not list(groups._CACHING)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("clear", [clear_resolution_cache, clear_context_cache])
+    def test_clear_empties_every_group(self, clear):
+        G = catalog.make_symmetric(4)
+        cohomology_dims(G, 2, 4)
+        stable_subspace(G, 2, 2)
+        assert G._cache
+        clear()
+        assert not list(groups._CACHING)
+        assert not G._cache
+        # a cold call rebuilds from nothing, and a second clear leaves nothing
+        assert cohomology_dims(G, 2, 4).dims == (1, 1, 2, 3, 3)
+        clear()
+        assert not list(groups._CACHING) and not G._cache
