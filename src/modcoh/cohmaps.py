@@ -10,11 +10,12 @@ needed, and the double-coset identity holds exactly at cochain level.  The
 differential of Hom_S(P_*, M) is `resolutions._hom_delta` over the table of
 right cosets St, the one differential that `ext_dims` uses with S = G.
 
-Stable elements (`StableElements`, `stable_subspace`) run on the minimal
-resolution of a Sylow p-subgroup P instead, which is |G : P| times smaller.
-Restriction to subgroups of P is the same coset sum there, but g outside P
-does not act on P's resolution: conjugation by d composes cochains with a
-lifted chain map psi, psi(s x) = (d^{-1} s d) psi(x), from
+Stable elements (`StableElements`, `stable_subspace`), and with them the
+cup products of `products.CupRing`, run on the minimal resolution of a
+Sylow p-subgroup P instead, which is |G : P| times smaller.  With trivial
+coefficients, restriction to a subgroup of P needs no coset sum there.
+g outside P does not act on P's resolution: conjugation by d composes
+cochains with a lifted chain map psi, psi(s x) = (d^{-1} s d) psi(x), from
 `FreeResolution.lift`.
 
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
@@ -65,18 +66,24 @@ class CochainComplex:
 
 
 class CohBasis:
-    """Canonical basis of H^i with explicit cocycle representatives."""
+    """Canonical basis of H^i with explicit cocycle representatives.
 
-    def __init__(self, context: "CochainContext", degree: int,
-                 reps: np.ndarray, coboundaries: np.ndarray) -> None:
-        self.context = context
+    Coordinates drop the coboundaries.  Without coboundaries (a zero Hom
+    differential, as on a minimal resolution with trivial coefficients) a
+    vector outside the span of the classes is no cocycle of this basis.
+    """
+
+    def __init__(self, p: int, degree: int, reps: np.ndarray,
+                 coboundaries: np.ndarray | None = None) -> None:
+        self.p = p
         self.degree = degree
         self.classes = reps          # rows: cocycle vectors
-        self._coboundaries = coboundaries
-        if len(reps):
+        if coboundaries is None:
+            self._solver = reps.T
+        elif len(reps):
             self._solver = np.vstack([reps, coboundaries]).T
         else:
-            self._solver = None
+            self._solver = None      # H^i = 0: every cocycle is a coboundary
 
     @property
     def dim(self) -> int:
@@ -84,15 +91,14 @@ class CohBasis:
 
     def class_coordinates(self, cols: np.ndarray) -> np.ndarray:
         """Coordinates of cocycle columns in this basis (coboundaries dropped)."""
-        p = self.context.p
-        cols = np.asarray(cols, dtype=np.int64) % p
+        cols = np.asarray(cols, dtype=np.int64)
         if cols.ndim == 1:
             cols = cols.reshape(-1, 1)
-        if self.dim == 0:
+        if self._solver is None:
             return np.zeros((0, cols.shape[1]), dtype=np.int64)
-        sol = fplinalg.solve_batch(self._solver, cols, p)
+        sol = fplinalg.solve_batch(self._solver, cols, self.p)
         if sol is None:
-            raise InvariantViolation("vector is not a cocycle of this context")
+            raise InvariantViolation("vector is not a cocycle of this basis")
         return sol[: self.dim]
 
 
@@ -103,7 +109,7 @@ class CohMap:
     matrix: np.ndarray
 
     def rank(self) -> int:
-        return fplinalg.rref_array(self.matrix, self.source.context.p)[1]
+        return fplinalg.rref_array(self.matrix, self.source.p)[1]
 
     def to_csv(self) -> str:
         """Matrix rows as CSV, for golden-file pinning."""
@@ -183,7 +189,7 @@ class CochainContext:
         span = fplinalg.RowSpan(self.p, self.cochain_dim(i))
         span.add_rows(cobound)
         reps = cocycles[span.select(cocycles)]
-        basis = CohBasis(self, i, reps, cobound)
+        basis = CohBasis(self.p, i, reps, cobound)
         self._bases[i] = basis
         return basis
 
@@ -232,7 +238,9 @@ def _coset_sum_cochain(src: CochainContext, dst: CochainContext, i: int,
     C = {1} gives restriction (S' <= S), C = {g} conjugation by g
     (S' = gSg^{-1}), and the left-coset representatives of S inside S' the
     transfer (S <= S').  Each c^{-1} u splits as s . t with s in S and t in
-    src's transversal, where f takes the value s . f(e_{j, t}).
+    src's transversal, where f takes the value s . f(e_{j, t}).  These are
+    the maps of contexts on G's resolution; `StableElements` restricts
+    trivial-coefficient classes on P's resolution without a coset sum.
     """
     G = src.group
     nt_src, nt_dst = len(src.transversal), len(dst.transversal)
@@ -321,7 +329,7 @@ def _compose(outer: CohMap, inner: CohMap) -> CohMap:
     if outer.source is not inner.target:
         raise BadParameters("maps are not composable in these bases")
     return CohMap(inner.source, outer.target,
-                  (outer.matrix @ inner.matrix) % outer.source.context.p)
+                  (outer.matrix @ inner.matrix) % outer.source.p)
 
 
 class StableElements:
@@ -336,17 +344,21 @@ class StableElements:
         res^P_{S_t} x = c_d res^P_{S_s} x  in H^i(S_t),
 
     where S_t = P n dPd^{-1} and S_s = d^{-1} S_t d, both subgroups of P.
-    Restriction is the coset sum of `_coset_sum_cochain` on contexts of
-    X_*.  Conjugation needs a chain map psi: X_* -> X_* over the identity
-    of F_p with psi(s x) = (d^{-1} s d) psi(x) for s in S_t, lifted by
-    `FreeResolution.lift` with that twist; then c_d f = f . psi.  Double
-    cosets with S_t = 1 impose nothing: H^{>0}(1) = 0, and every degree-0
-    class is stable.  For a p-group P = G, there is no double coset to
-    impose, and H^i(G) is all of F_p^{r_i}.
+    With trivial coefficients a cochain restricted from P takes the value
+    x_m on every g e_m, so res x needs no coset sum: res_t x is x repeated
+    over S_t's transversal.  Conjugation needs a chain map psi: X_* -> X_*
+    over the identity of F_p with psi(s x) = (d^{-1} s d) psi(x) for s in
+    S_t, lifted by `FreeResolution.lift` with that twist; then
+    c_d res_s x = (res_s x) . psi sums each column of psi over P.  The
+    difference is reduced modulo the S_t-coboundaries.  Double cosets with
+    S_t = 1 impose nothing: H^{>0}(1) = 0, and every degree-0 class is
+    stable.  For a p-group P = G, there is no double coset to impose, and
+    H^i(G) is all of F_p^{r_i}.
 
-    P is kept as a standalone group with its own resolution, and nothing
-    here refers back to G: cached on G, this state goes with G by reference
-    counting alone.
+    `products.CupRing` multiplies the stable classes on the same X_*:
+    restriction to P is an injective ring map onto them.  P is kept as a
+    standalone group with its own resolution, and nothing here refers back
+    to G: cached on G, this state goes with G by reference counting alone.
     """
 
     def __init__(self, G: FiniteGroup, p: int) -> None:
@@ -356,32 +368,23 @@ class StableElements:
         self.group = P.as_group()
         self.module = trivial_module(self.group, p)
         self.resolution = FreeResolution(self.module, minimal=True)
-        self.whole = CochainContext(self.resolution, whole_group(self.group), self.module)
         self.pairs = self._double_coset_pairs(G, P)
         # psi_0 per pair: u . e_0 -> 1, over the identity of F_p
         self._lifts = []
-        for _, ctx_t, _, _ in self.pairs:
+        for _, ctx_t, _ in self.pairs:
             psi0 = np.zeros((self.group.order, len(ctx_t.transversal)), dtype=np.int64)
             psi0[0] = 1
             self._lifts.append([psi0])
         self._stable: dict[int, np.ndarray] = {}
 
     def _double_coset_pairs(self, G: FiniteGroup, P: Subgroup):
-        """(d, S_t context, S_s context, twist) per double coset PdP, d not in P.
+        """(d, S_t context, twist) per double coset PdP, d not in P.
 
         The twist (S_t's coset table, sigma) gives sigma[s] = d^{-1} s d in
         P's indices for the s-th member of S_t.
         """
         position = {g: k for k, g in enumerate(self.members)}
         contexts: dict[tuple[int, ...], CochainContext] = {}
-
-        def context_of(S: Subgroup) -> CochainContext:
-            members = tuple(position[g] for g in S.member_indices)
-            if members not in contexts:
-                contexts[members] = CochainContext(
-                    self.resolution, Subgroup(self.group, members), self.module)
-            return contexts[members]
-
         pairs = []
         # a trivial P has H^{>0}(P) = 0: no double coset can matter
         for d in double_cosets(G, P, P).reps if P.order > 1 else ():
@@ -391,11 +394,14 @@ class StableElements:
             if target.order == 1:
                 continue
             d_inv = int(G.inv[d])
-            ctx_t = context_of(target)
+            members = tuple(position[g] for g in target.member_indices)
+            if members not in contexts:
+                contexts[members] = CochainContext(
+                    self.resolution, Subgroup(self.group, members), self.module)
+            ctx_t = contexts[members]
             sigma = np.array([position[G.conjugate(d_inv, s)]
                               for s in target.member_indices], dtype=np.intp)
-            ctx_s = context_of(conjugate_subgroup(G, target, d_inv))
-            pairs.append((d, ctx_t, ctx_s, (ctx_t._cosets, sigma)))
+            pairs.append((d, ctx_t, (ctx_t._cosets, sigma)))
         return pairs
 
     def lifts(self, top: int) -> list[list[np.ndarray]]:
@@ -403,25 +409,19 @@ class StableElements:
 
         Each call resumes the lifts from the highest degree reached so far.
         """
-        for (_, _, _, twist), psis in zip(self.pairs, self._lifts):
+        for (_, _, twist), psis in zip(self.pairs, self._lifts):
             if len(psis) <= top:
                 self.resolution.lift(psis, 0, top, twist)
         return self._lifts
 
     def _condition(self, k: int, i: int) -> np.ndarray:
         """(res_t - c_d res_s) on H^i(P), reduced modulo B^i(S_t): rows per class."""
-        p, n = self.p, self.group.order
         r = self.resolution.ranks[i]
-        _, ctx_t, ctx_s, _ = self.pairs[k]
-        psi = self._lifts[k][i]
-        # c_d f = f . psi, where an S_s-cochain f takes f(e_{m, t}) on
-        # g e_m for g in the coset S_s t (trivial coefficients)
-        on_coset = np.eye(len(ctx_s.transversal), dtype=np.int64)[ctx_s._rep_of]
-        c_d = (psi.T.reshape(-1, r, n) @ on_coset).reshape(len(psi.T), -1)
-        diff = (_coset_sum_cochain(self.whole, ctx_t, i, [0])
-                - c_d @ _coset_sum_cochain(self.whole, ctx_s, i, [0])) % p
-        reduced, rank = fplinalg.rref_array(ctx_t.coboundaries(i), p)
-        return fplinalg.residual_rows(diff.T, reduced[:rank], p)
+        _, ctx_t, _ = self.pairs[k]
+        res_t = np.repeat(np.eye(r, dtype=np.int64), len(ctx_t.transversal), axis=1)
+        c_d = self._lifts[k][i].reshape(r, self.group.order, -1).sum(axis=1)
+        reduced, rank = fplinalg.rref_array(ctx_t.coboundaries(i), self.p)
+        return fplinalg.residual_rows((res_t - c_d) % self.p, reduced[:rank], self.p)
 
     def stable(self, i: int) -> np.ndarray:
         """Canonical basis (rows) of the stable classes in H^i(P)."""

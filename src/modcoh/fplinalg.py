@@ -227,29 +227,11 @@ def kernel_and_image(a, p: int):
     return basis[::-1, ::-1].copy(), columns
 
 
-def solve_array(a, b, p: int):
-    """One solution of a @ x = b (free variables zero), or None."""
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"rhs length {b.shape} does not match {a.shape[0]} rows")
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    reduced, pivots = _rref(aug, p)
-    n = a.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = reduced[row_idx, n]
-    return x
-
-
 def solve_batch(a, rhs_cols, p: int):
     """Solve a @ X = rhs for many right-hand sides at once.
 
-    rhs_cols has one rhs per column.  Returns X, or None if any column is
-    inconsistent.  Same free-variables-zero rule as solve_array.
+    rhs_cols has one rhs per column.  Returns X, one solution per column
+    with the free variables zero, or None if any column is inconsistent.
     """
     a = np.asarray(a, dtype=np.int64) % p
     rhs = np.asarray(rhs_cols, dtype=np.int64) % p

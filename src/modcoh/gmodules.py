@@ -186,10 +186,7 @@ def invariants(M: GModule) -> FpSubspace:
 
 def coinvariants(M: GModule) -> int:
     """dim M/IM where I is the augmentation ideal."""
-    eye = np.eye(M.dim, dtype=np.int64)
-    stacked = np.hstack([M.action[g] - eye for g in range(M.group.order)])
-    _, r = fplinalg.rref_array(stacked, M.p)
-    return M.dim - r
+    return M.dim - len(coinvariant_coordinates(M))
 
 
 def coinvariant_coordinates(M: GModule):

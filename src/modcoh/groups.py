@@ -375,13 +375,6 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, members)
 
 
-def centralizer(G: FiniteGroup, indices) -> Subgroup:
-    mul = G.mul
-    members = [g for g in range(G.order)
-               if all(mul[g, x] == mul[x, g] for x in indices)]
-    return Subgroup(G, members)
-
-
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     mem = H._member_set
     members = [g for g in range(G.order)

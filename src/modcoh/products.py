@@ -1,16 +1,22 @@
 """Cup products by Yoneda lifting, and splice complexes.
 
-A cocycle a in C^i = Hom_G(P_i, F_p) = F_p^{r_i} is lifted to a chain map
-tau: P_{i+*} -> P_*, stored, like the boundaries, by the images of the
-free generators: Phi_k holds tau(e_{m, 1}) in column m, of shape
-(r_k |G|) x r_{i+k}.  Phi_0 is a in row 0 (P_0 has rank one), and Phi_k
-solves d_k Phi_k = tau_{k-1} W_{i+k}, where tau_{k-1} is Phi_{k-1}
-expanded by F_p[G]-linearity and W_{i+k} are the generator columns of
-d_{i+k}: the untwisted `FreeResolution.lift`.  A right-hand side outside
-the image of d_k means the resolution is not exact there, and raises
-LiftFailure.  The product is the composite b . tau_j with the sign of the
-diagonal-approximation cup product: a cup b = (-1)^{ij} (repeat(b, |G|) @
-Phi_j).
+Restriction to a Sylow p-subgroup P is an injective ring map onto the
+stable elements of H^*(P, F_p), so `CupRing` multiplies the stable classes
+of `cohmaps.StableElements` on the minimal resolution X_* of P that gives
+the dims.  Its Hom differential is zero: a degree-i cocycle is a vector a
+in F_p^{r_i}, and H^i(G) is the span of the stable rows.
+
+a is lifted to a chain map tau: X_{i+*} -> X_*, stored, like the
+boundaries, by the images of the free generators: Phi_k holds tau(e_{m, 1})
+in column m, of shape (r_k |P|) x r_{i+k}.  Phi_0 is a in row 0 (X_0 has
+rank one), and Phi_k solves d_k Phi_k = tau_{k-1} W_{i+k}, where tau_{k-1}
+is Phi_{k-1} expanded by F_p[P]-linearity and W_{i+k} are the generator
+columns of d_{i+k}: the untwisted `FreeResolution.lift`.  A right-hand
+side outside the image of d_k means the resolution is not exact there, and
+raises LiftFailure.  The product is the composite b . tau_j with the sign
+of the diagonal-approximation cup product: a cup b = (-1)^{ij}
+(repeat(b, |P|) @ Phi_j).  A product of stable classes is stable; one
+outside their span raises InvariantViolation.
 
 Only trivial coefficients are supported: every product statement with
 acceptance data lives in H^*(G, F_p).
@@ -23,41 +29,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplinalg
-from .cohmaps import CochainComplex, context, trivial_coefficients
+from .cohmaps import CochainComplex, CohBasis, stable_elements
 from .errors import DegreeMismatch, NotMaximal
 from .gmodules import permutation_module
 from .groups import FiniteGroup, Subgroup, prime_factors
-from .resolutions import trivial_resolution
 
 
 class CupRing:
-    """Cup products on H^*(G, F_p) expressed in the canonical bases."""
+    """Cup products on H^*(G, F_p), in the bases of stable classes of H^*(P)."""
 
     def __init__(self, G: FiniteGroup, p: int, max_deg: int) -> None:
         self.group = G
         self.p = p
         self.max_deg = max_deg
-        self.module = trivial_coefficients(G, p)
-        self.context = context(G, self.module, length=max_deg + 1)
-        self.resolution = trivial_resolution(G, p, max_deg + 1)
+        self.stable_elements = stable_elements(G, p)
+        self.resolution = self.stable_elements.resolution
         self._lifts: dict[int, list[np.ndarray]] = {}
 
-    def basis(self, i: int):
-        return self.context.basis(i)
+    def basis(self, i: int) -> CohBasis:
+        return CohBasis(self.p, i, self.stable_elements.stable(i))
 
     def _lift(self, cocycles: np.ndarray, i: int, steps: int) -> list[np.ndarray]:
         """Phi_0 .. Phi_steps for the degree-i cocycles in the columns.
 
-        Entry k has shape (r_k |G|, c r_{i+k}) for c cocycles: column
+        Entry k has shape (r_k |P|, c r_{i+k}) for c cocycles: column
         a r_{i+k} + m is the image of e_{m, 1} under the lift of cocycle a.
         """
-        phi = np.zeros((self.group.order, cocycles.size), dtype=np.int64)
+        phi = np.zeros((self.resolution.group.order, cocycles.size), dtype=np.int64)
         phi[0] = cocycles.T.reshape(-1)
         return self.resolution.lift([phi], i, steps)
 
     def _compose(self, phi: np.ndarray, i: int, bs: np.ndarray, j: int) -> np.ndarray:
         """(a cup b) for every lifted a and every row b of bs, rows in (a, b) order."""
-        vals = np.repeat(bs, self.group.order, axis=1) @ phi
+        vals = np.repeat(bs, self.resolution.group.order, axis=1) @ phi
         vals = vals.reshape(len(bs), -1, self.resolution.ranks[i + j])
         sign = -1 if i * j % 2 else 1
         return (sign * vals.transpose(1, 0, 2).reshape(-1, vals.shape[2])) % self.p

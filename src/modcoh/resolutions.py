@@ -552,15 +552,20 @@ def _ascending_partitions(total: int, max_part: int):
 
 
 def auto_poincare_fit(series, max_part: int) -> PoincareFit:
-    """First fit over denominator multisets ordered by (total degree, lex)."""
+    """First fit over denominator multisets ordered by (total degree, lex).
+
+    The numerator of a fit of total degree T has degree at most T, so it
+    matches any first T + 1 terms; only the len - 1 - T terms past it check
+    the fit, and it is tried only while there are at least T of them.
+    """
     dims = _series_entries(series)
-    for total in range(0, len(dims)):
+    for total in range(0, (len(dims) + 1) // 2):
         for exps in _ascending_partitions(total, min(max_part, max(total, 1))):
             fit = poincare_fit(dims, exps)
             if fit is not None:
                 return fit
     raise NoFitFound("no rational function with the allowed denominators "
-                     "matches the series")
+                     f"is verified through degree {len(dims) - 1}")
 
 
 def pole_order_at_one(fit: PoincareFit) -> int:
@@ -578,7 +583,16 @@ def pole_order_at_one(fit: PoincareFit) -> int:
 
 
 def krull_dimension_estimate(G: FiniteGroup, p: int, max_deg: int = 12) -> int:
-    """Pole order at t = 1 of the automatically fitted Poincare series."""
-    series = cohomology_dims(G, p, max_deg)
-    fit = auto_poincare_fit(series, max_part=2 * G.order)
-    return pole_order_at_one(fit)
+    """Pole order at t = 1 of the automatically fitted Poincare series.
+
+    Without a verified fit the probe doubles, through degree 4 max_deg.
+    """
+    probe = max_deg
+    while True:
+        try:
+            fit = auto_poincare_fit(cohomology_dims(G, p, probe), max_part=2 * G.order)
+            return pole_order_at_one(fit)
+        except NoFitFound:
+            if probe >= 4 * max_deg:
+                raise
+            probe *= 2

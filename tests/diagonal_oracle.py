@@ -48,10 +48,9 @@ class DiagonalMap:
         res, p = self.resolution, self.p
         res.extend_to(self.max_deg + 1)
         aug = res.augmentation
-        rho0 = fplinalg.solve_array(aug, np.array([1]), p)
+        rho0 = fplinalg.solve_batch(aug, np.array([[1]]), p)
         if rho0 is None:
             raise LiftFailure("augmentation is not surjective")
-        rho0 = rho0.reshape(-1, 1)
         E = (rho0 @ aug) % p
         rho_amb = [None]  # index i >= 1: ambient right inverse of d_i on ker d_{i-1}
         kernels = [fplinalg.kernel_array(aug, p)]
@@ -198,3 +197,12 @@ def cup(a: np.ndarray, i: int, b: np.ndarray, j: int,
     bbar = np.repeat(np.asarray(b, dtype=np.int64) % p, n)
     weights = np.outer(abar, bbar).reshape(-1)
     return (comp.T @ weights) % p
+
+
+def product_span_dim(ctx, i: int, j: int, diag: DiagonalMap) -> int:
+    """dim span{a cup b} in H^{i+j}, over the basis classes a and b of a
+    trivial-coefficient cochain context on diag's resolution."""
+    top = ctx.basis(i + j)
+    rows = [top.class_coordinates(cup(a, i, b, j, diag)).reshape(-1)
+            for a in ctx.basis(i).classes for b in ctx.basis(j).classes]
+    return fplinalg.rref_array(np.array(rows), diag.p)[1] if rows and top.dim else 0

@@ -322,15 +322,15 @@ STRETCH_NAMES = [n for n in catalog.names(include_stretch=True)
 @pytest.mark.parametrize("name", STRETCH_NAMES)
 def test_stretch_simple_groups(name):
     with criterion("S", f"{name} dims match its presentation through degree 6, "
-                   "product spans through degree 4"):
+                   "product spans through degree 8"):
         G = catalog.get_group(name)
         rec = catalog.expected_record(name, 2)
         got = cohomology_dims(G, 2, rec.verified_through).dims
         want = catalog.expected_dims(name, 2, rec.verified_through).dims
         assert got == want
         oracle = STRETCH_PRODUCT_ORACLES[name]()
-        ring = CupRing(G, 2, 4)
-        for i in range(1, 4):
-            for j in range(i, 5 - i):
+        ring = CupRing(G, 2, 8)
+        for i in range(1, 8):
+            for j in range(i, 9 - i):
                 got = product_span_dims(G, 2, i, j, ring)
                 assert got == oracle.product_span_dim(i, j), (name, i, j, got)

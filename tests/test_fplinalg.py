@@ -9,7 +9,7 @@ from modcoh.fplinalg import (
     RowSpan,
     kernel_array,
     rref_array,
-    solve_array,
+    solve_batch,
 )
 
 PRIMES = (2, 3, 5)
@@ -108,19 +108,19 @@ class TestKernel:
 
 class TestSolve:
     def test_identity(self):
-        x = solve_array(np.eye(3, dtype=int), [1, 2, 0], 3)
-        assert x.tolist() == [1, 2, 0]
+        x = solve_batch(np.eye(3, dtype=int), [[1], [2], [0]], 3)
+        assert x.tolist() == [[1], [2], [0]]
 
     def test_inconsistent(self):
-        assert solve_array([[0, 0]], [1], 2) is None
+        assert solve_batch([[0, 0]], [[1]], 2) is None
 
     def test_free_variable_zeroed(self):
-        x = solve_array([[1, 1], [0, 0]], [1, 0], 2)
-        assert x.tolist() == [1, 0]
+        x = solve_batch([[1, 1], [0, 0]], [[1], [0]], 2)
+        assert x.tolist() == [[1], [0]]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve_array([[1, 0]], [1, 0], 2)
+            solve_batch([[1, 0]], [[1], [0]], 2)
 
     @given(matrices(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -128,8 +128,8 @@ class TestSolve:
         p, a = M
         coeffs = data.draw(st.lists(
             st.integers(0, p - 1), min_size=a.shape[1], max_size=a.shape[1]))
-        b = (a @ np.array(coeffs)) % p
-        x = solve_array(a, b, p)
+        b = (a @ np.array(coeffs)).reshape(-1, 1) % p
+        x = solve_batch(a, b, p)
         assert x is not None
         assert np.array_equal((a @ x) % p, b)
 

@@ -3,7 +3,7 @@ import pytest
 
 from modcoh import catalog
 from modcoh.cohmaps import _coset_sum_cochain, context, restriction, trivial_coefficients
-from modcoh.errors import DegreeMismatch, LiftFailure, NotMaximal
+from modcoh.errors import DegreeMismatch, InvariantViolation, LiftFailure, NotMaximal
 from modcoh.gmodules import trivial_module
 from modcoh.groups import maximal_subgroups, sylow, whole_group
 from modcoh.products import (
@@ -16,7 +16,7 @@ from modcoh.products import (
 )
 from modcoh.resolutions import FreeResolution, cohomology_dims, trivial_resolution
 
-from diagonal_oracle import cup, diagonal_approximation
+from diagonal_oracle import cup, diagonal_approximation, product_span_dim
 from presentations import PRODUCT_ORACLES
 
 
@@ -172,34 +172,47 @@ class TestCup:
                         right = ring.cup_class(a, 1, bc, 2)
                         assert np.array_equal(left, right)
 
+    def test_class_outside_the_stable_subspace_raises(self, S4):
+        # H^1(S4) is one of the two dimensions of H^1(D8): some standard
+        # basis vector of F_2^2 is not stable, and has no coordinates
+        ring = CupRing(S4, 2, 2)
+        basis = ring.basis(1)
+        outside = 0
+        for v in np.eye(ring.resolution.ranks[1], dtype=np.int64):
+            try:
+                basis.class_coordinates(v)
+            except InvariantViolation:
+                outside += 1
+        assert basis.dim == 1 and outside
+
     def test_natural_under_restriction(self, S4):
-        # res(a cup b) = res(a) cup res(b) on the shared-resolution contexts
+        # res(a cup b) = res(a) cup res(b) on the shared-resolution contexts,
+        # both products through the diagonal oracle on G's resolution
         p = 2
         M = trivial_coefficients(S4, p)
         P = sylow(S4, 2)
-        ring = CupRing(S4, p, 4)
-        diag = diagonal_approximation(ring.resolution, 4)
+        ctx = context(S4, M, length=5)
+        diag = diagonal_approximation(ctx.resolution, 4)
         sub_ctx = context(S4, M, P, length=5)
         for i, j in [(1, 1), (1, 2), (2, 2)]:
-            res_i = restriction(S4, P, M, i)
-            res_j = restriction(S4, P, M, j)
             res_ij = restriction(S4, P, M, i + j)
-            for a in ring.basis(i).classes:
-                for b in ring.basis(j).classes:
-                    top = ring.cup_class(a, i, b, j)
+            for a in ctx.basis(i).classes:
+                for b in ctx.basis(j).classes:
+                    top = ctx.basis(i + j).class_coordinates(
+                        cup(a, i, b, j, diag)).reshape(-1)
                     lhs = (res_ij.matrix @ top) % p
                     # cup on the restricted context through the diagonal
                     # oracle, cochain coordinates of the restricted cocycles
-                    av = _restrict_cochain_vec(S4, P, a, i, ring, sub_ctx)
-                    bv = _restrict_cochain_vec(S4, P, b, j, ring, sub_ctx)
+                    av = _restrict_cochain_vec(a, i, ctx, sub_ctx)
+                    bv = _restrict_cochain_vec(b, j, ctx, sub_ctx)
                     prod = _sub_cup(sub_ctx, diag, av, i, bv, j)
                     rhs = sub_ctx.basis(i + j).class_coordinates(prod).reshape(-1)
                     assert np.array_equal(lhs, rhs)
 
 
-def _restrict_cochain_vec(G, H, vec, i, ring, sub_ctx):
-    mat = _coset_sum_cochain(ring.context, sub_ctx, i, [0])
-    return (mat @ vec) % ring.p
+def _restrict_cochain_vec(vec, i, ctx, sub_ctx):
+    mat = _coset_sum_cochain(ctx, sub_ctx, i, [0])
+    return (mat @ vec) % ctx.p
 
 
 def _sub_cup(sub_ctx, diag, av, i, bv, j):
@@ -231,6 +244,31 @@ def _sub_cup(sub_ctx, diag, av, i, bv, j):
             col = diag._translate_tensor(comp[:, [k]], i, j, t).reshape(-1)
             out[k * nt + ti] = int(weights @ col % p)
     return out
+
+
+# (group, p, max_deg): span dims of CupRing against G's own resolution
+G_RESOLUTION_CASES = [
+    ("A4", 2, 6), ("S4", 2, 6), ("S3", 3, 4), ("A4", 3, 4), ("D6", 2, 5),
+    ("Z3Q16", 2, 4),
+]
+
+
+class TestAgainstGResolution:
+    """CupRing multiplies stable classes on the Sylow subgroup's minimal
+    resolution; the diagonal oracle multiplies the G-context classes on
+    G's own resolution.  Span dims do not depend on either basis."""
+
+    @pytest.mark.parametrize("name,p,max_deg", G_RESOLUTION_CASES)
+    def test_span_dims(self, name, p, max_deg):
+        G = catalog.get_group(name)
+        ring = CupRing(G, p, max_deg)
+        ctx = context(G, trivial_coefficients(G, p), length=max_deg + 1)
+        diag = diagonal_approximation(ctx.resolution, max_deg)
+        for i in range(1, max_deg):
+            for j in range(i, max_deg - i + 1):
+                assert ring.basis(i + j).dim == ctx.basis(i + j).dim, (i, j)
+                assert product_span_dims(G, p, i, j, ring) == \
+                    product_span_dim(ctx, i, j, diag), (i, j)
 
 
 class TestSpanDims:

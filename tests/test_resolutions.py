@@ -9,6 +9,7 @@ from modcoh.errors import (
     InsufficientData,
     InvariantViolation,
     MinimalityUnavailable,
+    NoFitFound,
     SeriesTooShort,
 )
 from modcoh.gmodules import (
@@ -323,7 +324,6 @@ class TestGrowthAndComplexity:
             growth_rate([1, 1, 1])
 
     def test_aperiodic_series_rejected(self):
-        from modcoh.errors import NoFitFound
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
         with pytest.raises(NoFitFound):
             growth_rate(primes)
@@ -407,6 +407,10 @@ class TestSeriesProperties:
         assert growth_rate(dims) == degree + 1
 
 
+# dim H^i(A6; F_3) for i = 0 .. 12
+A6_AT_3_THROUGH_12 = (1, 0, 1, 2, 1, 0, 1, 4, 3, 0, 3, 6, 3)
+
+
 class TestKrull:
     @pytest.mark.parametrize("name,p,expected", [
         ("Z2", 2, 1), ("Z3", 3, 1), ("Z4", 2, 1),
@@ -418,6 +422,18 @@ class TestKrull:
 
     def test_maschke_pole_zero(self, Z3):
         assert krull_dimension_estimate(Z3, 2, max_deg=8) == 0
+
+    def test_fit_needs_as_many_check_terms_as_its_total(self):
+        # (4, 8) fits this series from degree 24 on; through degree 12 only
+        # fits of total 11 or more match, each checked by at most one term
+        with pytest.raises(NoFitFound):
+            auto_poincare_fit(A6_AT_3_THROUGH_12, max_part=720)
+
+    @pytest.mark.stretch
+    def test_probe_doubles_until_a_fit_is_verified(self):
+        A6 = catalog.get_group("A6")
+        assert cohomology_dims(A6, 3, 12).dims == A6_AT_3_THROUGH_12
+        assert krull_dimension_estimate(A6, 3) == 2
 
 
 class TestCatalogGolden:

@@ -28,10 +28,11 @@ from modcoh.cohmaps import (
 from modcoh.errors import GroupTooLarge
 from modcoh.gmodules import trivial_module
 from modcoh.groups import Permutation, generate_group, prime_factors
-from modcoh.products import CupRing
+from modcoh.products import CupRing, product_span_dims
 from modcoh.resolutions import clear_resolution_cache, cohomology_dims, ext_dims
 
 import stable_oracle
+from diagonal_oracle import diagonal_approximation, product_span_dim
 
 
 def free_dims(G, p, top):
@@ -83,8 +84,8 @@ class TestAgainstGResolution:
 
 
 @st.composite
-def small_permutation_groups(draw):
-    """A group on at most 6 points, of order at most 72.
+def small_permutation_groups(draw, cap=72):
+    """A group on at most 6 points, of order at most cap (72 by default).
 
     Generators are added while the closure stays within the cap, so the
     draw never builds A6 or S6.
@@ -94,7 +95,7 @@ def small_permutation_groups(draw):
     G = None
     for k in range(1, len(perms) + 1):
         try:
-            G = generate_group(degree, [Permutation(tuple(q)) for q in perms[:k]], cap=72)
+            G = generate_group(degree, [Permutation(tuple(q)) for q in perms[:k]], cap=cap)
         except GroupTooLarge:
             break
     return G
@@ -105,6 +106,19 @@ def small_permutation_groups(draw):
 def test_random_permutation_groups(G):
     for p in prime_factors(G.order):
         assert cohomology_dims(G, p, 3).dims == free_dims(G, p, 3) == oracle_dims(G, p, 3)
+
+
+@given(small_permutation_groups(cap=24))
+@settings(max_examples=25, deadline=None)
+def test_random_permutation_group_products(G):
+    """CupRing span dims against the diagonal oracle on G's own resolution,
+    through degree 3; the oracle is quadratic in |G|, hence the lower cap."""
+    for p in prime_factors(G.order):
+        ring = CupRing(G, p, 3)
+        ctx = context(G, trivial_coefficients(G, p), length=4)
+        diag = diagonal_approximation(ctx.resolution, 3)
+        for i, j in [(1, 1), (1, 2)]:
+            assert product_span_dims(G, p, i, j, ring) == product_span_dim(ctx, i, j, diag)
 
 
 def translation(P, r, h):
@@ -127,8 +141,8 @@ def test_conjugation_lifts_are_twisted_chain_maps(name, p):
     res, P, top = state.resolution, state.group, 4
     position = {g: k for k, g in enumerate(state.members)}
     assert state.pairs
-    for (d, ctx_t, _, twist), phis in zip(state.pairs, state.lifts(top)):
-        full = [res.expand(phi, twist) for phi in phis]
+    for (d, ctx_t, twist), phis in zip(state.pairs, state.lifts(top)):
+        full = [res.expand(phi, twist) for phi in phis[: top + 1]]
         assert np.array_equal(res.augmentation @ full[0] % p, res.augmentation)
         for k in range(1, top + 1):
             D = res.boundary(k)
