@@ -31,12 +31,12 @@ import csv
 import json
 import sys
 
-from . import catalog, fileio, fplinalg
+from . import catalog, fileio
 from .actions import full_report
 from .cohmaps import double_coset_identity_check, restriction, transfer, \
     trivial_coefficients
-from .errors import InvariantViolation, ModcohError, NoExpectedData
-from .groups import FiniteGroup, center, prime_factors, subgroup_closure, sylow
+from .errors import BadParameters, InvariantViolation, ModcohError, NoExpectedData
+from .groups import FiniteGroup, center, require_prime, subgroup_closure, sylow
 from .resolutions import (
     cohomology_dims,
     complexity,
@@ -53,10 +53,10 @@ EXIT_INVARIANT = 4
 
 
 def _require_prime(p: int) -> int:
-    fplinalg.check_prime_size(p)  # before trial division, which is O(sqrt p)
-    if prime_factors(p) != [p]:
-        raise ModcohError(f"--p must be prime, got {p}")
-    return p
+    try:
+        return require_prime(p)
+    except BadParameters:
+        raise ModcohError(f"--p must be prime, got {p}") from None
 
 
 def _load_group(spec: str, cap: int) -> tuple[FiniteGroup, str | None]:

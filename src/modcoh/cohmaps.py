@@ -42,6 +42,7 @@ from .groups import (
     group_cache,
     intersect,
     normalizer,
+    require_prime,
     sylow,
     whole_group,
 )
@@ -186,9 +187,10 @@ class CochainContext:
             return self._bases[i]
         cocycles = self._eliminate(i)[0]
         cobound = self.coboundaries(i)
-        span = fplinalg.RowSpan(self.p, self.cochain_dim(i))
-        span.add_rows(cobound)
-        reps = cocycles[span.select(cocycles)]
+        if len(cocycles) == len(cobound):  # bases of B^i <= Z^i: H^i = 0
+            reps = cocycles[:0]
+        else:
+            reps = cocycles[fplinalg.independent_rows(cobound, cocycles, self.p)]
         basis = CohBasis(self.p, i, reps, cobound)
         self._bases[i] = basis
         return basis
@@ -441,6 +443,7 @@ class StableElements:
 
 def stable_elements(G: FiniteGroup, p: int) -> StableElements:
     """G's cached Sylow-local state at p."""
+    require_prime(p)
     cache = group_cache(G)
     key = ("stable", p)
     if key not in cache:
@@ -455,6 +458,7 @@ def stable_subspace(G: FiniteGroup, p: int, i: int):
     H^i(P) on P's minimal resolution (see `StableElements`).  For a p-group
     P = G and every class is stable.
     """
+    require_prime(p)
     if G.order % p:
         raise BadParameters(f"p = {p} does not divide |{G.name}| = {G.order}")
     basis = stable_elements(G, p).stable(i)

@@ -28,12 +28,24 @@ k * (p - 1)^2 < 2^53 (Dumas-Giorgi-Pernet, FFLAS-FFPACK): every partial sum
 is then an integer below 2^53, which float64 holds exactly, so the result
 equals the int64 product mod p.  Above that bound they fall back to int64.
 
+Greedy selection (keep each row that lies outside the span of a given
+span and of the rows kept before it) takes one elimination:
+`independent_rows` row-reduces the span rows and the candidate rows,
+stacked in that order and transposed.  Row operations keep every linear
+relation among columns, so column j of the RREF is a pivot exactly when
+column j of the transpose, the j-th stacked row, is not a combination of
+the rows above it.  Its pivots past the span rows are therefore the rows a
+test-then-add scan keeps, with no membership test per row.  Minimal
+resolutions and cohomology bases select this way.
+
 `RowSpan` grows incrementally.  New rows are reduced against the stored
 RREF basis, only their nonzero residuals are eliminated, the new pivot
 columns are cleared from the old rows with one product, and the rows are
 merged by pivot.  The result has the union of the pivots, is reduced, and
 spans the same space, so by uniqueness it is the RREF of all rows added so
-far.  `RowSpan.select` runs a greedy membership scan on that basis.
+far.  `RowSpan.select` hands plain rows to `independent_rows`.  With
+`expand`, where a kept row adds other rows to the span (its translates, in
+a free resolution), it scans greedily on that basis, one kept row at a time.
 
 `kernel_array` needs one elimination.  It row-reduces the matrix with its
 columns reversed and builds the usual free-column kernel basis there: each
@@ -266,6 +278,21 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
+def independent_rows(span_rows, rows, p: int) -> np.ndarray:
+    """Indices of the rows outside the span of span_rows and the rows before them.
+
+    The pivot columns of one RREF of the rows stacked under span_rows and
+    transposed; the module docstring says why they are the greedy scan's.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):  # (0, 0) rows give span_rows no width to reshape to
+        return np.zeros(0, dtype=np.intp)
+    span_rows = np.asarray(span_rows, dtype=np.int64).reshape(-1, rows.shape[1])
+    columns = np.vstack([span_rows, rows]).T.copy()  # C order, for row operations
+    pivots = np.asarray(_rref(columns, p)[1], dtype=np.intp)
+    return pivots[pivots >= len(span_rows)] - len(span_rows)
+
+
 def residual_rows(rows, rref_basis, p: int, pivots=None) -> np.ndarray:
     """Reduce rows against an RREF basis.
 
@@ -335,13 +362,18 @@ class RowSpan:
 
         Each kept row is folded in before the next row is tested, as the row
         itself or as the rows `expand(row)` returns, so the result is that
-        of a sequential test-then-add loop.  Residuals of all rows are
+        of a sequential test-then-add loop.  Without expand that is
+        `independent_rows` on the basis.  With it, residuals of all rows are
         computed once and, after each kept row, updated by the new basis
         rows only.  A row whose residual is zero lies in the span, stays
         there as the span grows, and is dropped.
         """
         p = self.p
         rows = np.asarray(rows, dtype=np.int64)
+        if expand is None:
+            kept = independent_rows(self._basis, rows, p)
+            self.add_rows(rows[kept])
+            return kept
         res = residual_rows(rows, self._basis, p, self._pivots)
         # What the scan adds, reduced against the basis, grows as its own
         # span and is merged once at the end: each step then updates only
@@ -353,12 +385,9 @@ class RowSpan:
         while len(idx):
             i = int(idx[0])
             kept.append(i)
-            if expand is None:
-                new, new_pivots = fresh._absorb(res[:1])
-            else:
-                added = residual_rows(expand(rows[i]), self._basis, p, self._pivots)
-                new, new_pivots = fresh._absorb(
-                    residual_rows(added, fresh._basis, p, fresh._pivots))
+            added = residual_rows(expand(rows[i]), self._basis, p, self._pivots)
+            new, new_pivots = fresh._absorb(
+                residual_rows(added, fresh._basis, p, fresh._pivots))
             idx, res = idx[1:], res[1:]
             if len(new_pivots) and len(idx):
                 res -= _matmul_mod(res[:, new_pivots], new, p)

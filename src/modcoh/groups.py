@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, GroupTooLarge, NonPermutation
+from .fplinalg import check_prime_size
 
 DEFAULT_SIZE_CAP = 2000
 
@@ -33,6 +34,14 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def require_prime(p: int) -> int:
+    """p itself, or BadParameters when p is not a prime (PrimeTooLarge above MAX_PRIME)."""
+    check_prime_size(p)  # before trial division, which is O(sqrt p)
+    if prime_factors(p) != [p]:
+        raise BadParameters(f"p = {p} is not a prime")
+    return p
 
 
 def is_p_power(n: int, p: int) -> bool:
@@ -566,37 +575,3 @@ def _hyperplane_functionals(p, k):
         if canon not in seen:
             seen.add(canon)
             yield canon
-
-
-def is_isomorphic(A: FiniteGroup, B: FiniteGroup) -> bool:
-    """Brute-force isomorphism test by generator-image search."""
-    if A.order != B.order:
-        return False
-    if A.order == 1:
-        return True
-    gens = list(_greedy_generators(list(A.elements)))
-    gen_orders = [A.element_order(g) for g in gens]
-    candidates = [[b for b in range(B.order) if B.element_order(b) == o]
-                  for o in gen_orders]
-
-    def try_assignment(images):
-        phi = {0: 0}
-        frontier = [0]
-        gen_map = dict(zip(gens, images))
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g, img in gen_map.items():
-                    ag = int(A.mul[a, g])
-                    target = int(B.mul[phi[a], img])
-                    if ag in phi:
-                        if phi[ag] != target:
-                            return False
-                    else:
-                        phi[ag] = target
-                        nxt.append(ag)
-            frontier = nxt
-        return len(set(phi.values())) == A.order
-
-    from itertools import product as iproduct
-    return any(try_assignment(images) for images in iproduct(*candidates))

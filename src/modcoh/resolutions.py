@@ -9,12 +9,18 @@ the full matrix, |G| times wider, only where one is needed (the kernel of
 the newest stage, exactness checks, text output, chain-map lifts).
 
 Minimal resolutions are constructed only over p-groups, where the
-augmentation ideal is the radical; for other groups a greedily pruned free
-resolution is used and all Ext dimensions come out of the Hom complex,
-which is resolution-independent.  H^*(G, F_p) itself never needs the
-larger one: every group gets it as the stable elements of H^*(P, F_p)
-on the minimal resolution of a Sylow p-subgroup P (`cohomology_dims`;
-P = G for a p-group).
+augmentation ideal I is the radical: by Nakayama, a minimal generating set
+of the kernel K of the newest stage lifts a basis of K / I . K, picked as
+the kernel rows outside I . K (`fplinalg.independent_rows`).  I . K is
+spanned by (s - 1) . K for the generators s of G alone, not for every
+element: K is a submodule, and (gs - 1) k = (g - 1)(s . k) + (s - 1) k, so
+by induction on word length every (g - 1) . K lies in that span.
+
+For other groups a greedily pruned free resolution is used and all Ext
+dimensions come out of the Hom complex, which is resolution-independent.
+H^*(G, F_p) itself never needs the larger one: every group gets it as the
+stable elements of H^*(P, F_p) on the minimal resolution of a Sylow
+p-subgroup P (`cohomology_dims`; P = G for a p-group).
 
 `FreeResolution.lift` is the one chain-map lift, stored by generator
 images like the boundaries: cup products lift cocycles with it, and
@@ -104,12 +110,11 @@ class FreeResolution:
 
     def _stage_zero_generators(self, M: GModule, pad_rank0: bool):
         eye = np.eye(M.dim, dtype=np.int64)
-        acc = RowSpan(M.p, M.dim)
         if self.minimal:
-            acc.add_rows(gmodules.coinvariant_coordinates(M))
-            kept = acc.select(eye)
+            kept = fplinalg.independent_rows(
+                gmodules.coinvariant_coordinates(M), eye, M.p)
         else:
-            kept = acc.select(eye, expand=lambda v: M.action @ v)
+            kept = RowSpan(M.p, M.dim).select(eye, expand=lambda v: M.action @ v)
         gens = [eye[i] for i in kept]
         if pad_rank0 and gens:
             gens.append(gens[0])
@@ -152,18 +157,27 @@ class FreeResolution:
         """The full matrix of d_i, r_{i-1}|G| x r_i|G|."""
         return self.expand(self.boundaries[i - 1])
 
+    def _radical_rows(self, rows: np.ndarray, rank: int) -> np.ndarray:
+        """(s - 1) . rows for each generator s of G, rows in F_p[G]^rank.
+
+        For a submodule K they span I . K (module docstring).
+        """
+        n = self._n
+        shaped = rows.reshape(len(rows), rank, n)
+        # moved[k, j, s, h] = (s . row_k)[j n + h] = row_k[j n + s^{-1} h]
+        moved = shaped[:, :, self._take[list(self.group.generator_indices)]]
+        moved = (moved - shaped[:, :, None]) % self.p
+        return moved.transpose(2, 0, 1, 3).reshape(-1, rank * n)
+
     def _kernel_generators(self, kernel_rows: np.ndarray, rank_prev: int):
-        p, n = self.p, self._n
-        acc = RowSpan(p, rank_prev * n)
+        if not len(kernel_rows):  # a zero module's (0, 0) kernel has no row width
+            return kernel_rows
         if self.minimal:
-            if len(kernel_rows):
-                translated = self.expand(kernel_rows.T).T
-                tiled = np.repeat(kernel_rows, n, axis=0)
-                acc.add_rows((translated - tiled) % p)  # spans I . K
-            kept = acc.select(kernel_rows)
+            kept = fplinalg.independent_rows(
+                self._radical_rows(kernel_rows, rank_prev), kernel_rows, self.p)
         else:
-            kept = acc.select(kernel_rows,
-                              expand=lambda row: self.expand(row.reshape(-1, 1)).T)
+            kept = RowSpan(self.p, rank_prev * self._n).select(
+                kernel_rows, expand=lambda row: self.expand(row.reshape(-1, 1)).T)
         return kernel_rows[kept]
 
     def _append_stage(self) -> None:

@@ -2,13 +2,19 @@
 
 Modules are direct sums and tensors of catalog building blocks (trivial,
 regular, permutation and dual-permutation modules), generated with a fixed
-seed so every run sees the same 50 modules.
+seed so every run sees the same 50 modules.  Also shared: the catalog's
+closure under 2-generated subgroups, a Hypothesis strategy for small
+permutation groups, and a brute-force isomorphism test.
 """
 
 import functools
+import itertools
 import random
 
+from hypothesis import strategies as st
+
 from modcoh import catalog
+from modcoh.errors import GroupTooLarge
 from modcoh.gmodules import (
     direct_sum,
     dual_module,
@@ -17,7 +23,7 @@ from modcoh.gmodules import (
     tensor_module,
     trivial_module,
 )
-from modcoh.groups import center, subgroup_closure, sylow
+from modcoh.groups import Permutation, center, generate_group, subgroup_closure, sylow
 
 CORPUS_SEED = 20260810
 CORPUS_GROUPS = ("Z4", "Q8", "D8", "A4")
@@ -79,3 +85,53 @@ def catalog_closure(max_order=100):
                     subs[S.member_indices] = S
         out.extend(S.as_group() for S in subs.values())
     return tuple(out)
+
+
+def is_isomorphic(A, B):
+    """Brute-force isomorphism test by generator-image search."""
+    if A.order != B.order:
+        return False
+    if A.order == 1:
+        return True
+    gens = A.generator_indices
+    candidates = [[b for b in range(B.order) if B.element_order(b) == A.element_order(g)]
+                  for g in gens]
+
+    def try_assignment(images):
+        phi = {0: 0}
+        frontier = [0]
+        gen_map = dict(zip(gens, images))
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g, img in gen_map.items():
+                    ag = int(A.mul[a, g])
+                    target = int(B.mul[phi[a], img])
+                    if ag in phi:
+                        if phi[ag] != target:
+                            return False
+                    else:
+                        phi[ag] = target
+                        nxt.append(ag)
+            frontier = nxt
+        return len(set(phi.values())) == A.order
+
+    return any(try_assignment(images) for images in itertools.product(*candidates))
+
+
+@st.composite
+def small_permutation_groups(draw, cap=72):
+    """A group on at most 6 points, of order at most cap (72 by default).
+
+    Generators are added while the closure stays within the cap, so the
+    draw never builds A6 or S6.
+    """
+    degree = draw(st.integers(2, 6))
+    perms = draw(st.lists(st.permutations(list(range(degree))), min_size=1, max_size=3))
+    G = None
+    for k in range(1, len(perms) + 1):
+        try:
+            G = generate_group(degree, [Permutation(tuple(q)) for q in perms[:k]], cap=cap)
+        except GroupTooLarge:
+            break
+    return G

@@ -6,10 +6,11 @@ from modcoh.errors import BadParameters, NoExpectedData, NotAnAutomorphism
 from modcoh.groups import (
     center,
     elementary_abelian_subgroups,
-    is_isomorphic,
     p_rank,
     subgroup_closure,
 )
+
+from corpus import is_isomorphic
 
 
 class TestConstructors:

@@ -7,6 +7,7 @@ from modcoh.errors import DimensionMismatch
 from modcoh.fplinalg import (
     FpSubspace,
     RowSpan,
+    independent_rows,
     kernel_array,
     rref_array,
     solve_batch,
@@ -487,3 +488,74 @@ class TestPrimeBound:
         from modcoh.errors import PrimeTooLarge
         with pytest.raises(PrimeTooLarge):
             rref_array([[1, 2], [3, 4]], 4294967311)
+
+
+def _greedy(p, width, span_rows, rows):
+    ref = _SequentialRowSpan(p, width)
+    ref.add_rows(span_rows)
+    return ref.select(np.asarray(rows, dtype=np.int64).reshape(-1, width))
+
+
+class TestIndependentRows:
+    """independent_rows against the sequential test-then-add scan."""
+
+    def test_matches_sequential_scan(self):
+        rng = np.random.default_rng(53)
+        for p in DIFF_PRIMES:
+            for width, n_span, n_rows in ((1, 2, 5), (6, 3, 20), (23, 8, 12), (40, 0, 9)):
+                for kind in ("full", "deficient", "zero"):
+                    span_rows = _random_matrix(rng, p, (n_span, width), "deficient")
+                    rows = _random_matrix(rng, p, (n_rows, width), kind)
+                    rows = np.vstack([rows, rows[:2], span_rows[:1]])
+                    got = independent_rows(span_rows, rows, p)
+                    assert got.tolist() == _greedy(p, width, span_rows, rows)
+
+    def test_gf2_packed_path(self, monkeypatch):
+        from modcoh import fplinalg
+        packed = []
+        real = fplinalg._rref_gf2
+        monkeypatch.setattr(fplinalg, "_rref_gf2",
+                            lambda a, p: packed.append(a.shape) or real(a, p))
+        rng = np.random.default_rng(59)
+        for width, n_span, n_rows in ((64, 96, 120), (30, 150, 60), (300, 40, 200)):
+            for kind in ("full", "deficient"):
+                span_rows = _random_matrix(rng, 2, (n_span, width), "deficient")
+                rows = _random_matrix(rng, 2, (n_rows, width), kind)
+                assert n_span + n_rows >= fplinalg._GF2_PACK_THRESHOLD
+                got = independent_rows(span_rows, rows, 2)
+                assert got.tolist() == _greedy(2, width, span_rows, rows)
+        assert len(packed) == 6
+
+    def test_empty_span_no_rows_and_zero_rows(self):
+        empty = np.zeros((0, 4), dtype=np.int64)
+        assert independent_rows(empty, empty, 5).tolist() == []
+        assert independent_rows([[1, 0, 0, 0]], empty, 5).tolist() == []
+        assert independent_rows(empty, np.zeros((3, 4), dtype=np.int64), 5).tolist() == []
+        rows = [[0, 5, 0, 0], [0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [1, 4, 0, 0]]
+        assert independent_rows(empty, rows, 5).tolist() == [1, 2]
+        assert independent_rows([[0, 0, 0, 0]], rows, 5).tolist() == [1, 2]
+        assert independent_rows([[0, 1, 0, 0]], rows, 5).tolist() == [2]
+
+    def test_more_rows_than_width(self):
+        rng = np.random.default_rng(61)
+        empty = np.zeros((0, 4), dtype=np.int64)
+        for p in (2, 3, 101):
+            rows = rng.integers(0, p, size=(30, 4))
+            got = independent_rows(empty, rows, p)
+            assert got.tolist() == _greedy(p, 4, empty, rows)
+            assert len(got) == rref_array(rows, p)[1] <= 4
+
+    def test_projective_module_resolution_terminates(self):
+        """A projective module's minimal resolution stops after P_0: later
+        stages meet an empty kernel, (0, 0) for the zero module, and
+        selection must not run on it."""
+        from modcoh import catalog
+        from modcoh.gmodules import GModule, direct_sum, regular_module
+        from modcoh.resolutions import complexity, free_resolution, is_projective
+        D8 = catalog.get_group("D8")
+        zero = GModule(D8, 2, np.zeros((8, 0, 0), dtype=np.int64))
+        regular = regular_module(D8, 2)
+        for M in (zero, regular, direct_sum(regular, regular)):
+            assert is_projective(M)
+            assert complexity(M) == 0
+            assert free_resolution(M, 4, minimal=True).ranks == [M.dim // 8, 0, 0, 0, 0]

@@ -15,17 +15,19 @@ from modcoh.groups import (
     elementary_abelian_subgroups,
     frattini_subgroup,
     generate_group,
-    is_isomorphic,
     is_p_power,
     maximal_subgroups,
     normalizer,
     p_rank,
     prime_factors,
+    require_prime,
     subgroup_closure,
     sylow,
     trivial_subgroup,
     whole_group,
 )
+
+from corpus import is_isomorphic
 
 # local constructions so this file does not depend on the catalog module
 
@@ -234,6 +236,17 @@ class TestPrimeFactors:
         for p in (2, 3, 5, 7, 11):
             for n in range(1, 3000):
                 assert is_p_power(n, p) == ((n, p) in powers), (n, p)
+
+    def test_require_prime(self):
+        from modcoh.errors import PrimeTooLarge
+        for p in (2, 3, 5, 2 ** 21 - 19):
+            assert require_prime(p) == p
+        for p in (-3, 0, 1, 4, 6, 9, 2 ** 21 - 1):
+            with pytest.raises(BadParameters):
+                require_prime(p)
+        # refused by size before the O(sqrt p) trial division
+        with pytest.raises(PrimeTooLarge):
+            require_prime(4294967311)
 
 
 class TestSylow:

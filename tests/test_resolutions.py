@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoh import catalog
+from modcoh import catalog, fplinalg
 from modcoh.errors import (
     ElementaryAbelianInput,
     InsufficientData,
@@ -21,7 +23,7 @@ from modcoh.gmodules import (
     tensor_module,
     trivial_module,
 )
-from modcoh.groups import center, sylow
+from modcoh.groups import center, prime_factors, sylow
 from modcoh.resolutions import (
     DimSeries,
     FreeResolution,
@@ -43,7 +45,7 @@ from modcoh.resolutions import (
     trivial_resolution,
 )
 
-from corpus import build_corpus
+from corpus import build_corpus, small_permutation_groups
 
 
 class TestConstruction:
@@ -123,6 +125,59 @@ class TestConstruction:
         golden = pathlib.Path(__file__).parent / "data" / \
             "z4_minimal_resolution.txt"
         assert res.to_text() == golden.read_text()
+
+
+# SHA-256 of to_text() through degree 6 of the minimal resolution of F_2 over
+# a Sylow 2-subgroup, pinned before generator selection became one elimination
+# and I . K came from the generators of P: the generators chosen, and so every
+# boundary, must not move.
+SYLOW_2_RESOLUTION_SHA256 = {
+    "Z2xZ2": "ed713a3773e8cca50590b109f6e37dd7a431c8601ce3f5500be545f971f7d7e1",
+    "Z2xZ2xZ2": "838c60b622a6df379d92db2715fe00f76e3c0edb31ad1616f99e7844b47463f7",
+    "D8": "a410f3ccd06e32963f7d1792621539624ddd3769a8b19a3e49ad39932d115705",
+    "Q8": "f45c892e3803dce3bd4d0aff37f7df2c10c53e6c28a8fe2166c0fdd7f7174758",
+    "Q16": "ca594fb99aa6e4c3941c503044250f96d0a7408870fa768fe7b891a9e7798385",
+    "A4": "d53522cb58c05c1f5204724c932f5a75b6cad746f7163e67417151f3d5fbec08",
+    "S4": "c0575aca806153372c126a4dce58ac10c2da77f0f7e9487596244b255455d3ee",
+    "Z3Q16": "456437502c701c17f352b3d6af824b20ea29102eea387d7bd5a1beb0da803d95",
+}
+
+
+class TestMinimalGoldens:
+    @pytest.mark.parametrize("name", sorted(SYLOW_2_RESOLUTION_SHA256))
+    def test_sylow_resolution_text_is_pinned(self, name):
+        P = sylow(catalog.get_group(name), 2).as_group()
+        res = free_resolution(trivial_module(P, 2), 6, minimal=True)
+        digest = hashlib.sha256(res.to_text().encode()).hexdigest()
+        assert digest == SYLOW_2_RESOLUTION_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(SYLOW_2_RESOLUTION_SHA256))
+    def test_radical_from_generators_spans_i_times_k(self, name):
+        P = sylow(catalog.get_group(name), 2).as_group()
+        _assert_radical_spans_agree(trivial_module(P, 2), 6)
+
+    @given(small_permutation_groups())
+    @settings(max_examples=15, deadline=None)
+    def test_radical_from_generators_on_random_sylow_subgroups(self, G):
+        for p in prime_factors(G.order):
+            _assert_radical_spans_agree(trivial_module(sylow(G, p).as_group(), p), 3)
+
+
+def _assert_radical_spans_agree(M, length):
+    """sum_s (s - 1) K over the generators s of G, against sum_g (g - 1) K
+    over every element g, for the kernel K at each stage of M's minimal
+    resolution: equal RREFs."""
+    res = free_resolution(M, length, minimal=True)
+    p, n = res.p, res.group.order
+    kernels = [fplinalg.kernel_array(res.augmentation, p)]
+    kernels += [fplinalg.kernel_array(res.boundary(i), p) for i in range(1, length + 1)]
+    for rank, K in zip(res.ranks, kernels):
+        if not len(K):
+            continue
+        every = (res.expand(K.T).T - np.repeat(K, n, axis=0)) % p
+        want, r = fplinalg.rref_array(every, p)
+        got, s = fplinalg.rref_array(res._radical_rows(K, rank), p)
+        assert s == r and np.array_equal(got[:s], want[:r])
 
 
 def _boundary_by_loop(res, i):

@@ -14,7 +14,6 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from modcoh import catalog, groups
 from modcoh.cohmaps import (
@@ -25,13 +24,14 @@ from modcoh.cohmaps import (
     stable_subspace,
     trivial_coefficients,
 )
-from modcoh.errors import GroupTooLarge
+from modcoh.errors import BadParameters
 from modcoh.gmodules import trivial_module
-from modcoh.groups import Permutation, generate_group, prime_factors
+from modcoh.groups import prime_factors
 from modcoh.products import CupRing, product_span_dims
 from modcoh.resolutions import clear_resolution_cache, cohomology_dims, ext_dims
 
 import stable_oracle
+from corpus import small_permutation_groups
 from diagonal_oracle import diagonal_approximation, product_span_dim
 
 
@@ -70,6 +70,16 @@ class TestAgainstGResolution:
     def test_prime_not_dividing_the_order(self, S4):
         assert cohomology_dims(S4, 5, 6).dims == free_dims(S4, 5, 6) == (1,) + (0,) * 6
 
+    @pytest.mark.parametrize("p", [0, 1, 4, 6])
+    def test_non_prime_p_raises_before_any_work(self, S4, p):
+        calls = (lambda: cohomology_dims(S4, p, 3), lambda: stable_subspace(S4, p, 1),
+                 lambda: stable_elements(S4, p), lambda: CupRing(S4, p, 2))
+        for call in calls:
+            clear_resolution_cache()
+            with pytest.raises(BadParameters):
+                call()
+            assert groups.group_cache(S4) == {}
+
     @pytest.mark.parametrize("name,p", prime_cases(catalog.names(), p_groups=True))
     def test_p_groups_through_degree_8(self, name, p):
         """P = G: the dims are the ranks of G's minimal resolution."""
@@ -81,24 +91,6 @@ class TestAgainstGResolution:
             dim, basis = stable_subspace(D8, 2, i)
             assert np.array_equal(basis, np.eye(i + 1, dtype=np.int64))
         assert not stable_elements(D8, 2).pairs
-
-
-@st.composite
-def small_permutation_groups(draw, cap=72):
-    """A group on at most 6 points, of order at most cap (72 by default).
-
-    Generators are added while the closure stays within the cap, so the
-    draw never builds A6 or S6.
-    """
-    degree = draw(st.integers(2, 6))
-    perms = draw(st.lists(st.permutations(list(range(degree))), min_size=1, max_size=3))
-    G = None
-    for k in range(1, len(perms) + 1):
-        try:
-            G = generate_group(degree, [Permutation(tuple(q)) for q in perms[:k]], cap=cap)
-        except GroupTooLarge:
-            break
-    return G
 
 
 @given(small_permutation_groups())
