@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -255,6 +256,7 @@ def cmd_module(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser unchanged, so main builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modcoh",
@@ -305,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handler = {
         "dims": cmd_dims,
         "poincare": cmd_poincare,

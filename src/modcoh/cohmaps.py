@@ -72,13 +72,17 @@ class CohBasis:
     Coordinates drop the coboundaries.  Without coboundaries (a zero Hom
     differential, as on a minimal resolution with trivial coefficients) a
     vector outside the span of the classes is no cocycle of this basis.
+    When H^i = 0 every cocycle is a coboundary, so the coordinates are
+    empty; the differential delta^i then checks that a vector is a cocycle.
     """
 
     def __init__(self, p: int, degree: int, reps: np.ndarray,
-                 coboundaries: np.ndarray | None = None) -> None:
+                 coboundaries: np.ndarray | None = None,
+                 differential: np.ndarray | None = None) -> None:
         self.p = p
         self.degree = degree
         self.classes = reps          # rows: cocycle vectors
+        self._delta = differential
         if coboundaries is None:
             self._solver = reps.T
         elif len(reps):
@@ -96,6 +100,9 @@ class CohBasis:
         if cols.ndim == 1:
             cols = cols.reshape(-1, 1)
         if self._solver is None:
+            # int64 is exact: fewer than 2^21 terms below (p - 1)^2 each
+            if self._delta is not None and (self._delta @ (cols % self.p) % self.p).any():
+                raise InvariantViolation("vector is not a cocycle of this basis")
             return np.zeros((0, cols.shape[1]), dtype=np.int64)
         sol = fplinalg.solve_batch(self._solver, cols, self.p)
         if sol is None:
@@ -191,7 +198,7 @@ class CochainContext:
             reps = cocycles[:0]
         else:
             reps = cocycles[fplinalg.independent_rows(cobound, cocycles, self.p)]
-        basis = CohBasis(self.p, i, reps, cobound)
+        basis = CohBasis(self.p, i, reps, cobound, self.differential(i))
         self._bases[i] = basis
         return basis
 

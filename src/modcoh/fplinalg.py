@@ -5,8 +5,8 @@ rank / kernel / solve over F_p, so the contracts here are deliberately
 rigid: reduced row echelon form is the *unique* RREF with pivots chosen
 left-to-right, which makes every derived basis canonical and reproducible.
 
-A bit-packed GF(2) elimination path kicks in for wide matrices; it is an
-optimization only, the computed RREF is identical by uniqueness.
+Over GF(2), at every shape, each row is one Python int and a row operation
+is one XOR (`_rref_gf2`); by uniqueness the RREF is the generic one.
 
 Pivots are computed once and kept: `_rref` returns the pivot columns with
 the RREF, and `FpSubspace` and `RowSpan` store them beside their bases, so
@@ -14,13 +14,14 @@ membership tests (`residual_rows`) never search for them again.  A basis
 that comes without its pivots gets them from `pivot_columns`, the one
 place that reads pivots off an RREF.
 
-The generic elimination reduces mod p lazily: only the pivot column and
-the pivot row are reduced at each step, the rank-1 updates run unreduced,
-and one final `% p` makes the result canonical.  An unreduced entry stays
-below p + rank * (p - 1)^2 in absolute value, and a dot product of length L
-below L * (p - 1)^2.  All arithmetic is int64, so the prime is capped at
-`MAX_PRIME` = 2^21: then (p - 1)^2 < 2^42, which leaves room for 2^21 terms
-before 2^63.  Larger primes raise `PrimeTooLarge` instead of wrapping.
+The generic elimination, which serves every odd p, reduces mod p lazily:
+only the pivot column and the pivot row are reduced at each step, the
+rank-1 updates run unreduced, and one final `% p` makes the result
+canonical.  An unreduced entry stays below p + rank * (p - 1)^2 in absolute
+value, and a dot product of length L below L * (p - 1)^2.  All arithmetic
+is int64, so the prime is capped at `MAX_PRIME` = 2^21: then
+(p - 1)^2 < 2^42, which leaves room for 2^21 terms before 2^63.  Larger
+primes raise `PrimeTooLarge` instead of wrapping.
 
 Products of residue matrices (`_matmul_mod`) run in float64 BLAS with one
 `fmod` at the end whenever the inner dimension k satisfies
@@ -61,9 +62,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, PrimeTooLarge
-
-# Use the packed GF(2) path once rows are at least this wide.
-_GF2_PACK_THRESHOLD = 192
 
 # Largest admissible modulus; the module docstring gives the int64 bound.
 MAX_PRIME = 2 ** 21
@@ -119,7 +117,7 @@ class FpSubspace:
 # -- array-level kernels ----------------------------------------------------
 
 def _rref_mod(a: np.ndarray, p: int):
-    """Generic modular Gauss-Jordan; returns (rref, pivot column list).
+    """Generic modular Gauss-Jordan (`_rref` calls it for odd p); returns (rref, pivots).
 
     Reduction mod p is lazy.  Each step reduces the column it searches and
     the pivot row, so pivot choices and multipliers are those of an eager
@@ -160,47 +158,48 @@ def _rref_mod(a: np.ndarray, p: int):
     return np.mod(a, p, out=a), pivots
 
 
-def _pack_gf2(a: np.ndarray) -> np.ndarray:
-    return np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+def _rref_gf2(a: np.ndarray):
+    """Gauss-Jordan over GF(2) on rows held as Python ints; same result as _rref_mod.
 
-
-def _unpack_gf2(packed: np.ndarray, ncols: int) -> np.ndarray:
-    out = np.unpackbits(packed, axis=1, bitorder="little", count=ncols)
-    return out.astype(np.int64)
-
-
-def _rref_gf2(a: np.ndarray, p: int):
-    """Bit-packed Gauss-Jordan over GF(2); same result as _rref_mod."""
+    Column j of n is bit n - 1 - j: a row's leading column is n - bit_length.
+    Rows are XOR-ed into an echelon table, then back-substituted.
+    """
     m, n = a.shape
-    packed = _pack_gf2(np.mod(a, 2))
-    # row operations keep a zero column zero: search only the others
-    live = _unpack_gf2(np.bitwise_or.reduce(packed, axis=0)[None], n)[0]
-    r = 0
-    pivots: list[int] = []
-    for col in live.nonzero()[0].tolist():
-        if r == m:
-            break
-        word, bit = col >> 3, np.uint8(1 << (col & 7))
-        hits = np.nonzero(packed[r:, word] & bit)[0]
-        if hits.size == 0:
-            continue
-        piv = r + int(hits[0])
-        if piv != r:
-            packed[[r, piv]] = packed[[piv, r]]
-        mask = (packed[:, word] & bit).astype(bool)
-        mask[r] = False
-        if mask.any():
-            packed[mask] ^= packed[r]
-        pivots.append(col)
-        r += 1
-    return _unpack_gf2(packed, n), pivots
+    width, pad = -(-n // 8), -n % 8
+    buf = np.packbits(a & 1, axis=1).tobytes()
+    echelon = [0] * (n + 1)  # echelon[k]: the row with bit_length k, if any
+    leads: list[int] = []
+    for i in range(m):
+        row = int.from_bytes(buf[i * width:(i + 1) * width], "big") >> pad
+        while row:
+            lead = row.bit_length()
+            other = echelon[lead]
+            if not other:
+                echelon[lead] = row
+                leads.append(lead)
+                break
+            row ^= other
+    leads.sort()
+    pivot_bits = 0
+    for lead in leads:
+        row = echelon[lead]
+        hits = row & pivot_bits
+        while hits:
+            hit = hits.bit_length()
+            row ^= echelon[hit]
+            hits ^= 1 << (hit - 1)
+        echelon[lead] = row
+        pivot_bits |= 1 << (lead - 1)
+    rows = b"".join((echelon[lead] << pad).to_bytes(width, "big") for lead in leads[::-1])
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(leads), width)
+    out = np.zeros((m, n), dtype=np.int64)
+    out[: len(leads)] = np.unpackbits(bits, axis=1, count=n)
+    return out, [n - lead for lead in reversed(leads)]
 
 
 def _rref(a: np.ndarray, p: int):
     check_prime_size(p)
-    if p == 2 and a.shape[1] >= _GF2_PACK_THRESHOLD and a.shape[0] > 0:
-        return _rref_gf2(a, p)
-    return _rref_mod(a, p)
+    return _rref_gf2(a) if p == 2 else _rref_mod(a, p)
 
 
 def rref_array(a, p: int):

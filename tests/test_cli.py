@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modcoh import catalog, fileio
-from modcoh.cli import main
+from modcoh.cli import build_parser, main
 from modcoh.gmodules import permutation_module, regular_module
 from modcoh.groups import center
 
@@ -18,6 +18,34 @@ def run(argv):
 def module_file_for(G, module):
     mats = [module.action[i] for i in G.generator_indices]
     return fileio.format_module_file(module.p, mats)
+
+
+class TestParserReuse:
+    ARGVS = (["dims", "--group", "Q8", "--p", "2", "--max-deg", "4"],
+             ["maps", "--group", "A4", "--p", "2", "--sub", "sylow:2",
+              "--max-deg", "2", "--format", "csv"],
+             ["dims", "--group", "Q8"],
+             ["nosuch"])
+
+    def _session(self, capsys):
+        seen = []
+        for argv in self.ARGVS:
+            try:
+                seen.append(run(argv))
+            except SystemExit as exc:
+                seen.append(("exit", exc.code))
+            seen.append(capsys.readouterr().err)
+        return seen
+
+    def test_one_parser_gives_the_first_calls_answers(self, capsys):
+        build_parser.cache_clear()
+        first = self._session(capsys)
+        parser = build_parser()
+        assert self._session(capsys) == first
+        assert build_parser() is parser
+        assert first[0][0] == first[2][0] == 0
+        assert first[4] == first[6] == ("exit", 2)
+        assert "required" in first[5] and "invalid choice" in first[7]
 
 
 class TestDims:

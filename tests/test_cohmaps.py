@@ -17,7 +17,7 @@ from modcoh.cohmaps import (
     _coset_sum_cochain,
     _transfer_reps,
 )
-from modcoh.errors import SylowNotAbelian
+from modcoh.errors import InvariantViolation, SylowNotAbelian
 from modcoh.gmodules import regular_module, trivial_module
 from modcoh.groups import (
     Permutation,
@@ -50,6 +50,20 @@ class TestCohBasis:
 
     def test_a4_degree_one_empty(self, A4):
         assert coh_basis(A4, trivial_coefficients(A4, 2), 1).dim == 0
+
+    def test_zero_cohomology_rejects_non_cocycles(self, S4):
+        ctx = context(S4, trivial_coefficients(S4, 3), length=3)
+        b = ctx.basis(2)
+        cobound = ctx.coboundaries(2)
+        assert b.dim == 0 and len(cobound)
+        assert b.class_coordinates(cobound.T).shape == (0, len(cobound))
+        delta = ctx.differential(2)
+        v = np.zeros(ctx.cochain_dim(2), dtype=np.int64)
+        v[np.flatnonzero(delta.any(axis=0))[0]] = 4  # 1 mod 3
+        with pytest.raises(InvariantViolation):
+            b.class_coordinates(v)
+        with pytest.raises(InvariantViolation):
+            b.class_coordinates(np.column_stack([cobound[0], v]))
 
     def test_representatives_are_cocycles(self, Q8):
         M = trivial_coefficients(Q8, 2)

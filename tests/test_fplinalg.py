@@ -67,7 +67,7 @@ class TestRref:
         a = rng.integers(0, 2, size=(40, 300))
         from modcoh.fplinalg import _rref_gf2, _rref_mod
         ra, pa = _rref_mod(a.copy(), 2)
-        rb, pb = _rref_gf2(a.copy(), 2)
+        rb, pb = _rref_gf2(a.copy())
         assert pa == pb
         assert np.array_equal(ra, rb)
 
@@ -253,6 +253,20 @@ def _cases(seed):
                 yield p, _random_matrix(rng, p, shape, kind)
 
 
+# GF(2) widths around byte and word boundaries, and past 192 columns
+GF2_WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 191, 192, 229)
+
+
+def _spy_gf2(monkeypatch):
+    """(asked, reached): the p of each `_rref` call, the shape of each `_rref_gf2` call."""
+    from modcoh import fplinalg
+    asked, reached = [], []
+    rref, gf2 = fplinalg._rref, fplinalg._rref_gf2
+    monkeypatch.setattr(fplinalg, "_rref", lambda a, p: asked.append(p) or rref(a, p))
+    monkeypatch.setattr(fplinalg, "_rref_gf2", lambda a: reached.append(a.shape) or gf2(a))
+    return asked, reached
+
+
 class TestLazyElimination:
     def test_lazy_matches_eager(self):
         from modcoh.fplinalg import _rref_mod
@@ -272,19 +286,69 @@ class TestLazyElimination:
             assert pa == pb
             assert np.array_equal(ra, rb)
 
-    def test_packed_gf2_matches_eager_above_threshold(self):
-        from modcoh.fplinalg import _GF2_PACK_THRESHOLD, _rref, _rref_mod
+    def test_packed_gf2_matches_eager_at_every_width(self, monkeypatch):
+        from modcoh import fplinalg
+        from modcoh.fplinalg import _rref_mod
+        asked, reached = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(3)
-        n = _GF2_PACK_THRESHOLD + 37
-        for m in (1, 8, 60, 300):
-            for kind in ("full", "deficient", "zero"):
-                a = _random_matrix(rng, 2, (m, n), kind)
-                ra, pa = _rref(a.copy(), 2)
-                rb, pb = _rref_mod(a.copy(), 2)
-                rc, pc = _eager_rref_mod(a.copy(), 2)
-                assert pa == pb == pc
-                assert np.array_equal(ra, rb)
-                assert np.array_equal(ra, rc)
+        for n in GF2_WIDTHS:
+            for m in (0, 1, 8, 60, 300):
+                for kind in ("full", "deficient", "zero"):
+                    a = _random_matrix(rng, 2, (m, n), kind)
+                    ra, pa = fplinalg._rref(a.copy(), 2)
+                    rb, pb = _rref_mod(a.copy(), 2)
+                    rc, pc = _eager_rref_mod(a.copy(), 2)
+                    assert pa == pb == pc
+                    assert ra.dtype == np.int64
+                    assert np.array_equal(ra, rb)
+                    assert np.array_equal(ra, rc)
+        # entries outside {0, 1}, negative ones included, are read mod 2
+        for n in GF2_WIDTHS:
+            a = rng.integers(-5, 6, size=(20, n))
+            ra, pa = fplinalg._rref(a.copy(), 2)
+            rc, pc = _eager_rref_mod(a.copy(), 2)
+            assert pa == pc
+            assert np.array_equal(ra, rc)
+        assert len(reached) == len(asked) == 16 * len(GF2_WIDTHS)
+
+    def test_every_gf2_call_takes_the_bit_row_path(self, monkeypatch):
+        """No F_2 entry point reaches the int64 elimination, at any shape."""
+        from modcoh import fplinalg
+        asked, reached = _spy_gf2(monkeypatch)
+        generic = []
+        real_mod = fplinalg._rref_mod
+        monkeypatch.setattr(fplinalg, "_rref_mod",
+                            lambda a, p: generic.append(p) or real_mod(a, p))
+        rng = np.random.default_rng(5)
+        for m, n in ((0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (9, 8), (2, 65), (70, 4)):
+            a = _random_matrix(rng, 2, (m, n), "full")
+            rref_array(a, 2)
+            kernel_array(a, 2)
+            solve_batch(a, np.ones((m, 1), dtype=np.int64), 2)
+            if n:  # these read their rows with reshape(-1, n)
+                independent_rows(a[:1], a, 2)
+                FpSubspace(2, n, a)
+                RowSpan(2, n).add_rows(a)
+        assert len(reached) == asked.count(2) >= 40
+        assert generic == []
+        rref_array([[1, 2], [3, 4]], 3)
+        assert generic == [3]
+
+    @given(st.integers(0, 80), st.integers(0, 300),
+           st.sampled_from(("full", "deficient", "zero", "sparse")),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_gf2_matches_eager_property(self, m, n, kind, seed):
+        from modcoh.fplinalg import _rref
+        rng = np.random.default_rng(seed)
+        if kind == "sparse":
+            a = (rng.random((m, n)) < 0.03).astype(np.int64)
+        else:
+            a = _random_matrix(rng, 2, (m, n), kind)
+        ra, pa = _rref(a.copy(), 2)
+        rc, pc = _eager_rref_mod(a.copy(), 2)
+        assert pa == pc
+        assert np.array_equal(ra, rc)
 
     def test_kernel_annihilates_with_complementary_dim(self):
         for p, a in _cases(99):
@@ -436,16 +500,17 @@ class TestIncrementalSpan:
                     assert np.array_equal(span.basis(), reduced[: len(pivots)])
                     assert span._pivots.tolist() == pivots
 
-    def test_kernel_matches_two_rref_version(self):
-        from modcoh.fplinalg import _GF2_PACK_THRESHOLD
+    def test_kernel_matches_two_rref_version(self, monkeypatch):
+        asked, reached = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(41)
         for p, a in _cases(43):
             assert np.array_equal(kernel_array(a, p), _two_rref_kernel(a, p))
-        wide = _GF2_PACK_THRESHOLD + 21
-        for shape in ((5, wide), (wide, 7), (40, wide), (wide, wide)):
-            for kind in ("full", "deficient", "zero"):
-                a = _random_matrix(rng, 2, shape, kind)
-                assert np.array_equal(kernel_array(a, 2), _two_rref_kernel(a, 2))
+        for w in GF2_WIDTHS:
+            for shape in ((0, w), (5, w), (w, 7), (40, w), (w, w)):
+                for kind in ("full", "deficient", "zero"):
+                    a = _random_matrix(rng, 2, shape, kind)
+                    assert np.array_equal(kernel_array(a, 2), _two_rref_kernel(a, 2))
+        assert len(reached) == asked.count(2) == 3 * len(DIFF_SHAPES) + 15 * len(GF2_WIDTHS)
 
     @pytest.mark.parametrize("p", (1048573, _BIG_PRIME))
     def test_matmul_mod_at_float_bound(self, p):
@@ -511,20 +576,17 @@ class TestIndependentRows:
                     assert got.tolist() == _greedy(p, width, span_rows, rows)
 
     def test_gf2_packed_path(self, monkeypatch):
-        from modcoh import fplinalg
-        packed = []
-        real = fplinalg._rref_gf2
-        monkeypatch.setattr(fplinalg, "_rref_gf2",
-                            lambda a, p: packed.append(a.shape) or real(a, p))
+        asked, reached = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(59)
-        for width, n_span, n_rows in ((64, 96, 120), (30, 150, 60), (300, 40, 200)):
+        cases = ((64, 96, 120), (30, 150, 60), (300, 40, 200),
+                 (1, 2, 3), (7, 3, 9), (9, 0, 12), (65, 10, 20))
+        for width, n_span, n_rows in cases:
             for kind in ("full", "deficient"):
                 span_rows = _random_matrix(rng, 2, (n_span, width), "deficient")
                 rows = _random_matrix(rng, 2, (n_rows, width), kind)
-                assert n_span + n_rows >= fplinalg._GF2_PACK_THRESHOLD
                 got = independent_rows(span_rows, rows, 2)
                 assert got.tolist() == _greedy(2, width, span_rows, rows)
-        assert len(packed) == 6
+        assert asked == [2] * len(reached) == [2] * 2 * len(cases)
 
     def test_empty_span_no_rows_and_zero_rows(self):
         empty = np.zeros((0, 4), dtype=np.int64)
