@@ -359,10 +359,16 @@ class StableElements:
     over the identity of F_p with psi(s x) = (d^{-1} s d) psi(x) for s in
     S_t, lifted by `FreeResolution.lift` with that twist; then
     c_d res_s x = (res_s x) . psi sums each column of psi over P.  The
-    difference is reduced modulo the S_t-coboundaries.  Double cosets with
-    S_t = 1 impose nothing: H^{>0}(1) = 0, and every degree-0 class is
-    stable.  For a p-group P = G, there is no double coset to impose, and
-    H^i(G) is all of F_p^{r_i}.
+    difference is reduced modulo the S_t-coboundaries.  The condition
+    depends on d only through (S_t, sigma), sigma = d^{-1} (-) d on S_t, so
+    one double coset per distinct (S_t, sigma) is imposed.  A d that
+    centralises S_t (sigma the identity, S_t = 1 among them) imposes
+    nothing: c_d is then the identity of H^*(S_t), as psi is an S_t-chain
+    map over the identity of F_p, homotopic to the identity, and the
+    difference lies in B^i(S_t).  The stable classes are the kernel of the
+    stacked conditions, so dropping zero or repeated rows leaves the
+    canonical basis as it was.  For a p-group P = G, there is no double
+    coset to impose, and H^i(G) is all of F_p^{r_i}.
 
     `products.CupRing` multiplies the stable classes on the same X_*:
     restriction to P is an injective ring map onto them.  P is kept as a
@@ -387,30 +393,33 @@ class StableElements:
         self._stable: dict[int, np.ndarray] = {}
 
     def _double_coset_pairs(self, G: FiniteGroup, P: Subgroup):
-        """(d, S_t context, twist) per double coset PdP, d not in P.
+        """(d, S_t context, twist), one per distinct (S_t, sigma) imposing a condition.
 
         The twist (S_t's coset table, sigma) gives sigma[s] = d^{-1} s d in
-        P's indices for the s-th member of S_t.
+        P's indices for the s-th member of S_t.  Double cosets whose sigma
+        is the identity on S_t, or repeats an earlier pair's, are skipped
+        (class docstring).
         """
         position = {g: k for k, g in enumerate(self.members)}
         contexts: dict[tuple[int, ...], CochainContext] = {}
+        seen = set()
         pairs = []
         # a trivial P has H^{>0}(P) = 0: no double coset can matter
         for d in double_cosets(G, P, P).reps if P.order > 1 else ():
             if d in P:
                 continue
             target = intersect(P, conjugate_subgroup(G, P, d))
-            if target.order == 1:
-                continue
             d_inv = int(G.inv[d])
             members = tuple(position[g] for g in target.member_indices)
+            sigma = tuple(position[G.conjugate(d_inv, s)] for s in target.member_indices)
+            if sigma == members or (members, sigma) in seen:
+                continue
+            seen.add((members, sigma))
             if members not in contexts:
                 contexts[members] = CochainContext(
                     self.resolution, Subgroup(self.group, members), self.module)
             ctx_t = contexts[members]
-            sigma = np.array([position[G.conjugate(d_inv, s)]
-                              for s in target.member_indices], dtype=np.intp)
-            pairs.append((d, ctx_t, (ctx_t._cosets, sigma)))
+            pairs.append((d, ctx_t, (ctx_t._cosets, np.array(sigma, dtype=np.intp))))
         return pairs
 
     def lifts(self, top: int) -> list[list[np.ndarray]]:

@@ -36,8 +36,9 @@ stacked in that order and transposed.  Row operations keep every linear
 relation among columns, so column j of the RREF is a pivot exactly when
 column j of the transpose, the j-th stacked row, is not a combination of
 the rows above it.  Its pivots past the span rows are therefore the rows a
-test-then-add scan keeps, with no membership test per row.  Minimal
-resolutions and cohomology bases select this way.
+test-then-add scan keeps, with no membership test per row.  Stage zero of
+a minimal resolution and cohomology bases select this way; later minimal
+stages select in their kernel's coordinates (`resolutions`).
 
 `RowSpan` grows incrementally.  New rows are reduced against the stored
 RREF basis, only their nonzero residuals are eliminated, the new pivot
@@ -45,8 +46,9 @@ columns are cleared from the old rows with one product, and the rows are
 merged by pivot.  The result has the union of the pivots, is reduced, and
 spans the same space, so by uniqueness it is the RREF of all rows added so
 far.  `RowSpan.select` hands plain rows to `independent_rows`.  With
-`expand`, where a kept row adds other rows to the span (its translates, in
-a free resolution), it scans greedily on that basis, one kept row at a time.
+`expand`, where a kept row adds other rows to the span (the coordinates
+of its translates, in a free resolution's kernel), it scans greedily on
+that basis, one kept row at a time.
 
 `kernel_array` needs one elimination.  It row-reduces the matrix with its
 columns reversed and builds the usual free-column kernel basis there: each
@@ -77,6 +79,16 @@ def check_prime_size(p: int) -> None:
             f"p = {p} exceeds MAX_PRIME = {MAX_PRIME}; int64 products would overflow")
 
 
+def _as_rows(rows, width: int) -> np.ndarray:
+    """rows as an int64 array of shape (m, width).
+
+    Zero-width rows are all the zero vector and span nothing, so they give
+    the (0, 0) array; reshape(-1, 0) cannot infer their count.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows.reshape(-1, width) if width else rows.reshape(0, 0)
+
+
 class FpSubspace:
     """Subspace of F_p^n held as a canonical RREF row basis."""
 
@@ -85,8 +97,7 @@ class FpSubspace:
     def __init__(self, p: int, ambient_dim: int, basis_rows) -> None:
         self.p = int(p)
         self.ambient_dim = int(ambient_dim)
-        rows = np.asarray(basis_rows, dtype=np.int64).reshape(-1, ambient_dim)
-        reduced, pivots = _rref(rows % p, p)
+        reduced, pivots = _rref(_as_rows(basis_rows, ambient_dim) % p, p)
         self.basis = reduced[: len(pivots)]
         self._pivots = np.asarray(pivots, dtype=np.intp)
 
@@ -209,6 +220,11 @@ def rref_array(a, p: int):
     return reduced, len(pivots)
 
 
+def rref_pivots(a, p: int) -> np.ndarray:
+    """Pivot columns of the RREF of a raw array, ascending."""
+    return np.asarray(_rref(np.asarray(a, dtype=np.int64), p)[1], dtype=np.intp)
+
+
 def kernel_array(a, p: int) -> np.ndarray:
     """Canonical RREF basis (rows) of the right kernel {v : a @ v = 0}."""
     return kernel_and_image(a, p)[0]
@@ -284,11 +300,11 @@ def independent_rows(span_rows, rows, p: int) -> np.ndarray:
     transposed; the module docstring says why they are the greedy scan's.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if not len(rows):  # (0, 0) rows give span_rows no width to reshape to
+    if not rows.size:  # no rows, or zero-width rows: all of them zero
         return np.zeros(0, dtype=np.intp)
-    span_rows = np.asarray(span_rows, dtype=np.int64).reshape(-1, rows.shape[1])
+    span_rows = _as_rows(span_rows, rows.shape[1])
     columns = np.vstack([span_rows, rows]).T.copy()  # C order, for row operations
-    pivots = np.asarray(_rref(columns, p)[1], dtype=np.intp)
+    pivots = rref_pivots(columns, p)
     return pivots[pivots >= len(span_rows)] - len(span_rows)
 
 
@@ -327,7 +343,7 @@ class RowSpan:
         return self._basis.shape[0]
 
     def add_rows(self, rows) -> None:
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.ambient_dim)
+        rows = _as_rows(rows, self.ambient_dim)
         self._absorb(residual_rows(rows, self._basis, self.p, self._pivots))
 
     def _absorb(self, residuals: np.ndarray):

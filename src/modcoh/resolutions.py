@@ -5,16 +5,36 @@ element g), with g acting by left translation inside each copy.  A boundary
 d_i is stored only as its generator columns W_i = d_i(e_{k, 1}), one column
 per free generator of P_i (the chosen kernel generators, reduced mod p):
 F_p[G]-linearity determines the rest, and `FreeResolution.expand` builds
-the full matrix, |G| times wider, only where one is needed (the kernel of
-the newest stage, exactness checks, text output, chain-map lifts).
+the full matrix, |G| times wider, only where one is needed (exactness
+checks, text output, chain-map lifts).
+
+Each stage works in the coordinates of the kernel K of the newest stage.
+K is held as its canonical RREF basis, with pivot columns piv, so a vector
+v of K is v[piv] . K, and the coordinates of g . v are v[at[g]], where
+at[g, c] = j n + g^{-1} h for piv[c] = j n + h (`_translates`).  The
+generators picked from K's rows are those of a full-width scan, since
+taking coordinates is an isomorphism of K onto F_p^k.
 
 Minimal resolutions are constructed only over p-groups, where the
 augmentation ideal I is the radical: by Nakayama, a minimal generating set
-of the kernel K of the newest stage lifts a basis of K / I . K, picked as
-the kernel rows outside I . K (`fplinalg.independent_rows`).  I . K is
-spanned by (s - 1) . K for the generators s of G alone, not for every
-element: K is a submodule, and (gs - 1) k = (g - 1)(s . k) + (s - 1) k, so
-by induction on word length every (g - 1) . K lies in that span.
+of K lifts a basis of K / I . K, picked as the rows of K outside I . K and
+the rows before them.  I . K is spanned by (s - 1) . K for the generators
+s of G alone, not for every element: K is a submodule, and
+(gs - 1) k = (g - 1)(s . k) + (s - 1) k, so by induction on word length
+every (g - 1) . K lies in that span.  In coordinates, (s - 1) . K is the
+column gather K[:, at[s]] - I_k, and row i is e_i.  e_i lies in I . K plus
+the span of e_0 .. e_{i-1} exactly when i is the last nonzero coordinate
+of some vector of I . K; those last coordinates are the pivots of one RREF
+of the stacked g k x k coordinate rows with their columns reversed, and
+row i is kept when i is not one of them.  A free resolution scans the
+rows greedily instead (`RowSpan.select`), adding the |G| translates
+K_i[at] of each kept row i to a span of k-dimensional rows.
+
+The next kernel is that of d = d_{L+1} on F_p[G]^{r_{L+1}}.  Its image is
+K, and a vector of K is zero exactly when its entries at piv are, so
+ker d = ker d[piv, :]: only the k rows at K's pivots are expanded and
+eliminated, d[piv[c], k n + g] = W[at[g, c], k].  That matrix has full row
+rank k, and its canonical kernel is K's successor.
 
 For other groups a greedily pruned free resolution is used and all Ext
 dimensions come out of the Hom complex, which is resolution-independent.
@@ -157,47 +177,54 @@ class FreeResolution:
         """The full matrix of d_i, r_{i-1}|G| x r_i|G|."""
         return self.expand(self.boundaries[i - 1])
 
-    def _radical_rows(self, rows: np.ndarray, rank: int) -> np.ndarray:
-        """(s - 1) . rows for each generator s of G, rows in F_p[G]^rank.
+    def _translates(self, piv: np.ndarray) -> np.ndarray:
+        """at[g, c]: entry piv[c] of g . v is v[at[g, c]], for v in F_p[G]^r.
 
-        For a submodule K they span I . K (module docstring).
+        With piv the pivots of a submodule's RREF basis, v[at[g]] are the
+        coordinates of g . v for v in that submodule.
         """
         n = self._n
-        shaped = rows.reshape(len(rows), rank, n)
-        # moved[k, j, s, h] = (s . row_k)[j n + h] = row_k[j n + s^{-1} h]
-        moved = shaped[:, :, self._take[list(self.group.generator_indices)]]
-        moved = (moved - shaped[:, :, None]) % self.p
-        return moved.transpose(2, 0, 1, 3).reshape(-1, rank * n)
+        return piv // n * n + self._take[:, piv % n]
 
-    def _kernel_generators(self, kernel_rows: np.ndarray, rank_prev: int):
-        if not len(kernel_rows):  # a zero module's (0, 0) kernel has no row width
-            return kernel_rows
+    def _kernel_generators(self, kernel_rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Indices of the kernel rows kept as the next stage's generators.
+
+        Works in K's coordinates (module docstring): row i is e_i, and
+        g . row i is kernel_rows[i, at[g]].
+        """
+        k, p = len(kernel_rows), self.p
         if self.minimal:
-            kept = fplinalg.independent_rows(
-                self._radical_rows(kernel_rows, rank_prev), kernel_rows, self.p)
-        else:
-            kept = RowSpan(self.p, rank_prev * self._n).select(
-                kernel_rows, expand=lambda row: self.expand(row.reshape(-1, 1)).T)
-        return kernel_rows[kept]
+            # radical[i, s, c]: coordinate c of (s - 1) . row i, s a generator
+            radical = kernel_rows[:, at[list(self.group.generator_indices)]]
+            radical[np.arange(k), :, np.arange(k)] -= 1
+            np.mod(radical, p, out=radical)
+            kept = np.ones(k, dtype=bool)
+            kept[k - 1 - fplinalg.rref_pivots(radical.reshape(-1, k)[:, ::-1], p)] = False
+            return kept.nonzero()[0]
+        return RowSpan(p, k).select(np.eye(k, dtype=np.int64),
+                                    expand=lambda e: (e @ kernel_rows)[at])
 
     def _append_stage(self) -> None:
-        gens = self._kernel_generators(self._kernel, self.ranks[-1])
-        self.ranks.append(len(gens))
-        self.boundaries.append(np.ascontiguousarray(gens.T))
-        self._kernel = fplinalg.kernel_array(self.boundary(self.length), self.p) \
-            if len(gens) else np.zeros((0, 0), dtype=np.int64)
+        K = self._kernel
+        if not len(K):  # exact already: zero modules from here on
+            self.ranks.append(0)
+            self.boundaries.append(np.zeros((self.ranks[-2] * self._n, 0), dtype=np.int64))
+            return
+        at = self._translates(fplinalg.pivot_columns(K))
+        W = np.ascontiguousarray(K[self._kernel_generators(K, at)].T)
+        r = W.shape[1]
+        self.ranks.append(r)
+        self.boundaries.append(W)
+        # image(d) = K, so d v = 0 exactly when (d v)[piv] = 0: the rows
+        # of d at K's pivots, d[piv[c], k n + g] = W[at[g, c], k]
+        rows = W[at.T[:, None, :], np.arange(r)[None, :, None]]
+        self._kernel = fplinalg.kernel_array(rows.reshape(len(K), r * self._n), self.p)
 
     def extend_to(self, length: int) -> "FreeResolution":
         """Ensure boundaries d_1 .. d_length exist (idempotent, append-only)."""
         if length < 1:
             raise LengthTooSmall("resolution length must be at least 1")
         while len(self.boundaries) < length:
-            if self.ranks[-1] == 0 and self.boundaries:
-                # resolution has terminated; extend with zero modules
-                prev = self.ranks[-1] * self._n
-                self.ranks.append(0)
-                self.boundaries.append(np.zeros((prev, 0), dtype=np.int64))
-                continue
             self._append_stage()
         return self
 
@@ -332,10 +359,9 @@ def syzygy(M: GModule, i: int) -> GModule:
     k, n = len(kernel_rows), res._n
     action = np.zeros((n, k, k), dtype=np.int64)
     if k:
-        # coordinates against an RREF basis are the pivot-column entries
-        pivots = fplinalg.pivot_columns(kernel_rows)
-        translates = res.expand(kernel_rows.T)[pivots].reshape(k, k, n)
-        action[:] = translates.transpose(2, 0, 1) % M.p
+        # action[g][c, i]: coordinate c of g . row i
+        at = res._translates(fplinalg.pivot_columns(kernel_rows))
+        action[:] = kernel_rows[:, at].transpose(1, 2, 0)
     return GModule(M.group, M.p, action, validate=False)
 
 
@@ -404,10 +430,16 @@ def cohomology_dims(G: FiniteGroup, p: int, max_deg: int) -> DimSeries:
     (`cohmaps.StableElements`), computed on P's minimal resolution, which
     is |G : P| times smaller than a resolution over F_p[G].  For a p-group
     P = G and the dims are the ranks of that resolution.
+
+    Post-conditions, raising InvariantViolation: no dim is negative, and
+    H^0 = F_p^G is one-dimensional.
     """
     from .cohmaps import stable_elements  # cohmaps builds on this module
-    return DimSeries(stable_elements(G, p).dims(max_deg), p,
-                     label=f"H^*({G.name}; F_{p})")
+    dims = stable_elements(G, p).dims(max_deg)
+    if dims and (dims[0] != 1 or min(dims) < 0):
+        raise InvariantViolation(
+            f"H^*({G.name}; F_{p}) dims {dims}: H^0 must be 1 and no dim negative")
+    return DimSeries(dims, p, label=f"H^*({G.name}; F_{p})")
 
 
 def minimal_rank_identity_check(M: GModule, max_deg: int) -> bool:

@@ -118,6 +118,19 @@ class TestDims:
         assert text == ""
         assert "PrimeTooLarge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["S4", "D8"])
+    def test_corrupted_stable_basis_exits_four(self, name, monkeypatch, capsys):
+        """H^0 must be one-dimensional; a corrupted degree-0 stable basis is
+        an invariant violation, reported before any row is printed."""
+        from modcoh.cli import EXIT_INVARIANT
+        from modcoh.cohmaps import stable_elements
+        state = stable_elements(catalog.get_group(name), 2)
+        for basis in (np.zeros((0, 1), dtype=np.int64), np.eye(2, dtype=np.int64)):
+            monkeypatch.setitem(state._stable, 0, basis)
+            code, text = run(["dims", "--group", name, "--p", "2", "--max-deg", "4"])
+            assert (code, text) == (EXIT_INVARIANT, "")
+            assert "InvariantViolation" in capsys.readouterr().err
+
     def test_json_format(self):
         import json
         code, text = run(["dims", "--group", "Q8", "--p", "2",

@@ -325,10 +325,13 @@ class TestLazyElimination:
             rref_array(a, 2)
             kernel_array(a, 2)
             solve_batch(a, np.ones((m, 1), dtype=np.int64), 2)
-            if n:  # these read their rows with reshape(-1, n)
-                independent_rows(a[:1], a, 2)
-                FpSubspace(2, n, a)
-                RowSpan(2, n).add_rows(a)
+            kept = independent_rows(a[:1], a, 2)
+            space = FpSubspace(2, n, a)
+            span = RowSpan(2, n)
+            span.add_rows(a)
+            if not n:  # zero-width rows give the zero space
+                assert kept.tolist() == [] and space.dim == span.rank == 0
+                assert space.basis.shape == span.basis().shape == (0, 0)
         assert len(reached) == asked.count(2) >= 40
         assert generic == []
         rref_array([[1, 2], [3, 4]], 3)
@@ -597,6 +600,15 @@ class TestIndependentRows:
         assert independent_rows(empty, rows, 5).tolist() == [1, 2]
         assert independent_rows([[0, 0, 0, 0]], rows, 5).tolist() == [1, 2]
         assert independent_rows([[0, 1, 0, 0]], rows, 5).tolist() == [2]
+
+    def test_zero_width_rows_span_the_zero_space(self):
+        for p in (2, 3, 5):
+            for rows in ([], np.zeros((0, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64)):
+                assert independent_rows(rows, np.zeros((2, 0), dtype=np.int64), p).tolist() == []
+                assert FpSubspace(p, 0, rows) == FpSubspace(p, 0, [])
+                span = RowSpan(p, 0)
+                span.add_rows(rows)
+                assert span.rank == 0 and span.select(np.zeros((4, 0), dtype=np.int64)).tolist() == []
 
     def test_more_rows_than_width(self):
         rng = np.random.default_rng(61)

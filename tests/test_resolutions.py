@@ -1,4 +1,5 @@
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcoh import catalog, fplinalg
+from modcoh.cohmaps import stable_elements
+from modcoh.fplinalg import RowSpan
 from modcoh.errors import (
     ElementaryAbelianInput,
     InsufficientData,
@@ -162,6 +165,39 @@ class TestMinimalGoldens:
         for p in prime_factors(G.order):
             _assert_radical_spans_agree(trivial_module(sylow(G, p).as_group(), p), 3)
 
+    @pytest.mark.parametrize("name", sorted(SYLOW_2_RESOLUTION_SHA256))
+    def test_kernel_coordinate_selection_matches_full_width(self, name):
+        P = sylow(catalog.get_group(name), 2).as_group()
+        _assert_kernel_coordinate_selection_agrees(trivial_module(P, 2), 5)
+
+    @given(small_permutation_groups())
+    @settings(max_examples=15, deadline=None)
+    def test_kernel_coordinate_selection_on_random_groups(self, G):
+        for p in prime_factors(G.order):
+            _assert_kernel_coordinate_selection_agrees(
+                trivial_module(sylow(G, p).as_group(), p), 3)
+            _assert_kernel_coordinate_selection_agrees(trivial_module(G, p), 3)
+
+
+def _radical_rows(res, rows, rank):
+    """(s - 1) . rows for each generator s of G, rows in F_p[G]^rank, at
+    full width: the I . K that minimal stages eliminated before selection
+    moved into K's coordinates."""
+    n = res.group.order
+    shaped = rows.reshape(len(rows), rank, n)
+    # moved[k, j, s, h] = (s . row_k)[j n + h] = row_k[j n + s^{-1} h]
+    moved = shaped[:, :, res._take[list(res.group.generator_indices)]]
+    moved = (moved - shaped[:, :, None]) % res.p
+    return moved.transpose(2, 0, 1, 3).reshape(-1, rank * n)
+
+
+def _stage_kernels(res, length):
+    """The kernel of the augmentation and of d_1 .. d_length, each from the
+    full matrix."""
+    kernels = [fplinalg.kernel_array(res.augmentation, res.p)]
+    return kernels + [fplinalg.kernel_array(res.boundary(i), res.p)
+                      for i in range(1, length + 1)]
+
 
 def _assert_radical_spans_agree(M, length):
     """sum_s (s - 1) K over the generators s of G, against sum_g (g - 1) K
@@ -169,15 +205,36 @@ def _assert_radical_spans_agree(M, length):
     resolution: equal RREFs."""
     res = free_resolution(M, length, minimal=True)
     p, n = res.p, res.group.order
-    kernels = [fplinalg.kernel_array(res.augmentation, p)]
-    kernels += [fplinalg.kernel_array(res.boundary(i), p) for i in range(1, length + 1)]
-    for rank, K in zip(res.ranks, kernels):
+    for rank, K in zip(res.ranks, _stage_kernels(res, length)):
         if not len(K):
             continue
         every = (res.expand(K.T).T - np.repeat(K, n, axis=0)) % p
         want, r = fplinalg.rref_array(every, p)
-        got, s = fplinalg.rref_array(res._radical_rows(K, rank), p)
+        got, s = fplinalg.rref_array(_radical_rows(res, K, rank), p)
         assert s == r and np.array_equal(got[:s], want[:r])
+
+
+def _assert_kernel_coordinate_selection_agrees(M, length):
+    """Selection in K's coordinates keeps the rows that the full-width scans
+    keep: independent_rows against (s - 1) . K on a minimal resolution, the
+    greedy RowSpan.select over every translate on a free one.  The kernels
+    here come from full boundaries, and the kept rows are the generators
+    the resolution stored, so its pivot-row kernels are these."""
+    p, n = M.p, M.group.order
+    for minimal in (True, False) if M.group.is_p_group(p) else (False,):
+        res = free_resolution(M, length, minimal=minimal)
+        for i, (rank, K) in enumerate(zip(res.ranks, _stage_kernels(res, length))):
+            if not len(K):
+                continue
+            got = res._kernel_generators(K, res._translates(fplinalg.pivot_columns(K)))
+            if minimal:
+                want = fplinalg.independent_rows(_radical_rows(res, K, rank), K, p)
+            else:
+                want = RowSpan(p, rank * n).select(
+                    K, expand=lambda row: res.expand(row.reshape(-1, 1)).T)
+            assert got.tolist() == want.tolist(), (minimal, i)
+            if i < length:
+                assert np.array_equal(K[got].T, res.boundaries[i]), (minimal, i)
 
 
 def _boundary_by_loop(res, i):
@@ -189,6 +246,44 @@ def _boundary_by_loop(res, i):
         shaped = W[:, k].reshape(-1, n)[:, res._take]  # (rank_prev, |G|, n)
         D[:, k * n:(k + 1) * n] = shaped.transpose(1, 0, 2).reshape(n, -1).T
     return D
+
+
+class TestD8xD8:
+    """An order-64 Sylow 2-subgroup beyond the catalog: H^*(D8) has
+    Poincare series 1/(1 - t)^2, so by Kunneth H^*(D8 x D8) has
+    1/(1 - t)^4, dim H^n = C(n + 3, 3)."""
+
+    KUNNETH = (1, 4, 10, 20, 35, 56, 84)
+    DATA = pathlib.Path(__file__).parent / "data"
+
+    @staticmethod
+    def group():
+        D8 = catalog.get_group("D8")
+        return catalog.make_direct_product(D8, D8)
+
+    def test_group_file_holds_the_same_generators(self):
+        from modcoh.fileio import parse_group_file
+        parsed, built = parse_group_file((self.DATA / "D8xD8.grp").read_text()), self.group()
+        assert parsed.order == built.order == 64
+        assert [parsed.elements[i].images for i in parsed.generator_indices] == \
+            [built.elements[i].images for i in built.generator_indices]
+
+    def test_pinned_csv_is_the_kunneth_series(self):
+        lines = (self.DATA / "D8xD8_dims.csv").read_text().splitlines()
+        assert lines[0] == "i,dim,expected,match"
+        assert [line.split(",") for line in lines[1:]] == \
+            [[str(i), str(d), "-", "-"] for i, d in enumerate(self.KUNNETH)]
+
+    @pytest.mark.stretch
+    def test_ranks_and_dims_follow_kunneth_through_degree_6(self):
+        G = self.group()
+        d8 = cohomology_dims(catalog.get_group("D8"), 2, 6).dims
+        assert self.KUNNETH == tuple(sum(d8[j] * d8[n - j] for j in range(n + 1))
+                                     for n in range(7))
+        assert cohomology_dims(G, 2, 6).dims == self.KUNNETH
+        # P = G: the dims are read off the minimal resolution of G itself
+        res = stable_elements(G, 2).resolution
+        assert res.minimal and tuple(res.ranks[:7]) == self.KUNNETH
 
 
 class TestSyzygy:

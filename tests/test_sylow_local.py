@@ -17,6 +17,7 @@ from hypothesis import given, settings
 
 from modcoh import catalog, groups
 from modcoh.cohmaps import (
+    CochainContext,
     StableElements,
     clear_context_cache,
     context,
@@ -26,7 +27,7 @@ from modcoh.cohmaps import (
 )
 from modcoh.errors import BadParameters
 from modcoh.gmodules import trivial_module
-from modcoh.groups import prime_factors
+from modcoh.groups import Subgroup, conjugate_subgroup, double_cosets, intersect, prime_factors
 from modcoh.products import CupRing, product_span_dims
 from modcoh.resolutions import clear_resolution_cache, cohomology_dims, ext_dims
 
@@ -113,6 +114,52 @@ def test_random_permutation_group_products(G):
             assert product_span_dims(G, p, i, j, ring) == product_span_dim(ctx, i, j, diag)
 
 
+class EveryDoubleCoset(StableElements):
+    """StableElements imposing one condition per double coset PdP, d not in
+    P, with S_t = P n dPd^{-1} nontrivial: no pair is skipped for
+    centralising S_t or for repeating an earlier (S_t, sigma)."""
+
+    def _double_coset_pairs(self, G, P):
+        position = {g: k for k, g in enumerate(self.members)}
+        pairs = []
+        for d in double_cosets(G, P, P).reps if P.order > 1 else ():
+            target = intersect(P, conjugate_subgroup(G, P, d))
+            if d in P or target.order == 1:
+                continue
+            members = tuple(position[g] for g in target.member_indices)
+            ctx_t = CochainContext(self.resolution, Subgroup(self.group, members),
+                                   self.module)
+            sigma = np.array([position[G.conjugate(int(G.inv[d]), s)]
+                              for s in target.member_indices], dtype=np.intp)
+            pairs.append((d, ctx_t, (ctx_t._cosets, sigma)))
+        return pairs
+
+
+@pytest.mark.parametrize("name,p,top", [
+    (name, p, 8) for p_groups in (False, True) for name, p in prime_cases(catalog.names(), p_groups)
+] + [pytest.param(name, p, 4, marks=pytest.mark.stretch) for name, p in prime_cases(STRETCH)])
+def test_stable_basis_as_with_every_double_coset(name, p, top):
+    """Skipping centralising and repeated conjugations leaves each stable
+    basis byte for byte as imposing every double coset gives it."""
+    G = catalog.get_group(name)
+    state, every = stable_elements(G, p), EveryDoubleCoset(G, p)
+    assert len(state.pairs) <= len(every.pairs)
+    for i in range(top + 1):
+        got, want = state.stable(i), every.stable(i)
+        assert got.dtype == want.dtype and got.shape == want.shape, (i, got, want)
+        assert got.tobytes() == want.tobytes(), i
+
+
+def test_only_z3q16_at_3_keeps_a_pair():
+    """Z3Q16 has 15 Sylow double cosets at p = 3 and keeps one of them;
+    every double coset of Z6, Z12 and Z3Q16 at p = 2 centralises S_t."""
+    Z3Q16 = catalog.get_group("Z3Q16")
+    assert len(EveryDoubleCoset(Z3Q16, 3).pairs) == 15
+    assert len(stable_elements(Z3Q16, 3).pairs) == 1
+    for name in ("Z6", "Z12", "Z3Q16"):
+        assert stable_elements(catalog.get_group(name), 2).pairs == []
+
+
 def translation(P, r, h):
     """h acting on F_p[P]^r: e_{j, x} -> e_{j, hx}."""
     n = P.order
@@ -127,9 +174,10 @@ def translation(P, r, h):
     ("L3_2", 2), ("L3_2", 7), ("A6", 2), ("A6", 3),
 ])
 def test_conjugation_lifts_are_twisted_chain_maps(name, p):
-    """d psi = psi d, over the identity of F_p, and psi(s x) = (d^-1 s d) psi(x)."""
+    """d psi = psi d, over the identity of F_p, and psi(s x) = (d^-1 s d) psi(x),
+    for every double coset, skipped by StableElements or not."""
     G = catalog.get_group(name)
-    state = stable_elements(G, p)
+    state = EveryDoubleCoset(G, p)
     res, P, top = state.resolution, state.group, 4
     position = {g: k for k, g in enumerate(state.members)}
     assert state.pairs
