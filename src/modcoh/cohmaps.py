@@ -400,7 +400,6 @@ class StableElements:
         is the identity on S_t, or repeats an earlier pair's, are skipped
         (class docstring).
         """
-        position = {g: k for k, g in enumerate(self.members)}
         contexts: dict[tuple[int, ...], CochainContext] = {}
         seen = set()
         pairs = []
@@ -409,9 +408,10 @@ class StableElements:
             if d in P:
                 continue
             target = intersect(P, conjugate_subgroup(G, P, d))
-            d_inv = int(G.inv[d])
-            members = tuple(position[g] for g in target.member_indices)
-            sigma = tuple(position[G.conjugate(d_inv, s)] for s in target.member_indices)
+            # positions in P's sorted members, of S_t and of sigma[s] = d^{-1} s d
+            conjugates = G.mul[G.mul[G.inv[d], target.member_indices], d]
+            members = tuple(np.searchsorted(self.members, target.member_indices).tolist())
+            sigma = tuple(np.searchsorted(self.members, conjugates).tolist())
             if sigma == members or (members, sigma) in seen:
                 continue
             seen.add((members, sigma))

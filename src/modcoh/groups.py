@@ -5,6 +5,14 @@ multiplication table; all downstream homological algebra indexes free
 modules by group elements, so the enumeration order is pinned: breadth
 first over generator words, extending words on the right, scanning known
 elements and generators in index order.  The identity is always index 0.
+
+The table is read off the Cayley graph of the generators, not found by
+composing and searching all |G|^2 pairs.  One dict lookup per element x
+and generator s gives the index of s x; since (s x) y = s (x y), the row of
+s x is the row of x mapped through left multiplication by s, so a
+breadth-first search from the identity fills each row in place from its
+parent's row.  Every entry is still checked against the composed images,
+and an element list that is not closed under product is refused.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .errors import BadParameters, GroupTooLarge, NonPermutation
 from .fplinalg import check_prime_size
 
 DEFAULT_SIZE_CAP = 2000
+_BLOCK = 1 << 16  # entries a blockwise pass over a table holds at once
 
 
 def prime_factors(n: int) -> list[int]:
@@ -103,51 +112,26 @@ class FiniteGroup:
             raise BadParameters("duplicate elements")
         if self.elements[0].images != tuple(range(self.degree)):
             raise BadParameters("element 0 must be the identity")
-        if mul_table is None:
-            mul_table = self._build_mul_table()
-        self.mul = np.asarray(mul_table, dtype=np.int32)
-        is_identity = self.mul == 0
-        if (is_identity.sum(axis=1) != 1).any():
-            raise BadParameters("multiplication table is not a group table")
-        self.inv = is_identity.argmax(axis=1).astype(np.int32)
+        if mul_table is None:  # _cayley_table checks that the generators generate
+            imgs = np.array([e.images for e in self.elements], dtype=np.int32)
+            self.mul = _cayley_table(imgs.reshape(self.order, self.degree),
+                                     self._index, self.generator_indices)
+        else:
+            self.mul = np.asarray(mul_table, dtype=np.int32)
+        self.inv = np.empty(self.order, dtype=np.int32)
+        step = max(1, _BLOCK // self.order)  # rows per block: no n x n mask
+        for start in range(0, self.order, step):
+            is_identity = self.mul[start:start + step] == 0
+            if (is_identity.sum(axis=1) != 1).any():
+                raise BadParameters("multiplication table is not a group table")
+            self.inv[start:start + step] = is_identity.argmax(axis=1)
         self._orders: np.ndarray | None = None
         self._cache: dict = {}
         # GModule.check_representation tests only the generators, so they
         # must generate: grow the set of words in them until it stops.
-        reached = np.zeros(self.order, dtype=bool)
-        reached[0] = True
-        frontier = np.zeros(1, dtype=np.intp)
-        while frontier.size:
-            fresh = np.zeros(self.order, dtype=bool)
-            fresh[self.mul[frontier][:, self.generator_indices]] = True
-            frontier = (fresh & ~reached).nonzero()[0]
-            reached |= fresh
-        if not reached.all():
+        if mul_table is not None and not _closure(
+                self.mul, self.generator_indices, np.arange(self.order) == 0).all():
             raise BadParameters("generator_indices do not generate the group")
-
-    def _build_mul_table(self) -> np.ndarray:
-        n, d = len(self.elements), self.degree
-        if d == 0:  # only the empty permutation: the trivial group
-            return np.zeros((n, n), dtype=np.int32)
-        imgs = np.array([e.images for e in self.elements], dtype=np.int32)
-        # Each image row as one opaque key: exact at any degree, where an
-        # integer mixed-radix key would overflow int64.
-        key = np.dtype((np.void, imgs.itemsize * d))
-        keys = imgs.view(key).ravel()
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        table = np.empty((n, n), dtype=np.int32)
-        block = max(1, (1 << 20) // (n * d))  # rows composed at once
-        for start in range(0, n, block):
-            # composed[i, j] = elements[start + i] * elements[j]
-            composed = imgs[start:start + block][:, imgs]
-            flat = composed.reshape(-1, d).view(key).ravel()
-            pos = np.searchsorted(sorted_keys, flat)
-            idx = order[np.minimum(pos, n - 1)].reshape(composed.shape[:2])
-            if not np.array_equal(imgs[idx], composed):
-                raise BadParameters("elements are not closed under product")
-            table[start:start + block] = idx
-        return table
 
     @property
     def order(self) -> int:
@@ -161,13 +145,13 @@ class FiniteGroup:
 
     def element_order(self, i: int) -> int:
         if self._orders is None:
-            orders = np.empty(self.order, dtype=np.int32)
-            for j in range(self.order):
-                k, cur = 1, j
-                while cur != 0:
-                    cur = int(self.mul[cur, j])
-                    k += 1
-                orders[j] = k
+            # powers[j] = j^k: j has order k at the first k where it is 1
+            every = np.arange(self.order)
+            orders = np.zeros(self.order, dtype=np.int32)
+            powers, k = every, 1
+            while not orders.all():
+                orders[(powers == 0) & (orders == 0)] = k
+                powers, k = self.mul[powers, every], k + 1
             self._orders = orders
         return int(self._orders[i])
 
@@ -188,6 +172,53 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order}, degree={self.degree})"
+
+
+def _cayley_table(imgs: np.ndarray, index: dict, gens) -> np.ndarray:
+    """Multiplication table of the elements with image rows imgs, read off
+    the left Cayley graph of gens (module docstring): left[k, x] = s_k x."""
+    n, d = imgs.shape
+    left = np.empty((len(gens), n), dtype=np.int32)
+    for k, s in enumerate(gens):
+        products = [index.get(t) for t in map(tuple, imgs[s][imgs].tolist())]
+        if None in products:
+            raise BadParameters("elements are not closed under product")
+        left[k] = products
+    # Every index is in range, so mode="clip" only spares numpy the buffered
+    # copy it makes for out= otherwise.
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    queue, reached = [0], {0}
+    for x in queue:  # the queue grows behind the scan
+        for k, sx in enumerate(left[:, x].tolist()):
+            if sx not in reached:
+                reached.add(sx)
+                queue.append(sx)
+                left[k].take(table[x], out=table[sx], mode="clip")
+    if len(queue) < n:
+        raise BadParameters("generator_indices do not generate the group")
+    # Buffers reused across blocks: malloc would map and unmap fresh ones.
+    step = max(1, min(n, _BLOCK // max(1, n * d)))
+    composed, found = np.empty((2, step, n, d), dtype=imgs.dtype)
+    same = np.empty((step, n, d), dtype=bool)
+    for start in range(0, n, step):
+        k = min(step, n - start)
+        imgs[start:start + k].take(imgs, axis=1, out=composed[:k], mode="clip")
+        imgs.take(table[start:start + k], axis=0, out=found[:k], mode="clip")
+        if not np.equal(found[:k], composed[:k], out=same[:k]).all():
+            raise BadParameters("elements are not closed under product")
+    return table
+
+
+def _closure(mul: np.ndarray, gens, reached: np.ndarray) -> np.ndarray:
+    """reached, grown in place by right multiplication by gens until it stops."""
+    frontier = reached.nonzero()[0]
+    while frontier.size:
+        fresh = np.zeros_like(reached)
+        fresh[mul[frontier[:, None], gens]] = True
+        frontier = (fresh & ~reached).nonzero()[0]
+        reached |= fresh
+    return reached
 
 
 # Groups whose memo tables may hold entries.  Weak, so it keeps none alive.
@@ -218,74 +249,41 @@ def generate_group(degree, generators, name="G", cap=DEFAULT_SIZE_CAP) -> Finite
     Deterministic BFS: known elements are scanned in discovery order, each
     extended on the right by the generators in input order.
     """
-    gens = list(generators)
-    for g in gens:
-        if not isinstance(g, Permutation):
-            g = Permutation(tuple(g))
+    gens = []
+    for g in generators:
+        g = g if isinstance(g, Permutation) else Permutation(tuple(g))
         if g.degree != degree:
             raise NonPermutation(f"generator degree {g.degree} != {degree}")
-    gens = [g if isinstance(g, Permutation) else Permutation(tuple(g)) for g in gens]
-    identity = Permutation.identity(degree)
-    elements = [identity]
-    seen = {identity.images: 0}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            for s in gens:
-                y = x * s
-                if y.images not in seen:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(
-                            f"closure exceeds size cap {cap}")
-                    seen[y.images] = len(elements)
-                    elements.append(y)
-                    next_frontier.append(y)
-        frontier = next_frontier
-    generator_indices = tuple(seen[g.images] for g in gens)
-    return FiniteGroup(degree, elements, generator_indices, name=name)
+        gens.append(g)
+    gen_imgs = np.array([g.images for g in gens], dtype=np.intp).reshape(len(gens), degree)
+    identity = tuple(range(degree))
+    index = {identity: 0}  # images -> index, in discovery order
+    level = [identity]
+    while level:
+        # x s = x[s] for each x of the level, and for each x each s in turn
+        words = np.array(level, dtype=np.intp).reshape(len(level), degree)
+        products = words[:, gen_imgs].reshape(len(level) * len(gens), degree)
+        level = []
+        for y in map(tuple, products.tolist()):
+            if y not in index:
+                if len(index) >= cap:
+                    raise GroupTooLarge(f"closure exceeds size cap {cap}")
+                index[y] = len(index)
+                level.append(y)
+    generator_indices = tuple(index[g.images] for g in gens)
+    return FiniteGroup(degree, map(Permutation, index), generator_indices, name=name)
 
 
-def from_elements(degree, perms, name="G") -> FiniteGroup:
-    """Group from an explicit closed element set (identity forced first)."""
-    perms = sorted(set(perms), key=lambda q: q.images)
-    identity = Permutation.identity(degree)
-    if identity not in perms:
-        raise BadParameters("element set lacks the identity")
-    perms.remove(identity)
-    elements = [identity] + perms
-    gen_idx = _greedy_generators(elements)
-    return FiniteGroup(degree, elements, gen_idx, name=name)
-
-
-def _greedy_generators(elements) -> tuple[int, ...]:
+def _greedy_generators(table: np.ndarray) -> tuple[int, ...]:
     """Small generating set: scan elements, keep those enlarging the closure."""
-    index = {e.images: i for i, e in enumerate(elements)}
     chosen: list[int] = []
-    closure = {elements[0].images}
-    for i, e in enumerate(elements[1:], start=1):
-        if e.images in closure:
-            continue
-        chosen.append(i)
-        closure = _closure_images(elements, index, [elements[j] for j in chosen])
-        if len(closure) == len(elements):
-            break
-    return tuple(chosen) if chosen else (0,)
-
-
-def _closure_images(elements, index, gens):
-    frontier = [elements[0]]
-    seen = {elements[0].images}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = x * s
-                if y.images not in seen:
-                    seen.add(y.images)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+    reached = np.arange(len(table)) == 0
+    for i in range(1, len(table)):
+        if not reached[i]:
+            chosen.append(i)
+            if _closure(table, chosen, reached).all():
+                break
+    return tuple(chosen) or (0,)
 
 
 class Subgroup:
@@ -332,14 +330,16 @@ class Subgroup:
         """
         if self._as_group is None:
             G = self.parent
-            perms = [G.elements[i] for i in self.member_indices]
-            pos = {idx: k for k, idx in enumerate(self.member_indices)}
-            table = [[pos[int(G.mul[a, b])] for b in self.member_indices]
-                     for a in self.member_indices]
-            gens = _greedy_generators(perms)
+            members = np.array(self.member_indices)
+            pos = np.full(G.order, -1, dtype=np.int32)
+            pos[members] = np.arange(self.order)
+            table = pos[G.mul[np.ix_(members, members)]]
+            if (table < 0).any():
+                raise BadParameters("members are not closed under product")
             self._as_group = FiniteGroup(
-                G.degree, perms, gens,
-                name=f"{G.name}:sub{self.order}", mul_table=table)
+                G.degree, [G.elements[i] for i in self.member_indices],
+                _greedy_generators(table), name=f"{G.name}:sub{self.order}",
+                mul_table=table)
         return self._as_group
 
     def parent_embedding(self) -> tuple[int, ...]:
@@ -385,14 +385,15 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    mem = H._member_set
-    members = [g for g in range(G.order)
-               if all(G.conjugate(g, x) in mem for x in H.member_indices)]
-    return Subgroup(G, members)
+    in_H = np.zeros(G.order, dtype=bool)
+    in_H[list(H.member_indices)] = True
+    # conjugates[g, j] = g x_j g^{-1} for the j-th member x_j of H
+    conjugates = G.mul[G.mul[:, H.member_indices], G.inv[:, None]]
+    return Subgroup(G, in_H[conjugates].all(axis=1).nonzero()[0])
 
 
 def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
-    return Subgroup(G, [G.conjugate(g, x) for x in H.member_indices])
+    return Subgroup(G, G.mul[G.mul[g, H.member_indices], G.inv[g]])
 
 
 def intersect(H: Subgroup, K: Subgroup) -> Subgroup:
@@ -500,11 +501,10 @@ def double_cosets(G: FiniteGroup, H: Subgroup, K: Subgroup) -> DoubleCosetDecomp
     for g in range(G.order):
         if covered[g]:
             continue
-        hg = G.mul[hk_members[0], g]
-        block = np.unique(G.mul[np.ix_(hg, hk_members[1])])
+        block = G.mul[G.mul[hk_members[0], g][:, None], hk_members[1]]
         covered[block] = True
         reps.append(g)
-        blocks.append(frozenset(int(x) for x in block))
+        blocks.append(frozenset(block.ravel().tolist()))
     return DoubleCosetDecomposition(tuple(reps), tuple(blocks))
 
 

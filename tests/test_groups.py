@@ -86,21 +86,17 @@ def symmetric4():
                               Permutation((1, 0, 2, 3))], name="S4")
 
 
-def brute_closure_size(degree, generators):
-    """Independent closure oracle on raw image tuples."""
-    seen = {tuple(range(degree))}
-    frontier = list(seen)
-    gens = [g.images for g in generators]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(x[i] for i in g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
+def bfs_images(degree, generators):
+    """Oracle enumeration: image tuples in generate_group's BFS order."""
+    order = [tuple(range(degree))]
+    seen = set(order)
+    for x in order:  # the list grows behind the scan
+        for g in generators:
+            y = tuple(x[i] for i in g.images)
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
 
 
 class TestGenerateGroup:
@@ -111,7 +107,7 @@ class TestGenerateGroup:
     def test_d8_order_matches_brute_closure(self):
         G = dihedral8()
         assert G.order == 8
-        assert G.order == brute_closure_size(4, [G.elements[i] for i in G.generator_indices])
+        assert G.order == len(bfs_images(4, [G.elements[i] for i in G.generator_indices]))
 
     def test_q8_has_unique_involution(self):
         G = quaternion8()
@@ -192,6 +188,43 @@ class TestMulTable:
             FiniteGroup(2, elements, (1,), mul_table=[[0, 1], [1, 1]])
 
 
+@st.composite
+def generating_lists(draw):
+    """Degree 0-7 and 0-3 generators, with the identity and repeats likely."""
+    degree = draw(st.integers(0, 7))
+    perms = st.permutations(list(range(degree))).map(lambda im: Permutation(tuple(im)))
+    pool = draw(st.lists(perms, min_size=1, max_size=3)) + [Permutation.identity(degree)]
+    return degree, draw(st.lists(st.sampled_from(pool), max_size=3))
+
+
+LOOP_ORACLE_MAX_ORDER = 200  # _loop_tables is quadratic in pure Python
+
+
+@given(generating_lists())
+@settings(max_examples=80, deadline=None)
+def test_generate_group_matches_loop_tables(case):
+    degree, gens = case
+    images = bfs_images(degree, gens)
+    order = len(images)
+    if order > LOOP_ORACLE_MAX_ORDER:
+        with pytest.raises(GroupTooLarge):
+            generate_group(degree, gens, cap=LOOP_ORACLE_MAX_ORDER)
+        return
+    G = generate_group(degree, gens, cap=order)
+    assert [e.images for e in G.elements] == images
+    assert G.generator_indices == tuple(images.index(g.images) for g in gens)
+    mul, inv = _loop_tables(G)
+    assert G.mul.dtype == np.int32 and G.inv.dtype == np.int32
+    assert np.array_equal(G.mul, mul)
+    assert np.array_equal(G.inv, inv)
+    if order > 1:  # the trivial group never meets its cap
+        with pytest.raises(GroupTooLarge):
+            generate_group(degree, gens, cap=order - 1)
+    if gens:
+        with pytest.raises(NonPermutation):
+            generate_group(degree + 1, gens)
+
+
 class TestSubgroups:
     def test_closure_of_identity(self):
         G = dihedral8()
@@ -216,6 +249,11 @@ class TestSubgroups:
     def test_center_abelian_group(self):
         G = cyclic(6)
         assert center(G).order == 6
+
+    def test_as_group_rejects_members_not_closed_under_product(self):
+        G = dihedral8()
+        with pytest.raises(BadParameters, match="not closed under product"):
+            Subgroup(G, [0, G.generator_indices[0]]).as_group()
 
     def test_center_q8(self):
         G = quaternion8()
