@@ -32,6 +32,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import catalog, fileio
 from .actions import full_report
 from .cohmaps import double_coset_identity_check, restriction, transfer, \
@@ -189,7 +191,6 @@ def cmd_maps(args, out) -> int:
         res = restriction(G, H, M, i)
         tr = transfer(G, H, M, i)
         comp = (tr.matrix @ res.matrix) % args.p
-        import numpy as np
         want = (index_mod_p * np.eye(comp.shape[0], dtype=np.int64)) % args.p
         ok = bool(np.array_equal(comp, want))
         row = [i, res.rank(), tr.rank(), "yes" if ok else "NO"]

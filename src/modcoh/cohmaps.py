@@ -7,8 +7,11 @@ maps are one coset sum on cochains, f |-> sum_{c in C} c . f(c^{-1} . -):
 C = {1} re-coordinatizes (restriction), C = {g} conjugates, and a set of
 coset representatives transfers.  On G's resolution no chain lifting is
 needed, and the double-coset identity holds exactly at cochain level.  The
-differential of Hom_S(P_*, M) is `resolutions._hom_delta` over the table of
-right cosets St, the one differential that `ext_dims` uses with S = G.
+coset sum never mixes free generators, so it is one block, shared by every
+generator and every degree, applied to each generator's slice of the
+classes (`_coset_sum_cochain`, `induced_map`).  The differential of
+Hom_S(P_*, M) is `resolutions._hom_delta` over the table of right cosets
+St, the one differential that `ext_dims` uses with S = G.
 
 Stable elements (`StableElements`, `stable_subspace`), and with them the
 cup products of `products.CupRing`, run on the minimal resolution of a
@@ -21,11 +24,14 @@ cochains with a lifted chain map psi, psi(s x) = (d^{-1} s d) psi(x), from
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
 coboundary space, so maps expressed in these bases are reproducible.
 Basis-dependent entries should still never be asserted, only ranks,
-dimensions and identities between the maps themselves.
+dimensions and identities between the maps themselves.  Each basis is
+eliminated once, at its first use, and every map into it then reads class
+coordinates off that elimination (`CohBasis`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,42 +78,50 @@ class CohBasis:
     Coordinates drop the coboundaries.  Without coboundaries (a zero Hom
     differential, as on a minimal resolution with trivial coefficients) a
     vector outside the span of the classes is no cocycle of this basis.
-    When H^i = 0 every cocycle is a coboundary, so the coordinates are
-    empty; the differential delta^i then checks that a vector is a cocycle.
+
+    The c rows of B, the classes and then a basis of the coboundaries, are
+    independent, so a cocycle v is x . B for exactly one x, and x[:dim] are
+    its coordinates.  [B | I_c] is eliminated once, at the first call, to
+    [U | T] with U the RREF of B, its pivots piv, and T . B = U.  v lies in
+    the span of U exactly when its residual against U is zero, and then
+    v = v[piv] . U = (v[piv] . T) . B, so x = v[piv] . T.  That is c (n + c)
+    entries for cochains of length n, and each call costs one residual and
+    one product.  When H^i = 0 the span is B^i = Z^i: a vector outside it
+    is no cocycle.
     """
 
     def __init__(self, p: int, degree: int, reps: np.ndarray,
-                 coboundaries: np.ndarray | None = None,
-                 differential: np.ndarray | None = None) -> None:
+                 coboundaries: np.ndarray | None = None) -> None:
         self.p = p
         self.degree = degree
         self.classes = reps          # rows: cocycle vectors
-        self._delta = differential
-        if coboundaries is None:
-            self._solver = reps.T
-        elif len(reps):
-            self._solver = np.vstack([reps, coboundaries]).T
-        else:
-            self._solver = None      # H^i = 0: every cocycle is a coboundary
+        self._coboundaries = coboundaries
 
     @property
     def dim(self) -> int:
         return len(self.classes)
 
+    @functools.cached_property
+    def _eliminated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, piv, T[:, :dim]) from the one elimination of [B | I_c]."""
+        rows = self.classes if self._coboundaries is None else \
+            np.vstack([self.classes, self._coboundaries])
+        c, n = rows.shape
+        reduced, _ = fplinalg.rref_array(np.hstack([rows, np.eye(c, dtype=np.int64)]), self.p)
+        U = reduced[:, :n]
+        piv = fplinalg.pivot_columns(U) if c else np.zeros(0, dtype=np.intp)
+        return U, piv, reduced[:, n:n + self.dim]
+
     def class_coordinates(self, cols: np.ndarray) -> np.ndarray:
         """Coordinates of cocycle columns in this basis (coboundaries dropped)."""
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64) % self.p
         if cols.ndim == 1:
             cols = cols.reshape(-1, 1)
-        if self._solver is None:
-            # int64 is exact: fewer than 2^21 terms below (p - 1)^2 each
-            if self._delta is not None and (self._delta @ (cols % self.p) % self.p).any():
-                raise InvariantViolation("vector is not a cocycle of this basis")
-            return np.zeros((0, cols.shape[1]), dtype=np.int64)
-        sol = fplinalg.solve_batch(self._solver, cols, self.p)
-        if sol is None:
+        U, piv, T = self._eliminated
+        if fplinalg.residual_rows(cols.T, U, self.p, piv).any():
             raise InvariantViolation("vector is not a cocycle of this basis")
-        return sol[: self.dim]
+        # int64 is exact: c < 2^21 terms below (p - 1)^2 each
+        return (T.T @ cols[piv]) % self.p
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ class CohMap:
     matrix: np.ndarray
 
     def rank(self) -> int:
-        return fplinalg.rref_array(self.matrix, self.source.p)[1]
+        return len(fplinalg.rref_pivots(self.matrix, self.source.p))
 
     def to_csv(self) -> str:
         """Matrix rows as CSV, for golden-file pinning."""
@@ -198,7 +212,7 @@ class CochainContext:
             reps = cocycles[:0]
         else:
             reps = cocycles[fplinalg.independent_rows(cobound, cocycles, self.p)]
-        basis = CohBasis(self.p, i, reps, cobound, self.differential(i))
+        basis = CohBasis(self.p, i, reps, cobound)
         self._bases[i] = basis
         return basis
 
@@ -240,8 +254,7 @@ clear_context_cache = clear_resolution_cache
 
 # -- cochain-level maps -------------------------------------------------------
 
-def _coset_sum_cochain(src: CochainContext, dst: CochainContext, i: int,
-                       C: list[int]) -> np.ndarray:
+def _coset_sum_cochain(src: CochainContext, dst: CochainContext, C: list[int]) -> np.ndarray:
     """C^i_S -> C^i_{S'}: (phi f)(e_{j, u}) = sum_{c in C} c . f(c^{-1} u . e_j).
 
     C = {1} gives restriction (S' <= S), C = {g} conjugation by g
@@ -250,29 +263,33 @@ def _coset_sum_cochain(src: CochainContext, dst: CochainContext, i: int,
     src's transversal, where f takes the value s . f(e_{j, t}).  These are
     the maps of contexts on G's resolution; `StableElements` restricts
     trivial-coefficient classes on P's resolution without a coset sum.
+
+    The map does not mix free generators: in every degree it is the block
+    diagonal kron(I_{r_i}, block) of the block returned here, of shape
+    (|dst transversal| dim M, |src transversal| dim M), and `induced_map`
+    applies it to each generator's slice of a cochain.
     """
     G = src.group
     nt_src, nt_dst = len(src.transversal), len(dst.transversal)
-    src.resolution.extend_to(max(i, 1))
     m, A = src.module.dim, src.module.action
     block = np.zeros((nt_dst, m, nt_src, m), dtype=np.int64)
     for ui, u in enumerate(dst.transversal):
         for c in C:
             x = int(G.mul[int(G.inv[c]), u])
             block[ui, :, src._rep_of[x]] += A[G.mul[c, src._s_of[x]]]
-    # the same block acts on every free generator j < r_i
-    eye = np.eye(src.resolution.ranks[i], dtype=np.int64)
-    return np.kron(eye, block.reshape(nt_dst * m, nt_src * m)) % src.p
+    return block.reshape(nt_dst * m, nt_src * m) % src.p
 
 
-def induced_map(src: CochainContext, dst: CochainContext, cochain_matrix,
+def induced_map(src: CochainContext, dst: CochainContext, block: np.ndarray,
                 i: int) -> CohMap:
-    """Map on cohomology induced by a cochain-level chain map."""
+    """Map on cohomology induced by a cochain map, given by its per-generator block."""
     sb, tb = src.basis(i), dst.basis(i)
     if sb.dim == 0:
         return CohMap(sb, tb, np.zeros((tb.dim, 0), dtype=np.int64))
-    images = (cochain_matrix @ sb.classes.T) % src.p
-    return CohMap(sb, tb, tb.class_coordinates(images))
+    # a cochain is flattened (j, t, M): one slice per free generator j
+    slices = sb.classes.reshape(-1, block.shape[1])
+    images = (slices @ block.T % src.p).reshape(sb.dim, -1)
+    return CohMap(sb, tb, tb.class_coordinates(images.T))
 
 
 # -- public operations --------------------------------------------------------
@@ -288,7 +305,7 @@ def restriction(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
     src = context(G, M, K, length=i + 1)
     dst = context(G, M, H, length=i + 1)
     _require_nested(H, src.subgroup)
-    return induced_map(src, dst, _coset_sum_cochain(src, dst, i, [0]), i)
+    return induced_map(src, dst, _coset_sum_cochain(src, dst, [0]), i)
 
 
 def transfer(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
@@ -298,14 +315,14 @@ def transfer(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
     dst = context(G, M, K, length=i + 1)
     _require_nested(H, dst.subgroup)
     return induced_map(src, dst, _coset_sum_cochain(
-        src, dst, i, _transfer_reps(G, H, dst.subgroup)), i)
+        src, dst, _transfer_reps(G, H, dst.subgroup)), i)
 
 
 def conjugation(G: FiniteGroup, g: int, H: Subgroup, M: GModule, i: int) -> CohMap:
     """c_g: H^i(H, M) -> H^i(gHg^{-1}, M)."""
     src = context(G, M, H, length=i + 1)
     dst = context(G, M, conjugate_subgroup(G, H, g), length=i + 1)
-    return induced_map(src, dst, _coset_sum_cochain(src, dst, i, [g]), i)
+    return induced_map(src, dst, _coset_sum_cochain(src, dst, [g]), i)
 
 
 def _transfer_reps(G: FiniteGroup, S: Subgroup, K: Subgroup) -> list[int]:

@@ -7,6 +7,14 @@ left-to-right, which makes every derived basis canonical and reproducible.
 
 Over GF(2), at every shape, each row is one Python int and a row operation
 is one XOR (`_rref_gf2`); by uniqueness the RREF is the generic one.
+Where only pivots are asked for, only the forward pass runs
+(`_forward_gf2`): any echelon form of a row space has the RREF's leading
+columns, so its leads are the pivot columns, and a row that reduces to zero
+is a sum of the rows before it.  Pivots are the column rank profile, which
+is the row rank profile of the transpose (Dumas, Pernet and Sultan,
+"Computing the rank profile matrix", ISSAC 2015), so `rref_pivots` scans
+a's rows when they are no more than its columns, and its columns as rows
+otherwise, read with no transposed copy (`_bit_rows`).
 
 Pivots are computed once and kept: `_rref` returns the pivot columns with
 the RREF, and `FpSubspace` and `RowSpan` store them beside their bases, so
@@ -30,15 +38,17 @@ is then an integer below 2^53, which float64 holds exactly, so the result
 equals the int64 product mod p.  Above that bound they fall back to int64.
 
 Greedy selection (keep each row that lies outside the span of a given
-span and of the rows kept before it) takes one elimination:
-`independent_rows` row-reduces the span rows and the candidate rows,
-stacked in that order and transposed.  Row operations keep every linear
-relation among columns, so column j of the RREF is a pivot exactly when
-column j of the transpose, the j-th stacked row, is not a combination of
-the rows above it.  Its pivots past the span rows are therefore the rows a
-test-then-add scan keeps, with no membership test per row.  Stage zero of
-a minimal resolution and cohomology bases select this way; later minimal
-stages select in their kernel's coordinates (`resolutions`).
+span and of the rows kept before it) takes one elimination of the span
+rows and the candidate rows, stacked in that order.  Over GF(2)
+`independent_rows` scans the stack forward and keeps the rows that do not
+reduce to zero.  At odd p it row-reduces the stack transposed: row
+operations keep every linear relation among columns, so column j of the
+RREF is a pivot exactly when column j of the transpose, the j-th stacked
+row, is not a combination of the rows above it.  Either way the kept rows
+past the span rows are the rows a test-then-add scan keeps, with no
+membership test per row.  Stage zero of a minimal resolution, cohomology
+bases and later minimal stages, in their kernel's coordinates
+(`resolutions`), select this way.
 
 `RowSpan` grows incrementally.  New rows are reduced against the stored
 RREF basis, only their nonzero residuals are eliminated, the new pivot
@@ -169,27 +179,60 @@ def _rref_mod(a: np.ndarray, p: int):
     return np.mod(a, p, out=a), pivots
 
 
-def _rref_gf2(a: np.ndarray):
-    """Gauss-Jordan over GF(2) on rows held as Python ints; same result as _rref_mod.
+def _bit_rows(a: np.ndarray, axis: int = 1) -> list[int]:
+    """The rows of a mod 2 (its columns, for axis=0) as Python ints.
 
-    Column j of n is bit n - 1 - j: a row's leading column is n - bit_length.
-    Rows are XOR-ed into an echelon table, then back-substituted.
+    Entry j of a vector of length n is bit n - 1 - j.  Columns are read off
+    the packed bits (or the bit-weight product), so no transposed copy of a
+    is made.
     """
-    m, n = a.shape
-    width, pad = -(-n // 8), -n % 8
-    buf = np.packbits(a & 1, axis=1).tobytes()
-    echelon = [0] * (n + 1)  # echelon[k]: the row with bit_length k, if any
+    n = a.shape[axis]
+    if n < 63:  # each fits an int64: one product with the bit weights
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+        return ((a & 1) @ weights if axis else weights @ (a & 1)).tolist()
+    packed = np.packbits(a & 1, axis=axis)
+    if axis == 0:
+        packed = packed.T
+    width, pad = packed.shape[1], -n % 8
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i * width:(i + 1) * width], "big") >> pad
+            for i in range(len(packed))]
+
+
+def _forward_gf2(rows: list[int], n: int):
+    """Forward GF(2) elimination of bit rows of width n: no back-substitution.
+
+    Returns (echelon, kept, leads).  echelon[k] is the reduced row with bit
+    length k, if any; kept are the indices of the rows that are not sums of
+    rows before them, and leads their bit lengths, in scan order.  A row's
+    leading column is n - bit_length, so n - leads are the pivot columns.
+    """
+    echelon = [0] * (n + 1)
+    kept: list[int] = []
     leads: list[int] = []
-    for i in range(m):
-        row = int.from_bytes(buf[i * width:(i + 1) * width], "big") >> pad
+    for i, row in enumerate(rows):
         while row:
             lead = row.bit_length()
             other = echelon[lead]
             if not other:
                 echelon[lead] = row
+                kept.append(i)
                 leads.append(lead)
+                if len(leads) == n:  # full rank: every later row is a sum
+                    return echelon, kept, leads
                 break
             row ^= other
+    return echelon, kept, leads
+
+
+def _rref_gf2(a: np.ndarray):
+    """Gauss-Jordan over GF(2) on rows held as Python ints; same result as _rref_mod.
+
+    The forward pass builds the echelon table, then pivots are back-substituted.
+    """
+    m, n = a.shape
+    width, pad = -(-n // 8), -n % 8
+    echelon, _, leads = _forward_gf2(_bit_rows(a), n)
     leads.sort()
     pivot_bits = 0
     for lead in leads:
@@ -221,8 +264,19 @@ def rref_array(a, p: int):
 
 
 def rref_pivots(a, p: int) -> np.ndarray:
-    """Pivot columns of the RREF of a raw array, ascending."""
-    return np.asarray(_rref(np.asarray(a, dtype=np.int64), p)[1], dtype=np.intp)
+    """Pivot columns of the RREF of a raw array, ascending.
+
+    Over GF(2) only the forward pass runs, on whichever of a's rows and
+    columns are fewer (module docstring).
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if p != 2:
+        return np.asarray(_rref(a, p)[1], dtype=np.intp)
+    m, n = a.shape
+    if m <= n:
+        leads = _forward_gf2(_bit_rows(a), n)[2]
+        return np.sort(n - np.asarray(leads, dtype=np.intp))
+    return np.asarray(_forward_gf2(_bit_rows(a, axis=0), m)[1], dtype=np.intp)
 
 
 def kernel_array(a, p: int) -> np.ndarray:
@@ -296,16 +350,22 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def independent_rows(span_rows, rows, p: int) -> np.ndarray:
     """Indices of the rows outside the span of span_rows and the rows before them.
 
-    The pivot columns of one RREF of the rows stacked under span_rows and
-    transposed; the module docstring says why they are the greedy scan's.
+    Over GF(2), one forward scan of the rows stacked under span_rows; at odd
+    p, the pivot columns of one RREF of that stack transposed.  The module
+    docstring says why both are the greedy scan's.  rows keeps its dtype:
+    over GF(2) any integer array serves, so callers need no int64 copy.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     if not rows.size:  # no rows, or zero-width rows: all of them zero
         return np.zeros(0, dtype=np.intp)
     span_rows = _as_rows(span_rows, rows.shape[1])
-    columns = np.vstack([span_rows, rows]).T.copy()  # C order, for row operations
-    pivots = rref_pivots(columns, p)
-    return pivots[pivots >= len(span_rows)] - len(span_rows)
+    if p == 2:
+        bits = _bit_rows(span_rows) + _bit_rows(rows)
+        kept = np.asarray(_forward_gf2(bits, rows.shape[1])[1], dtype=np.intp)
+    else:
+        stack = np.vstack([span_rows, rows]) if len(span_rows) else rows
+        kept = rref_pivots(np.ascontiguousarray(stack.T), p)
+    return kept[kept >= len(span_rows)] - len(span_rows)
 
 
 def residual_rows(rows, rref_basis, p: int, pivots=None) -> np.ndarray:

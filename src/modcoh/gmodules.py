@@ -177,9 +177,12 @@ def direct_sum(M: GModule, N: GModule) -> GModule:
 
 
 def invariants(M: GModule) -> FpSubspace:
-    """Fixed subspace M^G, the kernel of the stacked (action(g) - 1)."""
-    eye = np.eye(M.dim, dtype=np.int64)
-    stacked = np.vstack([M.action[g] - eye for g in range(M.group.order)])
+    """Fixed subspace M^G, the kernel of the stacked (action(s) - 1).
+
+    s runs over the generators: a vector fixed by them is fixed by G.
+    """
+    gens = np.asarray(M.group.generator_indices, dtype=np.intp)
+    stacked = (M.action[gens] - np.eye(M.dim, dtype=np.int64)).reshape(-1, M.dim)
     basis = fplinalg.kernel_array(stacked, M.p)
     return FpSubspace(M.p, M.dim, basis)
 

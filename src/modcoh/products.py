@@ -45,9 +45,13 @@ class CupRing:
         self.stable_elements = stable_elements(G, p)
         self.resolution = self.stable_elements.resolution
         self._lifts: dict[int, list[np.ndarray]] = {}
+        self._bases: dict[int, CohBasis] = {}
 
     def basis(self, i: int) -> CohBasis:
-        return CohBasis(self.p, i, self.stable_elements.stable(i))
+        """The stable classes of H^i(P); one basis per degree, eliminated once."""
+        if i not in self._bases:
+            self._bases[i] = CohBasis(self.p, i, self.stable_elements.stable(i))
+        return self._bases[i]
 
     def _lift(self, cocycles: np.ndarray, i: int, steps: int) -> list[np.ndarray]:
         """Phi_0 .. Phi_steps for the degree-i cocycles in the columns.

@@ -24,11 +24,15 @@ s of G alone, not for every element: K is a submodule, and
 every (g - 1) . K lies in that span.  In coordinates, (s - 1) . K is the
 column gather K[:, at[s]] - I_k, and row i is e_i.  e_i lies in I . K plus
 the span of e_0 .. e_{i-1} exactly when i is the last nonzero coordinate
-of some vector of I . K; those last coordinates are the pivots of one RREF
-of the stacked g k x k coordinate rows with their columns reversed, and
-row i is kept when i is not one of them.  A free resolution scans the
-rows greedily instead (`RowSpan.select`), adding the |G| translates
-K_i[at] of each kept row i to a span of k-dimensional rows.
+of some vector of I . K.  Those last coordinates are the pivots of the
+g k x k matrix of coordinate rows with its columns reversed: its column
+rank profile, which is the row rank profile of its transpose.  So the k
+columns, last coordinate first and each with g k entries in (generator,
+row) order, are scanned as rows by `independent_rows`: over GF(2) one
+forward pass with no back-substitution, on a copy held as bytes until it
+is packed.  Row i is kept when i is not one of the pivots.  A free
+resolution scans the rows greedily instead (`RowSpan.select`), adding the
+|G| translates K_i[at] of each kept row i to a span of k-dimensional rows.
 
 The next kernel is that of d = d_{L+1} on F_p[G]^{r_{L+1}}.  Its image is
 K, and a vector of K is zero exactly when its entries at piv are, so
@@ -194,12 +198,14 @@ class FreeResolution:
         """
         k, p = len(kernel_rows), self.p
         if self.minimal:
-            # radical[i, s, c]: coordinate c of (s - 1) . row i, s a generator
-            radical = kernel_rows[:, at[list(self.group.generator_indices)]]
-            radical[np.arange(k), :, np.arange(k)] -= 1
-            np.mod(radical, p, out=radical)
+            # radical[c, s, i]: coordinate k - 1 - c of (s - 1) . row i, for
+            # the generators s; over GF(2) as bytes, the one copy made of it
+            coords = np.ascontiguousarray(kernel_rows.T, dtype=np.uint8 if p == 2 else np.int64)
+            radical = coords[at[list(self.group.generator_indices)].T[::-1]]
+            radical[np.arange(k), :, np.arange(k)[::-1]] -= 1  # uint8: 0 - 1 is 255, odd
+            last = fplinalg.independent_rows((), radical.reshape(k, -1), p)
             kept = np.ones(k, dtype=bool)
-            kept[k - 1 - fplinalg.rref_pivots(radical.reshape(-1, k)[:, ::-1], p)] = False
+            kept[k - 1 - last] = False
             return kept.nonzero()[0]
         return RowSpan(p, k).select(np.eye(k, dtype=np.int64),
                                     expand=lambda e: (e @ kernel_rows)[at])
@@ -399,7 +405,12 @@ def _hom_delta(res: FreeResolution, N: GModule, i: int,
 
 def ext_dims(M: GModule, N: GModule, max_deg: int,
              resolution: FreeResolution | None = None) -> DimSeries:
-    """dim Ext^i_{F_p[G]}(M, N) for 0 <= i <= max_deg."""
+    """dim Ext^i_{F_p[G]}(M, N) for 0 <= i <= max_deg.
+
+    Post-condition, raising InvariantViolation: for one-dimensional trivial
+    M, Ext^0 = Hom_G(F_p, N) is the fixed space N^G, computed apart from
+    the Hom complex (`gmodules.invariants`).
+    """
     if M.group is not N.group or M.p != N.p:
         raise GroupMismatch("Ext arguments live over different algebras")
     if resolution is None:
@@ -419,6 +430,10 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
         rank_i = fplinalg.rref_array(delta, p)[1] if delta.size else 0
         dims.append(cur_dim - rank_i - prev_rank)
         prev_rank = rank_i
+    if dims and M.is_trivial() and M.dim == 1:
+        fixed = gmodules.invariants(N).dim
+        if dims[0] != fixed:
+            raise InvariantViolation(f"Ext^0 has dimension {dims[0]}, N^G {fixed}")
     return DimSeries(tuple(dims), p,
                      label=f"Ext({M.group.name}; dims {M.dim}->{N.dim})")
 

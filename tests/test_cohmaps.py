@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modcoh import catalog
+from modcoh import catalog, fplinalg
 from modcoh.cohmaps import (
     CochainContext,
     abelian_sylow_check,
@@ -24,14 +24,22 @@ from modcoh.groups import (
     center,
     conjugate_subgroup,
     maximal_subgroups,
+    prime_factors,
     subgroup_closure,
     sylow,
     trivial_subgroup,
     whole_group,
 )
+from modcoh.products import CupRing
 from modcoh.resolutions import cohomology_dims, trivial_resolution
 
 from cochain_oracle import cochain_differential, coset_tables
+
+
+def _coset_sum_cochain_matrix(src, dst, i, C):
+    """The full degree-i cochain map: the shared block on each free generator."""
+    eye = np.eye(src.resolution.ranks[i], dtype=np.int64)
+    return np.kron(eye, _coset_sum_cochain(src, dst, C))
 
 
 def sub_by_perms(G, perms):
@@ -121,6 +129,68 @@ class TestDifferentialOracle:
                     assert np.array_equal(got, want), (S.order, M.dim, i)
 
 
+def _check_coordinates(basis, coboundaries, p, rng):
+    """class_coordinates against solve_batch on random cocycles of the basis,
+    and a rejected vector outside the span of classes and coboundaries."""
+    B = np.vstack([basis.classes, coboundaries]) if len(coboundaries) else basis.classes
+    x = rng.integers(0, p, size=(4, len(B)))
+    x[0] = 0
+    v = (x @ B) % p
+    got = basis.class_coordinates(v.T)
+    want = fplinalg.solve_batch(B.T, v.T, p)
+    assert np.array_equal(got, want[: basis.dim])
+    assert np.array_equal(got, x[:, : basis.dim].T)
+    reduced, rank = fplinalg.rref_array(B, p)
+    units = np.eye(B.shape[1], dtype=np.int64)
+    outside = fplinalg.residual_rows(units, reduced[:rank], p).any(axis=1).nonzero()[0]
+    if len(outside):
+        with pytest.raises(InvariantViolation):
+            basis.class_coordinates(np.column_stack([v[1], units[outside[0]]]))
+    return bool(len(outside))
+
+
+CATALOG_PRIMES = [(name, p) for name in catalog.names()
+                  for p in prime_factors(catalog.get_group(name).order)]
+
+
+class TestClassCoordinates:
+    """The one-elimination class_coordinates against a fresh solve_batch."""
+
+    @pytest.mark.parametrize("name,p", CATALOG_PRIMES)
+    def test_contexts_match_solve_batch(self, name, p):
+        G = catalog.get_group(name)
+        M = trivial_coefficients(G, p)
+        rng = np.random.default_rng(G.order * p)
+        cyclic = next(subgroup_closure(G, [g]) for g in range(G.order)
+                      if G.element_order(g) == p)
+        for S in (whole_group(G), sylow(G, p), cyclic):
+            ctx = context(G, M, S, length=5)
+            for i in range(5):
+                b = ctx.basis(i)
+                rejected = _check_coordinates(b, ctx.coboundaries(i), p, rng)
+                # classes and coboundaries span Z^i: a vector lies outside
+                # exactly when delta^i is nonzero, and such a vector raises
+                delta = ctx.differential(i)
+                assert rejected == bool(delta.any())
+                if rejected:
+                    e = np.zeros(ctx.cochain_dim(i), dtype=np.int64)
+                    e[np.flatnonzero(delta.any(axis=0))[0]] = 1
+                    with pytest.raises(InvariantViolation):
+                        b.class_coordinates(e)
+
+    @pytest.mark.parametrize("name,p", CATALOG_PRIMES)
+    def test_cup_ring_bases_match_solve_batch(self, name, p):
+        G = catalog.get_group(name)
+        ring = CupRing(G, p, 4)
+        rng = np.random.default_rng(G.order + p)
+        for i in range(5):
+            b = ring.basis(i)
+            assert ring.basis(i) is b
+            width = ring.resolution.ranks[i]
+            rejected = _check_coordinates(b, np.zeros((0, width), dtype=np.int64), p, rng)
+            assert rejected == (b.dim < width)
+
+
 class TestRestriction:
     def test_whole_group_identity(self, D8):
         M = trivial_coefficients(D8, 2)
@@ -163,8 +233,8 @@ class TestRestriction:
         src = context(S4, M, length=4)
         dst = context(S4, M, sylow(S4, 2), length=4)
         for i in range(3):
-            phi_i = _coset_sum_cochain(src, dst, i, [0])
-            phi_next = _coset_sum_cochain(src, dst, i + 1, [0])
+            phi_i = _coset_sum_cochain_matrix(src, dst, i, [0])
+            phi_next = _coset_sum_cochain_matrix(src, dst, i + 1, [0])
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)
@@ -225,8 +295,8 @@ class TestTransfer:
         src = context(A4, M, sylow(A4, 2), length=4)
         for i in range(3):
             reps = _transfer_reps(A4, src.subgroup, dst.subgroup)
-            phi_i = _coset_sum_cochain(src, dst, i, reps)
-            phi_next = _coset_sum_cochain(src, dst, i + 1, reps)
+            phi_i = _coset_sum_cochain_matrix(src, dst, i, reps)
+            phi_next = _coset_sum_cochain_matrix(src, dst, i + 1, reps)
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)
@@ -267,8 +337,8 @@ class TestConjugation:
         dst = context(S4, M, conjugate_subgroup(S4, P, g), length=4)
         src = context(S4, M, P, length=4)
         for i in range(3):
-            phi_i = _coset_sum_cochain(src, dst, i, [g])
-            phi_next = _coset_sum_cochain(src, dst, i + 1, [g])
+            phi_i = _coset_sum_cochain_matrix(src, dst, i, [g])
+            phi_next = _coset_sum_cochain_matrix(src, dst, i + 1, [g])
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)

@@ -10,6 +10,7 @@ from modcoh.fplinalg import (
     independent_rows,
     kernel_array,
     rref_array,
+    rref_pivots,
     solve_batch,
 )
 
@@ -258,13 +259,20 @@ GF2_WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 191, 192, 229)
 
 
 def _spy_gf2(monkeypatch):
-    """(asked, reached): the p of each `_rref` call, the shape of each `_rref_gf2` call."""
+    """(asked, reached, scanned, generic): the p of each `_rref` call, the shape
+    of each `_rref_gf2` call, the width of each GF(2) forward scan (one per
+    `_rref_gf2` call, plus the pivot-only scans) and the p of each
+    `_rref_mod` call."""
     from modcoh import fplinalg
-    asked, reached = [], []
+    asked, reached, scanned, generic = [], [], [], []
     rref, gf2 = fplinalg._rref, fplinalg._rref_gf2
+    forward, mod = fplinalg._forward_gf2, fplinalg._rref_mod
     monkeypatch.setattr(fplinalg, "_rref", lambda a, p: asked.append(p) or rref(a, p))
     monkeypatch.setattr(fplinalg, "_rref_gf2", lambda a: reached.append(a.shape) or gf2(a))
-    return asked, reached
+    monkeypatch.setattr(fplinalg, "_forward_gf2",
+                        lambda rows, n: scanned.append(n) or forward(rows, n))
+    monkeypatch.setattr(fplinalg, "_rref_mod", lambda a, p: generic.append(p) or mod(a, p))
+    return asked, reached, scanned, generic
 
 
 class TestLazyElimination:
@@ -289,7 +297,7 @@ class TestLazyElimination:
     def test_packed_gf2_matches_eager_at_every_width(self, monkeypatch):
         from modcoh import fplinalg
         from modcoh.fplinalg import _rref_mod
-        asked, reached = _spy_gf2(monkeypatch)
+        asked, reached, scanned, generic = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(3)
         for n in GF2_WIDTHS:
             for m in (0, 1, 8, 60, 300):
@@ -309,16 +317,12 @@ class TestLazyElimination:
             rc, pc = _eager_rref_mod(a.copy(), 2)
             assert pa == pc
             assert np.array_equal(ra, rc)
-        assert len(reached) == len(asked) == 16 * len(GF2_WIDTHS)
+        assert len(reached) == len(asked) == len(scanned) == 16 * len(GF2_WIDTHS)
+        assert generic == []  # the reference calls above bypass the spy
 
     def test_every_gf2_call_takes_the_bit_row_path(self, monkeypatch):
         """No F_2 entry point reaches the int64 elimination, at any shape."""
-        from modcoh import fplinalg
-        asked, reached = _spy_gf2(monkeypatch)
-        generic = []
-        real_mod = fplinalg._rref_mod
-        monkeypatch.setattr(fplinalg, "_rref_mod",
-                            lambda a, p: generic.append(p) or real_mod(a, p))
+        asked, reached, scanned, generic = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(5)
         for m, n in ((0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (9, 8), (2, 65), (70, 4)):
             a = _random_matrix(rng, 2, (m, n), "full")
@@ -326,13 +330,16 @@ class TestLazyElimination:
             kernel_array(a, 2)
             solve_batch(a, np.ones((m, 1), dtype=np.int64), 2)
             kept = independent_rows(a[:1], a, 2)
+            assert rref_pivots(a, 2).tolist() == _eager_rref_mod(a, 2)[1]
             space = FpSubspace(2, n, a)
             span = RowSpan(2, n)
             span.add_rows(a)
             if not n:  # zero-width rows give the zero space
                 assert kept.tolist() == [] and space.dim == span.rank == 0
                 assert space.basis.shape == span.basis().shape == (0, 0)
-        assert len(reached) == asked.count(2) >= 40
+        assert len(reached) == asked.count(2)
+        # rref_pivots scans each matrix, independent_rows each nonempty one
+        assert len(scanned) == len(reached) + 8 + 5 >= 50
         assert generic == []
         rref_array([[1, 2], [3, 4]], 3)
         assert generic == [3]
@@ -352,6 +359,29 @@ class TestLazyElimination:
         rc, pc = _eager_rref_mod(a.copy(), 2)
         assert pa == pc
         assert np.array_equal(ra, rc)
+
+    @given(st.sampled_from(("tall", "wide", "zero-row", "zero-width")),
+           st.integers(1, 90), st.integers(0, 40), st.integers(0, 12),
+           st.sampled_from(("full", "deficient", "zero", "sparse")),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_gf2_pivots_and_selection_match_eager(self, shape, big, small, n_span,
+                                                  kind, seed):
+        """The forward-only scans against the eager RREF's pivots."""
+        rng = np.random.default_rng(seed)
+        m, n = {"tall": (big + small, big // 3), "wide": (small, big + small),
+                "zero-row": (0, big), "zero-width": (big, 0)}[shape]
+        if kind == "sparse":
+            a = (rng.random((m, n)) < 0.05).astype(np.int64)
+        else:
+            a = _random_matrix(rng, 2, (m, n), kind)
+        assert rref_pivots(a, 2).tolist() == _eager_rref_mod(a, 2)[1]
+        span = _random_matrix(rng, 2, (n_span, n), "deficient")
+        pivots = _eager_rref_mod(np.vstack([span, a]).T, 2)[1]
+        want = [c - n_span for c in pivots if c >= n_span]
+        assert independent_rows(span, a, 2).tolist() == want
+        # any integer dtype serves, read mod 2: 255 is odd, as resolutions uses it
+        assert independent_rows(span, (a * 255).astype(np.uint8), 2).tolist() == want
 
     def test_kernel_annihilates_with_complementary_dim(self):
         for p, a in _cases(99):
@@ -504,7 +534,7 @@ class TestIncrementalSpan:
                     assert span._pivots.tolist() == pivots
 
     def test_kernel_matches_two_rref_version(self, monkeypatch):
-        asked, reached = _spy_gf2(monkeypatch)
+        asked, reached, scanned, generic = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(41)
         for p, a in _cases(43):
             assert np.array_equal(kernel_array(a, p), _two_rref_kernel(a, p))
@@ -514,6 +544,7 @@ class TestIncrementalSpan:
                     a = _random_matrix(rng, 2, shape, kind)
                     assert np.array_equal(kernel_array(a, 2), _two_rref_kernel(a, 2))
         assert len(reached) == asked.count(2) == 3 * len(DIFF_SHAPES) + 15 * len(GF2_WIDTHS)
+        assert len(scanned) == len(reached) and 2 not in generic
 
     @pytest.mark.parametrize("p", (1048573, _BIG_PRIME))
     def test_matmul_mod_at_float_bound(self, p):
@@ -579,7 +610,7 @@ class TestIndependentRows:
                     assert got.tolist() == _greedy(p, width, span_rows, rows)
 
     def test_gf2_packed_path(self, monkeypatch):
-        asked, reached = _spy_gf2(monkeypatch)
+        asked, reached, scanned, generic = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(59)
         cases = ((64, 96, 120), (30, 150, 60), (300, 40, 200),
                  (1, 2, 3), (7, 3, 9), (9, 0, 12), (65, 10, 20))
@@ -589,7 +620,9 @@ class TestIndependentRows:
                 rows = _random_matrix(rng, 2, (n_rows, width), kind)
                 got = independent_rows(span_rows, rows, 2)
                 assert got.tolist() == _greedy(2, width, span_rows, rows)
-        assert asked == [2] * len(reached) == [2] * 2 * len(cases)
+        # one forward scan of the stack each, and no RREF at all
+        assert asked == reached == generic == []
+        assert scanned == [width for width, _, _ in cases for _ in range(2)]
 
     def test_empty_span_no_rows_and_zero_rows(self):
         empty = np.zeros((0, 4), dtype=np.int64)

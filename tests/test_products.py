@@ -211,7 +211,8 @@ class TestCup:
 
 
 def _restrict_cochain_vec(vec, i, ctx, sub_ctx):
-    mat = _coset_sum_cochain(ctx, sub_ctx, i, [0])
+    eye = np.eye(ctx.resolution.ranks[i], dtype=np.int64)
+    mat = np.kron(eye, _coset_sum_cochain(ctx, sub_ctx, [0]))
     return (mat @ vec) % ctx.p
 
 

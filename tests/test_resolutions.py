@@ -20,6 +20,7 @@ from modcoh.errors import (
 from modcoh.gmodules import (
     direct_sum,
     dual_module,
+    invariants,
     permutation_module,
     regular_module,
     restrict_module,
@@ -392,6 +393,26 @@ class TestExtDims:
                 assert not _hom_delta(res, triv, i).any()
             assert ext_dims(triv, triv, 5, resolution=res).dims == \
                 tuple(res.ranks[:6])
+
+    def test_ext0_is_the_fixed_space(self, D8, Q8):
+        # Ext^0(F_p, N) = N^G, from the generators' fixed space
+        for G in (D8, Q8):
+            triv = trivial_module(G, 2)
+            for N in (triv, regular_module(G, 2),
+                      permutation_module(G, center(G), 2)):
+                assert ext_dims(triv, N, 1).dims[0] == invariants(N).dim
+
+    def test_ext0_mismatch_raises(self, D8, monkeypatch):
+        from modcoh import resolutions
+        triv, N = trivial_module(D8, 2), regular_module(D8, 2)
+        real = resolutions._hom_delta
+        # a zero delta^0 makes Ext^0 all of N, not the one-dimensional N^G
+        monkeypatch.setattr(resolutions, "_hom_delta",
+                            lambda res, M, i, cosets=None: real(res, M, i, cosets) * (i != 0))
+        with pytest.raises(InvariantViolation, match="N\\^G"):
+            ext_dims(triv, N, 2)
+        # the check is on Ext^0 with trivial one-dimensional source only
+        assert ext_dims(N, N, 0).dims == (8,)
 
 
 class TestMinimalRankIdentity:
