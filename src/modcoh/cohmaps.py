@@ -108,9 +108,9 @@ class CohBasis:
             np.vstack([self.classes, self._coboundaries])
         c, n = rows.shape
         reduced, _ = fplinalg.rref_array(np.hstack([rows, np.eye(c, dtype=np.int64)]), self.p)
-        U = reduced[:, :n]
+        U = reduced[:, :n].copy()  # copies, so the rest of reduced is freed
         piv = fplinalg.pivot_columns(U) if c else np.zeros(0, dtype=np.intp)
-        return U, piv, reduced[:, n:n + self.dim]
+        return U, piv, reduced[:, n:n + self.dim].copy()
 
     def class_coordinates(self, cols: np.ndarray) -> np.ndarray:
         """Coordinates of cocycle columns in this basis (coboundaries dropped)."""

@@ -38,17 +38,17 @@ is then an integer below 2^53, which float64 holds exactly, so the result
 equals the int64 product mod p.  Above that bound they fall back to int64.
 
 Greedy selection (keep each row that lies outside the span of a given
-span and of the rows kept before it) takes one elimination of the span
-rows and the candidate rows, stacked in that order.  Over GF(2)
-`independent_rows` scans the stack forward and keeps the rows that do not
-reduce to zero.  At odd p it row-reduces the stack transposed: row
-operations keep every linear relation among columns, so column j of the
-RREF is a pivot exactly when column j of the transpose, the j-th stacked
-row, is not a combination of the rows above it.  Either way the kept rows
-past the span rows are the rows a test-then-add scan keeps, with no
-membership test per row.  Stage zero of a minimal resolution, cohomology
-bases and later minimal stages, in their kernel's coordinates
-(`resolutions`), select this way.
+span and of the rows kept before it) takes the pivots of the span rows
+and the candidate rows, stacked in that order and transposed
+(`independent_rows`).  Row operations keep every linear relation among
+columns, so column j of the RREF is a pivot exactly when column j of the
+transpose, the j-th stacked row, is not a combination of the rows above
+it.  Its pivots past the span rows are therefore the rows a test-then-add
+scan keeps, with no membership test per row.  Over GF(2) `rref_pivots`
+finds them with one forward scan, of the stacked rows themselves when
+they are fewer than their columns, and the transpose is never copied.
+Stage zero of a minimal resolution, cohomology bases and later minimal
+stages, in their kernel's coordinates (`resolutions`), select this way.
 
 `RowSpan` grows incrementally.  New rows are reduced against the stored
 RREF basis, only their nonzero residuals are eliminated, the new pivot
@@ -149,7 +149,8 @@ def _rref_mod(a: np.ndarray, p: int):
     [-rank * (p - 1)^2, p).  With p <= MAX_PRIME = 2^21 that is below
     2^21 * 2^42 = 2^63 whenever rank < 2^21, so int64 never wraps.
     """
-    a = np.mod(a.astype(np.int64, copy=True), p)
+    a = a.astype(np.int64, order="C")  # a copy, in row order for row operations
+    np.mod(a, p, out=a)
     m, n = a.shape
     r = 0
     pivots: list[int] = []
@@ -183,13 +184,9 @@ def _bit_rows(a: np.ndarray, axis: int = 1) -> list[int]:
     """The rows of a mod 2 (its columns, for axis=0) as Python ints.
 
     Entry j of a vector of length n is bit n - 1 - j.  Columns are read off
-    the packed bits (or the bit-weight product), so no transposed copy of a
-    is made.
+    the packed bits, so no transposed copy of a is made.
     """
     n = a.shape[axis]
-    if n < 63:  # each fits an int64: one product with the bit weights
-        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-        return ((a & 1) @ weights if axis else weights @ (a & 1)).tolist()
     packed = np.packbits(a & 1, axis=axis)
     if axis == 0:
         packed = packed.T
@@ -264,12 +261,13 @@ def rref_array(a, p: int):
 
 
 def rref_pivots(a, p: int) -> np.ndarray:
-    """Pivot columns of the RREF of a raw array, ascending.
+    """Pivot columns of the RREF of a raw integer array, ascending.
 
     Over GF(2) only the forward pass runs, on whichever of a's rows and
-    columns are fewer (module docstring).
+    columns are fewer (module docstring).  a may have any integer dtype
+    and any layout: it is read mod p.
     """
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a)
     if p != 2:
         return np.asarray(_rref(a, p)[1], dtype=np.intp)
     m, n = a.shape
@@ -350,21 +348,16 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def independent_rows(span_rows, rows, p: int) -> np.ndarray:
     """Indices of the rows outside the span of span_rows and the rows before them.
 
-    Over GF(2), one forward scan of the rows stacked under span_rows; at odd
-    p, the pivot columns of one RREF of that stack transposed.  The module
-    docstring says why both are the greedy scan's.  rows keeps its dtype:
-    over GF(2) any integer array serves, so callers need no int64 copy.
+    The pivot columns of the rows stacked under span_rows and transposed;
+    the module docstring says why they are the greedy scan's.  rows keeps
+    its dtype, which `rref_pivots` accepts as it is.
     """
     rows = np.asarray(rows)
     if not rows.size:  # no rows, or zero-width rows: all of them zero
         return np.zeros(0, dtype=np.intp)
     span_rows = _as_rows(span_rows, rows.shape[1])
-    if p == 2:
-        bits = _bit_rows(span_rows) + _bit_rows(rows)
-        kept = np.asarray(_forward_gf2(bits, rows.shape[1])[1], dtype=np.intp)
-    else:
-        stack = np.vstack([span_rows, rows]) if len(span_rows) else rows
-        kept = rref_pivots(np.ascontiguousarray(stack.T), p)
+    stack = np.vstack([span_rows, rows]) if len(span_rows) else rows
+    kept = rref_pivots(stack.T, p)
     return kept[kept >= len(span_rows)] - len(span_rows)
 
 

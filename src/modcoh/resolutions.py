@@ -26,11 +26,12 @@ column gather K[:, at[s]] - I_k, and row i is e_i.  e_i lies in I . K plus
 the span of e_0 .. e_{i-1} exactly when i is the last nonzero coordinate
 of some vector of I . K.  Those last coordinates are the pivots of the
 g k x k matrix of coordinate rows with its columns reversed: its column
-rank profile, which is the row rank profile of its transpose.  So the k
-columns, last coordinate first and each with g k entries in (generator,
-row) order, are scanned as rows by `independent_rows`: over GF(2) one
-forward pass with no back-substitution, on a copy held as bytes until it
-is packed.  Row i is kept when i is not one of the pivots.  A free
+rank profile, which is the row rank profile of its transpose.  Over
+GF(2) the k columns, last coordinate first and each with g k entries in
+(generator, row) order, are gathered from a copy of K's coordinates held
+as bytes, and `rref_pivots` scans them as rows: one forward pass with no
+back-substitution.  At odd p the g k rows are gathered from K and
+row-reduced once.  Row i is kept when i is not one of the pivots.  A free
 resolution scans the rows greedily instead (`RowSpan.select`), adding the
 |G| translates K_i[at] of each kept row i to a span of k-dimensional rows.
 
@@ -198,12 +199,19 @@ class FreeResolution:
         """
         k, p = len(kernel_rows), self.p
         if self.minimal:
-            # radical[c, s, i]: coordinate k - 1 - c of (s - 1) . row i, for
-            # the generators s; over GF(2) as bytes, the one copy made of it
-            coords = np.ascontiguousarray(kernel_rows.T, dtype=np.uint8 if p == 2 else np.int64)
-            radical = coords[at[list(self.group.generator_indices)].T[::-1]]
-            radical[np.arange(k), :, np.arange(k)[::-1]] -= 1  # uint8: 0 - 1 is 255, odd
-            last = fplinalg.independent_rows((), radical.reshape(k, -1), p)
+            gens = at[list(self.group.generator_indices)]  # at[s] for the generators s
+            if p == 2:
+                # radical[c, s, i]: coordinate k - 1 - c of (s - 1) . row i,
+                # gathered from the one copy of K's coordinates, as bytes
+                coords = np.ascontiguousarray(kernel_rows.T, dtype=np.uint8)
+                radical = coords[gens.T[::-1]]
+                radical[np.arange(k), :, np.arange(k)[::-1]] -= 1  # 0 - 1 is 255, odd
+                last = fplinalg.rref_pivots(radical.reshape(k, -1).T, p)
+            else:
+                # radical[i, s, c]: coordinate c of (s - 1) . row i
+                radical = kernel_rows[:, gens]
+                radical[np.arange(k), :, np.arange(k)] -= 1
+                last = fplinalg.rref_pivots(radical.reshape(-1, k)[:, ::-1], p)
             kept = np.ones(k, dtype=bool)
             kept[k - 1 - last] = False
             return kept.nonzero()[0]

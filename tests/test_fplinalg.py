@@ -620,9 +620,11 @@ class TestIndependentRows:
                 rows = _random_matrix(rng, 2, (n_rows, width), kind)
                 got = independent_rows(span_rows, rows, 2)
                 assert got.tolist() == _greedy(2, width, span_rows, rows)
-        # one forward scan of the stack each, and no RREF at all
+        # one forward scan each, of the stack's rows or of its columns,
+        # whichever are fewer (so the scan width is the larger count), and no RREF
         assert asked == reached == generic == []
-        assert scanned == [width for width, _, _ in cases for _ in range(2)]
+        assert scanned == [max(width, n_span + n_rows)
+                           for width, n_span, n_rows in cases for _ in range(2)]
 
     def test_empty_span_no_rows_and_zero_rows(self):
         empty = np.zeros((0, 4), dtype=np.int64)
