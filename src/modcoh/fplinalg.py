@@ -66,7 +66,19 @@ vector has a 1 at its free column and other entries only at pivot columns
 to its left.  Reversing columns and rows again gives vectors whose first
 nonzero entry is that 1, at a column where every other vector is zero,
 sorted by that column: a reduced echelon basis of the kernel, hence the
-canonical one.
+canonical one.  Its pivots are the free columns, the complement of the
+image columns the same elimination finds, so none are searched for.
+
+Over GF(2) the kernel is one bit-row elimination with no reversed copy
+(`_kernel_gf2`).  Rows are packed little-endian, so bit j of a row's int is
+column j, and a forward pass that takes the highest bit first eliminates
+the columns from the right: it is the column-reversed elimination.  After
+back-substitution only the pivot rows are unpacked, and the kernel vector
+of free column f is 1 at f and, at each image column, bit f of that
+column's row.  Bytes are used where rows are stored in bulk: the kernel
+comes back as uint8 (its transpose contiguous), which free resolutions keep
+and gather from as they are, and selection and `rref_pivots` read uint8
+input mod 2 as it is.  `kernel_and_image` and `kernel_array` return int64.
 """
 
 from __future__ import annotations
@@ -222,14 +234,12 @@ def _forward_gf2(rows: list[int], n: int):
     return echelon, kept, leads
 
 
-def _rref_gf2(a: np.ndarray):
-    """Gauss-Jordan over GF(2) on rows held as Python ints; same result as _rref_mod.
+def _back_substitute(echelon: list[int], leads: list[int]) -> list[int]:
+    """Clear each pivot from the other rows of a forward pass, in place.
 
-    The forward pass builds the echelon table, then pivots are back-substituted.
+    Works on bit lengths only, so it serves either bit order.  Returns the
+    leads sorted ascending; echelon[lead] is then that lead's reduced row.
     """
-    m, n = a.shape
-    width, pad = -(-n // 8), -n % 8
-    echelon, _, leads = _forward_gf2(_bit_rows(a), n)
     leads.sort()
     pivot_bits = 0
     for lead in leads:
@@ -241,6 +251,18 @@ def _rref_gf2(a: np.ndarray):
             hits ^= 1 << (hit - 1)
         echelon[lead] = row
         pivot_bits |= 1 << (lead - 1)
+    return leads
+
+
+def _rref_gf2(a: np.ndarray):
+    """Gauss-Jordan over GF(2) on rows held as Python ints; same result as _rref_mod.
+
+    The forward pass builds the echelon table, then pivots are back-substituted.
+    """
+    m, n = a.shape
+    width, pad = -(-n // 8), -n % 8
+    echelon, _, leads = _forward_gf2(_bit_rows(a), n)
+    leads = _back_substitute(echelon, leads)
     rows = b"".join((echelon[lead] << pad).to_bytes(width, "big") for lead in leads[::-1])
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(leads), width)
     out = np.zeros((m, n), dtype=np.int64)
@@ -291,19 +313,63 @@ def kernel_and_image(a, p: int):
     column space, so a[:, columns] is a basis of the image, returned as
     ascending column indices at no extra cost.
     """
-    a = np.asarray(a, dtype=np.int64)
-    m, n = a.shape
-    reduced, pivots = _rref(a[:, ::-1] % p, p)
+    kernel, _, columns = _kernel(a, p)
+    return np.ascontiguousarray(kernel, dtype=np.int64), columns
+
+
+def _kernel(a, p: int):
+    """(kernel, pivots, columns): `kernel_and_image` with the kernel's pivots.
+
+    The pivots are the columns that are not image columns.  Over GF(2) the
+    kernel comes as uint8 rows (`_kernel_gf2`), which free resolutions keep
+    as they are; at odd p it is int64.
+    """
+    a = np.asarray(a)
+    if p == 2:
+        return _kernel_gf2(a)
+    n = a.shape[1]
+    reduced, pivots = _rref(a[:, ::-1], p)
     columns = n - 1 - np.asarray(pivots[::-1], dtype=np.intp)
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free_cols = is_free.nonzero()[0]
-    if not free_cols.size:
-        return np.zeros((0, n), dtype=np.int64), columns
     basis = np.zeros((free_cols.size, n), dtype=np.int64)
     basis[np.arange(free_cols.size), free_cols] = 1
     basis[:, pivots] = (-reduced[: len(pivots)][:, free_cols].T) % p
-    return basis[::-1, ::-1].copy(), columns
+    return basis[::-1, ::-1].copy(), n - 1 - free_cols[::-1], columns
+
+
+def _kernel_gf2(a: np.ndarray):
+    """`_kernel` over GF(2): one bit-row elimination, the kernel as uint8 rows.
+
+    Packed little-endian, bit j of a row is column j, so the forward pass,
+    which takes the highest bit first, eliminates the columns from the
+    right: the column-reversed elimination, with no reversed copy.  A
+    reduced row with bit length `lead` has its pivot at column lead - 1,
+    an image column, and bits only at columns to its left.  The kernel
+    vector of a free column f is 1 at f and, at each image column, bit f
+    of that column's row: its first nonzero entry is the 1 at f, so the
+    vectors, sorted by f, are the canonical basis with pivots f.  It is
+    built as its transpose, one row per column, and returned as a view of
+    that, so the columns that a resolution's selection reads are contiguous.
+    """
+    m, n = a.shape
+    width = -(-n // 8)
+    buf = np.packbits(a & 1, axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(m)]
+    echelon, _, leads = _forward_gf2(rows, n)
+    leads = _back_substitute(echelon, leads)
+    columns = np.asarray(leads, dtype=np.intp) - 1
+    is_free = np.ones(n, dtype=bool)
+    is_free[columns] = False
+    pivots = is_free.nonzero()[0]
+    reduced = b"".join(echelon[lead].to_bytes(width, "little") for lead in leads)
+    bits = np.unpackbits(np.frombuffer(reduced, dtype=np.uint8).reshape(len(leads), width),
+                         axis=1, count=n, bitorder="little")
+    coords = np.zeros((n, pivots.size), dtype=np.uint8)  # the basis, transposed
+    coords[pivots, np.arange(pivots.size)] = 1
+    coords[columns] = np.take(bits, pivots, axis=1)
+    return coords.T, pivots, columns
 
 
 def solve_batch(a, rhs_cols, p: int):

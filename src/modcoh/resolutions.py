@@ -6,7 +6,7 @@ d_i is stored only as its generator columns W_i = d_i(e_{k, 1}), one column
 per free generator of P_i (the chosen kernel generators, reduced mod p):
 F_p[G]-linearity determines the rest, and `FreeResolution.expand` builds
 the full matrix, |G| times wider, only where one is needed (exactness
-checks, text output, chain-map lifts).
+checks, text output, the translates of a chain map).
 
 Each stage works in the coordinates of the kernel K of the newest stage.
 K is held as its canonical RREF basis, with pivot columns piv, so a vector
@@ -28,18 +28,24 @@ of some vector of I . K.  Those last coordinates are the pivots of the
 g k x k matrix of coordinate rows with its columns reversed: its column
 rank profile, which is the row rank profile of its transpose.  Over
 GF(2) the k columns, last coordinate first and each with g k entries in
-(generator, row) order, are gathered from a copy of K's coordinates held
-as bytes, and `rref_pivots` scans them as rows: one forward pass with no
-back-substitution.  At odd p the g k rows are gathered from K and
-row-reduced once.  Row i is kept when i is not one of the pivots.  A free
-resolution scans the rows greedily instead (`RowSpan.select`), adding the
-|G| translates K_i[at] of each kept row i to a span of k-dimensional rows.
+(generator, row) order, are gathered from K's coordinates, which K's
+bytes hold contiguously (K^T), and `rref_pivots` scans them as rows: one
+forward pass with no back-substitution.  At odd p the g k rows are
+gathered from K and row-reduced once.  Row i is kept when i is not one
+of the pivots.  A free resolution scans the rows greedily instead
+(`RowSpan.select`), adding the |G| translates K_i[at] of each kept row i
+to a span of k-dimensional rows.
 
 The next kernel is that of d = d_{L+1} on F_p[G]^{r_{L+1}}.  Its image is
 K, and a vector of K is zero exactly when its entries at piv are, so
 ker d = ker d[piv, :]: only the k rows at K's pivots are expanded and
-eliminated, d[piv[c], k n + g] = W[at[g, c], k].  That matrix has full row
-rank k, and its canonical kernel is K's successor.
+eliminated, d[piv[c], k n + g] = W[at[g, c], k] (`_pivot_rows`).  That
+matrix has full row rank k, and its canonical kernel is K's successor.
+At p = 2 the rows are gathered as bytes and eliminated as bit rows, and K
+stays uint8 (`fplinalg._kernel`); at odd p it is int64.  The elimination
+also gives K's pivots, the complement of the image columns, and every
+stage's are kept (small index arrays, no matrix), so the pivot rows of any
+d_i can be gathered again from W_i.
 
 For other groups a greedily pruned free resolution is used and all Ext
 dimensions come out of the Hom complex, which is resolution-independent.
@@ -50,7 +56,13 @@ p-subgroup P (`cohomology_dims`; P = G for a p-group).
 `FreeResolution.lift` is the one chain-map lift, stored by generator
 images like the boundaries: cup products lift cocycles with it, and
 conjugation on a Sylow subgroup lifts the identity of F_p twisted by
-d^{-1} (-) d.
+d^{-1} (-) d.  Each step solves d_k Phi = rhs on the pivot rows
+d_k[piv, :] and rhs[piv], for the pivots piv of ker d_{k-1}.  Those rows
+have d_k's kernel, hence its row space, so the solution with the free
+variables zero is the one the full d_k gives.  They see only rhs[piv], so
+rhs is first checked to lie in ker d_{k-1} = image d_k: it does exactly
+when d_{k-1}[piv', :] rhs = 0 for the pivots piv' of ker d_{k-2} (the
+augmentation times rhs, for k = 1), and LiftFailure is raised otherwise.
 """
 
 from __future__ import annotations
@@ -112,7 +124,7 @@ def _series_entries(series) -> list[int]:
 class FreeResolution:
     """Staged free resolution ... -> F_p[G]^{r_1} -> F_p[G]^{r_0} -> M -> 0."""
 
-    def __init__(self, M: GModule, minimal: bool, pad_rank0: bool = False) -> None:
+    def __init__(self, M: GModule, minimal: bool) -> None:
         self.group: FiniteGroup = M.group
         self.p = M.p
         self.target = M
@@ -121,7 +133,7 @@ class FreeResolution:
         self._n = n
         # translation index maps: left action of g sends v to v[take[g]] blockwise
         self._take = np.asarray(self.group.mul[self.group.inv], dtype=np.int64)
-        gens = self._stage_zero_generators(M, pad_rank0)
+        gens = self._stage_zero_generators(M)
         self.ranks: list[int] = [len(gens)]
         self.boundaries: list[np.ndarray] = []
         aug = np.zeros((M.dim, len(gens) * n), dtype=np.int64)
@@ -129,21 +141,21 @@ class FreeResolution:
             aug[:, j * n:(j + 1) * n] = np.tensordot(
                 M.action, m, axes=([2], [0])).T % self.p
         self.augmentation = aug
-        self._kernel = fplinalg.kernel_array(aug, self.p)
+        # the newest kernel K, uint8 at p = 2, and the pivots of every
+        # stage's kernel: _kernel_pivots[i] for ker d_i, d_0 the augmentation
+        self._kernel, pivots, _ = fplinalg._kernel(aug, self.p)
+        self._kernel_pivots: list[np.ndarray] = [pivots]
 
     # -- construction ---------------------------------------------------
 
-    def _stage_zero_generators(self, M: GModule, pad_rank0: bool):
+    def _stage_zero_generators(self, M: GModule):
         eye = np.eye(M.dim, dtype=np.int64)
         if self.minimal:
             kept = fplinalg.independent_rows(
                 gmodules.coinvariant_coordinates(M), eye, M.p)
         else:
             kept = RowSpan(M.p, M.dim).select(eye, expand=lambda v: M.action @ v)
-        gens = [eye[i] for i in kept]
-        if pad_rank0 and gens:
-            gens.append(gens[0])
-        return gens
+        return [eye[i] for i in kept]
 
     def expand(self, images: np.ndarray, twist=None) -> np.ndarray:
         """The full matrix of a map out of F_p[G]^r, from generator images.
@@ -202,9 +214,8 @@ class FreeResolution:
             gens = at[list(self.group.generator_indices)]  # at[s] for the generators s
             if p == 2:
                 # radical[c, s, i]: coordinate k - 1 - c of (s - 1) . row i,
-                # gathered from the one copy of K's coordinates, as bytes
-                coords = np.ascontiguousarray(kernel_rows.T, dtype=np.uint8)
-                radical = coords[gens.T[::-1]]
+                # gathered from K^T, which the byte kernel holds contiguously
+                radical = kernel_rows.T[gens.T[::-1]]
                 radical[np.arange(k), :, np.arange(k)[::-1]] -= 1  # 0 - 1 is 255, odd
                 last = fplinalg.rref_pivots(radical.reshape(k, -1).T, p)
             else:
@@ -215,24 +226,36 @@ class FreeResolution:
             kept = np.ones(k, dtype=bool)
             kept[k - 1 - last] = False
             return kept.nonzero()[0]
+        kernel_rows = kernel_rows.astype(np.int64)  # row products in int64, one copy
         return RowSpan(p, k).select(np.eye(k, dtype=np.int64),
                                     expand=lambda e: (e @ kernel_rows)[at])
+
+    def _pivot_rows(self, i: int) -> np.ndarray:
+        """The rows of d_i at the pivots piv of ker d_{i-1}, gathered from W_i.
+
+        d_i[piv[c], k n + g] = W_i[at[g, c], k].  image(d_i) = ker d_{i-1},
+        where a vector is zero exactly when its entries at piv are, so these
+        rows have d_i's kernel and row space (module docstring).
+        """
+        # over GF(2) gathered as bytes, which the kernel elimination reads
+        W = self.boundaries[i - 1].astype(np.uint8 if self.p == 2 else np.int64, copy=False)
+        piv = self._kernel_pivots[i - 1]
+        rows = W.T[:, self._translates(piv).T]  # rows[k, c, g] = d_i[piv[c], k n + g]
+        return rows.transpose(1, 0, 2).reshape(len(piv), W.shape[1] * self._n)
 
     def _append_stage(self) -> None:
         K = self._kernel
         if not len(K):  # exact already: zero modules from here on
             self.ranks.append(0)
             self.boundaries.append(np.zeros((self.ranks[-2] * self._n, 0), dtype=np.int64))
+            self._kernel_pivots.append(np.zeros(0, dtype=np.intp))
             return
-        at = self._translates(fplinalg.pivot_columns(K))
-        W = np.ascontiguousarray(K[self._kernel_generators(K, at)].T)
-        r = W.shape[1]
-        self.ranks.append(r)
+        at = self._translates(self._kernel_pivots[-1])
+        W = np.ascontiguousarray(K[self._kernel_generators(K, at)].T, dtype=np.int64)
+        self.ranks.append(W.shape[1])
         self.boundaries.append(W)
-        # image(d) = K, so d v = 0 exactly when (d v)[piv] = 0: the rows
-        # of d at K's pivots, d[piv[c], k n + g] = W[at[g, c], k]
-        rows = W[at.T[:, None, :], np.arange(r)[None, :, None]]
-        self._kernel = fplinalg.kernel_array(rows.reshape(len(K), r * self._n), self.p)
+        self._kernel, pivots, _ = fplinalg._kernel(self._pivot_rows(self.length), self.p)
+        self._kernel_pivots.append(pivots)
 
     def extend_to(self, length: int) -> "FreeResolution":
         """Ensure boundaries d_1 .. d_length exist (idempotent, append-only)."""
@@ -258,8 +281,10 @@ class FreeResolution:
         generators, where tau_{k-1} is Phi_{k-1} expanded.  The list is
         extended in place through Phi_steps and returned, so a caller that
         needs more degrees later resumes where it stopped.  A right-hand
-        side outside the image of d_k means the resolution is not exact
-        there, and raises LiftFailure.
+        side outside the image of d_k, which is ker d_{k-1}, raises
+        LiftFailure.  Each step solves on the rows of d_k at the pivots of
+        ker d_{k-1}, with the right-hand side's entries there (module
+        docstring).
 
         Cup products lift cocycles untwisted; conjugation on a Sylow
         subgroup's resolution lifts the identity of F_p with a twist.
@@ -276,8 +301,10 @@ class FreeResolution:
             # d_{shift+k} on the free generators u . e_m, columns (m, u)
             W = self.boundaries[shift + k - 1].reshape(r_src, n, -1)
             W = W[:, self._take[transversal]].transpose(0, 2, 3, 1)
-            rhs = (tau @ W.reshape(r_src * n, -1)) % p
-            phi = fplinalg.solve_batch(self.boundary(k), rhs.reshape(len(phi), -1), p)
+            rhs = ((tau @ W.reshape(r_src * n, -1)) % p).reshape(len(phi), -1)
+            upstream = self.augmentation if k == 1 else self._pivot_rows(k - 1)
+            phi = None if fplinalg._matmul_mod(upstream, rhs, p).any() else \
+                fplinalg.solve_batch(self._pivot_rows(k), rhs[self._kernel_pivots[k - 1]], p)
             if phi is None:
                 raise LiftFailure(f"degree-{shift} maps do not lift to "
                                   f"P_{shift + k} -> P_{k}: the resolution is not exact")
@@ -328,8 +355,7 @@ class FreeResolution:
         return "\n".join(lines) + "\n"
 
 
-def free_resolution(M: GModule, length: int, minimal: bool = False,
-                    pad_rank0: bool = False) -> FreeResolution:
+def free_resolution(M: GModule, length: int, minimal: bool = False) -> FreeResolution:
     """Free resolution of M, exact through the requested length."""
     if length < 1:
         raise LengthTooSmall("resolution length must be at least 1")
@@ -337,7 +363,7 @@ def free_resolution(M: GModule, length: int, minimal: bool = False,
         raise MinimalityUnavailable(
             f"{M.group.name} is not a {M.p}-group; minimal resolutions "
             "are only constructed over p-groups")
-    res = FreeResolution(M, minimal=minimal, pad_rank0=pad_rank0)
+    res = FreeResolution(M, minimal=minimal)
     return res.extend_to(length)
 
 
@@ -374,7 +400,7 @@ def syzygy(M: GModule, i: int) -> GModule:
     action = np.zeros((n, k, k), dtype=np.int64)
     if k:
         # action[g][c, i]: coordinate c of g . row i
-        at = res._translates(fplinalg.pivot_columns(kernel_rows))
+        at = res._translates(res._kernel_pivots[-1])
         action[:] = kernel_rows[:, at].transpose(1, 2, 0)
     return GModule(M.group, M.p, action, validate=False)
 

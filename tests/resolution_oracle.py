@@ -1,0 +1,50 @@
+"""Test-side resolutions and lifts to check `modcoh.resolutions` against.
+
+`PaddedResolution` is a free resolution that is deliberately not minimal:
+its P_0 repeats the first generator, so e_0 - e_1 lies in the kernel of the
+augmentation but not in I . F_p[G]^2.  Ext dimensions must not notice.
+
+`full_boundary_lift` is `FreeResolution.lift` as it solved before lifts
+moved onto the pivot rows: each Phi_k from the whole expanded d_k beside
+the right-hand sides, and LiftFailure when a right-hand side is outside the
+image of d_k.  The solution with free variables zero depends only on d_k's
+row space, so both must give the same Phi_k, byte for byte.
+"""
+
+from modcoh import fplinalg
+from modcoh.errors import LiftFailure
+from modcoh.resolutions import FreeResolution
+
+
+class PaddedResolution(FreeResolution):
+    """A free resolution whose stage zero repeats its first generator."""
+
+    def _stage_zero_generators(self, M):
+        gens = super()._stage_zero_generators(M)
+        return gens + gens[:1]
+
+
+def padded_resolution(M, length):
+    """The padded free resolution of M, exact through length."""
+    return PaddedResolution(M, minimal=False).extend_to(length)
+
+
+def full_boundary_lift(res, lifts, shift, steps, twist=None):
+    """Phi_0 .. Phi_steps as `FreeResolution.lift` gives them, solved on full d_k."""
+    p, n = res.p, res.group.order
+    res.extend_to(max(shift + steps, 1))
+    transversal = [0] if twist is None else twist[0][:, 0]
+    nu = len(transversal)
+    count = lifts[0].shape[1] // max(res.ranks[shift] * nu, 1)
+    for k in range(len(lifts), steps + 1):
+        phi = lifts[-1]
+        r_src = res.ranks[shift + k - 1]
+        tau = res.expand(phi, twist).reshape(len(phi), count, r_src * n)
+        W = res.boundaries[shift + k - 1].reshape(r_src, n, -1)
+        W = W[:, res._take[transversal]].transpose(0, 2, 3, 1)
+        rhs = (tau @ W.reshape(r_src * n, -1)) % p
+        phi = fplinalg.solve_batch(res.boundary(k), rhs.reshape(len(phi), -1), p)
+        if phi is None:
+            raise LiftFailure(f"degree-{shift} maps do not lift to P_{shift + k} -> P_{k}")
+        lifts.append(phi)
+    return lifts

@@ -72,6 +72,7 @@ from modcoh.resolutions import (
 
 from corpus import build_corpus, catalog_closure
 from presentations import PRODUCT_ORACLES, STRETCH_PRODUCT_ORACLES
+from resolution_oracle import padded_resolution
 
 
 @contextmanager
@@ -280,7 +281,7 @@ def test_c15_property_suites():
         Q8 = catalog.get_group("Q8")
         triv = trivial_module(Q8, 2)
         minimal = free_resolution(triv, 5, minimal=True)
-        padded = free_resolution(triv, 5, minimal=False, pad_rank0=True)
+        padded = padded_resolution(triv, 5)
         assert ext_dims(triv, triv, 4, resolution=minimal).dims == \
             ext_dims(triv, triv, 4, resolution=padded).dims
         # Maschke vanishing

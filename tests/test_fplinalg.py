@@ -259,20 +259,22 @@ GF2_WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 191, 192, 229)
 
 
 def _spy_gf2(monkeypatch):
-    """(asked, reached, scanned, generic): the p of each `_rref` call, the shape
-    of each `_rref_gf2` call, the width of each GF(2) forward scan (one per
-    `_rref_gf2` call, plus the pivot-only scans) and the p of each
-    `_rref_mod` call."""
+    """(asked, reached, scanned, generic, kernels): the p of each `_rref` call,
+    the shape of each `_rref_gf2` call, the width of each GF(2) forward scan
+    (one per `_rref_gf2` and `_kernel_gf2` call, plus the pivot-only scans),
+    the p of each `_rref_mod` call and the shape of each `_kernel_gf2` call."""
     from modcoh import fplinalg
-    asked, reached, scanned, generic = [], [], [], []
-    rref, gf2 = fplinalg._rref, fplinalg._rref_gf2
+    asked, reached, scanned, generic, kernels = [], [], [], [], []
+    rref, gf2, kernel = fplinalg._rref, fplinalg._rref_gf2, fplinalg._kernel_gf2
     forward, mod = fplinalg._forward_gf2, fplinalg._rref_mod
     monkeypatch.setattr(fplinalg, "_rref", lambda a, p: asked.append(p) or rref(a, p))
     monkeypatch.setattr(fplinalg, "_rref_gf2", lambda a: reached.append(a.shape) or gf2(a))
     monkeypatch.setattr(fplinalg, "_forward_gf2",
                         lambda rows, n: scanned.append(n) or forward(rows, n))
     monkeypatch.setattr(fplinalg, "_rref_mod", lambda a, p: generic.append(p) or mod(a, p))
-    return asked, reached, scanned, generic
+    monkeypatch.setattr(fplinalg, "_kernel_gf2",
+                        lambda a: kernels.append(a.shape) or kernel(a))
+    return asked, reached, scanned, generic, kernels
 
 
 class TestLazyElimination:
@@ -297,7 +299,7 @@ class TestLazyElimination:
     def test_packed_gf2_matches_eager_at_every_width(self, monkeypatch):
         from modcoh import fplinalg
         from modcoh.fplinalg import _rref_mod
-        asked, reached, scanned, generic = _spy_gf2(monkeypatch)
+        asked, reached, scanned, generic, kernels = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(3)
         for n in GF2_WIDTHS:
             for m in (0, 1, 8, 60, 300):
@@ -322,9 +324,10 @@ class TestLazyElimination:
 
     def test_every_gf2_call_takes_the_bit_row_path(self, monkeypatch):
         """No F_2 entry point reaches the int64 elimination, at any shape."""
-        asked, reached, scanned, generic = _spy_gf2(monkeypatch)
+        asked, reached, scanned, generic, kernels = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(5)
-        for m, n in ((0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (9, 8), (2, 65), (70, 4)):
+        shapes = ((0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (9, 8), (2, 65), (70, 4))
+        for m, n in shapes:
             a = _random_matrix(rng, 2, (m, n), "full")
             rref_array(a, 2)
             kernel_array(a, 2)
@@ -338,8 +341,10 @@ class TestLazyElimination:
                 assert kept.tolist() == [] and space.dim == span.rank == 0
                 assert space.basis.shape == span.basis().shape == (0, 0)
         assert len(reached) == asked.count(2)
+        # kernel_array eliminates each matrix once, on the bit-row kernel path
+        assert kernels == [(m, n) for m, n in shapes]
         # rref_pivots scans each matrix, independent_rows each nonempty one
-        assert len(scanned) == len(reached) + 8 + 5 >= 50
+        assert len(scanned) == len(reached) + len(kernels) + 8 + 5 >= 50
         assert generic == []
         rref_array([[1, 2], [3, 4]], 3)
         assert generic == [3]
@@ -534,7 +539,7 @@ class TestIncrementalSpan:
                     assert span._pivots.tolist() == pivots
 
     def test_kernel_matches_two_rref_version(self, monkeypatch):
-        asked, reached, scanned, generic = _spy_gf2(monkeypatch)
+        asked, reached, scanned, generic, kernels = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(41)
         for p, a in _cases(43):
             assert np.array_equal(kernel_array(a, p), _two_rref_kernel(a, p))
@@ -543,8 +548,44 @@ class TestIncrementalSpan:
                 for kind in ("full", "deficient", "zero"):
                     a = _random_matrix(rng, 2, shape, kind)
                     assert np.array_equal(kernel_array(a, 2), _two_rref_kernel(a, 2))
-        assert len(reached) == asked.count(2) == 3 * len(DIFF_SHAPES) + 15 * len(GF2_WIDTHS)
-        assert len(scanned) == len(reached) and 2 not in generic
+        # every p = 2 kernel is one bit-row elimination, with no RREF
+        assert reached == [] and 2 not in asked and 2 not in generic
+        assert len(kernels) == len(scanned) == 3 * len(DIFF_SHAPES) + 15 * len(GF2_WIDTHS)
+
+    @given(st.sampled_from(("tall", "wide", "zero-row", "square")),
+           st.integers(0, 130), st.integers(0, 40),
+           st.sampled_from(("full", "deficient", "zero", "sparse")),
+           st.sampled_from((np.int64, np.uint8)), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_gf2_kernel_path_matches_two_rref_version(self, shape, n, small, kind,
+                                                       dtype, seed):
+        """The bit-row kernel, its pivots and its image columns against the
+        eager eliminations, at widths on and off byte boundaries."""
+        from modcoh.fplinalg import _kernel, kernel_and_image, pivot_columns
+        rng = np.random.default_rng(seed)
+        m = {"tall": n + small + 1, "wide": min(small, n // 2), "zero-row": 0,
+             "square": n}[shape]
+        if kind == "sparse":
+            a = (rng.random((m, n)) < 0.05).astype(np.int64)
+        else:
+            a = _random_matrix(rng, 2, (m, n), kind)
+        # the same matrix mod 2, with entries outside {0, 1}
+        if dtype is np.uint8:
+            raw = (a + 2 * rng.integers(0, 100, size=a.shape)).astype(np.uint8)
+        else:
+            raw = a + 2 * rng.integers(-3, 4, size=a.shape)
+        want = _two_rref_kernel(a, 2)
+        basis, pivots, columns = _kernel(raw, 2)
+        assert basis.dtype == np.uint8 and np.array_equal(basis, want)
+        kernel, image = kernel_and_image(raw, 2)
+        assert kernel.dtype == np.int64 and np.array_equal(kernel, want)
+        assert kernel.flags.c_contiguous
+        assert np.array_equal(image, columns)
+        assert pivots.tolist() == (pivot_columns(want).tolist() if len(want) else [])
+        # image columns: the pivots of the column-reversed RREF, read back
+        reversed_pivots = _eager_rref_mod(a[:, ::-1], 2)[1]
+        assert columns.tolist() == [n - 1 - c for c in reversed(reversed_pivots)]
+        assert sorted(pivots.tolist() + columns.tolist()) == list(range(n))
 
     @pytest.mark.parametrize("p", (1048573, _BIG_PRIME))
     def test_matmul_mod_at_float_bound(self, p):
@@ -610,7 +651,7 @@ class TestIndependentRows:
                     assert got.tolist() == _greedy(p, width, span_rows, rows)
 
     def test_gf2_packed_path(self, monkeypatch):
-        asked, reached, scanned, generic = _spy_gf2(monkeypatch)
+        asked, reached, scanned, generic, kernels = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(59)
         cases = ((64, 96, 120), (30, 150, 60), (300, 40, 200),
                  (1, 2, 3), (7, 3, 9), (9, 0, 12), (65, 10, 20))
@@ -622,7 +663,7 @@ class TestIndependentRows:
                 assert got.tolist() == _greedy(2, width, span_rows, rows)
         # one forward scan each, of the stack's rows or of its columns,
         # whichever are fewer (so the scan width is the larger count), and no RREF
-        assert asked == reached == generic == []
+        assert asked == reached == generic == kernels == []
         assert scanned == [max(width, n_span + n_rows)
                            for width, n_span, n_rows in cases for _ in range(2)]
 

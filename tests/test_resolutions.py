@@ -50,6 +50,7 @@ from modcoh.resolutions import (
 )
 
 from corpus import build_corpus, small_permutation_groups
+from resolution_oracle import padded_resolution
 
 
 class TestConstruction:
@@ -87,7 +88,7 @@ class TestConstruction:
                  (permutation_module(S4, sylow(S4, 2), 2), False, True)]
         cases += [(M, M.group.is_p_group(2), False) for _, M in build_corpus(6, seed=5)]
         for M, minimal, pad in cases:
-            res = free_resolution(M, 4, minimal=minimal, pad_rank0=pad)
+            res = padded_resolution(M, 4) if pad else free_resolution(M, 4, minimal=minimal)
             for i in range(1, res.length + 1):
                 assert np.array_equal(res.boundary(i), _boundary_by_loop(res, i))
 
@@ -106,7 +107,7 @@ class TestConstruction:
 
     def test_padded_stage_zero_image_leaves_radical(self, D8):
         # e_0 - e_1 lies in ker(augmentation) but not in I . F_p[G]^2
-        res = free_resolution(trivial_module(D8, 2), 2, pad_rank0=True)
+        res = padded_resolution(trivial_module(D8, 2), 2)
         assert not res.image_in_radical(1)
 
     def test_prime_above_max_prime_raises(self):
@@ -287,6 +288,25 @@ class TestD8xD8:
         assert res.minimal and tuple(res.ranks[:7]) == self.KUNNETH
 
 
+class TestD8xD8xZ2:
+    """An order-128 group: D8 x D8 on points 0-7 as in D8xD8.grp, and Z2 as
+    the transposition (8 9).  By Kunneth with H^*(Z2) = 1/(1 - t),
+    dim H^n = C(n + 4, 4)."""
+
+    DATA = pathlib.Path(__file__).parent / "data"
+
+    def test_order_and_dims_through_degree_3(self):
+        from modcoh.fileio import parse_group_file
+        G = parse_group_file((self.DATA / "D8xD8xZ2.grp").read_text())
+        D8xD8 = parse_group_file((self.DATA / "D8xD8.grp").read_text())
+        assert G.order == 128
+        gens = [G.elements[i].images for i in G.generator_indices]
+        assert [g[:8] for g in gens[:4]] == \
+            [D8xD8.elements[i].images for i in D8xD8.generator_indices]
+        assert gens[4] == (0, 1, 2, 3, 4, 5, 6, 7, 9, 8)
+        assert cohomology_dims(G, 2, 3).dims == (1, 5, 15, 35)
+
+
 class TestSyzygy:
     def test_omega_zero(self, D8):
         M = trivial_module(D8, 2)
@@ -328,7 +348,7 @@ class TestExtDims:
     def test_resolution_independence(self, Q8):
         triv = trivial_module(Q8, 2)
         minimal = free_resolution(triv, 6, minimal=True)
-        padded = free_resolution(triv, 6, minimal=False, pad_rank0=True)
+        padded = padded_resolution(triv, 6)
         assert padded.ranks[0] == minimal.ranks[0] + 1
         a = ext_dims(triv, triv, 5, resolution=minimal)
         b = ext_dims(triv, triv, 5, resolution=padded)
@@ -338,7 +358,7 @@ class TestExtDims:
         triv = trivial_module(D8, 2)
         N = permutation_module(D8, center(D8), 2)
         minimal = free_resolution(triv, 5, minimal=True)
-        padded = free_resolution(triv, 5, minimal=False, pad_rank0=True)
+        padded = padded_resolution(triv, 5)
         assert ext_dims(triv, N, 4, resolution=minimal).dims == \
             ext_dims(triv, N, 4, resolution=padded).dims
 

@@ -25,15 +25,16 @@ from modcoh.cohmaps import (
     stable_subspace,
     trivial_coefficients,
 )
-from modcoh.errors import BadParameters
+from modcoh.errors import BadParameters, LiftFailure
 from modcoh.gmodules import trivial_module
 from modcoh.groups import Subgroup, conjugate_subgroup, double_cosets, intersect, prime_factors
 from modcoh.products import CupRing, product_span_dims
-from modcoh.resolutions import clear_resolution_cache, cohomology_dims, ext_dims
+from modcoh.resolutions import FreeResolution, clear_resolution_cache, cohomology_dims, ext_dims
 
 import stable_oracle
 from corpus import small_permutation_groups
 from diagonal_oracle import diagonal_approximation, product_span_dim
+from resolution_oracle import PaddedResolution, full_boundary_lift
 
 
 def free_dims(G, p, top):
@@ -195,6 +196,71 @@ def test_conjugation_lifts_are_twisted_chain_maps(name, p):
                 r = res.ranks[k]
                 assert np.array_equal(psi @ translation(P, r, s) % p,
                                       translation(P, r, image) @ psi % p), (d, s, k)
+
+
+def _assert_same_lifts(got, want):
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape, k
+        assert a.tobytes() == b.tobytes(), k
+
+
+@pytest.mark.parametrize("name,p,top", [
+    (name, p, 6) for name in catalog.names() for p in prime_factors(catalog.get_group(name).order)
+] + [pytest.param(name, p, 4, marks=pytest.mark.stretch) for name, p in prime_cases(STRETCH)])
+def test_lifts_on_pivot_rows_match_full_boundary_lifts(name, p, top):
+    """Each Phi_k, solved on the rows of d_k at the pivots of ker d_{k-1},
+    is byte for byte the lift solved on all of d_k: the cocycle lifts of
+    CupRing (untwisted) and the conjugation lifts of every double coset
+    (twisted)."""
+    G = catalog.get_group(name)
+    ring = CupRing(G, p, top)
+    for i in range(top + 1):
+        classes = ring.basis(i).classes
+        if len(classes):
+            got = ring._lift(classes.T, i, top - i)
+            _assert_same_lifts(got, full_boundary_lift(ring.resolution, got[:1], i, top - i))
+    every = EveryDoubleCoset(G, p)
+    for (_, _, twist), psis in zip(every.pairs, every.lifts(top)):
+        _assert_same_lifts(psis, full_boundary_lift(every.resolution, psis[:1], 0, top, twist))
+
+
+def test_corrupted_conjugation_lift_raises(S4):
+    """psi_0 must send every coset's generator to an augmentation-1 vector;
+    zeroing one of them leaves nothing to lift to."""
+    state = StableElements(S4, 2)
+    (_, ctx_t, twist), = state.pairs
+    assert len(ctx_t.transversal) == 2
+    psi0 = state.lifts(0)[0][0].copy()
+    psi0[0, 1] = 0
+    for lift in (state.resolution.lift, lambda *args: full_boundary_lift(state.resolution, *args)):
+        with pytest.raises(LiftFailure):
+            lift([psi0], 0, 3, twist)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_corrupted_psi0_raises_at_every_prime(p):
+    """On a padded resolution of F_p over Z_p, Phi_0 = identity lifts and
+    Phi_0 with one generator sent to 0 does not; over the trivial subgroup,
+    psi_0 = (every g . e -> e) lifts and loses that when one g . e -> 0.
+    The pivot-row lift and the full-boundary lift agree on each."""
+    P = catalog.get_group(f"Z{p}")
+    n = P.order
+    padded = PaddedResolution(trivial_module(P, p), minimal=False)
+    minimal = FreeResolution(trivial_module(P, p), minimal=True)
+    plain = np.zeros((2 * n, 2), dtype=np.int64)
+    plain[[0, n], [0, 1]] = 1
+    over_one = np.zeros((n, n), dtype=np.int64)
+    over_one[0] = 1
+    trivial_twist = (np.arange(n)[:, None], np.zeros(1, dtype=np.intp))
+    for res, phi0, twist in ((padded, plain, None), (minimal, over_one, trivial_twist)):
+        got = res.lift([phi0], 0, 4, twist)
+        _assert_same_lifts(got, full_boundary_lift(res, [phi0], 0, 4, twist))
+        corrupted = phi0.copy()
+        corrupted[:, 1] = 0
+        for lift in (res.lift, lambda *args: full_boundary_lift(res, *args)):
+            with pytest.raises(LiftFailure):
+                lift([corrupted], 0, 4, twist)
 
 
 def test_lifts_resume_where_they_stopped(S4):
