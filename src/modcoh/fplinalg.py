@@ -55,10 +55,19 @@ RREF basis, only their nonzero residuals are eliminated, the new pivot
 columns are cleared from the old rows with one product, and the rows are
 merged by pivot.  The result has the union of the pivots, is reduced, and
 spans the same space, so by uniqueness it is the RREF of all rows added so
-far.  `RowSpan.select` hands plain rows to `independent_rows`.  With
-`expand`, where a kept row adds other rows to the span (the coordinates
-of its translates, in a free resolution's kernel), it scans greedily on
-that basis, one kept row at a time.
+far.
+
+Greedy generators of a submodule (`greedy_generators`), where a kept e_j
+adds all its translates to the span, need no residuals of the rows still
+to be scanned.  When e_j is reached, every earlier e_i lies in the span S:
+a kept one is among its own translates, and a dropped one lay in S when it
+was reached.  So e_j lies in S exactly when some vector of S has its last
+nonzero coordinate at j, and one forward scan decides it from the
+echelon of S by last coordinates.  Over GF(2) that echelon is a table of
+little-endian bit rows indexed by bit length; a translate is reduced from
+its highest bit and dropped once its lead is at j or below, where S
+already holds every vector.  At odd p it is a `RowSpan` of the rows with
+their columns reversed.
 
 `kernel_array` needs one elimination.  It row-reduces the matrix with its
 columns reversed and builds the usual free-column kernel basis there: each
@@ -208,6 +217,14 @@ def _bit_rows(a: np.ndarray, axis: int = 1) -> list[int]:
             for i in range(len(packed))]
 
 
+def _little_rows(a: np.ndarray) -> list[int]:
+    """The rows of a mod 2 as Python ints, little-endian: entry j is bit j."""
+    width = -(-a.shape[1] // 8)
+    buf = np.packbits(a & 1, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(buf[i * width:(i + 1) * width], "little")
+            for i in range(len(a))]
+
+
 def _forward_gf2(rows: list[int], n: int):
     """Forward GF(2) elimination of bit rows of width n: no back-substitution.
 
@@ -353,11 +370,9 @@ def _kernel_gf2(a: np.ndarray):
     built as its transpose, one row per column, and returned as a view of
     that, so the columns that a resolution's selection reads are contiguous.
     """
-    m, n = a.shape
+    n = a.shape[1]
     width = -(-n // 8)
-    buf = np.packbits(a & 1, axis=1, bitorder="little").tobytes()
-    rows = [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(m)]
-    echelon, _, leads = _forward_gf2(rows, n)
+    echelon, _, leads = _forward_gf2(_little_rows(a), n)
     leads = _back_substitute(echelon, leads)
     columns = np.asarray(leads, dtype=np.intp) - 1
     is_free = np.ones(n, dtype=bool)
@@ -491,46 +506,41 @@ class RowSpan:
         self._basis = np.vstack([old, new])[order]
         self._pivots = pivots_all[order]
 
-    def select(self, rows, expand=None) -> np.ndarray:
-        """Greedy scan: indices of the rows outside the span when reached.
-
-        Each kept row is folded in before the next row is tested, as the row
-        itself or as the rows `expand(row)` returns, so the result is that
-        of a sequential test-then-add loop.  Without expand that is
-        `independent_rows` on the basis.  With it, residuals of all rows are
-        computed once and, after each kept row, updated by the new basis
-        rows only.  A row whose residual is zero lies in the span, stays
-        there as the span grows, and is dropped.
-        """
-        p = self.p
-        rows = np.asarray(rows, dtype=np.int64)
-        if expand is None:
-            kept = independent_rows(self._basis, rows, p)
-            self.add_rows(rows[kept])
-            return kept
-        res = residual_rows(rows, self._basis, p, self._pivots)
-        # What the scan adds, reduced against the basis, grows as its own
-        # span and is merged once at the end: each step then updates only
-        # the rows added so far, not the whole basis.
-        fresh = RowSpan(p, self.ambient_dim)
-        live = res.any(axis=1)
-        idx, res = live.nonzero()[0], res[live]
-        kept = []
-        while len(idx):
-            i = int(idx[0])
-            kept.append(i)
-            added = residual_rows(expand(rows[i]), self._basis, p, self._pivots)
-            new, new_pivots = fresh._absorb(
-                residual_rows(added, fresh._basis, p, fresh._pivots))
-            idx, res = idx[1:], res[1:]
-            if len(new_pivots) and len(idx):
-                res -= _matmul_mod(res[:, new_pivots], new, p)
-                np.mod(res, p, out=res)
-                live = res.any(axis=1)
-                if not live.all():
-                    idx, res = idx[live], res[live]
-        self._merge(fresh._basis, fresh._pivots)
-        return np.asarray(kept, dtype=np.intp)
-
     def basis(self) -> np.ndarray:
         return self._basis.copy()
+
+
+def greedy_generators(k: int, translates, p: int) -> np.ndarray:
+    """Indices j of the e_j in F_p^k outside the span of the translates of
+    the e_i kept before them, in scan order.
+
+    translates(j) is an integer array of rows, e_j among them, that spans
+    the translates of e_j; the module docstring gives the lead test that
+    decides each e_j with no residuals of the rows not yet reached.
+    """
+    kept = []
+    if p == 2:
+        echelon = [0] * (k + 1)  # echelon[b]: the stored row of bit length b
+        for j in range(k):
+            if echelon[j + 1]:  # a vector of the span ends at coordinate j
+                continue
+            kept.append(j)
+            for row in _little_rows(translates(j)):
+                lead = row.bit_length()
+                while lead > j + 1:
+                    other = echelon[lead]
+                    if not other:
+                        echelon[lead] = row
+                        break
+                    row ^= other
+                    lead = row.bit_length()
+    else:
+        span = RowSpan(p, k)
+        ends = np.zeros(k, dtype=bool)  # ends[c]: a vector of the span ends at c
+        for j in range(k):
+            if ends[j]:
+                continue
+            kept.append(j)
+            span.add_rows(np.asarray(translates(j))[:, ::-1])
+            ends[k - 1 - span._pivots] = True
+    return np.asarray(kept, dtype=np.intp)

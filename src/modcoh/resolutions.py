@@ -32,15 +32,23 @@ GF(2) the k columns, last coordinate first and each with g k entries in
 bytes hold contiguously (K^T), and `rref_pivots` scans them as rows: one
 forward pass with no back-substitution.  At odd p the g k rows are
 gathered from K and row-reduced once.  Row i is kept when i is not one
-of the pivots.  A free resolution scans the rows greedily instead
-(`RowSpan.select`), adding the |G| translates K_i[at] of each kept row i
-to a span of k-dimensional rows.
+of the pivots.  A free resolution keeps row i instead when e_i lies
+outside the F_p[G]-span S of the rows kept before it.  Every earlier e_h
+lies in S (a kept one among its own translates, a dropped one when it was
+reached), so e_i lies in S exactly when some vector of S has its last
+nonzero coordinate at i: one forward scan in which each kept row adds its |G|
+translates K_i[at] to an echelon of S by last coordinates, and no row
+still to come is reduced (`fplinalg.greedy_generators`).  Stage zero
+scans the columns of M's action matrices the same way.
 
 The next kernel is that of d = d_{L+1} on F_p[G]^{r_{L+1}}.  Its image is
 K, and a vector of K is zero exactly when its entries at piv are, so
 ker d = ker d[piv, :]: only the k rows at K's pivots are expanded and
 eliminated, d[piv[c], k n + g] = W[at[g, c], k] (`_pivot_rows`).  That
 matrix has full row rank k, and its canonical kernel is K's successor.
+Each kernel is eliminated only when it is read, by the next stage or by
+`syzygy` (`_newest_kernel`), so `extend_to(L)` builds d_1 .. d_L and
+never eliminates ker d_L.
 At p = 2 the rows are gathered as bytes and eliminated as bit rows, and K
 stays uint8 (`fplinalg._kernel`); at odd p it is int64.  The elimination
 also gives K's pivots, the complement of the image columns, and every
@@ -83,7 +91,6 @@ from .errors import (
     NoFitFound,
     SeriesTooShort,
 )
-from .fplinalg import RowSpan
 from .gmodules import GModule, dual_module, restrict_module, trivial_module
 from .groups import (
     FiniteGroup,
@@ -141,10 +148,11 @@ class FreeResolution:
             aug[:, j * n:(j + 1) * n] = np.tensordot(
                 M.action, m, axes=([2], [0])).T % self.p
         self.augmentation = aug
-        # the newest kernel K, uint8 at p = 2, and the pivots of every
-        # stage's kernel: _kernel_pivots[i] for ker d_i, d_0 the augmentation
-        self._kernel, pivots, _ = fplinalg._kernel(aug, self.p)
-        self._kernel_pivots: list[np.ndarray] = [pivots]
+        # the newest kernel K, uint8 at p = 2, or None until it is read
+        # (`_newest_kernel`), and the pivots of every stage's kernel
+        # eliminated so far: _kernel_pivots[i] for ker d_i, d_0 the augmentation
+        self._kernel: np.ndarray | None = None
+        self._kernel_pivots: list[np.ndarray] = []
 
     # -- construction ---------------------------------------------------
 
@@ -153,8 +161,8 @@ class FreeResolution:
         if self.minimal:
             kept = fplinalg.independent_rows(
                 gmodules.coinvariant_coordinates(M), eye, M.p)
-        else:
-            kept = RowSpan(M.p, M.dim).select(eye, expand=lambda v: M.action @ v)
+        else:  # g . e_j is column j of M's action of g
+            kept = fplinalg.greedy_generators(M.dim, lambda j: M.action[:, :, j], M.p)
         return [eye[i] for i in kept]
 
     def expand(self, images: np.ndarray, twist=None) -> np.ndarray:
@@ -226,9 +234,7 @@ class FreeResolution:
             kept = np.ones(k, dtype=bool)
             kept[k - 1 - last] = False
             return kept.nonzero()[0]
-        kernel_rows = kernel_rows.astype(np.int64)  # row products in int64, one copy
-        return RowSpan(p, k).select(np.eye(k, dtype=np.int64),
-                                    expand=lambda e: (e @ kernel_rows)[at])
+        return fplinalg.greedy_generators(k, lambda i: kernel_rows[i][at], p)
 
     def _pivot_rows(self, i: int) -> np.ndarray:
         """The rows of d_i at the pivots piv of ker d_{i-1}, gathered from W_i.
@@ -243,9 +249,17 @@ class FreeResolution:
         rows = W.T[:, self._translates(piv).T]  # rows[k, c, g] = d_i[piv[c], k n + g]
         return rows.transpose(1, 0, 2).reshape(len(piv), W.shape[1] * self._n)
 
+    def _newest_kernel(self) -> np.ndarray:
+        """K = ker d_L for L = self.length, eliminated on first use."""
+        if self._kernel is None:
+            rows = self._pivot_rows(self.length) if self.length else self.augmentation
+            self._kernel, pivots, _ = fplinalg._kernel(rows, self.p)
+            self._kernel_pivots.append(pivots)
+        return self._kernel
+
     def _append_stage(self) -> None:
-        K = self._kernel
-        if not len(K):  # exact already: zero modules from here on
+        K = self._newest_kernel()
+        if not len(K):  # exact already: zero modules, and K stays empty
             self.ranks.append(0)
             self.boundaries.append(np.zeros((self.ranks[-2] * self._n, 0), dtype=np.int64))
             self._kernel_pivots.append(np.zeros(0, dtype=np.intp))
@@ -254,8 +268,7 @@ class FreeResolution:
         W = np.ascontiguousarray(K[self._kernel_generators(K, at)].T, dtype=np.int64)
         self.ranks.append(W.shape[1])
         self.boundaries.append(W)
-        self._kernel, pivots, _ = fplinalg._kernel(self._pivot_rows(self.length), self.p)
-        self._kernel_pivots.append(pivots)
+        self._kernel = None
 
     def extend_to(self, length: int) -> "FreeResolution":
         """Ensure boundaries d_1 .. d_length exist (idempotent, append-only)."""
@@ -395,7 +408,7 @@ def syzygy(M: GModule, i: int) -> GModule:
     res = FreeResolution(M, minimal=minimal)
     if i > 1:
         res.extend_to(i - 1)
-    kernel_rows = res._kernel
+    kernel_rows = res._newest_kernel()
     k, n = len(kernel_rows), res._n
     action = np.zeros((n, k, k), dtype=np.int64)
     if k:

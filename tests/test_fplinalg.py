@@ -13,6 +13,7 @@ from modcoh.fplinalg import (
     rref_pivots,
     solve_batch,
 )
+from span_oracle import SequentialRowSpan, eager_rref_mod, select
 
 PRIMES = (2, 3, 5)
 
@@ -167,7 +168,7 @@ def _contains(span, v):
     """Membership through select on a copy, so span itself does not grow."""
     trial = RowSpan(span.p, span.ambient_dim)
     trial.add_rows(span.basis())
-    return len(trial.select([v])) == 0
+    return len(select(trial, [v])) == 0
 
 
 class TestRowSpan:
@@ -183,7 +184,7 @@ class TestRowSpan:
     def test_select_keeps_rows_outside_span(self):
         span = RowSpan(3, 3)
         span.add_rows([[1, 0, 2]])
-        kept = span.select([[2, 0, 1], [0, 1, 0], [1, 1, 2], [0, 0, 1]])
+        kept = select(span, [[2, 0, 1], [0, 1, 0], [1, 1, 2], [0, 0, 1]])
         assert kept.tolist() == [1, 3]
         assert span.rank == 3
 
@@ -199,33 +200,6 @@ class TestRowSpan:
 
 
 # -- differential checks against the eager elimination ----------------------
-
-def _eager_rref_mod(a, p):
-    """Reference Gauss-Jordan that reduces the whole matrix after each pivot."""
-    a = np.mod(a.astype(np.int64, copy=True), p)
-    m, n = a.shape
-    r = 0
-    pivots = []
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        entry = int(a[r, col])
-        if entry != 1:
-            a[r] = (a[r] * pow(entry, p - 2, p)) % p
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, col], a[r])) % p
-        pivots.append(col)
-        r += 1
-    return a, pivots
-
 
 # largest prime below MAX_PRIME = 2^21
 _BIG_PRIME = 2097143
@@ -282,7 +256,7 @@ class TestLazyElimination:
         from modcoh.fplinalg import _rref_mod
         for p, a in _cases(2024):
             ra, pa = _rref_mod(a.copy(), p)
-            rb, pb = _eager_rref_mod(a.copy(), p)
+            rb, pb = eager_rref_mod(a.copy(), p)
             assert pa == pb
             assert np.array_equal(ra, rb)
 
@@ -292,7 +266,7 @@ class TestLazyElimination:
         for p in DIFF_PRIMES:
             a = rng.integers(-3 * p, 3 * p, size=(9, 14))
             ra, pa = _rref_mod(a.copy(), p)
-            rb, pb = _eager_rref_mod(a.copy(), p)
+            rb, pb = eager_rref_mod(a.copy(), p)
             assert pa == pb
             assert np.array_equal(ra, rb)
 
@@ -307,7 +281,7 @@ class TestLazyElimination:
                     a = _random_matrix(rng, 2, (m, n), kind)
                     ra, pa = fplinalg._rref(a.copy(), 2)
                     rb, pb = _rref_mod(a.copy(), 2)
-                    rc, pc = _eager_rref_mod(a.copy(), 2)
+                    rc, pc = eager_rref_mod(a.copy(), 2)
                     assert pa == pb == pc
                     assert ra.dtype == np.int64
                     assert np.array_equal(ra, rb)
@@ -316,7 +290,7 @@ class TestLazyElimination:
         for n in GF2_WIDTHS:
             a = rng.integers(-5, 6, size=(20, n))
             ra, pa = fplinalg._rref(a.copy(), 2)
-            rc, pc = _eager_rref_mod(a.copy(), 2)
+            rc, pc = eager_rref_mod(a.copy(), 2)
             assert pa == pc
             assert np.array_equal(ra, rc)
         assert len(reached) == len(asked) == len(scanned) == 16 * len(GF2_WIDTHS)
@@ -333,7 +307,7 @@ class TestLazyElimination:
             kernel_array(a, 2)
             solve_batch(a, np.ones((m, 1), dtype=np.int64), 2)
             kept = independent_rows(a[:1], a, 2)
-            assert rref_pivots(a, 2).tolist() == _eager_rref_mod(a, 2)[1]
+            assert rref_pivots(a, 2).tolist() == eager_rref_mod(a, 2)[1]
             space = FpSubspace(2, n, a)
             span = RowSpan(2, n)
             span.add_rows(a)
@@ -361,7 +335,7 @@ class TestLazyElimination:
         else:
             a = _random_matrix(rng, 2, (m, n), kind)
         ra, pa = _rref(a.copy(), 2)
-        rc, pc = _eager_rref_mod(a.copy(), 2)
+        rc, pc = eager_rref_mod(a.copy(), 2)
         assert pa == pc
         assert np.array_equal(ra, rc)
 
@@ -380,9 +354,9 @@ class TestLazyElimination:
             a = (rng.random((m, n)) < 0.05).astype(np.int64)
         else:
             a = _random_matrix(rng, 2, (m, n), kind)
-        assert rref_pivots(a, 2).tolist() == _eager_rref_mod(a, 2)[1]
+        assert rref_pivots(a, 2).tolist() == eager_rref_mod(a, 2)[1]
         span = _random_matrix(rng, 2, (n_span, n), "deficient")
-        pivots = _eager_rref_mod(np.vstack([span, a]).T, 2)[1]
+        pivots = eager_rref_mod(np.vstack([span, a]).T, 2)[1]
         want = [c - n_span for c in pivots if c >= n_span]
         assert independent_rows(span, a, 2).tolist() == want
         # any integer dtype serves, read mod 2: 255 is odd, as resolutions uses it
@@ -403,14 +377,14 @@ class TestLazyElimination:
     def test_kernel_matches_loop_construction(self):
         for p, a in _cases(7):
             n = a.shape[1]
-            reduced, pivots = _eager_rref_mod(a % p, p)
+            reduced, pivots = eager_rref_mod(a % p, p)
             free = [c for c in range(n) if c not in pivots]
             loop = np.zeros((len(free), n), dtype=np.int64)
             for k, fc in enumerate(free):
                 loop[k, fc] = 1
                 for row_idx, pc in enumerate(pivots):
                     loop[k, pc] = (-int(reduced[row_idx, fc])) % p
-            want, _ = _eager_rref_mod(loop, p)
+            want, _ = eager_rref_mod(loop, p)
             assert np.array_equal(kernel_array(a, p), want[: len(free)])
 
     def test_rowspan_pivots_track_basis(self):
@@ -441,37 +415,6 @@ class TestLazyElimination:
                                   residual_rows(probe, U.basis, p, U._pivots))
 
 
-class _SequentialRowSpan:
-    """Reference span: per-row membership test, full re-RREF on every add."""
-
-    def __init__(self, p, width):
-        self.p = p
-        self.basis = np.zeros((0, width), dtype=np.int64)
-        self.pivots = []
-
-    def contains(self, v):
-        v = np.asarray(v, dtype=np.int64).reshape(1, -1) % self.p
-        if not len(self.basis):
-            return not v.any()
-        coeffs = v[:, self.pivots]
-        return not ((v - coeffs @ self.basis) % self.p).any()
-
-    def add_rows(self, rows):
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.basis.shape[1])
-        stacked = np.vstack([self.basis, rows % self.p])
-        reduced, pivots = _eager_rref_mod(stacked, self.p)
-        self.basis = reduced[: len(pivots)]
-        self.pivots = pivots
-
-    def select(self, rows, expand=None):
-        kept = []
-        for i, row in enumerate(rows):
-            if not self.contains(row):
-                kept.append(i)
-                self.add_rows(row.reshape(1, -1) if expand is None else expand(row))
-        return kept
-
-
 def _shifts(k):
     """Expansion by k cyclic shifts, standing in for group translates."""
     return lambda row: np.stack([np.roll(row, s) for s in range(k)])
@@ -485,12 +428,12 @@ def _shifted_double(row):
 def _two_rref_kernel(a, p):
     """Kernel from the RREF of a, re-canonicalised by a second RREF."""
     n = a.shape[1]
-    reduced, pivots = _eager_rref_mod(a % p, p)
+    reduced, pivots = eager_rref_mod(a % p, p)
     free = np.array([c for c in range(n) if c not in pivots], dtype=np.intp)
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-reduced[: len(pivots)][:, free].T) % p
-    want, _ = _eager_rref_mod(basis, p)
+    want, _ = eager_rref_mod(basis, p)
     return want[: len(free)]
 
 
@@ -505,20 +448,20 @@ class TestIncrementalSpan:
                         seed = _random_matrix(rng, p, (3, width), "deficient")
                         rows = _random_matrix(rng, p, (12, width), kind)
                         rows = np.vstack([rows, rows[:3], seed[:1]])
-                        span, ref = RowSpan(p, width), _SequentialRowSpan(p, width)
+                        span, ref = RowSpan(p, width), SequentialRowSpan(p, width)
                         span.add_rows(seed)
                         ref.add_rows(seed)
-                        kept = span.select(rows, expand)
+                        kept = select(span, rows, expand)
                         assert kept.tolist() == ref.select(rows, expand)
                         assert np.array_equal(span.basis(), ref.basis)
                         assert span._pivots.tolist() == ref.pivots
 
     def test_select_on_empty_span_and_no_rows(self):
         span = RowSpan(5, 4)
-        assert span.select(np.zeros((0, 4), dtype=np.int64)).tolist() == []
-        assert span.select(np.zeros((3, 4), dtype=np.int64)).tolist() == []
+        assert select(span, np.zeros((0, 4), dtype=np.int64)).tolist() == []
+        assert select(span, np.zeros((3, 4), dtype=np.int64)).tolist() == []
         assert span.rank == 0
-        assert span.select([[0, 5, 0, 0], [0, 2, 0, 0], [1, 0, 0, 0]]).tolist() == [1, 2]
+        assert select(span, [[0, 5, 0, 0], [0, 2, 0, 0], [1, 0, 0, 0]]).tolist() == [1, 2]
 
     def test_add_rows_matches_full_rref(self):
         rng = np.random.default_rng(37)
@@ -534,7 +477,7 @@ class TestIncrementalSpan:
                         rows = np.vstack([rows, added[:2]])  # rows already inside
                     span.add_rows(rows)
                     added = np.vstack([added, rows])
-                    reduced, pivots = _eager_rref_mod(added, p)
+                    reduced, pivots = eager_rref_mod(added, p)
                     assert np.array_equal(span.basis(), reduced[: len(pivots)])
                     assert span._pivots.tolist() == pivots
 
@@ -583,7 +526,7 @@ class TestIncrementalSpan:
         assert np.array_equal(image, columns)
         assert pivots.tolist() == (pivot_columns(want).tolist() if len(want) else [])
         # image columns: the pivots of the column-reversed RREF, read back
-        reversed_pivots = _eager_rref_mod(a[:, ::-1], 2)[1]
+        reversed_pivots = eager_rref_mod(a[:, ::-1], 2)[1]
         assert columns.tolist() == [n - 1 - c for c in reversed(reversed_pivots)]
         assert sorted(pivots.tolist() + columns.tolist()) == list(range(n))
 
@@ -631,7 +574,7 @@ class TestPrimeBound:
 
 
 def _greedy(p, width, span_rows, rows):
-    ref = _SequentialRowSpan(p, width)
+    ref = SequentialRowSpan(p, width)
     ref.add_rows(span_rows)
     return ref.select(np.asarray(rows, dtype=np.int64).reshape(-1, width))
 
@@ -684,7 +627,7 @@ class TestIndependentRows:
                 assert FpSubspace(p, 0, rows) == FpSubspace(p, 0, [])
                 span = RowSpan(p, 0)
                 span.add_rows(rows)
-                assert span.rank == 0 and span.select(np.zeros((4, 0), dtype=np.int64)).tolist() == []
+                assert span.rank == 0 and select(span, np.zeros((4, 0), dtype=np.int64)).tolist() == []
 
     def test_more_rows_than_width(self):
         rng = np.random.default_rng(61)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from modcoh import catalog, fplinalg
 from modcoh.cohmaps import stable_elements
-from modcoh.fplinalg import RowSpan
 from modcoh.errors import (
     ElementaryAbelianInput,
     InsufficientData,
@@ -18,6 +17,7 @@ from modcoh.errors import (
     SeriesTooShort,
 )
 from modcoh.gmodules import (
+    GModule,
     direct_sum,
     dual_module,
     invariants,
@@ -51,6 +51,7 @@ from modcoh.resolutions import (
 
 from corpus import build_corpus, small_permutation_groups
 from resolution_oracle import padded_resolution
+from span_oracle import SequentialRowSpan, select
 
 
 class TestConstruction:
@@ -58,6 +59,23 @@ class TestConstruction:
         res = free_resolution(regular_module(D8, 2), 3, minimal=True)
         assert res.ranks == [1, 0, 0, 0]
         res.check_exactness()
+
+    @pytest.mark.parametrize("name,p", (("D8", 2), ("A4", 2), ("S3", 3)))
+    def test_extend_to_leaves_the_newest_kernel_alone(self, name, p, monkeypatch):
+        """extend_to(L) eliminates ker d_0 .. ker d_{L-1}, never ker d_L;
+        that one is eliminated when read, and is the kernel of the full d_L."""
+        shapes = []
+        kernel = fplinalg._kernel
+        monkeypatch.setattr(fplinalg, "_kernel",
+                            lambda a, p: shapes.append(a.shape) or kernel(a, p))
+        G = catalog.get_group(name)
+        res = FreeResolution(trivial_module(G, p), minimal=G.is_p_group(p)).extend_to(4)
+        assert len(shapes) == len(res._kernel_pivots) == 4 and res._kernel is None
+        K = res._newest_kernel()
+        assert len(shapes) == len(res._kernel_pivots) == 5
+        res.extend_to(5)
+        assert len(shapes) == 5
+        assert np.array_equal(K, fplinalg.kernel_array(res.boundary(4), p))
 
     def test_z2_minimal_is_multiplication_by_g_minus_1(self, Z2):
         res = trivial_resolution(Z2, 2, 5)
@@ -181,6 +199,96 @@ class TestMinimalGoldens:
             _assert_kernel_coordinate_selection_agrees(trivial_module(G, p), 3)
 
 
+# SHA-256 of to_text() of the greedily pruned free resolution of F_p over
+# each catalog group that is not a p-group, at each prime dividing its order,
+# through degree 5 (L3(2) at p = 2 through degree 3), pinned before free
+# selection moved to the lead test of fplinalg.greedy_generators: the
+# generators chosen, and so every boundary, must not move.
+FREE_RESOLUTION_SHA256 = {
+    ("S3", 2, 5): "62bdba9083a5c74296319e62833ea7b187ed63e478fdbf86a9e6ba78b316b56d",
+    ("S3", 3, 5): "5cfc63d5d25b772771560370a2cbb51d15c077889e21dc3f90c240d937e33087",
+    ("D6", 2, 5): "d515e8ef5d9aef3cab534d021ce7d8f592f84c0f5086bf58568606341194a111",
+    ("D6", 3, 5): "350c6d3f67c6f4a8c5a6aca3113cde1d6258fc3ef8ca21582dd257836cee72e5",
+    ("Z6", 2, 5): "929dd60df51733db261ea4b813ae55b3525252574eec4e2bffcaf320f495bb79",
+    ("Z6", 3, 5): "72d76bbdeb3f008a86507155a132b8cb0193cce416be8f431bee0b9f80a7c4d7",
+    ("Z12", 2, 5): "2e9ebcf0a87c18516b2ccb296732c568f8078607d6732b38c2829eb840b37571",
+    ("Z12", 3, 5): "90dac06e6a6094d61ede5079225a566050cd143b3514d1334b527eb7f3431dfe",
+    ("A4", 2, 5): "b08abebc13cce100473e383608d0ce5ba885fa2c47ffa4f8983ce18b3d300813",
+    ("A4", 3, 5): "2d5ef40278ea1795c1e56abff84f431703f79ec020d0f685d855c83741f825f7",
+    ("S4", 2, 5): "d405e4bb4fd125752236cc067677e31cc53bd1b11548c5e973b39c9cf3e38526",
+    ("S4", 3, 5): "19625f15f5ee2fad6e1ea12c2f7cc14a92d543b9574abac82357de6ba4a58643",
+    ("Z3Q16", 2, 5): "59d5e8ec1c5a5f527624932e33b74d2e5bac5120fa4bafb199b39e51cc8f3028",
+    ("Z3Q16", 3, 5): "0db66d7141071cedf5106130f338862089e4092770759dcf555d39fb20946657",
+    ("L3_2", 2, 3): "9b7695f0cb5dc243d5fa76e914b552f40330c6b82ffa5c29120ac2d67113f11c",
+}
+
+
+class TestFreeGoldens:
+    @pytest.mark.parametrize("name,p,length", sorted(FREE_RESOLUTION_SHA256))
+    def test_free_resolution_text_is_pinned(self, name, p, length):
+        G = catalog.get_group(name)
+        res = free_resolution(trivial_module(G, p), length)
+        assert not res.minimal
+        digest = hashlib.sha256(res.to_text().encode()).hexdigest()
+        assert digest == FREE_RESOLUTION_SHA256[name, p, length]
+
+
+def _sequential_generators(k, translates, p):
+    """The greedy generators by the test-then-add scan of SequentialRowSpan,
+    which adds every translate of each kept e_j and re-reduces."""
+    eye = np.eye(k, dtype=np.int64)
+    return SequentialRowSpan(p, k).select(eye, expand=lambda e: translates(int(e.argmax())))
+
+
+class TestGreedyGenerators:
+    """fplinalg.greedy_generators, as both free-selection sites call it,
+    against the sequential scan at p = 2, 3 and 5."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_stage_zero_of_corpus_modules(self, p):
+        corpus = [M for _, M in build_corpus()]
+        # the corpus's permutation matrices act over every F_p; the first
+        # syzygies add modules that are not permutation modules
+        modules = [GModule(M.group, p, M.action, validate=False) for M in corpus]
+        modules += [syzygy(M, 1) for M in modules[:12]]
+        for G in {M.group for M in corpus}:
+            modules.append(GModule(G, p, np.zeros((G.order, 0, 0), dtype=np.int64)))
+        for M in modules:
+            eye = np.eye(M.dim, dtype=np.int64)
+            want = _sequential_generators(M.dim, lambda j: M.action @ eye[j], p)
+            got = FreeResolution(M, minimal=False)._stage_zero_generators(M)
+            assert [int(v.argmax()) for v in got] == want
+            assert fplinalg.greedy_generators(
+                M.dim, lambda j: M.action[:, :, j], p).tolist() == want
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    @pytest.mark.parametrize("name", [n for n in catalog.names()
+                                      if len(prime_factors(catalog.get_group(n).order)) > 1])
+    def test_kernel_coordinate_scans_of_catalog_groups(self, name, p):
+        """Each stage's scan in K's coordinates, at primes that divide |G|
+        and primes that do not."""
+        G = catalog.get_group(name)
+        res = FreeResolution(trivial_module(G, p), minimal=False)
+        for _ in range(4 if G.order < 48 else 3):
+            K = res._newest_kernel()
+            at = res._translates(res._kernel_pivots[-1])
+            want = _sequential_generators(len(K), lambda j: K[j][at], p)
+            assert res._kernel_generators(K, at).tolist() == want
+            res._append_stage()
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_zero_kernel(self, p):
+        """k = 0: nothing is kept and no translate is asked for; the regular
+        module's resolution meets k = 0 after stage zero."""
+        def translates(j):
+            raise AssertionError("no e_j to translate")
+        assert fplinalg.greedy_generators(0, translates, p).tolist() == []
+        assert _sequential_generators(0, translates, p) == []
+        for name in ("S3", "A4"):
+            res = free_resolution(regular_module(catalog.get_group(name), p), 2)
+            assert res.ranks == [1, 0, 0] and not len(res._newest_kernel())
+
+
 def _radical_rows(res, rows, rank):
     """(s - 1) . rows for each generator s of G, rows in F_p[G]^rank, at
     full width: the I . K that minimal stages eliminated before selection
@@ -219,9 +327,9 @@ def _assert_radical_spans_agree(M, length):
 def _assert_kernel_coordinate_selection_agrees(M, length):
     """Selection in K's coordinates keeps the rows that the full-width scans
     keep: independent_rows against (s - 1) . K on a minimal resolution, the
-    greedy RowSpan.select over every translate on a free one.  The kernels
-    here come from full boundaries, and the kept rows are the generators
-    the resolution stored, so its pivot-row kernels are these."""
+    greedy span_oracle.select over every translate on a free one.  The
+    kernels here come from full boundaries, and the kept rows are the
+    generators the resolution stored, so its pivot-row kernels are these."""
     p, n = M.p, M.group.order
     for minimal in (True, False) if M.group.is_p_group(p) else (False,):
         res = free_resolution(M, length, minimal=minimal)
@@ -232,8 +340,8 @@ def _assert_kernel_coordinate_selection_agrees(M, length):
             if minimal:
                 want = fplinalg.independent_rows(_radical_rows(res, K, rank), K, p)
             else:
-                want = RowSpan(p, rank * n).select(
-                    K, expand=lambda row: res.expand(row.reshape(-1, 1)).T)
+                want = select(fplinalg.RowSpan(p, rank * n), K,
+                              expand=lambda row: res.expand(row.reshape(-1, 1)).T)
             assert got.tolist() == want.tolist(), (minimal, i)
             if i < length:
                 assert np.array_equal(K[got].T, res.boundaries[i]), (minimal, i)
