@@ -15,11 +15,19 @@ St, the one differential that `ext_dims` uses with S = G.
 
 Stable elements (`StableElements`, `stable_subspace`), and with them the
 cup products of `products.CupRing`, run on the minimal resolution of a
-Sylow p-subgroup P instead, which is |G : P| times smaller.  With trivial
-coefficients, restriction to a subgroup of P needs no coset sum there.
-g outside P does not act on P's resolution: conjugation by d composes
-cochains with a lifted chain map psi, psi(s x) = (d^{-1} s d) psi(x), from
-`FreeResolution.lift`.
+Sylow p-subgroup P instead, which is |G : P| times smaller.  They are the
+image of res^G_P tr^G_P, which the Mackey formula writes as a sum over the
+double cosets PdP of tr^P_{S_t} c_d res^P_{S_s}, S_t = P n dPd^{-1}: one
+r_i x r_i matrix M_i per degree, whose row space is H^i(G).  With trivial
+coefficients, restriction to a subgroup of P needs no coset sum there, and
+transfer from S_t sums a cochain's values over S_t's transversal, exactly
+at cochain level, since P's Hom differential is zero.  g outside P does
+not act on P's resolution: conjugation by d composes cochains with a
+lifted chain map psi, psi(s x) = (d^{-1} s d) psi(x), from
+`FreeResolution.lift`.  A d that centralises S_t contributes [P : S_t] I,
+zero mod p unless S_t = P, and a repeated (S_t, sigma) only adds to a
+multiplicity mod p, so only the distinct other pairs of nonzero
+multiplicity are lifted, and no S_t-coboundary is eliminated.
 
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
 coboundary space, so maps expressed in these bases are reproducible.
@@ -359,33 +367,49 @@ def _compose(outer: CohMap, inner: CohMap) -> CohMap:
 
 
 class StableElements:
-    """H^*(G, F_p) as the stable elements of H^*(P, F_p).
+    """H^*(G, F_p) as the stable elements of H^*(P, F_p): the image of res^G_P tr^G_P.
 
     Everything runs on the minimal resolution X_* of a Sylow p-subgroup P
     (Cartan-Eilenberg, Homological Algebra, XII.10).  Its Hom complex with
-    trivial coefficients has zero differential, so H^i(P) = F_p^{r_i} and
-    the standard basis is the canonical one.  A class x is stable when, for
-    every double coset PdP with d outside P,
+    trivial coefficients has zero differential, so H^i(P) = F_p^{r_i}, a
+    class is a row x, and the standard basis is the canonical one.  The
+    stable classes are the image of res^G_P tr^G_P: res is injective onto
+    them, and tr is onto, since tr res = [G : P] is a unit mod p.  By the
+    Mackey formula,
 
-        res^P_{S_t} x = c_d res^P_{S_s} x  in H^i(S_t),
+        res^G_P tr^G_P = sum over PdP of tr^P_{S_t} c_d res^P_{S_s},
 
     where S_t = P n dPd^{-1} and S_s = d^{-1} S_t d, both subgroups of P.
-    With trivial coefficients a cochain restricted from P takes the value
-    x_m on every g e_m, so res x needs no coset sum: res_t x is x repeated
-    over S_t's transversal.  Conjugation needs a chain map psi: X_* -> X_*
-    over the identity of F_p with psi(s x) = (d^{-1} s d) psi(x) for s in
-    S_t, lifted by `FreeResolution.lift` with that twist; then
-    c_d res_s x = (res_s x) . psi sums each column of psi over P.  The
-    difference is reduced modulo the S_t-coboundaries.  The condition
-    depends on d only through (S_t, sigma), sigma = d^{-1} (-) d on S_t, so
-    one double coset per distinct (S_t, sigma) is imposed.  A d that
-    centralises S_t (sigma the identity, S_t = 1 among them) imposes
-    nothing: c_d is then the identity of H^*(S_t), as psi is an S_t-chain
-    map over the identity of F_p, homotopic to the identity, and the
-    difference lies in B^i(S_t).  The stable classes are the kernel of the
-    stacked conditions, so dropping zero or repeated rows leaves the
-    canonical basis as it was.  For a p-group P = G, there is no double
-    coset to impose, and H^i(G) is all of F_p^{r_i}.
+    Each term is x -> x T, so the stable classes are the row space of
+    M_i = sum T, and `stable(i)` is its RREF, the canonical basis.
+
+    - c_d res_s x composes x, a cochain with the value x_m on every g e_m,
+      with a chain map psi: X_* -> X_* over the identity of F_p with
+      psi(s x) = (d^{-1} s d) psi(x) for s in S_t, lifted by
+      `FreeResolution.lift` with that twist.  Its value on the free
+      S_t-generator u . e_m is x times column (m, u) of psi summed over P.
+    - tr^P_{S_t} of an S_t-cochain y is, with trivial coefficients, the sum
+      of its values over S_t's right transversal: tr y (e_m) = sum_u
+      y(u . e_m).  That holds exactly at cochain level, and tr sends
+      S_t-coboundaries to 0, because P's Hom differential is zero:
+      tr delta y = delta tr y = 0.  So T is psi_i summed over P and over
+      the transversal, and no S_t-coboundary is ever eliminated.
+
+    A term depends on d only through (S_t, sigma), sigma = d^{-1} (-) d on
+    S_t, so each distinct pair is lifted once and weighted by its
+    multiplicity mod p; a pair of multiplicity 0 mod p needs no lift.  A d
+    that centralises S_t (sigma the identity) contributes tr res =
+    [P : S_t] I, as psi is then an S_t-chain map over the identity of F_p,
+    homotopic to the identity.  That term is zero mod p unless S_t = P
+    (S_t = 1 among the zero ones); the double cosets with S_t = P and
+    sigma the identity, P itself among them, are counted in n_1.  So
+
+        M_i = n_1 I + sum over the pairs k of n_k T_k.
+
+    Two cheap invariants raise InvariantViolation.  (res tr)^2 =
+    res (tr res) tr = [G : P] res tr, so M_i^2 = [G : P] M_i mod p.  With
+    no pairs M_i = n_1 I, and n_1 must not be 0 mod p.  For a p-group
+    P = G, n_1 = 1, there is no pair, and H^i(G) is all of F_p^{r_i}.
 
     `products.CupRing` multiplies the stable classes on the same X_*:
     restriction to P is an injective ring map onto them.  P is kept as a
@@ -397,77 +421,104 @@ class StableElements:
         P = sylow(G, p)
         self.p = p
         self.members = P.member_indices
+        self.index = G.order // P.order
         self.group = P.as_group()
         self.module = trivial_module(self.group, p)
         self.resolution = FreeResolution(self.module, minimal=True)
-        self.pairs = self._double_coset_pairs(G, P)
+        self.identity_count, self.pairs = self._double_coset_pairs(G, P)
         # psi_0 per pair: u . e_0 -> 1, over the identity of F_p
         self._lifts = []
-        for _, ctx_t, _ in self.pairs:
-            psi0 = np.zeros((self.group.order, len(ctx_t.transversal)), dtype=np.int64)
+        for _, (cosets, _), _ in self.pairs:
+            psi0 = np.zeros((self.group.order, len(cosets)), dtype=np.int64)
             psi0[0] = 1
             self._lifts.append([psi0])
         self._stable: dict[int, np.ndarray] = {}
 
     def _double_coset_pairs(self, G: FiniteGroup, P: Subgroup):
-        """(d, S_t context, twist), one per distinct (S_t, sigma) imposing a condition.
+        """(n_1, pairs): the double cosets PdP, counted by (S_t, sigma).
 
-        The twist (S_t's coset table, sigma) gives sigma[s] = d^{-1} s d in
-        P's indices for the s-th member of S_t.  Double cosets whose sigma
-        is the identity on S_t, or repeats an earlier pair's, are skipped
-        (class docstring).
+        n_1 counts those with S_t = P and sigma the identity.  pairs holds
+        (d, twist, multiplicity) for every other (S_t, sigma) whose sigma is
+        not the identity, in the order of their first d: the multiplicity
+        is their count mod p, and the pairs where it is 0 are dropped.  The
+        twist (S_t's coset table, sigma) gives sigma[s] = d^{-1} s d in P's
+        indices for the s-th member of S_t (class docstring).
         """
-        contexts: dict[tuple[int, ...], CochainContext] = {}
-        seen = set()
-        pairs = []
-        # a trivial P has H^{>0}(P) = 0: no double coset can matter
-        for d in double_cosets(G, P, P).reps if P.order > 1 else ():
-            if d in P:
-                continue
+        if P.order == 1:  # every double coset is one d, with S_t = P = 1
+            return G.order, []
+        everything = tuple(range(P.order))
+        counts: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+        identity_count = 1  # the double coset P itself
+        for d in double_cosets(G, P, P).reps[1:]:
             target = intersect(P, conjugate_subgroup(G, P, d))
             # positions in P's sorted members, of S_t and of sigma[s] = d^{-1} s d
             conjugates = G.mul[G.mul[G.inv[d], target.member_indices], d]
             members = tuple(np.searchsorted(self.members, target.member_indices).tolist())
             sigma = tuple(np.searchsorted(self.members, conjugates).tolist())
-            if sigma == members or (members, sigma) in seen:
-                continue
-            seen.add((members, sigma))
-            if members not in contexts:
-                contexts[members] = CochainContext(
-                    self.resolution, Subgroup(self.group, members), self.module)
-            ctx_t = contexts[members]
-            pairs.append((d, ctx_t, (ctx_t._cosets, np.array(sigma, dtype=np.intp))))
-        return pairs
+            if sigma != members or members == everything:  # else [P : S_t] I = 0
+                counts.setdefault((members, sigma), []).append(d)
+        identity_count += len(counts.pop((everything, everything), ()))
+        tables: dict[tuple[int, ...], np.ndarray] = {}
+        pairs = []
+        for (members, sigma), ds in counts.items():
+            if len(ds) % self.p:
+                if members not in tables:
+                    tables[members] = self._coset_table(members)
+                twist = (tables[members], np.array(sigma, dtype=np.intp))
+                pairs.append((ds[0], twist, len(ds) % self.p))
+        return identity_count, pairs
+
+    def _coset_table(self, members: tuple[int, ...]) -> np.ndarray:
+        """cosets[u, s] = s . u for S's right transversal u in P, as `_hom_delta` reads it."""
+        transversal = coset_representatives(self.group, Subgroup(self.group, members),
+                                            right=True)
+        return self.group.mul[np.ix_(members, transversal)].T
 
     def lifts(self, top: int) -> list[list[np.ndarray]]:
         """psi_0 .. psi_top for every pair, by their free S_t-generator images.
 
         Each call resumes the lifts from the highest degree reached so far.
         """
-        for (_, _, twist), psis in zip(self.pairs, self._lifts):
+        for (_, twist, _), psis in zip(self.pairs, self._lifts):
             if len(psis) <= top:
                 self.resolution.lift(psis, 0, top, twist)
         return self._lifts
 
-    def _condition(self, k: int, i: int) -> np.ndarray:
-        """(res_t - c_d res_s) on H^i(P), reduced modulo B^i(S_t): rows per class."""
-        r = self.resolution.ranks[i]
-        _, ctx_t, _ = self.pairs[k]
-        res_t = np.repeat(np.eye(r, dtype=np.int64), len(ctx_t.transversal), axis=1)
-        c_d = self._lifts[k][i].reshape(r, self.group.order, -1).sum(axis=1)
-        reduced, rank = fplinalg.rref_array(ctx_t.coboundaries(i), self.p)
-        return fplinalg.residual_rows((res_t - c_d) % self.p, reduced[:rank], self.p)
+    def mackey_matrix(self, i: int) -> np.ndarray:
+        """M_i = n_1 I + sum_k n_k T_k, res^G_P tr^G_P on H^i(P) as x -> x M_i.
+
+        Raises InvariantViolation when M_i^2 != [G : P] M_i mod p, or when
+        there is no pair and n_1 is 0 mod p (class docstring).
+        """
+        p, r = self.p, self.resolution.extend_to(max(i, 1)).ranks[i]
+        M = self.identity_count * np.eye(r, dtype=np.int64)
+        if r and self.pairs:
+            for (_, _, count), psis in zip(self.pairs, self.lifts(i)):
+                M += count * psis[i].reshape(r, self.group.order, r, -1).sum(axis=(1, 3))
+        M %= p
+        if not self.pairs and self.identity_count % p == 0:
+            raise InvariantViolation(f"no pair, and n_1 = {self.identity_count} is 0 mod {p}")
+        if (fplinalg._matmul_mod(M, M, p) != self.index * M % p).any():
+            raise InvariantViolation(f"M_{i}^2 != [G : P] M_{i} mod {p}: res tr is not "
+                                     "[G : P] times an idempotent")
+        return M
 
     def stable(self, i: int) -> np.ndarray:
-        """Canonical basis (rows) of the stable classes in H^i(P)."""
+        """Canonical basis (rows) of the stable classes in H^i(P): M_i's row space.
+
+        With no pair M_i = n_1 I, and the two checks of `mackey_matrix`
+        together read n_1 = [G : P] mod p, a unit: every class is stable.
+        """
         if i not in self._stable:
-            r = self.resolution.extend_to(max(i, 1)).ranks[i]
-            rows = []
-            if i and r and self.pairs:
-                self.lifts(i)
-                rows = [self._condition(k, i) for k in range(len(self.pairs))]
-            self._stable[i] = fplinalg.kernel_array(np.hstack(rows).T, self.p) \
-                if rows else np.eye(r, dtype=np.int64)
+            if self.pairs:
+                reduced, rank = fplinalg.rref_array(self.mackey_matrix(i), self.p)
+                self._stable[i] = reduced[:rank]
+            elif (self.identity_count - self.index) % self.p:
+                raise InvariantViolation(f"no pair, and n_1 = {self.identity_count} "
+                                         f"!= [G : P] = {self.index} mod {self.p}")
+            else:
+                r = self.resolution.extend_to(max(i, 1)).ranks[i]
+                self._stable[i] = np.eye(r, dtype=np.int64)
         return self._stable[i]
 
     def dims(self, max_deg: int) -> tuple[int, ...]:

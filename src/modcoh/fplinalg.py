@@ -37,6 +37,13 @@ k * (p - 1)^2 < 2^53 (Dumas-Giorgi-Pernet, FFLAS-FFPACK): every partial sum
 is then an integer below 2^53, which float64 holds exactly, so the result
 equals the int64 product mod p.  Above that bound they fall back to int64.
 
+A matrix a of full row rank m is factored once for every system a x = b
+to come (`pivot_inverse`): the RREF of [a | I_m] is [R | E] with E the
+inverse of a[:, c] on a's pivot columns c, so each solve is one product,
+x[c] = E b with the free variables zero, as an elimination of [a | b]
+would give it.  Free resolutions keep this factor per stage for their
+chain-map lifts.
+
 Greedy selection (keep each row that lies outside the span of a given
 span and of the rows kept before it) takes the pivots of the span rows
 and the candidate rows, stacked in that order and transposed
@@ -94,7 +101,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, PrimeTooLarge
+from .errors import DimensionMismatch, InvariantViolation, PrimeTooLarge
 
 # Largest admissible modulus; the module docstring gives the int64 bound.
 MAX_PRIME = 2 ** 21
@@ -387,26 +394,35 @@ def _kernel_gf2(a: np.ndarray):
     return coords.T, pivots, columns
 
 
-def solve_batch(a, rhs_cols, p: int):
-    """Solve a @ X = rhs for many right-hand sides at once.
+def pivot_inverse(a, p: int):
+    """(c, E) for a of full row rank m: its pivot columns c and E = a[:, c]^{-1}.
 
-    rhs_cols has one rhs per column.  Returns X, one solution per column
-    with the free variables zero, or None if any column is inconsistent.
+    The RREF of [a | I_m] is [R | E] with E a = R, and R[:, c] = I_m, so
+    E a[:, c] = I_m.  For every b, a x = b then has the solution x[c] = E b,
+    zero at the other columns: the one the RREF of [a | b] gives, since
+    that is [R | E b].  Over GF(2) the rows of [a | I_m] are bit rows, and
+    only E's bits are unpacked.  Raises InvariantViolation when a does not
+    have full row rank.
     """
-    a = np.asarray(a, dtype=np.int64) % p
-    rhs = np.asarray(rhs_cols, dtype=np.int64) % p
-    if rhs.shape[0] != a.shape[0]:
-        raise DimensionMismatch("rhs row count does not match matrix")
-    n = a.shape[1]
-    aug = np.hstack([a, rhs])
-    reduced, pivots = _rref(aug, p)
-    rank_a = sum(1 for c in pivots if c < n)
-    if rank_a != len(pivots):
-        return None
-    x = np.zeros((n, rhs.shape[1]), dtype=np.int64)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = reduced[row_idx, n:]
-    return x
+    a = np.asarray(a)
+    m, n = a.shape
+    if p == 2:
+        rows = [row << m | 1 << (m - 1 - i) for i, row in enumerate(_bit_rows(a))]
+        echelon, _, leads = _forward_gf2(rows, n + m)
+        leads = _back_substitute(echelon, leads)[::-1]
+        columns = n + m - np.asarray(leads, dtype=np.intp)
+        width, pad, low = -(-m // 8), -m % 8, (1 << m) - 1
+        packed = b"".join(((echelon[lead] & low) << pad).to_bytes(width, "big")
+                          for lead in leads)
+        inverse = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(leads), width),
+                                axis=1, count=m)
+    else:
+        reduced, pivots = _rref(np.hstack([a, np.eye(m, dtype=np.int64)]), p)
+        columns = np.asarray(pivots, dtype=np.intp)
+        inverse = reduced[:, n:].copy()  # a copy, so R is freed
+    if len(columns) != m or (m and columns[-1] >= n):
+        raise InvariantViolation(f"a {m} x {n} matrix without full row rank has no pivot inverse")
+    return columns, inverse
 
 
 def pivot_columns(rref_basis: np.ndarray) -> np.ndarray:

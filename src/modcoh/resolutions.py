@@ -65,12 +65,19 @@ p-subgroup P (`cohomology_dims`; P = G for a p-group).
 images like the boundaries: cup products lift cocycles with it, and
 conjugation on a Sylow subgroup lifts the identity of F_p twisted by
 d^{-1} (-) d.  Each step solves d_k Phi = rhs on the pivot rows
-d_k[piv, :] and rhs[piv], for the pivots piv of ker d_{k-1}.  Those rows
-have d_k's kernel, hence its row space, so the solution with the free
-variables zero is the one the full d_k gives.  They see only rhs[piv], so
-rhs is first checked to lie in ker d_{k-1} = image d_k: it does exactly
-when d_{k-1}[piv', :] rhs = 0 for the pivots piv' of ker d_{k-2} (the
-augmentation times rhs, for k = 1), and LiftFailure is raised otherwise.
+A = d_k[piv, :] and rhs[piv], for the pivots piv of ker d_{k-1}.  Those
+rows have d_k's kernel, hence its row space, so the solution with the free
+variables zero is the one the full d_k gives.  A has full row rank, so it
+is factored once per stage, when a lift first reaches it, into its pivot
+columns c and E = A[:, c]^{-1} (`fplinalg.pivot_inverse`).  Every step of
+every lift through that stage, cocycles and conjugations alike, is then
+one product, Phi[c] = E rhs[piv] and zero elsewhere, which is byte for
+byte the solution an elimination of [A | rhs] gives; no lift eliminates
+anything.  The rows see only rhs[piv], so rhs is first checked to lie in
+ker d_{k-1} = image d_k: it does exactly when d_{k-1}[piv', :] rhs = 0 for
+the pivots piv' of ker d_{k-2} (the augmentation times rhs, for k = 1),
+and LiftFailure is raised otherwise.  Those rows are stage k - 1's A, kept
+with its factor (`FreeResolution._factor`).
 """
 
 from __future__ import annotations
@@ -153,6 +160,8 @@ class FreeResolution:
         # eliminated so far: _kernel_pivots[i] for ker d_i, d_0 the augmentation
         self._kernel: np.ndarray | None = None
         self._kernel_pivots: list[np.ndarray] = []
+        # (A, c, E) for d_1, d_2, ...: `_factor`, built when a lift first reaches them
+        self._factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     # -- construction ---------------------------------------------------
 
@@ -296,8 +305,8 @@ class FreeResolution:
         needs more degrees later resumes where it stopped.  A right-hand
         side outside the image of d_k, which is ker d_{k-1}, raises
         LiftFailure.  Each step solves on the rows of d_k at the pivots of
-        ker d_{k-1}, with the right-hand side's entries there (module
-        docstring).
+        ker d_{k-1}, with the right-hand side's entries there, through the
+        factor of those rows kept per stage (module docstring).
 
         Cup products lift cocycles untwisted; conjugation on a Sylow
         subgroup's resolution lifts the identity of F_p with a twist.
@@ -314,15 +323,29 @@ class FreeResolution:
             # d_{shift+k} on the free generators u . e_m, columns (m, u)
             W = self.boundaries[shift + k - 1].reshape(r_src, n, -1)
             W = W[:, self._take[transversal]].transpose(0, 2, 3, 1)
-            rhs = ((tau @ W.reshape(r_src * n, -1)) % p).reshape(len(phi), -1)
-            upstream = self.augmentation if k == 1 else self._pivot_rows(k - 1)
-            phi = None if fplinalg._matmul_mod(upstream, rhs, p).any() else \
-                fplinalg.solve_batch(self._pivot_rows(k), rhs[self._kernel_pivots[k - 1]], p)
-            if phi is None:
+            rhs = fplinalg._matmul_mod(tau.reshape(-1, r_src * n), W.reshape(r_src * n, -1),
+                                       p).reshape(len(phi), -1)
+            upstream = self.augmentation if k == 1 else self._factor(k - 1)[0]
+            if fplinalg._matmul_mod(upstream, rhs, p).any():
                 raise LiftFailure(f"degree-{shift} maps do not lift to "
                                   f"P_{shift + k} -> P_{k}: the resolution is not exact")
+            _, columns, inverse = self._factor(k)
+            phi = np.zeros((self.ranks[k] * n, rhs.shape[1]), dtype=np.int64)
+            phi[columns] = fplinalg._matmul_mod(inverse, rhs[self._kernel_pivots[k - 1]], p)
             lifts.append(phi)
         return lifts
+
+    def _factor(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, c, E): d_k's pivot rows A and their `fplinalg.pivot_inverse`.
+
+        Computed once per stage, for every stage through k, and kept: the
+        step through d_k solves with (c, E), and the step after it checks
+        its right-hand side against A.
+        """
+        while len(self._factors) < k:
+            rows = self._pivot_rows(len(self._factors) + 1)
+            self._factors.append((rows, *fplinalg.pivot_inverse(rows, self.p)))
+        return self._factors[k - 1]
 
     # -- verification ---------------------------------------------------
 

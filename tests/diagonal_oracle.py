@@ -22,6 +22,8 @@ from modcoh import fplinalg
 from modcoh.errors import DegreeMismatch, LiftFailure
 from modcoh.resolutions import FreeResolution
 
+from resolution_oracle import solve_batch
+
 
 class DiagonalMap:
     """Chain map P_n -> sum_{i+j=n} P_i (x) P_j lifting the identity.
@@ -48,7 +50,7 @@ class DiagonalMap:
         res, p = self.resolution, self.p
         res.extend_to(self.max_deg + 1)
         aug = res.augmentation
-        rho0 = fplinalg.solve_batch(aug, np.array([[1]]), p)
+        rho0 = solve_batch(aug, np.array([[1]]), p)
         if rho0 is None:
             raise LiftFailure("augmentation is not surjective")
         E = (rho0 @ aug) % p
@@ -58,7 +60,7 @@ class DiagonalMap:
             D = res.boundary(i)
             Z = kernels[-1]
             if len(Z):
-                X = fplinalg.solve_batch(D, Z.T, p)
+                X = solve_batch(D, Z.T, p)
                 if X is None:
                     raise LiftFailure(f"boundary d_{i} does not cover the kernel")
                 pivots = fplinalg.pivot_columns(Z)

@@ -9,10 +9,16 @@ moved onto the pivot rows: each Phi_k from the whole expanded d_k beside
 the right-hand sides, and LiftFailure when a right-hand side is outside the
 image of d_k.  The solution with free variables zero depends only on d_k's
 row space, so both must give the same Phi_k, byte for byte.
+
+`solve_batch` is the solve it ran, one elimination of [a | rhs] per call;
+lifts now solve through `fplinalg.pivot_inverse`, a factor kept per
+stage, and must agree with it byte for byte.
 """
 
+import numpy as np
+
 from modcoh import fplinalg
-from modcoh.errors import LiftFailure
+from modcoh.errors import DimensionMismatch, LiftFailure
 from modcoh.resolutions import FreeResolution
 
 
@@ -29,6 +35,28 @@ def padded_resolution(M, length):
     return PaddedResolution(M, minimal=False).extend_to(length)
 
 
+def solve_batch(a, rhs_cols, p: int):
+    """Solve a @ X = rhs for many right-hand sides at once.
+
+    rhs_cols has one rhs per column.  Returns X, one solution per column
+    with the free variables zero, or None if any column is inconsistent.
+    """
+    a = np.asarray(a, dtype=np.int64) % p
+    rhs = np.asarray(rhs_cols, dtype=np.int64) % p
+    if rhs.shape[0] != a.shape[0]:
+        raise DimensionMismatch("rhs row count does not match matrix")
+    n = a.shape[1]
+    aug = np.hstack([a, rhs])
+    reduced, pivots = fplinalg._rref(aug, p)
+    rank_a = sum(1 for c in pivots if c < n)
+    if rank_a != len(pivots):
+        return None
+    x = np.zeros((n, rhs.shape[1]), dtype=np.int64)
+    for row_idx, pc in enumerate(pivots):
+        x[pc] = reduced[row_idx, n:]
+    return x
+
+
 def full_boundary_lift(res, lifts, shift, steps, twist=None):
     """Phi_0 .. Phi_steps as `FreeResolution.lift` gives them, solved on full d_k."""
     p, n = res.p, res.group.order
@@ -43,7 +71,7 @@ def full_boundary_lift(res, lifts, shift, steps, twist=None):
         W = res.boundaries[shift + k - 1].reshape(r_src, n, -1)
         W = W[:, res._take[transversal]].transpose(0, 2, 3, 1)
         rhs = (tau @ W.reshape(r_src * n, -1)) % p
-        phi = fplinalg.solve_batch(res.boundary(k), rhs.reshape(len(phi), -1), p)
+        phi = solve_batch(res.boundary(k), rhs.reshape(len(phi), -1), p)
         if phi is None:
             raise LiftFailure(f"degree-{shift} maps do not lift to P_{shift + k} -> P_{k}")
         lifts.append(phi)

@@ -34,6 +34,7 @@ from modcoh.products import CupRing
 from modcoh.resolutions import cohomology_dims, trivial_resolution
 
 from cochain_oracle import cochain_differential, coset_tables
+from resolution_oracle import solve_batch
 
 
 def _coset_sum_cochain_matrix(src, dst, i, C):
@@ -137,7 +138,7 @@ def _check_coordinates(basis, coboundaries, p, rng):
     x[0] = 0
     v = (x @ B) % p
     got = basis.class_coordinates(v.T)
-    want = fplinalg.solve_batch(B.T, v.T, p)
+    want = solve_batch(B.T, v.T, p)
     assert np.array_equal(got, want[: basis.dim])
     assert np.array_equal(got, x[:, : basis.dim].T)
     reduced, rank = fplinalg.rref_array(B, p)

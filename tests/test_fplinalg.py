@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoh.errors import DimensionMismatch
+from modcoh.errors import DimensionMismatch, InvariantViolation
 from modcoh.fplinalg import (
     FpSubspace,
     RowSpan,
     independent_rows,
     kernel_array,
+    pivot_inverse,
     rref_array,
     rref_pivots,
-    solve_batch,
 )
+from resolution_oracle import solve_batch
 from span_oracle import SequentialRowSpan, eager_rref_mod, select
 
 PRIMES = (2, 3, 5)
@@ -135,6 +136,39 @@ class TestSolve:
         x = solve_batch(a, b, p)
         assert x is not None
         assert np.array_equal((a @ x) % p, b)
+
+
+def _full_row_rank(rng, p, m, n):
+    """A random m x n matrix over F_p of rank m, with m <= n."""
+    while True:
+        a = rng.integers(0, p, size=(m, n))
+        if rref_array(a, p)[1] == m:
+            return a
+
+
+class TestPivotInverse:
+    """pivot_inverse factors a full-row-rank matrix once; every solve through
+    it is byte for byte the solve_batch solution, free variables zero."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_solutions_match_solve_batch(self, p):
+        rng = np.random.default_rng(16 + p)
+        for m, n in ((0, 0), (0, 4), (1, 1), (3, 3), (4, 9), (9, 20), (30, 70), (65, 130)):
+            a = _full_row_rank(rng, p, m, n)
+            columns, inverse = pivot_inverse(a.astype(np.uint8) if p == 2 else a, p)
+            assert columns.tolist() == rref_pivots(a, p).tolist()
+            assert inverse.shape == (m, m)
+            b = rng.integers(0, p, size=(m, 5))
+            x = np.zeros((n, 5), dtype=np.int64)
+            x[columns] = (inverse.astype(np.int64) @ b) % p
+            want = solve_batch(a, b, p)
+            assert x.dtype == want.dtype and x.tobytes() == want.tobytes(), (m, n)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rank_deficient_raises(self, p):
+        for a in ([[1, 0], [1, 0]], [[0, 0, 0]], np.ones((3, 2), dtype=np.int64)):
+            with pytest.raises(InvariantViolation):
+                pivot_inverse(np.asarray(a, dtype=np.int64) * (p - 1), p)
 
 
 class TestQuotient:

@@ -1,3 +1,6 @@
+import hashlib
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -347,3 +350,14 @@ class TestProductTable:
         for (i, j), (span, total) in table.items():
             assert span == oracle.product_span_dim(i, j)
             assert total == oracle.component_dim(i + j)
+
+    def test_d8xd8_table_through_degree_5_is_pinned(self):
+        """The SHA-256 of D8 x D8's product table through total degree 5:
+        every lift step of every degree-i class batch on an order-64 group."""
+        from modcoh.fileio import parse_group_file
+        from modcoh.products import product_table_csv
+        G = parse_group_file((pathlib.Path(__file__).parent / "data" / "D8xD8.grp").read_text())
+        text = product_table_csv(G, 2, 5)
+        assert text.splitlines()[-1] == "2,3,56,56"  # dim H^5 = C(8, 3), Kunneth
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "6fde7903079c5f1537e5674e5bee844b6a62b7b5bbfc62cebb0209ef9d75fbdd"

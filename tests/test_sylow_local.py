@@ -4,8 +4,10 @@
 elements of H^*(P, F_p) on the minimal resolution of a Sylow p-subgroup P
 (`cohmaps.StableElements`); for a p-group P = G.  The second path to the
 same numbers runs on G's own resolution: `ext_dims` of the trivial module,
-and the G-resolution stable elements of stable_oracle.py.
-The twisted chain maps behind conjugation are checked exactly.
+and the G-resolution stable elements of stable_oracle.py.  Each stable
+basis, the image of res^G_P tr^G_P, is checked byte for byte against the
+kernel of every double coset's condition on P's resolution, and the
+twisted chain maps behind conjugation are checked exactly.
 """
 
 import gc
@@ -17,7 +19,6 @@ from hypothesis import given, settings
 
 from modcoh import catalog, groups
 from modcoh.cohmaps import (
-    CochainContext,
     StableElements,
     clear_context_cache,
     context,
@@ -25,13 +26,14 @@ from modcoh.cohmaps import (
     stable_subspace,
     trivial_coefficients,
 )
-from modcoh.errors import BadParameters, LiftFailure
+from modcoh.errors import BadParameters, InvariantViolation, LiftFailure
 from modcoh.gmodules import trivial_module
-from modcoh.groups import Subgroup, conjugate_subgroup, double_cosets, intersect, prime_factors
+from modcoh.groups import prime_factors
 from modcoh.products import CupRing, product_span_dims
 from modcoh.resolutions import FreeResolution, clear_resolution_cache, cohomology_dims, ext_dims
 
 import stable_oracle
+from stable_oracle import EveryDoubleCoset
 from corpus import small_permutation_groups
 from diagonal_oracle import diagonal_approximation, product_span_dim
 from resolution_oracle import PaddedResolution, full_boundary_lift
@@ -115,33 +117,13 @@ def test_random_permutation_group_products(G):
             assert product_span_dims(G, p, i, j, ring) == product_span_dim(ctx, i, j, diag)
 
 
-class EveryDoubleCoset(StableElements):
-    """StableElements imposing one condition per double coset PdP, d not in
-    P, with S_t = P n dPd^{-1} nontrivial: no pair is skipped for
-    centralising S_t or for repeating an earlier (S_t, sigma)."""
-
-    def _double_coset_pairs(self, G, P):
-        position = {g: k for k, g in enumerate(self.members)}
-        pairs = []
-        for d in double_cosets(G, P, P).reps if P.order > 1 else ():
-            target = intersect(P, conjugate_subgroup(G, P, d))
-            if d in P or target.order == 1:
-                continue
-            members = tuple(position[g] for g in target.member_indices)
-            ctx_t = CochainContext(self.resolution, Subgroup(self.group, members),
-                                   self.module)
-            sigma = np.array([position[G.conjugate(int(G.inv[d]), s)]
-                              for s in target.member_indices], dtype=np.intp)
-            pairs.append((d, ctx_t, (ctx_t._cosets, sigma)))
-        return pairs
-
-
 @pytest.mark.parametrize("name,p,top", [
     (name, p, 8) for p_groups in (False, True) for name, p in prime_cases(catalog.names(), p_groups)
 ] + [pytest.param(name, p, 4, marks=pytest.mark.stretch) for name, p in prime_cases(STRETCH)])
 def test_stable_basis_as_with_every_double_coset(name, p, top):
-    """Skipping centralising and repeated conjugations leaves each stable
-    basis byte for byte as imposing every double coset gives it."""
+    """The row space of the Mackey matrix M_i, with centralising terms and
+    pairs of multiplicity 0 mod p left out, gives each stable basis byte for
+    byte as the kernel of every double coset's condition does."""
     G = catalog.get_group(name)
     state, every = stable_elements(G, p), EveryDoubleCoset(G, p)
     assert len(state.pairs) <= len(every.pairs)
@@ -152,13 +134,47 @@ def test_stable_basis_as_with_every_double_coset(name, p, top):
 
 
 def test_only_z3q16_at_3_keeps_a_pair():
-    """Z3Q16 has 15 Sylow double cosets at p = 3 and keeps one of them;
-    every double coset of Z6, Z12 and Z3Q16 at p = 2 centralises S_t."""
+    """P = Z3 is normal in Z3Q16, with 15 double cosets outside P: 7
+    centralise P and 8 invert it.  So n_1 = 8, P itself among them, and the
+    inversion is one pair of multiplicity 8 = 2 mod 3.  Every double coset
+    of Z6, Z12 and Z3Q16 at p = 2 centralises S_t."""
     Z3Q16 = catalog.get_group("Z3Q16")
-    assert len(EveryDoubleCoset(Z3Q16, 3).pairs) == 15
-    assert len(stable_elements(Z3Q16, 3).pairs) == 1
+    every = EveryDoubleCoset(Z3Q16, 3)
+    assert len(every.pairs) == 15
+    assert all(ctx_t.subgroup.order == 3 for _, ctx_t, _ in every.pairs)
+    inverting = [sigma for _, ctx_t, (_, sigma) in every.pairs
+                 if sigma.tolist() != list(ctx_t.subgroup.member_indices)]
+    assert len(inverting) == 8
+    state = stable_elements(Z3Q16, 3)
+    assert state.identity_count == 8
+    assert [multiplicity for _, _, multiplicity in state.pairs] == [2]
+    assert state.pairs[0][1][1].tolist() == inverting[0].tolist()
     for name in ("Z6", "Z12", "Z3Q16"):
         assert stable_elements(catalog.get_group(name), 2).pairs == []
+
+
+def test_corrupted_multiplicity_raises():
+    """S4 at p = 3 has n_1 = 1 and one pair, the inversion of P = Z3, of
+    multiplicity 1.  Dropped to 0 it leaves M_i = I, and I^2 != [G : P] I
+    = 2 I mod 3.  Z6 at p = 2 has no pair, so n_1 = 3 = [G : P]; made 0 mod
+    2 it would leave no class stable, even in degree 0."""
+    state = StableElements(catalog.get_group("S4"), 3)
+    assert state.identity_count == 1 and state.index == 8
+    (d, twist, multiplicity), = state.pairs
+    assert multiplicity == 1
+    for i in range(4):
+        M = state.mackey_matrix(i)
+        assert np.array_equal(M @ M % 3, 2 * M % 3)
+    state.pairs[0] = (d, twist, 0)
+    for i in range(4):
+        with pytest.raises(InvariantViolation):
+            state.mackey_matrix(i)
+    state = StableElements(catalog.get_group("Z6"), 2)
+    assert not state.pairs and state.identity_count == 3
+    assert state.dims(4) == (1, 1, 1, 1, 1)
+    state.identity_count, state._stable = 2, {}
+    with pytest.raises(InvariantViolation):
+        state.stable(0)
 
 
 def translation(P, r, h):
@@ -229,8 +245,8 @@ def test_corrupted_conjugation_lift_raises(S4):
     """psi_0 must send every coset's generator to an augmentation-1 vector;
     zeroing one of them leaves nothing to lift to."""
     state = StableElements(S4, 2)
-    (_, ctx_t, twist), = state.pairs
-    assert len(ctx_t.transversal) == 2
+    (_, twist, _), = state.pairs
+    assert len(twist[0]) == 2
     psi0 = state.lifts(0)[0][0].copy()
     psi0[0, 1] = 0
     for lift in (state.resolution.lift, lambda *args: full_boundary_lift(state.resolution, *args)):
