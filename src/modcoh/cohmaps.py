@@ -197,8 +197,8 @@ class CochainContext:
         if i not in self._eliminated:
             delta = self.differential(i)
             if delta.size:
-                cocycles, cols = fplinalg.kernel_and_image(delta, self.p)
-                self._eliminated[i] = (cocycles, delta[:, cols].T)
+                cocycles, _, cols = fplinalg.kernel(delta, self.p)
+                self._eliminated[i] = (cocycles.astype(np.int64, order="C"), delta[:, cols].T)
             else:
                 self._eliminated[i] = (np.eye(self.cochain_dim(i), dtype=np.int64),
                                        np.zeros((0, len(delta)), dtype=np.int64))
@@ -557,7 +557,7 @@ def detection_check(G: FiniteGroup, p: int, subgroups, i: int) -> bool:
         return True
     blocks = [restriction(G, H, M, i).matrix for H in subgroups]
     stacked = np.vstack(blocks) if blocks else np.zeros((0, top.dim), dtype=np.int64)
-    return fplinalg.rref_array(stacked, p)[1] == top.dim
+    return len(fplinalg.rref_pivots(stacked, p)) == top.dim
 
 
 def abelian_sylow_check(G: FiniteGroup, p: int, max_deg: int) -> bool:

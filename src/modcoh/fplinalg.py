@@ -6,21 +6,31 @@ rigid: reduced row echelon form is the *unique* RREF with pivots chosen
 left-to-right, which makes every derived basis canonical and reproducible.
 
 Over GF(2), at every shape, each row is one Python int and a row operation
-is one XOR (`_rref_gf2`); by uniqueness the RREF is the generic one.
-Where only pivots are asked for, only the forward pass runs
-(`_forward_gf2`): any echelon form of a row space has the RREF's leading
-columns, so its leads are the pivot columns, and a row that reduces to zero
-is a sum of the rows before it.  Pivots are the column rank profile, which
-is the row rank profile of the transpose (Dumas, Pernet and Sultan,
+is one XOR.  Rows are packed one way (`_pack`, `_unpack`): little-endian,
+bit j of a row's int is column j.  A forward pass (`_forward_gf2`) takes
+each row's highest bit as its lead, so on rows packed as they are it
+eliminates the columns from the right.  The eliminations that go from the
+left, `_rref_gf2`, `rref_pivots` and `pivot_inverse`, pack the
+column-reversed view instead; the kernel and greedy selection, which want
+the elimination from the right, pack rows as they are.  By uniqueness the
+RREF is the generic one.  Where only pivots are asked for, only the
+forward pass runs: any echelon form of a row space has the RREF's leading
+columns, so its leads are the pivot columns, and a row that reduces to
+zero is a sum of the rows before it.  Pivots are the column rank profile,
+which is the row rank profile of the transpose (Dumas, Pernet and Sultan,
 "Computing the rank profile matrix", ISSAC 2015), so `rref_pivots` scans
 a's rows when they are no more than its columns, and its columns as rows
-otherwise, read with no transposed copy (`_bit_rows`).
+otherwise.  Which columns are kept does not depend on their bit order,
+but the work does: they are packed row-reversed, a's first row the
+highest bit, with which the forward passes of Z2^3's minimal resolution
+through degree 10 take a third fewer reduction steps than with the
+reverse.  Callers that need only a rank count `rref_pivots`.
 
 Pivots are computed once and kept: `_rref` returns the pivot columns with
-the RREF, and `FpSubspace` and `RowSpan` store them beside their bases, so
-membership tests (`residual_rows`) never search for them again.  A basis
-that comes without its pivots gets them from `pivot_columns`, the one
-place that reads pivots off an RREF.
+the RREF, and `FpSubspace` stores them beside its basis, so membership
+tests (`residual_rows`) never search for them again.  A basis that comes
+without its pivots gets them from `pivot_columns`, the one place that
+reads pivots off an RREF.
 
 The generic elimination, which serves every odd p, reduces mod p lazily:
 only the pivot column and the pivot row are reduced at each step, the
@@ -51,18 +61,16 @@ and the candidate rows, stacked in that order and transposed
 columns, so column j of the RREF is a pivot exactly when column j of the
 transpose, the j-th stacked row, is not a combination of the rows above
 it.  Its pivots past the span rows are therefore the rows a test-then-add
-scan keeps, with no membership test per row.  Over GF(2) `rref_pivots`
-finds them with one forward scan, of the stacked rows themselves when
-they are fewer than their columns, and the transpose is never copied.
-Stage zero of a minimal resolution, cohomology bases and later minimal
-stages, in their kernel's coordinates (`resolutions`), select this way.
+scan keeps, with no membership test per row.  Stage zero of a minimal
+resolution, cohomology bases and later minimal stages, in their kernel's
+coordinates (`resolutions`), select this way.
 
-`RowSpan` grows incrementally.  New rows are reduced against the stored
-RREF basis, only their nonzero residuals are eliminated, the new pivot
-columns are cleared from the old rows with one product, and the rows are
-merged by pivot.  The result has the union of the pivots, is reduced, and
-spans the same space, so by uniqueness it is the RREF of all rows added so
-far.
+`FpSubspace` is one subspace held as its RREF basis and pivots, and it
+grows by `add_rows`: new rows are reduced against the basis, only their
+nonzero residuals are eliminated, the new pivot columns are cleared from
+the old rows with one product, and the rows are merged by pivot.  The
+result has the union of the pivots, is reduced, and spans the same space,
+so by uniqueness it is the RREF of all rows added so far.
 
 Greedy generators of a submodule (`greedy_generators`), where a kept e_j
 adds all its translates to the span, need no residuals of the rows still
@@ -71,30 +79,24 @@ a kept one is among its own translates, and a dropped one lay in S when it
 was reached.  So e_j lies in S exactly when some vector of S has its last
 nonzero coordinate at j, and one forward scan decides it from the
 echelon of S by last coordinates.  Over GF(2) that echelon is a table of
-little-endian bit rows indexed by bit length; a translate is reduced from
-its highest bit and dropped once its lead is at j or below, where S
-already holds every vector.  At odd p it is a `RowSpan` of the rows with
-their columns reversed.
+bit rows indexed by bit length; a translate is reduced from its highest
+bit and dropped once its lead is at j or below, where S already holds
+every vector.  At odd p it is an `FpSubspace` of the rows with their
+columns reversed.
 
-`kernel_array` needs one elimination.  It row-reduces the matrix with its
-columns reversed and builds the usual free-column kernel basis there: each
-vector has a 1 at its free column and other entries only at pivot columns
-to its left.  Reversing columns and rows again gives vectors whose first
-nonzero entry is that 1, at a column where every other vector is zero,
-sorted by that column: a reduced echelon basis of the kernel, hence the
-canonical one.  Its pivots are the free columns, the complement of the
-image columns the same elimination finds, so none are searched for.
-
-Over GF(2) the kernel is one bit-row elimination with no reversed copy
-(`_kernel_gf2`).  Rows are packed little-endian, so bit j of a row's int is
-column j, and a forward pass that takes the highest bit first eliminates
-the columns from the right: it is the column-reversed elimination.  After
-back-substitution only the pivot rows are unpacked, and the kernel vector
-of free column f is 1 at f and, at each image column, bit f of that
-column's row.  Bytes are used where rows are stored in bulk: the kernel
-comes back as uint8 (its transpose contiguous), which free resolutions keep
-and gather from as they are, and selection and `rref_pivots` read uint8
-input mod 2 as it is.  `kernel_and_image` and `kernel_array` return int64.
+`kernel` is the one kernel entry and needs one elimination.  It
+row-reduces the matrix with its columns reversed (over GF(2), the forward
+pass on rows packed as they are) and builds the usual free-column kernel
+basis there: each vector has a 1 at its free column and other entries
+only at pivot columns to its left.  Reversing columns and rows again gives
+vectors whose first nonzero entry is that 1, at a column where every other
+vector is zero, sorted by that column: a reduced echelon basis of the
+kernel, hence the canonical one.  Its pivots are the free columns, the
+complement of the image columns the same elimination finds, so none are
+searched for.  Over GF(2) the kernel comes back as uint8 rows (its
+transpose contiguous), which free resolutions keep and gather from as they
+are, and selection and `rref_pivots` read uint8 input mod 2 as it is;
+callers that need int64 cast.
 """
 
 from __future__ import annotations
@@ -128,11 +130,15 @@ def _as_rows(rows, width: int) -> np.ndarray:
 
 
 class FpSubspace:
-    """Subspace of F_p^n held as a canonical RREF row basis."""
+    """Subspace of F_p^n held as a canonical RREF row basis and its pivots.
+
+    It starts as the span of basis_rows and grows by `add_rows` (module
+    docstring).
+    """
 
     __slots__ = ("p", "ambient_dim", "basis", "_pivots")
 
-    def __init__(self, p: int, ambient_dim: int, basis_rows) -> None:
+    def __init__(self, p: int, ambient_dim: int, basis_rows=()) -> None:
         self.p = int(p)
         self.ambient_dim = int(ambient_dim)
         reduced, pivots = _rref(_as_rows(basis_rows, ambient_dim) % p, p)
@@ -142,6 +148,25 @@ class FpSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    def add_rows(self, rows) -> None:
+        """Grow the span by rows; the basis stays the RREF of every row added."""
+        p = self.p
+        residuals = residual_rows(_as_rows(rows, self.ambient_dim), self.basis, p,
+                                  self._pivots)
+        residuals = residuals[residuals.any(axis=1)]
+        if not len(residuals):
+            return
+        reduced, pivots = _rref(residuals, p)
+        new, new_pivots = reduced[: len(pivots)], np.asarray(pivots, dtype=np.intp)
+        old = self.basis
+        if len(old):  # a new array, so no basis handed out earlier changes
+            old = old - _matmul_mod(old[:, new_pivots], new, p)
+            np.mod(old, p, out=old)
+        pivots_all = np.concatenate([self._pivots, new_pivots])
+        order = np.argsort(pivots_all, kind="stable")
+        self.basis = np.vstack([old, new])[order]
+        self._pivots = pivots_all[order]
 
     def contains_vector(self, v) -> bool:
         v = np.asarray(v, dtype=np.int64) % self.p
@@ -208,28 +233,25 @@ def _rref_mod(a: np.ndarray, p: int):
     return np.mod(a, p, out=a), pivots
 
 
-def _bit_rows(a: np.ndarray, axis: int = 1) -> list[int]:
-    """The rows of a mod 2 (its columns, for axis=0) as Python ints.
+def _pack(a: np.ndarray) -> list[int]:
+    """The rows of a mod 2 as Python ints: entry j of a row is bit j.
 
-    Entry j of a vector of length n is bit n - 1 - j.  Columns are read off
-    the packed bits, so no transposed copy of a is made.
+    a may have any integer dtype and any layout: it is read once, into
+    contiguous bytes (a cast to uint8 keeps each entry's parity).
     """
-    n = a.shape[axis]
-    packed = np.packbits(a & 1, axis=axis)
-    if axis == 0:
-        packed = packed.T
-    width, pad = packed.shape[1], -n % 8
-    buf = packed.tobytes()
-    return [int.from_bytes(buf[i * width:(i + 1) * width], "big") >> pad
-            for i in range(len(packed))]
-
-
-def _little_rows(a: np.ndarray) -> list[int]:
-    """The rows of a mod 2 as Python ints, little-endian: entry j is bit j."""
     width = -(-a.shape[1] // 8)
-    buf = np.packbits(a & 1, axis=1, bitorder="little").tobytes()
+    bits = np.ascontiguousarray(a, dtype=np.uint8) & 1
+    buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(buf[i * width:(i + 1) * width], "little")
             for i in range(len(a))]
+
+
+def _unpack(rows: list[int], n: int) -> np.ndarray:
+    """The uint8 matrix of bit rows of width n: the inverse of `_pack`."""
+    width = -(-n // 8)
+    buf = b"".join(row.to_bytes(width, "little") for row in rows)
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), width),
+                         axis=1, count=n, bitorder="little")
 
 
 def _forward_gf2(rows: list[int], n: int):
@@ -237,8 +259,7 @@ def _forward_gf2(rows: list[int], n: int):
 
     Returns (echelon, kept, leads).  echelon[k] is the reduced row with bit
     length k, if any; kept are the indices of the rows that are not sums of
-    rows before them, and leads their bit lengths, in scan order.  A row's
-    leading column is n - bit_length, so n - leads are the pivot columns.
+    rows before them, and leads their bit lengths, in scan order.
     """
     echelon = [0] * (n + 1)
     kept: list[int] = []
@@ -261,8 +282,8 @@ def _forward_gf2(rows: list[int], n: int):
 def _back_substitute(echelon: list[int], leads: list[int]) -> list[int]:
     """Clear each pivot from the other rows of a forward pass, in place.
 
-    Works on bit lengths only, so it serves either bit order.  Returns the
-    leads sorted ascending; echelon[lead] is then that lead's reduced row.
+    Returns the leads sorted ascending; echelon[lead] is then that lead's
+    reduced row.
     """
     leads.sort()
     pivot_bits = 0
@@ -281,17 +302,16 @@ def _back_substitute(echelon: list[int], leads: list[int]) -> list[int]:
 def _rref_gf2(a: np.ndarray):
     """Gauss-Jordan over GF(2) on rows held as Python ints; same result as _rref_mod.
 
-    The forward pass builds the echelon table, then pivots are back-substituted.
+    Rows are packed column-reversed, so column j is bit n - 1 - j and a
+    lead of bit length b is pivot column n - b.  The forward pass builds the
+    echelon table, then pivots are back-substituted.
     """
     m, n = a.shape
-    width, pad = -(-n // 8), -n % 8
-    echelon, _, leads = _forward_gf2(_bit_rows(a), n)
-    leads = _back_substitute(echelon, leads)
-    rows = b"".join((echelon[lead] << pad).to_bytes(width, "big") for lead in leads[::-1])
-    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(leads), width)
+    echelon, _, leads = _forward_gf2(_pack(a[:, ::-1]), n)
+    leads = _back_substitute(echelon, leads)[::-1]
     out = np.zeros((m, n), dtype=np.int64)
-    out[: len(leads)] = np.unpackbits(bits, axis=1, count=n)
-    return out, [n - lead for lead in reversed(leads)]
+    out[: len(leads)] = _unpack([echelon[lead] for lead in leads], n)[:, ::-1]
+    return out, [n - lead for lead in leads]
 
 
 def _rref(a: np.ndarray, p: int):
@@ -318,35 +338,22 @@ def rref_pivots(a, p: int) -> np.ndarray:
         return np.asarray(_rref(a, p)[1], dtype=np.intp)
     m, n = a.shape
     if m <= n:
-        leads = _forward_gf2(_bit_rows(a), n)[2]
+        leads = _forward_gf2(_pack(a[:, ::-1]), n)[2]
         return np.sort(n - np.asarray(leads, dtype=np.intp))
-    return np.asarray(_forward_gf2(_bit_rows(a, axis=0), m)[1], dtype=np.intp)
+    return np.asarray(_forward_gf2(_pack(a[::-1].T), m)[1], dtype=np.intp)
 
 
-def kernel_array(a, p: int) -> np.ndarray:
-    """Canonical RREF basis (rows) of the right kernel {v : a @ v = 0}."""
-    return kernel_and_image(a, p)[0]
-
-
-def kernel_and_image(a, p: int):
-    """(kernel, columns): the canonical kernel basis and an image basis.
+def kernel(a, p: int):
+    """(basis, pivots, columns): the canonical kernel basis {v : a @ v = 0},
+    its pivots, and an image basis.
 
     One elimination of the column-reversed matrix; the module docstring
     explains why the reversed free-column basis is already canonical.  Its
     pivot columns are independent columns of the matrix that span its
     column space, so a[:, columns] is a basis of the image, returned as
-    ascending column indices at no extra cost.
-    """
-    kernel, _, columns = _kernel(a, p)
-    return np.ascontiguousarray(kernel, dtype=np.int64), columns
-
-
-def _kernel(a, p: int):
-    """(kernel, pivots, columns): `kernel_and_image` with the kernel's pivots.
-
-    The pivots are the columns that are not image columns.  Over GF(2) the
-    kernel comes as uint8 rows (`_kernel_gf2`), which free resolutions keep
-    as they are; at odd p it is int64.
+    ascending column indices at no extra cost, and the kernel's pivots are
+    the other columns.  Over GF(2) the basis is uint8 rows (`_kernel_gf2`);
+    at odd p it is int64.
     """
     a = np.asarray(a)
     if p == 2:
@@ -364,30 +371,27 @@ def _kernel(a, p: int):
 
 
 def _kernel_gf2(a: np.ndarray):
-    """`_kernel` over GF(2): one bit-row elimination, the kernel as uint8 rows.
+    """`kernel` over GF(2): one bit-row elimination, the kernel as uint8 rows.
 
-    Packed little-endian, bit j of a row is column j, so the forward pass,
-    which takes the highest bit first, eliminates the columns from the
-    right: the column-reversed elimination, with no reversed copy.  A
-    reduced row with bit length `lead` has its pivot at column lead - 1,
-    an image column, and bits only at columns to its left.  The kernel
-    vector of a free column f is 1 at f and, at each image column, bit f
-    of that column's row: its first nonzero entry is the 1 at f, so the
-    vectors, sorted by f, are the canonical basis with pivots f.  It is
-    built as its transpose, one row per column, and returned as a view of
-    that, so the columns that a resolution's selection reads are contiguous.
+    Rows are packed as they are, so the forward pass, which takes the
+    highest bit first, eliminates the columns from the right: the
+    column-reversed elimination, with no reversed copy.  A reduced row with
+    bit length `lead` has its pivot at column lead - 1, an image column,
+    and bits only at columns to its left.  The kernel vector of a free
+    column f is 1 at f and, at each image column, bit f of that column's
+    row: its first nonzero entry is the 1 at f, so the vectors, sorted by
+    f, are the canonical basis with pivots f.  It is built as its
+    transpose, one row per column, and returned as a view of that, so the
+    columns that a resolution's selection reads are contiguous.
     """
     n = a.shape[1]
-    width = -(-n // 8)
-    echelon, _, leads = _forward_gf2(_little_rows(a), n)
+    echelon, _, leads = _forward_gf2(_pack(a), n)
     leads = _back_substitute(echelon, leads)
     columns = np.asarray(leads, dtype=np.intp) - 1
     is_free = np.ones(n, dtype=bool)
     is_free[columns] = False
     pivots = is_free.nonzero()[0]
-    reduced = b"".join(echelon[lead].to_bytes(width, "little") for lead in leads)
-    bits = np.unpackbits(np.frombuffer(reduced, dtype=np.uint8).reshape(len(leads), width),
-                         axis=1, count=n, bitorder="little")
+    bits = _unpack([echelon[lead] for lead in leads], n)
     coords = np.zeros((n, pivots.size), dtype=np.uint8)  # the basis, transposed
     coords[pivots, np.arange(pivots.size)] = 1
     coords[columns] = np.take(bits, pivots, axis=1)
@@ -400,22 +404,21 @@ def pivot_inverse(a, p: int):
     The RREF of [a | I_m] is [R | E] with E a = R, and R[:, c] = I_m, so
     E a[:, c] = I_m.  For every b, a x = b then has the solution x[c] = E b,
     zero at the other columns: the one the RREF of [a | b] gives, since
-    that is [R | E b].  Over GF(2) the rows of [a | I_m] are bit rows, and
-    only E's bits are unpacked.  Raises InvariantViolation when a does not
-    have full row rank.
+    that is [R | E b].  Over GF(2) row i of [a | I_m] is a's column-reversed
+    bit row shifted past m bits, with bit i for I_m: when a has full row
+    rank every lead lies in a's bits, so the order of I_m's bits decides no
+    step, and E's rows are the low m bits, unpacked.  Raises
+    InvariantViolation when a does not have full row rank.
     """
     a = np.asarray(a)
     m, n = a.shape
     if p == 2:
-        rows = [row << m | 1 << (m - 1 - i) for i, row in enumerate(_bit_rows(a))]
+        rows = [row << m | 1 << i for i, row in enumerate(_pack(a[:, ::-1]))]
         echelon, _, leads = _forward_gf2(rows, n + m)
         leads = _back_substitute(echelon, leads)[::-1]
         columns = n + m - np.asarray(leads, dtype=np.intp)
-        width, pad, low = -(-m // 8), -m % 8, (1 << m) - 1
-        packed = b"".join(((echelon[lead] & low) << pad).to_bytes(width, "big")
-                          for lead in leads)
-        inverse = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(leads), width),
-                                axis=1, count=m)
+        low = (1 << m) - 1
+        inverse = _unpack([echelon[lead] & low for lead in leads], m)
     else:
         reduced, pivots = _rref(np.hstack([a, np.eye(m, dtype=np.int64)]), p)
         columns = np.asarray(pivots, dtype=np.intp)
@@ -475,57 +478,6 @@ def residual_rows(rows, rref_basis, p: int, pivots=None) -> np.ndarray:
     return np.mod(rows, p, out=rows)
 
 
-class RowSpan:
-    """Incrementally grown row space for greedy generator selection.
-
-    The basis is the RREF of every row added so far, kept with its pivots;
-    the module docstring gives the incremental update.
-    """
-
-    def __init__(self, p: int, ambient_dim: int) -> None:
-        self.p = p
-        self.ambient_dim = ambient_dim
-        self._basis = np.zeros((0, ambient_dim), dtype=np.int64)
-        self._pivots = np.zeros(0, dtype=np.intp)
-
-    @property
-    def rank(self) -> int:
-        return self._basis.shape[0]
-
-    def add_rows(self, rows) -> None:
-        rows = _as_rows(rows, self.ambient_dim)
-        self._absorb(residual_rows(rows, self._basis, self.p, self._pivots))
-
-    def _absorb(self, residuals: np.ndarray):
-        """Fold in rows already reduced against the basis.
-
-        Returns the new basis rows (RREF, zero at the old pivots) and their
-        pivot columns; both are empty when the span did not grow.
-        """
-        residuals = residuals[residuals.any(axis=1)]
-        if not len(residuals):
-            return residuals, np.zeros(0, dtype=np.intp)
-        reduced, pivots = _rref(residuals, self.p)
-        new = reduced[: len(pivots)]
-        new_pivots = np.asarray(pivots, dtype=np.intp)
-        self._merge(new, new_pivots)
-        return new, new_pivots
-
-    def _merge(self, new: np.ndarray, new_pivots: np.ndarray) -> None:
-        """Join RREF rows that are zero at the basis pivots."""
-        old = self._basis
-        if len(old) and len(new):
-            old -= _matmul_mod(old[:, new_pivots], new, self.p)
-            np.mod(old, self.p, out=old)
-        pivots_all = np.concatenate([self._pivots, new_pivots])
-        order = np.argsort(pivots_all, kind="stable")
-        self._basis = np.vstack([old, new])[order]
-        self._pivots = pivots_all[order]
-
-    def basis(self) -> np.ndarray:
-        return self._basis.copy()
-
-
 def greedy_generators(k: int, translates, p: int) -> np.ndarray:
     """Indices j of the e_j in F_p^k outside the span of the translates of
     the e_i kept before them, in scan order.
@@ -541,7 +493,7 @@ def greedy_generators(k: int, translates, p: int) -> np.ndarray:
             if echelon[j + 1]:  # a vector of the span ends at coordinate j
                 continue
             kept.append(j)
-            for row in _little_rows(translates(j)):
+            for row in _pack(translates(j)):
                 lead = row.bit_length()
                 while lead > j + 1:
                     other = echelon[lead]
@@ -551,7 +503,7 @@ def greedy_generators(k: int, translates, p: int) -> np.ndarray:
                     row ^= other
                     lead = row.bit_length()
     else:
-        span = RowSpan(p, k)
+        span = FpSubspace(p, k)
         ends = np.zeros(k, dtype=bool)  # ends[c]: a vector of the span ends at c
         for j in range(k):
             if ends[j]:

@@ -183,8 +183,7 @@ def invariants(M: GModule) -> FpSubspace:
     """
     gens = np.asarray(M.group.generator_indices, dtype=np.intp)
     stacked = (M.action[gens] - np.eye(M.dim, dtype=np.int64)).reshape(-1, M.dim)
-    basis = fplinalg.kernel_array(stacked, M.p)
-    return FpSubspace(M.p, M.dim, basis)
+    return FpSubspace(M.p, M.dim, fplinalg.kernel(stacked, M.p)[0])
 
 
 def coinvariants(M: GModule) -> int:

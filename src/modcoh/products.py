@@ -15,8 +15,9 @@ columns of d_{i+k}: the untwisted `FreeResolution.lift`.  A right-hand
 side outside the image of d_k means the resolution is not exact there, and
 raises LiftFailure.  The product is the composite b . tau_j with the sign
 of the diagonal-approximation cup product: a cup b = (-1)^{ij}
-(repeat(b, |P|) @ Phi_j).  A product of stable classes is stable; one
-outside their span raises InvariantViolation.
+(b @ S_j), where row m of S_j sums the |P| rows of block m of Phi_j:
+repeat(b, |P|) @ Phi_j from a product |P| times narrower.  A product of
+stable classes is stable; one outside their span raises InvariantViolation.
 
 Only trivial coefficients are supported: every product statement with
 acceptance data lives in H^*(G, F_p).
@@ -65,7 +66,7 @@ class CupRing:
 
     def _compose(self, phi: np.ndarray, i: int, bs: np.ndarray, j: int) -> np.ndarray:
         """(a cup b) for every lifted a and every row b of bs, rows in (a, b) order."""
-        vals = np.repeat(bs, self.resolution.group.order, axis=1) @ phi
+        vals = bs @ phi.reshape(bs.shape[1], self.resolution.group.order, -1).sum(axis=1)
         vals = vals.reshape(len(bs), -1, self.resolution.ranks[i + j])
         sign = -1 if i * j % 2 else 1
         return (sign * vals.transpose(1, 0, 2).reshape(-1, vals.shape[2])) % self.p
@@ -109,10 +110,7 @@ def product_span_dims(G: FiniteGroup, p: int, i: int, j: int,
     """Dimension of span{a cup b} inside H^{i+j}(G, F_p)."""
     if ring is None:
         ring = CupRing(G, p, i + j)
-    rows = ring.products_of_bases(i, j)
-    if rows.size == 0:
-        return 0
-    return fplinalg.rref_array(rows, p)[1]
+    return len(fplinalg.rref_pivots(ring.products_of_bases(i, j), p))
 
 
 def product_table_csv(G: FiniteGroup, p: int, max_total: int) -> str:
@@ -178,11 +176,7 @@ def cochain_cohomology_dims(C: CochainComplex, p: int) -> list[int]:
     dims = []
     prev_rank = 0
     for k, dim in enumerate(C.spaces):
-        if k < len(C.differentials):
-            d = C.differentials[k]
-            rank = fplinalg.rref_array(d, p)[1] if d.size else 0
-        else:
-            rank = 0
+        rank = len(fplinalg.rref_pivots(C.differentials[k], p)) if k < len(C.differentials) else 0
         dims.append(dim - rank - prev_rank)
         prev_rank = rank
     return dims

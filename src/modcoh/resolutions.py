@@ -26,19 +26,19 @@ column gather K[:, at[s]] - I_k, and row i is e_i.  e_i lies in I . K plus
 the span of e_0 .. e_{i-1} exactly when i is the last nonzero coordinate
 of some vector of I . K.  Those last coordinates are the pivots of the
 g k x k matrix of coordinate rows with its columns reversed: its column
-rank profile, which is the row rank profile of its transpose.  Over
-GF(2) the k columns, last coordinate first and each with g k entries in
-(generator, row) order, are gathered from K's coordinates, which K's
-bytes hold contiguously (K^T), and `rref_pivots` scans them as rows: one
-forward pass with no back-substitution.  At odd p the g k rows are
-gathered from K and row-reduced once.  Row i is kept when i is not one
-of the pivots.  A free resolution keeps row i instead when e_i lies
-outside the F_p[G]-span S of the rows kept before it.  Every earlier e_h
-lies in S (a kept one among its own translates, a dropped one when it was
-reached), so e_i lies in S exactly when some vector of S has its last
-nonzero coordinate at i: one forward scan in which each kept row adds its |G|
-translates K_i[at] to an echelon of S by last coordinates, and no row
-still to come is reduced (`fplinalg.greedy_generators`).  Stage zero
+rank profile, which is the row rank profile of its transpose.  At every
+p the k columns, last coordinate first and each with g k entries in
+(generator, row) order, are gathered from K's coordinates, which K^T
+holds contiguously at p = 2, and `rref_pivots` finds the pivots: over
+GF(2) one forward pass over the columns as rows, with no
+back-substitution.  Row i is kept when i is not one of the pivots.  A
+free resolution keeps row i instead when e_i lies outside the F_p[G]-span
+S of the rows kept before it.  Every earlier e_h lies in S (a kept one
+among its own translates, a dropped one when it was reached), so e_i lies
+in S exactly when some vector of S has its last nonzero coordinate at i:
+one forward scan in which each kept row adds its |G| translates K_i[at]
+to an echelon of S by last coordinates, and no row still to come is
+reduced (`fplinalg.greedy_generators`).  Stage zero
 scans the columns of M's action matrices the same way.
 
 The next kernel is that of d = d_{L+1} on F_p[G]^{r_{L+1}}.  Its image is
@@ -50,7 +50,7 @@ Each kernel is eliminated only when it is read, by the next stage or by
 `syzygy` (`_newest_kernel`), so `extend_to(L)` builds d_1 .. d_L and
 never eliminates ker d_L.
 At p = 2 the rows are gathered as bytes and eliminated as bit rows, and K
-stays uint8 (`fplinalg._kernel`); at odd p it is int64.  The elimination
+stays uint8 (`fplinalg.kernel`); at odd p it is int64.  The elimination
 also gives K's pivots, the complement of the image columns, and every
 stage's are kept (small index arrays, no matrix), so the pivot rows of any
 d_i can be gathered again from W_i.
@@ -190,21 +190,21 @@ class FreeResolution:
         """
         rows, cols = images.shape
         n = self._n
-        if twist is None:
-            # out[j, h, k, g] = images[j n + g^{-1} h, k]
-            out = images.reshape(rows // n, n, cols)[
-                :, self._take.T[:, None, :], np.arange(cols)[None, :, None]]
-            return out.reshape(rows, cols * n)
-        cosets, sigma = twist
-        nu = len(cosets)
-        acting = np.empty(n, dtype=np.intp)
-        acting[cosets] = sigma
-        column = np.empty(n, dtype=np.intp)
-        column[cosets] = np.arange(nu)[:, None]
-        # out[j, h, k, g] = images[j n + acting[g]^{-1} h, (k, column[g])]
-        out = images.reshape(rows // n, n, cols // nu, nu)[
-            :, self._take.T[:, acting][:, None, :],
-            np.arange(cols // nu)[None, :, None], column]
+        # out[j, h, k, g] = images[j n + acting[g]^{-1} h, k nu + column[g]]
+        # = images[j, at[h, g] + k nu] with images viewed as (r, n cols): one
+        # gather into each block of n rows, in C order, with a flat index
+        if twist is None:  # acting[g] = g, column[g] = 0, nu = 1
+            at, nu = self._take.T * cols, 1
+        else:
+            cosets, sigma = twist
+            nu = len(cosets)
+            acting = np.empty(n, dtype=np.intp)
+            acting[cosets] = sigma
+            column = np.empty(n, dtype=np.intp)
+            column[cosets] = np.arange(nu)[:, None]
+            at = self._take.T[:, acting] * cols + column
+        out = np.take(images.reshape(rows // n, n * cols),
+                      at[:, None, :] + np.arange(0, cols, nu)[:, None], axis=1)
         return out.reshape(rows, cols // nu * n)
 
     def boundary(self, i: int) -> np.ndarray:
@@ -229,17 +229,11 @@ class FreeResolution:
         k, p = len(kernel_rows), self.p
         if self.minimal:
             gens = at[list(self.group.generator_indices)]  # at[s] for the generators s
-            if p == 2:
-                # radical[c, s, i]: coordinate k - 1 - c of (s - 1) . row i,
-                # gathered from K^T, which the byte kernel holds contiguously
-                radical = kernel_rows.T[gens.T[::-1]]
-                radical[np.arange(k), :, np.arange(k)[::-1]] -= 1  # 0 - 1 is 255, odd
-                last = fplinalg.rref_pivots(radical.reshape(k, -1).T, p)
-            else:
-                # radical[i, s, c]: coordinate c of (s - 1) . row i
-                radical = kernel_rows[:, gens]
-                radical[np.arange(k), :, np.arange(k)] -= 1
-                last = fplinalg.rref_pivots(radical.reshape(-1, k)[:, ::-1], p)
+            # radical[c, s, i]: coordinate k - 1 - c of (s - 1) . row i,
+            # gathered from K^T, which the byte kernel holds contiguously
+            radical = kernel_rows.T[gens.T[::-1]]
+            radical[np.arange(k), :, np.arange(k)[::-1]] -= 1  # in bytes 0 - 1 is 255, odd
+            last = fplinalg.rref_pivots(radical.reshape(k, -1).T, p)
             kept = np.ones(k, dtype=bool)
             kept[k - 1 - last] = False
             return kept.nonzero()[0]
@@ -262,7 +256,7 @@ class FreeResolution:
         """K = ker d_L for L = self.length, eliminated on first use."""
         if self._kernel is None:
             rows = self._pivot_rows(self.length) if self.length else self.augmentation
-            self._kernel, pivots, _ = fplinalg._kernel(rows, self.p)
+            self._kernel, pivots, _ = fplinalg.kernel(rows, self.p)
             self._kernel_pivots.append(pivots)
         return self._kernel
 
@@ -353,16 +347,16 @@ class FreeResolution:
         """image(d_{i+1}) = kernel(d_i) at every computed stage."""
         p = self.p
         upstream = self.augmentation
+        rank = len(fplinalg.rref_pivots(upstream, p))
         for i in range(self.length):
             D = self.boundary(i + 1)
             if ((upstream @ D) % p).any():
                 raise InvariantViolation(f"d_{i} . d_{i + 1} != 0")
-            up_ker = fplinalg.kernel_array(upstream, p)
-            im_rank = fplinalg.rref_array(D, p)[1]
-            if im_rank != len(up_ker):
+            im_rank, ker_dim = len(fplinalg.rref_pivots(D, p)), len(D) - rank
+            if im_rank != ker_dim:
                 raise InvariantViolation(
-                    f"stage {i}: image rank {im_rank} != kernel dim {len(up_ker)}")
-            upstream = D
+                    f"stage {i}: image rank {im_rank} != kernel dim {ker_dim}")
+            upstream, rank = D, im_rank
 
     def image_in_radical(self, i: int) -> bool:
         """Whether every column of d_i lies in I . F_p[G]^{r_{i-1}}.
@@ -497,7 +491,7 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
     for i in range(max_deg + 1):
         delta = _hom_delta(resolution, N, i)
         cur_dim = resolution.ranks[i] * N.dim
-        rank_i = fplinalg.rref_array(delta, p)[1] if delta.size else 0
+        rank_i = len(fplinalg.rref_pivots(delta, p))
         dims.append(cur_dim - rank_i - prev_rank)
         prev_rank = rank_i
     if dims and M.is_trivial() and M.dim == 1:

@@ -55,7 +55,7 @@ class DiagonalMap:
             raise LiftFailure("augmentation is not surjective")
         E = (rho0 @ aug) % p
         rho_amb = [None]  # index i >= 1: ambient right inverse of d_i on ker d_{i-1}
-        kernels = [fplinalg.kernel_array(aug, p)]
+        kernels = [fplinalg.kernel(aug, p)[0].astype(np.int64)]
         for i in range(1, self.max_deg + 2):
             D = res.boundary(i)
             Z = kernels[-1]
@@ -71,7 +71,7 @@ class DiagonalMap:
                 amb = np.zeros((self._space_dim(i), self._space_dim(i - 1)),
                                dtype=np.int64)
             rho_amb.append(amb)
-            kernels.append(fplinalg.kernel_array(D, p))
+            kernels.append(fplinalg.kernel(D, p)[0].astype(np.int64))
         s = [None] * (self.max_deg + 1)
         eye0 = np.eye(self._space_dim(0), dtype=np.int64)
         s[0] = (rho_amb[1] @ ((eye0 - E) % p)) % p

@@ -4,15 +4,16 @@
 pivot, and `SequentialRowSpan` the plainest greedy scan on it: one
 membership test per row and a full re-RREF after every add.
 
-`select` is the greedy scan on a `fplinalg.RowSpan` as free resolutions
-ran it before they picked generators with `fplinalg.greedy_generators`:
-plain rows through `independent_rows`, and with `expand` one kept row at a
-time, updating the residuals of every row not yet reached.
+`select` is the greedy scan on a growing `fplinalg.FpSubspace` as free
+resolutions ran it before they picked generators with
+`fplinalg.greedy_generators`: plain rows through `independent_rows`, and
+with `expand` one kept row at a time, updating the residuals of every row
+not yet reached.
 """
 
 import numpy as np
 
-from modcoh.fplinalg import RowSpan, _matmul_mod, independent_rows, residual_rows
+from modcoh.fplinalg import FpSubspace, independent_rows, residual_rows
 
 
 def eager_rref_mod(a, p):
@@ -73,43 +74,40 @@ class SequentialRowSpan:
         return kept
 
 
-def select(span: RowSpan, rows, expand=None) -> np.ndarray:
+def select(span: FpSubspace, rows, expand=None) -> np.ndarray:
     """Greedy scan: indices of the rows outside the span when reached.
 
     Each kept row is folded into span before the next row is tested, as the
     row itself or as the rows `expand(row)` returns, so the result is that
     of a sequential test-then-add loop.  Without expand that is
     `independent_rows` on the basis.  With it, residuals of all rows are
-    computed once and, after each kept row, updated by the new basis rows
-    only.  A row whose residual is zero lies in the span, stays there as
-    the span grows, and is dropped.
+    computed once and, after each kept row, reduced again by the rows the
+    scan has added.  A row whose residual is zero lies in the span, stays
+    there as the span grows, and is dropped.
     """
     p = span.p
     rows = np.asarray(rows, dtype=np.int64)
     if expand is None:
-        kept = independent_rows(span._basis, rows, p)
+        kept = independent_rows(span.basis, rows, p)
         span.add_rows(rows[kept])
         return kept
-    res = residual_rows(rows, span._basis, p, span._pivots)
+    res = residual_rows(rows, span.basis, p, span._pivots)
     # What the scan adds, reduced against the basis, grows as its own
-    # span and is merged once at the end: each step then updates only
-    # the rows added so far, not the whole basis.
-    fresh = RowSpan(p, span.ambient_dim)
+    # span and is added once at the end: each step then reduces only by
+    # the rows added so far, not by the whole basis.
+    fresh = FpSubspace(p, span.ambient_dim)
     live = res.any(axis=1)
     idx, res = live.nonzero()[0], res[live]
     kept = []
     while len(idx):
         i = int(idx[0])
         kept.append(i)
-        added = residual_rows(expand(rows[i]), span._basis, p, span._pivots)
-        new, new_pivots = fresh._absorb(
-            residual_rows(added, fresh._basis, p, fresh._pivots))
+        fresh.add_rows(residual_rows(expand(rows[i]), span.basis, p, span._pivots))
         idx, res = idx[1:], res[1:]
-        if len(new_pivots) and len(idx):
-            res -= _matmul_mod(res[:, new_pivots], new, p)
-            np.mod(res, p, out=res)
+        if len(idx):
+            res = residual_rows(res, fresh.basis, p, fresh._pivots)
             live = res.any(axis=1)
             if not live.all():
                 idx, res = idx[live], res[live]
-    span._merge(fresh._basis, fresh._pivots)
+    span.add_rows(fresh.basis)
     return np.asarray(kept, dtype=np.intp)

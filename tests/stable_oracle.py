@@ -72,7 +72,7 @@ def stable_subspace(G: FiniteGroup, p: int, i: int):
         basis = np.eye(base.dim, dtype=np.int64)
         return base.dim, basis
     stacked = np.vstack(rows)
-    basis = fplinalg.kernel_array(stacked, p)
+    basis = fplinalg.kernel(stacked, p)[0].astype(np.int64)
     return len(basis), basis
 
 
@@ -138,4 +138,4 @@ class EveryDoubleCoset:
             return np.eye(r, dtype=np.int64)
         self.lifts(i)
         rows = [self.condition(k, i) for k in range(len(self.pairs))]
-        return fplinalg.kernel_array(np.hstack(rows).T, self.p)
+        return fplinalg.kernel(np.hstack(rows).T, self.p)[0].astype(np.int64)

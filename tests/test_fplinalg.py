@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from modcoh.errors import DimensionMismatch, InvariantViolation
 from modcoh.fplinalg import (
     FpSubspace,
-    RowSpan,
     independent_rows,
-    kernel_array,
+    kernel,
     pivot_inverse,
     rref_array,
     rref_pivots,
@@ -53,7 +52,7 @@ class TestRref:
         assert r == r2
         assert np.array_equal(reduced, again)
         n = a.shape[1]
-        assert FpSubspace(p, n, kernel_array(a, p)).dim == n - r
+        assert FpSubspace(p, n, kernel(a, p)[0]).dim == n - r
 
     @given(matrices(), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
@@ -92,20 +91,20 @@ class TestRref:
 
 class TestKernel:
     def test_invertible_kernel_trivial(self):
-        assert FpSubspace(5, 2, kernel_array([[1, 2], [3, 4]], 5)).dim == 0
+        assert FpSubspace(5, 2, kernel([[1, 2], [3, 4]], 5)[0]).dim == 0
 
     def test_zero_matrix_full_kernel(self):
-        ker = kernel_array(np.zeros((3, 3), dtype=int), 2)
+        ker = kernel(np.zeros((3, 3), dtype=int), 2)[0]
         assert FpSubspace(2, 3, ker).dim == 3
 
     def test_sum_vector_gf2(self):
-        assert kernel_array([[1, 1]], 2).tolist() == [[1, 1]]
+        assert kernel([[1, 1]], 2)[0].tolist() == [[1, 1]]
 
     @given(matrices())
     @settings(max_examples=100, deadline=None)
     def test_kernel_annihilated(self, M):
         p, a = M
-        basis = kernel_array(a, p)
+        basis = kernel(a, p)[0]
         if basis.shape[0]:
             assert not ((a @ basis.T) % p).any()
 
@@ -188,7 +187,7 @@ class TestQuotient:
         assert self._inside(U, W) and U.dim - W.dim == 3
 
     def test_kernel_of_sum_form(self):
-        U = FpSubspace(2, 2, kernel_array([[1, 1]], 2))
+        U = FpSubspace(2, 2, kernel([[1, 1]], 2)[0])
         W = FpSubspace(2, 2, np.zeros((0, 2), dtype=int))
         assert self._inside(U, W) and U.dim - W.dim == 1
 
@@ -200,37 +199,39 @@ class TestQuotient:
 
 def _contains(span, v):
     """Membership through select on a copy, so span itself does not grow."""
-    trial = RowSpan(span.p, span.ambient_dim)
-    trial.add_rows(span.basis())
+    trial = FpSubspace(span.p, span.ambient_dim)
+    trial.add_rows(span.basis)
     return len(select(trial, [v])) == 0
 
 
 class TestRowSpan:
+    """Row spans grown one batch at a time by FpSubspace.add_rows."""
+
     def test_grows_and_tests_membership(self):
-        span = RowSpan(3, 3)
+        span = FpSubspace(3, 3)
         assert not _contains(span, [1, 0, 0])
         span.add_rows([[1, 0, 2]])
         assert _contains(span, [2, 0, 1])
         assert not _contains(span, [0, 1, 0])
         span.add_rows([[0, 1, 0], [1, 1, 2]])
-        assert span.rank == 2
+        assert span.dim == 2
 
     def test_select_keeps_rows_outside_span(self):
-        span = RowSpan(3, 3)
+        span = FpSubspace(3, 3)
         span.add_rows([[1, 0, 2]])
         kept = select(span, [[2, 0, 1], [0, 1, 0], [1, 1, 2], [0, 0, 1]])
         assert kept.tolist() == [1, 3]
-        assert span.rank == 3
+        assert span.dim == 3
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)
     def test_matches_batch_rref(self, M):
         p, a = M
-        span = RowSpan(p, a.shape[1])
+        span = FpSubspace(p, a.shape[1])
         for row in a:
             span.add_rows([row])
         _, r = rref_array(a, p)
-        assert span.rank == r
+        assert span.dim == r
 
 
 # -- differential checks against the eager elimination ----------------------
@@ -338,18 +339,18 @@ class TestLazyElimination:
         for m, n in shapes:
             a = _random_matrix(rng, 2, (m, n), "full")
             rref_array(a, 2)
-            kernel_array(a, 2)
+            kernel(a, 2)[0]
             solve_batch(a, np.ones((m, 1), dtype=np.int64), 2)
             kept = independent_rows(a[:1], a, 2)
             assert rref_pivots(a, 2).tolist() == eager_rref_mod(a, 2)[1]
             space = FpSubspace(2, n, a)
-            span = RowSpan(2, n)
+            span = FpSubspace(2, n)
             span.add_rows(a)
             if not n:  # zero-width rows give the zero space
-                assert kept.tolist() == [] and space.dim == span.rank == 0
-                assert space.basis.shape == span.basis().shape == (0, 0)
+                assert kept.tolist() == [] and space.dim == span.dim == 0
+                assert space.basis.shape == span.basis.shape == (0, 0)
         assert len(reached) == asked.count(2)
-        # kernel_array eliminates each matrix once, on the bit-row kernel path
+        # kernel eliminates each matrix once, on the bit-row kernel path
         assert kernels == [(m, n) for m, n in shapes]
         # rref_pivots scans each matrix, independent_rows each nonempty one
         assert len(scanned) == len(reached) + len(kernels) + 8 + 5 >= 50
@@ -398,7 +399,7 @@ class TestLazyElimination:
 
     def test_kernel_annihilates_with_complementary_dim(self):
         for p, a in _cases(99):
-            ker = kernel_array(a, p)
+            ker = kernel(a, p)[0]
             _, rank = rref_array(a, p)
             n = a.shape[1]
             assert ker.shape == (n - rank, n)
@@ -419,18 +420,18 @@ class TestLazyElimination:
                 for row_idx, pc in enumerate(pivots):
                     loop[k, pc] = (-int(reduced[row_idx, fc])) % p
             want, _ = eager_rref_mod(loop, p)
-            assert np.array_equal(kernel_array(a, p), want[: len(free)])
+            assert np.array_equal(kernel(a, p)[0], want[: len(free)])
 
     def test_rowspan_pivots_track_basis(self):
         from modcoh.fplinalg import pivot_columns
         rng = np.random.default_rng(17)
         for p in DIFF_PRIMES:
             for width in (5, 23, 250):
-                span = RowSpan(p, width)
+                span = FpSubspace(p, width)
                 for _ in range(6):
                     k = int(rng.integers(1, 4))
                     span.add_rows(_random_matrix(rng, p, (k, width), "deficient"))
-                    basis = span.basis()
+                    basis = span.basis
                     assert np.array_equal(span._pivots, pivot_columns(basis))
                     assert np.array_equal(
                         span._pivots, np.argmax(basis != 0, axis=1))
@@ -482,26 +483,26 @@ class TestIncrementalSpan:
                         seed = _random_matrix(rng, p, (3, width), "deficient")
                         rows = _random_matrix(rng, p, (12, width), kind)
                         rows = np.vstack([rows, rows[:3], seed[:1]])
-                        span, ref = RowSpan(p, width), SequentialRowSpan(p, width)
+                        span, ref = FpSubspace(p, width), SequentialRowSpan(p, width)
                         span.add_rows(seed)
                         ref.add_rows(seed)
                         kept = select(span, rows, expand)
                         assert kept.tolist() == ref.select(rows, expand)
-                        assert np.array_equal(span.basis(), ref.basis)
+                        assert np.array_equal(span.basis, ref.basis)
                         assert span._pivots.tolist() == ref.pivots
 
     def test_select_on_empty_span_and_no_rows(self):
-        span = RowSpan(5, 4)
+        span = FpSubspace(5, 4)
         assert select(span, np.zeros((0, 4), dtype=np.int64)).tolist() == []
         assert select(span, np.zeros((3, 4), dtype=np.int64)).tolist() == []
-        assert span.rank == 0
+        assert span.dim == 0
         assert select(span, [[0, 5, 0, 0], [0, 2, 0, 0], [1, 0, 0, 0]]).tolist() == [1, 2]
 
     def test_add_rows_matches_full_rref(self):
         rng = np.random.default_rng(37)
         for p in DIFF_PRIMES:
             for width in (1, 5, 23, 250):
-                span = RowSpan(p, width)
+                span = FpSubspace(p, width)
                 added = np.zeros((0, width), dtype=np.int64)
                 for step in range(8):
                     k = int(rng.integers(0, 5))
@@ -512,19 +513,19 @@ class TestIncrementalSpan:
                     span.add_rows(rows)
                     added = np.vstack([added, rows])
                     reduced, pivots = eager_rref_mod(added, p)
-                    assert np.array_equal(span.basis(), reduced[: len(pivots)])
+                    assert np.array_equal(span.basis, reduced[: len(pivots)])
                     assert span._pivots.tolist() == pivots
 
     def test_kernel_matches_two_rref_version(self, monkeypatch):
         asked, reached, scanned, generic, kernels = _spy_gf2(monkeypatch)
         rng = np.random.default_rng(41)
         for p, a in _cases(43):
-            assert np.array_equal(kernel_array(a, p), _two_rref_kernel(a, p))
+            assert np.array_equal(kernel(a, p)[0], _two_rref_kernel(a, p))
         for w in GF2_WIDTHS:
             for shape in ((0, w), (5, w), (w, 7), (40, w), (w, w)):
                 for kind in ("full", "deficient", "zero"):
                     a = _random_matrix(rng, 2, shape, kind)
-                    assert np.array_equal(kernel_array(a, 2), _two_rref_kernel(a, 2))
+                    assert np.array_equal(kernel(a, 2)[0], _two_rref_kernel(a, 2))
         # every p = 2 kernel is one bit-row elimination, with no RREF
         assert reached == [] and 2 not in asked and 2 not in generic
         assert len(kernels) == len(scanned) == 3 * len(DIFF_SHAPES) + 15 * len(GF2_WIDTHS)
@@ -538,7 +539,7 @@ class TestIncrementalSpan:
                                                        dtype, seed):
         """The bit-row kernel, its pivots and its image columns against the
         eager eliminations, at widths on and off byte boundaries."""
-        from modcoh.fplinalg import _kernel, kernel_and_image, pivot_columns
+        from modcoh.fplinalg import pivot_columns
         rng = np.random.default_rng(seed)
         m = {"tall": n + small + 1, "wide": min(small, n // 2), "zero-row": 0,
              "square": n}[shape]
@@ -552,12 +553,8 @@ class TestIncrementalSpan:
         else:
             raw = a + 2 * rng.integers(-3, 4, size=a.shape)
         want = _two_rref_kernel(a, 2)
-        basis, pivots, columns = _kernel(raw, 2)
+        basis, pivots, columns = kernel(raw, 2)
         assert basis.dtype == np.uint8 and np.array_equal(basis, want)
-        kernel, image = kernel_and_image(raw, 2)
-        assert kernel.dtype == np.int64 and np.array_equal(kernel, want)
-        assert kernel.flags.c_contiguous
-        assert np.array_equal(image, columns)
         assert pivots.tolist() == (pivot_columns(want).tolist() if len(want) else [])
         # image columns: the pivots of the column-reversed RREF, read back
         reversed_pivots = eager_rref_mod(a[:, ::-1], 2)[1]
@@ -659,9 +656,9 @@ class TestIndependentRows:
             for rows in ([], np.zeros((0, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64)):
                 assert independent_rows(rows, np.zeros((2, 0), dtype=np.int64), p).tolist() == []
                 assert FpSubspace(p, 0, rows) == FpSubspace(p, 0, [])
-                span = RowSpan(p, 0)
+                span = FpSubspace(p, 0)
                 span.add_rows(rows)
-                assert span.rank == 0 and select(span, np.zeros((4, 0), dtype=np.int64)).tolist() == []
+                assert span.dim == 0 and select(span, np.zeros((4, 0), dtype=np.int64)).tolist() == []
 
     def test_more_rows_than_width(self):
         rng = np.random.default_rng(61)

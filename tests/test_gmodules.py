@@ -36,7 +36,7 @@ def find_equivariant_iso(M, N):
     for g in M.group.generator_indices:
         # X A_g - B_g X = 0  as  (A_g^T (x) I - I (x) B_g) vec(X) = 0
         blocks.append(np.kron(M.action[g].T, eye) - np.kron(eye, N.action[g]))
-    basis = fplinalg.kernel_array(np.vstack(blocks) % p, p)
+    basis = fplinalg.kernel(np.vstack(blocks) % p, p)[0].astype(np.int64)
     for r in (1, 2, 3):
         for combo in itertools.combinations(range(len(basis)), r):
             for coeffs in itertools.product(range(1, p), repeat=r):

@@ -65,8 +65,8 @@ class TestConstruction:
         """extend_to(L) eliminates ker d_0 .. ker d_{L-1}, never ker d_L;
         that one is eliminated when read, and is the kernel of the full d_L."""
         shapes = []
-        kernel = fplinalg._kernel
-        monkeypatch.setattr(fplinalg, "_kernel",
+        kernel = fplinalg.kernel
+        monkeypatch.setattr(fplinalg, "kernel",
                             lambda a, p: shapes.append(a.shape) or kernel(a, p))
         G = catalog.get_group(name)
         res = FreeResolution(trivial_module(G, p), minimal=G.is_p_group(p)).extend_to(4)
@@ -75,7 +75,7 @@ class TestConstruction:
         assert len(shapes) == len(res._kernel_pivots) == 5
         res.extend_to(5)
         assert len(shapes) == 5
-        assert np.array_equal(K, fplinalg.kernel_array(res.boundary(4), p))
+        assert np.array_equal(K, fplinalg.kernel(res.boundary(4), p)[0])
 
     def test_z2_minimal_is_multiplication_by_g_minus_1(self, Z2):
         res = trivial_resolution(Z2, 2, 5)
@@ -109,6 +109,24 @@ class TestConstruction:
             res = padded_resolution(M, 4) if pad else free_resolution(M, 4, minimal=minimal)
             for i in range(1, res.length + 1):
                 assert np.array_equal(res.boundary(i), _boundary_by_loop(res, i))
+
+    def test_expand_gathers_in_c_order(self, D8, S4):
+        """expand, plain and twisted, returns a C-contiguous matrix equal to
+        the column-by-column translation loop: plain on boundaries of free
+        and minimal resolutions (r_0 = 1 and wider), twisted on the
+        conjugation lifts of S4 and L3(2) at p = 2."""
+        cases = []
+        for res in (free_resolution(trivial_module(D8, 2), 4, minimal=True),
+                    free_resolution(trivial_module(S4, 3), 4)):
+            cases += [(res, W, None) for W in res.boundaries]
+        for name in ("S4", "L3_2"):
+            state = stable_elements(catalog.get_group(name), 2)
+            for (_, twist, _), phis in zip(state.pairs, state.lifts(3)):
+                cases += [(state.resolution, phi, twist) for phi in phis]
+        for res, images, twist in cases:
+            got = res.expand(images, twist)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, _expand_by_loop(res, images, twist))
 
     def test_corrupted_generator_column_breaks_exactness(self, Q8):
         res = FreeResolution(trivial_module(Q8, 2), minimal=True).extend_to(3)
@@ -304,8 +322,8 @@ def _radical_rows(res, rows, rank):
 def _stage_kernels(res, length):
     """The kernel of the augmentation and of d_1 .. d_length, each from the
     full matrix."""
-    kernels = [fplinalg.kernel_array(res.augmentation, res.p)]
-    return kernels + [fplinalg.kernel_array(res.boundary(i), res.p)
+    kernels = [fplinalg.kernel(res.augmentation, res.p)[0].astype(np.int64)]
+    return kernels + [fplinalg.kernel(res.boundary(i), res.p)[0].astype(np.int64)
                       for i in range(1, length + 1)]
 
 
@@ -340,11 +358,26 @@ def _assert_kernel_coordinate_selection_agrees(M, length):
             if minimal:
                 want = fplinalg.independent_rows(_radical_rows(res, K, rank), K, p)
             else:
-                want = select(fplinalg.RowSpan(p, rank * n), K,
+                want = select(fplinalg.FpSubspace(p, rank * n), K,
                               expand=lambda row: res.expand(row.reshape(-1, 1)).T)
             assert got.tolist() == want.tolist(), (minimal, i)
             if i < length:
                 assert np.array_equal(K[got].T, res.boundaries[i]), (minimal, i)
+
+
+def _expand_by_loop(res, images, twist=None):
+    """expand column by column: column k |G| + g is sigma[s] . images[:, (k, u)]
+    for g = s . u, and untwisted (S = G, sigma the identity) g . images[:, k]."""
+    n = res.group.order
+    cosets, sigma = (np.arange(n)[None, :], np.arange(n)) if twist is None else twist
+    nu = len(cosets)
+    out = np.zeros((len(images), images.shape[1] // nu * n), dtype=images.dtype)
+    for k in range(images.shape[1] // nu):
+        for u in range(nu):
+            blocks = images[:, k * nu + u].reshape(-1, n)
+            for s, g in enumerate(cosets[u]):
+                out[:, k * n + g] = blocks[:, res._take[sigma[s]]].reshape(-1)
+    return out
 
 
 def _boundary_by_loop(res, i):
@@ -551,6 +584,21 @@ class TestMinimalRankIdentity:
                 permutation_module(P, center(P), 2)]
         for M in mods:
             assert minimal_rank_identity_check(M, 6)
+
+    @given(small_permutation_groups())
+    @settings(max_examples=15, deadline=None)
+    def test_free_against_minimal_on_random_sylow_subgroups(self, G):
+        """Ext of F_p on the greedily pruned free resolution of a Sylow
+        p-subgroup P, as a group of its own, equals the ranks of P's minimal
+        resolution through degree 4, at each prime dividing |G|: greedy
+        selection (on a growing FpSubspace at odd p) against minimal
+        selection, which runs one path at every p."""
+        for p in prime_factors(G.order):
+            F = trivial_module(sylow(G, p).as_group(), p)
+            free = free_resolution(F, 5)
+            minimal = free_resolution(F, 5, minimal=True)
+            assert not free.minimal
+            assert ext_dims(F, F, 4, resolution=free).dims == tuple(minimal.ranks[:5])
 
 
 class TestProjectivity:
