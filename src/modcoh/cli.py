@@ -36,8 +36,7 @@ import numpy as np
 
 from . import catalog, fileio
 from .actions import full_report
-from .cohmaps import double_coset_identity_check, restriction, transfer, \
-    trivial_coefficients
+from .cohmaps import MapBuilder, trivial_coefficients
 from .errors import BadParameters, InvariantViolation, ModcohError, NoExpectedData
 from .groups import FiniteGroup, center, require_prime, subgroup_closure, sylow
 from .resolutions import (
@@ -186,17 +185,17 @@ def cmd_maps(args, out) -> int:
     H = _resolve_subgroup(G, args.sub)
     M = trivial_coefficients(G, args.p)
     index_mod_p = (G.order // H.order) % args.p
+    maps = MapBuilder(G, M)  # one pass: blocks and terms serve every degree
     rows = []
     for i in range(args.max_deg + 1):
-        res = restriction(G, H, M, i)
-        tr = transfer(G, H, M, i)
+        res = maps.restriction(H, i)
+        tr = maps.transfer(H, i)
         comp = (tr.matrix @ res.matrix) % args.p
         want = (index_mod_p * np.eye(comp.shape[0], dtype=np.int64)) % args.p
         ok = bool(np.array_equal(comp, want))
         row = [i, res.rank(), tr.rank(), "yes" if ok else "NO"]
         if args.dcheck:
-            row.append("yes" if double_coset_identity_check(G, H, H, M, i)
-                       else "NO")
+            row.append("yes" if maps.double_coset_identity(H, H, i) else "NO")
         rows.append(tuple(row))
     header = ["i", "rank_res", "rank_tr", f"tr.res=[G:H]({index_mod_p})"]
     if args.dcheck:

@@ -13,6 +13,17 @@ classes (`_coset_sum_cochain`, `induced_map`).  The differential of
 Hom_S(P_*, M) is `resolutions._hom_delta` over the table of right cosets
 St, the one differential that `ext_dims` uses with S = G.
 
+A report over degrees, such as `modcoh maps`, runs in one pass over a
+`MapBuilder`: each context, each block for each (source, target, C), each
+transfer's representatives and each double coset term (g, K^g, H n K^g)
+is built once, and each degree only applies the blocks and reads class
+coordinates.  The double coset check reuses the res and tr that the
+report has already printed as its left side, and when K = H the term of
+the double coset H itself is I_{dim H^i(H)}, since c_1, res^H_H and tr^H_H
+are identities, as `StableElements` counts n_1 I; it costs no induced map.
+`restriction`, `transfer`, `conjugation` and `double_coset_identity_check`
+are one-degree uses of a fresh builder, so there is one code path.
+
 Stable elements (`StableElements`, `stable_subspace`), and with them the
 cup products of `products.CupRing`, run on the minimal resolution of a
 Sylow p-subgroup P instead, which is |G : P| times smaller.  They are the
@@ -32,9 +43,10 @@ multiplicity are lifted, and no S_t-coboundary is eliminated.
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
 coboundary space, so maps expressed in these bases are reproducible.
 Basis-dependent entries should still never be asserted, only ranks,
-dimensions and identities between the maps themselves.  Each basis is
-eliminated once, at its first use, and every map into it then reads class
-coordinates off that elimination (`CohBasis`).
+dimensions and identities between the maps themselves.  A basis's class
+coordinates come from the elimination of delta^i that already gave Z^i's
+RREF and pivots: only the square matrix of the classes and coboundaries
+at those pivots is inverted, once, at its first use (`CohBasis`).
 """
 
 from __future__ import annotations
@@ -88,48 +100,48 @@ class CohBasis:
     vector outside the span of the classes is no cocycle of this basis.
 
     The c rows of B, the classes and then a basis of the coboundaries, are
-    independent, so a cocycle v is x . B for exactly one x, and x[:dim] are
-    its coordinates.  [B | I_c] is eliminated once, at the first call, to
-    [U | T] with U the RREF of B, its pivots piv, and T . B = U.  v lies in
-    the span of U exactly when its residual against U is zero, and then
-    v = v[piv] . U = (v[piv] . T) . B, so x = v[piv] . T.  That is c (n + c)
-    entries for cochains of length n, and each call costs one residual and
-    one product.  When H^i = 0 the span is B^i = Z^i: a vector outside it
-    is no cocycle.
+    independent and span the cocycles Z^i, which come in as their RREF U
+    with pivots piv (a context's elimination of delta^i has both; without
+    coboundaries U is the RREF of the classes).  So a cocycle v is x . B
+    for exactly one x, and x[:dim] are its coordinates.  v lies in Z^i
+    exactly when its residual against U is zero, and then v = v[piv] . U;
+    B = B[:, piv] . U likewise, so x = v[piv] . T with T the inverse of the
+    c x c matrix B[:, piv].  T is built once, at the first call, and each
+    call costs one residual and one product.  When H^i = 0 the span is
+    B^i = Z^i: a vector outside it is no cocycle.
     """
 
     def __init__(self, p: int, degree: int, reps: np.ndarray,
-                 coboundaries: np.ndarray | None = None) -> None:
+                 coboundaries: np.ndarray | None, cocycles: np.ndarray,
+                 pivots: np.ndarray) -> None:
         self.p = p
         self.degree = degree
         self.classes = reps          # rows: cocycle vectors
         self._coboundaries = coboundaries
+        self._cocycles = cocycles    # RREF of Z^i
+        self._pivots = pivots
 
     @property
     def dim(self) -> int:
         return len(self.classes)
 
     @functools.cached_property
-    def _eliminated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, piv, T[:, :dim]) from the one elimination of [B | I_c]."""
+    def _inverse(self) -> np.ndarray:
+        """T[:, :dim], T the inverse of B[:, piv]."""
         rows = self.classes if self._coboundaries is None else \
             np.vstack([self.classes, self._coboundaries])
-        c, n = rows.shape
-        reduced, _ = fplinalg.rref_array(np.hstack([rows, np.eye(c, dtype=np.int64)]), self.p)
-        U = reduced[:, :n].copy()  # copies, so the rest of reduced is freed
-        piv = fplinalg.pivot_columns(U) if c else np.zeros(0, dtype=np.intp)
-        return U, piv, reduced[:, n:n + self.dim].copy()
+        _, inverse = fplinalg.pivot_inverse(rows[:, self._pivots], self.p)
+        return inverse[:, :self.dim].astype(np.int64)
 
     def class_coordinates(self, cols: np.ndarray) -> np.ndarray:
         """Coordinates of cocycle columns in this basis (coboundaries dropped)."""
         cols = np.asarray(cols, dtype=np.int64) % self.p
         if cols.ndim == 1:
             cols = cols.reshape(-1, 1)
-        U, piv, T = self._eliminated
-        if fplinalg.residual_rows(cols.T, U, self.p, piv).any():
+        if fplinalg.residual_rows(cols.T, self._cocycles, self.p, self._pivots).any():
             raise InvariantViolation("vector is not a cocycle of this basis")
         # int64 is exact: c < 2^21 terms below (p - 1)^2 each
-        return (T.T @ cols[piv]) % self.p
+        return (self._inverse.T @ cols[self._pivots]) % self.p
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,7 @@ class CochainContext:
         self._rep_of[self._cosets] = np.arange(len(self.transversal))[:, None]
         self._s_of[self._cosets] = members
         self._deltas: dict[int, np.ndarray] = {}
-        self._eliminated: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._eliminated: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._bases: dict[int, CohBasis] = {}
 
     def cochain_dim(self, i: int) -> int:
@@ -187,20 +199,22 @@ class CochainContext:
             self._deltas[i] = _hom_delta(self.resolution, self.module, i, self._cosets)
         return self._deltas[i]
 
-    def _eliminate(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Z^i, B^{i+1}) from one elimination of delta^i.
+    def _eliminate(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Z^i, its pivots, B^{i+1}) from one elimination of delta^i.
 
-        Z^i is the canonical cocycle basis; B^{i+1} is a basis of the
-        coboundaries, as rows: the independent columns of delta^i that the
-        same elimination finds.
+        Z^i is the canonical cocycle basis, in RREF; B^{i+1} is a basis of
+        the coboundaries, as rows: the independent columns of delta^i that
+        the same elimination finds.
         """
         if i not in self._eliminated:
             delta = self.differential(i)
             if delta.size:
-                cocycles, _, cols = fplinalg.kernel(delta, self.p)
-                self._eliminated[i] = (cocycles.astype(np.int64, order="C"), delta[:, cols].T)
+                cocycles, pivots, cols = fplinalg.kernel(delta, self.p)
+                self._eliminated[i] = (cocycles.astype(np.int64, order="C"), pivots,
+                                       delta[:, cols].T)
             else:
-                self._eliminated[i] = (np.eye(self.cochain_dim(i), dtype=np.int64),
+                n = self.cochain_dim(i)
+                self._eliminated[i] = (np.eye(n, dtype=np.int64), np.arange(n),
                                        np.zeros((0, len(delta)), dtype=np.int64))
         return self._eliminated[i]
 
@@ -208,19 +222,19 @@ class CochainContext:
         """A basis of B^i, as rows (independent, not reduced)."""
         if i == 0:
             return np.zeros((0, self.cochain_dim(0)), dtype=np.int64)
-        return self._eliminate(i - 1)[1]
+        return self._eliminate(i - 1)[2]
 
     def basis(self, i: int) -> CohBasis:
         """Canonical H^i basis; it depends on the span of B^i, not its basis."""
         if i in self._bases:
             return self._bases[i]
-        cocycles = self._eliminate(i)[0]
+        cocycles, pivots, _ = self._eliminate(i)
         cobound = self.coboundaries(i)
         if len(cocycles) == len(cobound):  # bases of B^i <= Z^i: H^i = 0
             reps = cocycles[:0]
         else:
             reps = cocycles[fplinalg.independent_rows(cobound, cocycles, self.p)]
-        basis = CohBasis(self.p, i, reps, cobound)
+        basis = CohBasis(self.p, i, reps, cobound, cocycles, pivots)
         self._bases[i] = basis
         return basis
 
@@ -300,37 +314,100 @@ def induced_map(src: CochainContext, dst: CochainContext, block: np.ndarray,
     return CohMap(sb, tb, tb.class_coordinates(images.T))
 
 
-# -- public operations --------------------------------------------------------
+# -- one pass per report -------------------------------------------------------
 
-def coh_basis(G: FiniteGroup, M: GModule, i: int) -> CohBasis:
-    """Canonical basis of H^i(G, M) with explicit cocycle representatives."""
-    return context(G, M, length=i + 1).basis(i)
+class MapBuilder:
+    """Restriction, transfer, conjugation and the double coset formula on G's
+    resolution with coefficients M, for one report that runs over degrees.
 
+    Everything that does not depend on the degree is built once, at its
+    first use: each coset-sum block for each (source, target, C), each
+    transfer's coset representatives, and for each pair (H, K) the double
+    coset terms (g, K^g, H n K^g); `context` already keeps one context per
+    subgroup.  Each degree
+    then only applies the blocks and reads class coordinates, and every
+    map, once induced in a degree, is kept for the rest of the report, so
+    the double coset check's left side is the res and tr that a report has
+    already printed.  The public `restriction`, `transfer`, `conjugation`
+    and `double_coset_identity_check` are one-degree uses of a fresh
+    builder.
+    """
 
-def restriction(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
-                K: Subgroup | None = None) -> CohMap:
-    """res: H^i(K, M) -> H^i(H, M) for H <= K <= G (K defaults to G)."""
-    src = context(G, M, K, length=i + 1)
-    dst = context(G, M, H, length=i + 1)
-    _require_nested(H, src.subgroup)
-    return induced_map(src, dst, _coset_sum_cochain(src, dst, [0]), i)
+    def __init__(self, G: FiniteGroup, M: GModule) -> None:
+        self.group = G
+        self.module = M
+        self.p = M.p
+        self._whole = whole_group(G)
+        self._blocks: dict[tuple[Subgroup, Subgroup, tuple[int, ...]], np.ndarray] = {}
+        self._maps: dict[tuple[Subgroup, Subgroup, tuple[int, ...], int], CohMap] = {}
+        self._transfer_reps: dict[tuple[Subgroup, Subgroup], tuple[int, ...]] = {}
+        self._terms: dict[tuple[Subgroup, Subgroup], list] = {}
 
+    def _map(self, src: Subgroup, dst: Subgroup, C: tuple[int, ...], i: int) -> CohMap:
+        """The map that the coset sum over C induces in degree i."""
+        key = (src, dst, C, i)
+        found = self._maps.get(key)
+        if found is None:
+            s = context(self.group, self.module, src)
+            d = context(self.group, self.module, dst)
+            block = self._blocks.get(key[:3])
+            if block is None:
+                block = self._blocks[key[:3]] = _coset_sum_cochain(s, d, list(C))
+            found = self._maps[key] = induced_map(s, d, block, i)
+        return found
 
-def transfer(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
-             K: Subgroup | None = None) -> CohMap:
-    """tr: H^i(H, M) -> H^i(K, M) for H <= K <= G (K defaults to G)."""
-    src = context(G, M, H, length=i + 1)
-    dst = context(G, M, K, length=i + 1)
-    _require_nested(H, dst.subgroup)
-    return induced_map(src, dst, _coset_sum_cochain(
-        src, dst, _transfer_reps(G, H, dst.subgroup)), i)
+    def restriction(self, H: Subgroup, i: int, K: Subgroup | None = None) -> CohMap:
+        """res: H^i(K, M) -> H^i(H, M) for H <= K <= G (K defaults to G)."""
+        K = self._whole if K is None else K
+        _require_nested(H, K)
+        return self._map(K, H, (0,), i)
 
+    def transfer(self, H: Subgroup, i: int, K: Subgroup | None = None) -> CohMap:
+        """tr: H^i(H, M) -> H^i(K, M) for H <= K <= G (K defaults to G)."""
+        K = self._whole if K is None else K
+        reps = self._transfer_reps.get((H, K))
+        if reps is None:
+            _require_nested(H, K)
+            reps = self._transfer_reps[H, K] = tuple(_transfer_reps(self.group, H, K))
+        return self._map(H, K, reps, i)
 
-def conjugation(G: FiniteGroup, g: int, H: Subgroup, M: GModule, i: int) -> CohMap:
-    """c_g: H^i(H, M) -> H^i(gHg^{-1}, M)."""
-    src = context(G, M, H, length=i + 1)
-    dst = context(G, M, conjugate_subgroup(G, H, g), length=i + 1)
-    return induced_map(src, dst, _coset_sum_cochain(src, dst, [g]), i)
+    def conjugation(self, g: int, H: Subgroup, i: int) -> CohMap:
+        """c_g: H^i(H, M) -> H^i(gHg^{-1}, M)."""
+        return self._map(H, conjugate_subgroup(self.group, H, g), (g,), i)
+
+    def _double_coset_terms(self, H: Subgroup, K: Subgroup) -> list:
+        """(g, K^g, H n K^g) for each double coset HgK, K^g = gKg^{-1}.
+
+        When K is H the double coset H itself is left out: its term
+        tr^H_H res^H_H c_1 is the identity (`double_coset_identity`).
+        """
+        if (H, K) not in self._terms:
+            terms = []
+            for g in double_cosets(self.group, H, K).reps:
+                if g or H != K:
+                    Kg = conjugate_subgroup(self.group, K, g)
+                    terms.append((g, Kg, intersect(H, Kg)))
+            self._terms[H, K] = terms
+        return self._terms[H, K]
+
+    def double_coset_identity(self, H: Subgroup, K: Subgroup, i: int) -> bool:
+        """res^G_H tr^G_K = sum over HgK of tr^H_{H n K^g} res^{K^g}_{H n K^g} c_g.
+
+        Both sides are exact matrices in degree i.  When K is H the g = 1
+        term is I_{dim H^i(H)}: c_1, res^H_H and tr^H_H are identities on
+        the classes, as `StableElements` counts n_1 I.
+        """
+        res, tr = self.restriction(H, i), self.transfer(K, i)
+        if res.source is not tr.target:
+            raise BadParameters("maps are not composable in these bases")
+        lhs = (res.matrix @ tr.matrix) % self.p
+        total = np.eye(len(lhs), dtype=np.int64) if H == K else np.zeros_like(lhs)
+        for g, Kg, inter in self._double_coset_terms(H, K):
+            c = self._map(K, Kg, (g,), i)
+            r = self.restriction(inter, i, Kg)
+            t = self.transfer(inter, i, H)
+            total = (total + t.matrix @ r.matrix @ c.matrix) % self.p
+        return np.array_equal(lhs, total)
 
 
 def _transfer_reps(G: FiniteGroup, S: Subgroup, K: Subgroup) -> list[int]:
@@ -343,27 +420,34 @@ def _require_nested(H: Subgroup, K: Subgroup) -> None:
         raise BadParameters("expected nested subgroups H <= K")
 
 
+# -- public operations --------------------------------------------------------
+
+def coh_basis(G: FiniteGroup, M: GModule, i: int) -> CohBasis:
+    """Canonical basis of H^i(G, M) with explicit cocycle representatives."""
+    return context(G, M, length=i + 1).basis(i)
+
+
+def restriction(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
+                K: Subgroup | None = None) -> CohMap:
+    """res: H^i(K, M) -> H^i(H, M) for H <= K <= G (K defaults to G)."""
+    return MapBuilder(G, M).restriction(H, i, K)
+
+
+def transfer(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
+             K: Subgroup | None = None) -> CohMap:
+    """tr: H^i(H, M) -> H^i(K, M) for H <= K <= G (K defaults to G)."""
+    return MapBuilder(G, M).transfer(H, i, K)
+
+
+def conjugation(G: FiniteGroup, g: int, H: Subgroup, M: GModule, i: int) -> CohMap:
+    """c_g: H^i(H, M) -> H^i(gHg^{-1}, M)."""
+    return MapBuilder(G, M).conjugation(g, H, i)
+
+
 def double_coset_identity_check(G: FiniteGroup, H: Subgroup, K: Subgroup,
                                 M: GModule, i: int) -> bool:
     """res^G_H tr^G_K = sum over HgK of tr res c_g, as exact matrices."""
-    lhs_map = _compose(restriction(G, H, M, i),
-                       transfer(G, K, M, i))
-    total = np.zeros_like(lhs_map.matrix)
-    for g in double_cosets(G, H, K).reps:
-        Kg = conjugate_subgroup(G, K, g)
-        inter = intersect(H, Kg)
-        c = conjugation(G, g, K, M, i)
-        r = restriction(G, inter, M, i, K=Kg)
-        t = transfer(G, inter, M, i, K=H)
-        total = (total + t.matrix @ r.matrix @ c.matrix) % M.p
-    return np.array_equal(lhs_map.matrix, total)
-
-
-def _compose(outer: CohMap, inner: CohMap) -> CohMap:
-    if outer.source is not inner.target:
-        raise BadParameters("maps are not composable in these bases")
-    return CohMap(inner.source, outer.target,
-                  (outer.matrix @ inner.matrix) % outer.source.p)
+    return MapBuilder(G, M).double_coset_identity(H, K, i)
 
 
 class StableElements:
@@ -566,12 +650,10 @@ def abelian_sylow_check(G: FiniteGroup, p: int, max_deg: int) -> bool:
     if not P.is_abelian():
         raise SylowNotAbelian(f"Sylow {p}-subgroup of {G.name} is not abelian")
     N = normalizer(G, P)
-    M = trivial_coefficients(G, p)
+    maps = MapBuilder(G, trivial_coefficients(G, p))
     for i in range(max_deg + 1):
-        dim_g = context(G, M, length=i + 1).basis(i).dim
-        dim_n = context(G, M, N, length=i + 1).basis(i).dim
-        if dim_g != dim_n:
-            return False
-        if restriction(G, N, M, i).rank() != dim_g:
+        res = maps.restriction(N, i)
+        dim_g = res.source.dim
+        if res.target.dim != dim_g or res.rank() != dim_g:
             return False
     return True

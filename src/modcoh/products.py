@@ -49,9 +49,11 @@ class CupRing:
         self._bases: dict[int, CohBasis] = {}
 
     def basis(self, i: int) -> CohBasis:
-        """The stable classes of H^i(P); one basis per degree, eliminated once."""
+        """The stable classes of H^i(P), one basis per degree."""
         if i not in self._bases:
-            self._bases[i] = CohBasis(self.p, i, self.stable_elements.stable(i))
+            stable = self.stable_elements.stable(i)  # RREF: its own cocycle span
+            self._bases[i] = CohBasis(self.p, i, stable, None, stable,
+                                      fplinalg.pivot_columns(stable))
         return self._bases[i]
 
     def _lift(self, cocycles: np.ndarray, i: int, steps: int) -> list[np.ndarray]:

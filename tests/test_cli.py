@@ -1,12 +1,14 @@
 import io
+import random
 
 import numpy as np
 import pytest
 
+import maps_oracle
 from modcoh import catalog, fileio
 from modcoh.cli import build_parser, main
 from modcoh.gmodules import permutation_module, regular_module
-from modcoh.groups import center
+from modcoh.groups import center, prime_factors
 
 
 def run(argv):
@@ -286,3 +288,80 @@ class TestModule:
                        "--task", "projective"])
         assert code == 1
         assert "RepresentationError" in capsys.readouterr().err
+
+
+def _maps_cases():
+    """(name, p, subgroup specs) for every catalog group of order <= 48 at each
+    prime: sylow:p, center, the whole group and two drawn elements by gens:,
+    and every order:k."""
+    cases = []
+    for name in catalog.names():
+        G = catalog.get_group(name)
+        if not 1 < G.order <= 48:
+            continue
+        orders = sorted({G.element_order(g) for g in range(G.order)})
+        drawn = random.Random(G.order).sample(range(1, G.order), min(2, G.order - 1))
+        for p in prime_factors(G.order):
+            subs = [f"sylow:{p}", "center",
+                    "gens:" + ",".join(map(str, G.generator_indices)),
+                    "gens:" + ",".join(map(str, drawn))]
+            cases.append((name, p, subs + [f"order:{k}" for k in orders]))
+    return cases
+
+
+MAPS_CASES = _maps_cases()
+
+
+class TestMapsReport:
+    """The one-pass `maps` report against the per-degree loop it replaced."""
+
+    def test_case_count(self):
+        assert sum(len(subs) for _, _, subs in MAPS_CASES) == 175
+
+    @pytest.mark.parametrize("name,p,subs", MAPS_CASES,
+                             ids=[f"{name}-{p}" for name, p, _ in MAPS_CASES])
+    def test_matches_per_degree_oracle(self, name, p, subs):
+        for sub in subs:
+            argv = ["maps", "--group", name, "--p", str(p), "--sub", sub,
+                    "--max-deg", "4", "--dcheck", "--format", "csv"]
+            want_out = io.StringIO()
+            want_code = maps_oracle.cmd_maps(build_parser().parse_args(argv), want_out)
+            assert run(argv) == (want_code, want_out.getvalue()), sub
+
+    def test_zeroed_conjugation_block_reads_no(self, monkeypatch):
+        """A corrupted term of g != 1 fails the check; the identity term is no block."""
+        from modcoh import cohmaps
+        real = cohmaps._coset_sum_cochain
+
+        def zero_conjugations(src, dst, C):
+            block = real(src, dst, C)
+            # a transfer's representatives start with 1, so this is c_g, g != 1
+            return 0 * block if list(C) != [0] and len(C) == 1 else block
+
+        monkeypatch.setattr(cohmaps, "_coset_sum_cochain", zero_conjugations)
+        code, text = run(["maps", "--group", "S4", "--p", "2", "--sub", "sylow:2",
+                          "--max-deg", "4", "--dcheck", "--format", "csv"])
+        assert code == 2
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [row[3] for row in rows] == ["yes"] * 5  # tr.res never reads a term
+        assert [row[4] for row in rows] == ["yes", "NO", "NO", "NO", "NO"]
+
+    @pytest.mark.parametrize("sub,blocks", [("sylow:2", 5), ("order:4", 7)])
+    def test_each_block_built_once_per_report(self, monkeypatch, sub, blocks):
+        """res and tr, then c_g, res and tr for each double coset HgH, g != 1.
+
+        For order:4 the g that normalises H has H n H^g = H, so its res and
+        tr are the same block, (H, H, {1}).
+        """
+        from modcoh import cohmaps
+        real, built = cohmaps._coset_sum_cochain, []
+
+        def spy(src, dst, C):
+            built.append((src.subgroup, dst.subgroup, tuple(C)))
+            return real(src, dst, C)
+
+        monkeypatch.setattr(cohmaps, "_coset_sum_cochain", spy)
+        code, _ = run(["maps", "--group", "S4", "--p", "2", "--sub", sub,
+                       "--max-deg", "4", "--dcheck", "--format", "csv"])
+        assert code == 0
+        assert len(built) == len(set(built)) == blocks

@@ -450,6 +450,24 @@ class TestLazyElimination:
                                   residual_rows(probe, U.basis, p, U._pivots))
 
 
+class TestPack:
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_views_pack_as_their_contiguous_copy(self, dtype):
+        """Reversed, transposed and both: the same ints as a contiguous copy."""
+        from modcoh.fplinalg import _pack, _unpack
+        rng = np.random.default_rng(11)
+        for n in GF2_WIDTHS:
+            for m in (0, 1, 5, 17):
+                a = rng.integers(0, 4, size=(m, n)).astype(dtype)
+                at = np.ascontiguousarray(a.T)
+                views = [a, a[:, ::-1], a[::-1], a[::-1, ::-1], at.T, at.T[:, ::-1],
+                         at[::-1].T, at[:, ::-1].T, a[:, ::2], a[:, ::-2]]
+                for view in views:
+                    want = _pack(np.ascontiguousarray(view))
+                    assert _pack(view) == want, (dtype, m, n, view.strides)
+                    assert np.array_equal(_unpack(want, view.shape[1]), view % 2)
+
+
 def _shifts(k):
     """Expansion by k cyclic shifts, standing in for group translates."""
     return lambda row: np.stack([np.roll(row, s) for s in range(k)])
