@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParameters, NoExpectedData, NotAnAutomorphism
-from .groups import FiniteGroup, Permutation, generate_group
+from .groups import FiniteGroup, Permutation, extend_from_generators, generate_group
 
 # -- permutation realizations ------------------------------------------------
 
@@ -168,31 +168,19 @@ def make_semidirect(N: FiniteGroup, H: FiniteGroup, action, name=None) -> Finite
     """N x| H acting on the element set N x H by left translation.
 
     `action` maps each H generator index to a permutation of N's element
-    indices; each must be an automorphism of N, and the assignment must
-    extend to a homomorphism H -> Aut(N) (checked by word evaluation).
+    indices; each must be an automorphism of N, and their extension along
+    words (`extend_from_generators`) must take those values on the
+    generators and be a homomorphism H -> Aut(N), checked on every pair.
     """
-    auts = {}
+    auts = []
     for h_gen in H.generator_indices:
         phi = tuple(int(x) for x in action[h_gen])
         _check_automorphism(N, phi)
-        auts[h_gen] = phi
-    # extend to all of H along the BFS tree and verify consistency
-    full = {0: tuple(range(N.order))}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, phi_s in auts.items():
-                y = int(H.mul[x, s])
-                composed = tuple(full[x][phi_s[i]] for i in range(N.order))
-                if y in full:
-                    if full[y] != composed:
-                        raise NotAnAutomorphism(
-                            "generator images do not extend to H -> Aut(N)")
-                else:
-                    full[y] = composed
-                    nxt.append(y)
-        frontier = nxt
+        auts.append(phi)
+    full = extend_from_generators(H, tuple(range(N.order)), auts,
+                                  lambda f, phi: tuple(f[i] for i in phi))
+    if any(full[s] != phi for s, phi in zip(H.generator_indices, auts)):
+        raise NotAnAutomorphism("generator images do not extend to H -> Aut(N)")
     for a in range(H.order):
         for b in range(H.order):
             ab = int(H.mul[a, b])

@@ -62,8 +62,9 @@ columns, so column j of the RREF is a pivot exactly when column j of the
 transpose, the j-th stacked row, is not a combination of the rows above
 it.  Its pivots past the span rows are therefore the rows a test-then-add
 scan keeps, with no membership test per row.  Stage zero of a minimal
-resolution, cohomology bases and later minimal stages, in their kernel's
-coordinates (`resolutions`), select this way.
+resolution and cohomology bases select this way.  Later minimal stages, in
+their kernel's coordinates, read the last-coordinate pivots of the
+radical with `rref_pivots` instead (`resolutions`).
 
 `FpSubspace` is one subspace held as its RREF basis and pivots, and it
 grows by `add_rows`: new rows are reduced against the basis, only their

@@ -1,9 +1,9 @@
 """Finite-dimensional modules over the group algebra F_p[G].
 
 A module stores one invertible dim x dim matrix per group element, indexed
-by the group's element order.  Basis conventions for permutation and
-induced modules are pinned to coset_representatives order so that rebuilt
-modules are entry-identical.
+by the group's element order.  Basis conventions for induced modules, of
+which regular and permutation modules are the trivial ones, are pinned to
+coset_representatives order so that rebuilt modules are entry-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +13,13 @@ import numpy as np
 from . import fplinalg
 from .errors import BadParameters, GroupMismatch, RepresentationError
 from .fplinalg import FpSubspace
-from .groups import FiniteGroup, Subgroup, coset_representatives
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    coset_representatives,
+    extend_from_generators,
+    trivial_subgroup,
+)
 
 
 class GModule:
@@ -88,26 +94,12 @@ def trivial_module(G: FiniteGroup, p: int, dim: int = 1) -> GModule:
 
 def regular_module(G: FiniteGroup, p: int) -> GModule:
     """F_p[G] with the left translation action."""
-    n = G.order
-    action = np.zeros((n, n, n), dtype=np.int64)
-    for g in range(n):
-        action[g, G.mul[g], np.arange(n)] = 1
-    return GModule(G, p, action, validate=False)
+    return permutation_module(G, trivial_subgroup(G), p)
 
 
 def permutation_module(G: FiniteGroup, H: Subgroup, p: int) -> GModule:
     """F_p[G/H]: basis the left cosets in coset_representatives order."""
-    reps = coset_representatives(G, H)
-    coset_of = {}
-    for k, r in enumerate(reps):
-        for h in H.member_indices:
-            coset_of[int(G.mul[r, h])] = k
-    m = len(reps)
-    action = np.zeros((G.order, m, m), dtype=np.int64)
-    for g in range(G.order):
-        for k, r in enumerate(reps):
-            action[g, coset_of[int(G.mul[g, r])], k] = 1
-    return GModule(G, p, action, validate=False)
+    return induce_module(trivial_module(H.as_group(), p), H)
 
 
 def restrict_module(M: GModule, H: Subgroup) -> GModule:
@@ -122,28 +114,25 @@ def restrict_module(M: GModule, H: Subgroup) -> GModule:
 def induce_module(M: GModule, H: Subgroup) -> GModule:
     """Induced module F_p[G] (x)_{F_p[H]} M, cosets in pinned order.
 
-    M must be a module over H.as_group().
+    M must be a module over H.as_group().  With t_i the coset
+    representatives, g t_i = t_j h for one j and one h in H, and g sends
+    block i to block j by the action of h.
     """
     G = H.parent
     if M.group is not H.as_group():
         raise GroupMismatch("module is not over H.as_group()")
     reps = coset_representatives(G, H)
-    pos_in_H = {idx: k for k, idx in enumerate(H.parent_embedding())}
-    m = len(reps)
-    d = M.dim
-    dim = m * d
-    action = np.zeros((G.order, dim, dim), dtype=np.int64)
-    for g in range(G.order):
-        for i, t in enumerate(reps):
-            gt = int(G.mul[g, t])
-            # find the coset of gt and the H-part: gt = t' h
-            for j, t2 in enumerate(reps):
-                h = int(G.mul[int(G.inv[t2]), gt])
-                if h in pos_in_H:
-                    action[g, j * d:(j + 1) * d, i * d:(i + 1) * d] = \
-                        M.action[pos_in_H[h]]
-                    break
-    return GModule(G, M.p, action, validate=False)
+    m, d = len(reps), M.dim
+    # t_j h, for h the k-th member of H, lies in coset j at H-position k
+    coset, position = np.empty((2, G.order), dtype=np.intp)
+    cosets = G.mul[np.ix_(reps, H.parent_embedding())]
+    coset[cosets] = np.arange(m)[:, None]
+    position[cosets] = np.arange(H.order)
+    moved = G.mul[:, reps]  # moved[g, i] = g t_i
+    action = np.zeros((G.order, m, d, m, d), dtype=np.int64)
+    action[np.arange(G.order)[:, None], coset[moved], :, np.arange(m), :] = \
+        M.action[position[moved]]
+    return GModule(G, M.p, action.reshape(G.order, m * d, m * d), validate=False)
 
 
 def dual_module(M: GModule) -> GModule:
@@ -202,9 +191,10 @@ def coinvariant_coordinates(M: GModule):
 def module_from_generator_matrices(G: FiniteGroup, p: int, dim: int, mats) -> GModule:
     """Build a module from one matrix per group generator.
 
-    The full action table is completed by word evaluation along the BFS
-    spanning tree and then checked as a representation; failure is a hard
-    error.
+    The matrices are multiplied along a word for each element
+    (`extend_from_generators`) and the result is checked as a
+    representation, as is each generator's matrix against its action:
+    failure is a hard error.
     """
     mats = [np.mod(np.asarray(m, dtype=np.int64), p) for m in mats]
     if len(mats) != len(G.generator_indices):
@@ -213,17 +203,9 @@ def module_from_generator_matrices(G: FiniteGroup, p: int, dim: int, mats) -> GM
     for m in mats:
         if m.shape != (dim, dim):
             raise BadParameters(f"matrix shape {m.shape} != ({dim}, {dim})")
-    action = np.full((G.order, dim, dim), -1, dtype=np.int64)
-    action[0] = np.eye(dim, dtype=np.int64)
-    gen_of = dict(zip(G.generator_indices, mats))
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, mat in gen_of.items():
-                y = int(G.mul[x, s])
-                if action[y, 0, 0] < 0:
-                    action[y] = (action[x] @ mat) % p
-                    nxt.append(y)
-        frontier = nxt
+    action = np.array(extend_from_generators(
+        G, np.eye(dim, dtype=np.int64), mats, lambda a, b: a @ b % p))
+    for s, m in zip(G.generator_indices, mats):
+        if not np.array_equal(action[s], m):
+            raise RepresentationError(f"generator {s} is given two different matrices")
     return GModule(G, p, action)

@@ -13,6 +13,11 @@ s x is the row of x mapped through left multiplication by s, so a
 breadth-first search from the identity fills each row in place from its
 parent's row.  Every entry is still checked against the composed images,
 and an element list that is not closed under product is refused.
+
+A homomorphism out of G is fixed by its values on the generators, and
+`extend_from_generators` is the one walk that extends them along words.
+Hom(G, F_p) = H^1(G; F_p) is one kernel on the generators (`homs_to_fp`),
+which gives the maximal and Frattini subgroups of a p-group.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, GroupTooLarge, NonPermutation
-from .fplinalg import check_prime_size
+from .fplinalg import check_prime_size, kernel
 
 DEFAULT_SIZE_CAP = 2000
 _BLOCK = 1 << 16  # entries a blockwise pass over a table holds at once
@@ -219,6 +224,28 @@ def _closure(mul: np.ndarray, gens, reached: np.ndarray) -> np.ndarray:
         frontier = (fresh & ~reached).nonzero()[0]
         reached |= fresh
     return reached
+
+
+def extend_from_generators(G: FiniteGroup, identity, images, compose) -> list:
+    """The map f on G's elements with f(1) = identity and f(s_k) = images[k]
+    for the k-th generator s_k, extended along words: a breadth-first walk
+    of the right Cayley graph sets f(x s_k) = compose(f(x), images[k]) where
+    it first reaches x s_k.
+
+    f depends on the words the walk picks.  Only when every edge agrees is
+    it a homomorphism, with f(s_k) = images[k] also for a generator listed
+    twice or for the identity; callers check that.
+    """
+    f = [None] * G.order
+    f[0] = identity
+    queue = [0]
+    gens = list(G.generator_indices)
+    for x in queue:  # the queue grows behind the scan
+        for y, image in zip(G.mul[x, gens].tolist(), images):
+            if f[y] is None:
+                f[y] = compose(f[x], image)
+                queue.append(y)
+    return f
 
 
 # Groups whose memo tables may hold entries.  Weak, so it keeps none alive.
@@ -508,70 +535,47 @@ def double_cosets(G: FiniteGroup, H: Subgroup, K: Subgroup) -> DoubleCosetDecomp
     return DoubleCosetDecomposition(tuple(reps), tuple(blocks))
 
 
+def homs_to_fp(G: FiniteGroup, p: int) -> np.ndarray:
+    """A basis of Hom(G, F_p) = H^1(G; F_p): one row per homomorphism, its
+    values on G's elements.
+
+    With words[x] counting the generators in the word for x that
+    `extend_from_generators` picks, values v on the generators give
+    f(x) = words[x] . v.  That f is a homomorphism exactly when
+    f(x s) = f(x) + f(s) for every x and every generator s (induction on
+    word length), that is when (words[x s] - words[x] - e_s) . v = 0 mod p,
+    so the v form one kernel.
+    """
+    gens = list(G.generator_indices)
+    k = len(gens)
+    unit = np.eye(k, dtype=np.int64)
+    words = np.array(extend_from_generators(G, np.zeros(k, dtype=np.int64), unit, np.add))
+    relations = words[G.mul[:, gens]] - words[:, None] - unit
+    basis = kernel(relations.reshape(G.order * k, k) % p, p)[0]
+    return basis.astype(np.int64) @ words.T % p
+
+
 def frattini_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """Closure of p-th powers and commutators (p-group Frattini subgroup)."""
-    seeds = set()
-    for a in range(G.order):
-        pw = 0
-        for _ in range(p):
-            pw = int(G.mul[pw, a])
-        seeds.add(pw)  # a^p
-        for b in range(G.order):
-            comm = G.mul[G.mul[a, b], G.mul[int(G.inv[a]), int(G.inv[b])]]
-            seeds.add(int(comm))
-    return subgroup_closure(G, seeds)
+    """Frattini subgroup of a p-group: the intersection of its maximal
+    subgroups, so the elements that every homomorphism G -> F_p kills."""
+    if not G.is_p_group(require_prime(p)):
+        raise BadParameters(f"{G.name} is not a {p}-group")
+    return Subgroup(G, (~homs_to_fp(G, p).any(axis=0)).nonzero()[0])
 
 
 def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Index-p subgroups of a p-group, via hyperplanes of the Frattini quotient."""
+    """Maximal subgroups of a p-group: normal of index p, they are the
+    kernels of the nonzero homomorphisms G -> F_p, each given by p - 1 of
+    the p^d - 1 nonzero points of Hom(G, F_p)."""
     primes = prime_factors(G.order)
     if not primes:
         raise BadParameters("trivial group has no maximal subgroups")
     if len(primes) > 1:
         raise BadParameters(f"{G.name} is not a p-group")
     p = primes[0]
-    phi = frattini_subgroup(G, p)
-    phi_members = list(phi.member_indices)
-
-    def coset_id(g: int) -> int:
-        return int(np.min(G.mul[g, phi_members]))
-
-    # F_p coordinates on the elementary abelian quotient G/phi.
-    coords: dict[int, tuple[int, ...]] = {0: ()}
-    chosen: list[int] = []
-    for g in coset_representatives(G, phi):
-        if coset_id(g) in coords:
-            continue
-        chosen.append(g)
-        new_coords: dict[int, tuple[int, ...]] = {}
-        for cid, vec in coords.items():
-            cur = cid
-            for e in range(p):
-                new_coords[coset_id(cur)] = vec + (e,)
-                cur = int(G.mul[cur, g])
-        coords = new_coords
-    k = len(chosen)
-    maximals = []
-    for functional in _hyperplane_functionals(p, k):
-        members: set[int] = set()
-        for cid, vec in coords.items():
-            if sum(f * v for f, v in zip(functional, vec)) % p == 0:
-                members.update(int(x) for x in G.mul[cid, phi_members])
-        maximals.append(Subgroup(G, members))
-    uniq = {S.member_indices: S for S in maximals}
-    return sorted(uniq.values(), key=lambda s: s.member_indices)
-
-
-def _hyperplane_functionals(p, k):
-    """One functional per hyperplane of F_p^k (first nonzero coord = 1)."""
-    from itertools import product as iproduct
-    seen = set()
-    for vec in iproduct(range(p), repeat=k):
-        if all(v == 0 for v in vec):
-            continue
-        lead = next(v for v in vec if v)
-        inv = pow(lead, p - 2, p)
-        canon = tuple((v * inv) % p for v in vec)
-        if canon not in seen:
-            seen.add(canon)
-            yield canon
+    homs = homs_to_fp(G, p)
+    d = len(homs)
+    combinations = np.indices((p,) * d).reshape(d, -1).T[1:]
+    kernels = {tuple((row == 0).nonzero()[0].tolist())
+               for row in combinations @ homs % p}
+    return [Subgroup(G, members) for members in sorted(kernels)]

@@ -1,12 +1,29 @@
-"""Generator choice by Permutation closures: the oracle for Subgroup.as_group.
+"""Oracles for group constructions, kept from the algorithms they replaced.
 
 `Subgroup.as_group` picks its generators by growing closures on its
-multiplication table.  This is the scan it replaced, kept as an independent
-oracle: it closes each candidate generating set with Python `Permutation`
-products and never reads a table.
+multiplication table.  `greedy_generators` is the scan it replaced: it
+closes each candidate generating set with Python `Permutation` products and
+never reads a table.
+
+`groups.maximal_subgroups` and `groups.frattini_subgroup` read the kernels
+of Hom(P, F_p).  `maximal_subgroups` and `frattini_subgroup` here are the
+earlier construction: the Frattini subgroup as the closure of p-th powers
+and commutators, and the maximal subgroups as preimages of the hyperplanes
+of hand-built F_p coordinates on P / Phi(P).
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from modcoh.errors import BadParameters
+from modcoh.groups import (
+    FiniteGroup,
+    Subgroup,
+    coset_representatives,
+    prime_factors,
+    subgroup_closure,
+)
 
 
 def closure_images(identity, gens) -> set[tuple[int, ...]]:
@@ -37,3 +54,72 @@ def greedy_generators(elements) -> tuple[int, ...]:
         if len(closure) == len(elements):
             break
     return tuple(chosen) if chosen else (0,)
+
+
+def frattini_subgroup(G: FiniteGroup, p: int) -> Subgroup:
+    """Closure of p-th powers and commutators (p-group Frattini subgroup)."""
+    seeds = set()
+    for a in range(G.order):
+        pw = 0
+        for _ in range(p):
+            pw = int(G.mul[pw, a])
+        seeds.add(pw)  # a^p
+        for b in range(G.order):
+            comm = G.mul[G.mul[a, b], G.mul[int(G.inv[a]), int(G.inv[b])]]
+            seeds.add(int(comm))
+    return subgroup_closure(G, seeds)
+
+
+def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Index-p subgroups of a p-group, via hyperplanes of the Frattini quotient."""
+    primes = prime_factors(G.order)
+    if not primes:
+        raise BadParameters("trivial group has no maximal subgroups")
+    if len(primes) > 1:
+        raise BadParameters(f"{G.name} is not a p-group")
+    p = primes[0]
+    phi = frattini_subgroup(G, p)
+    phi_members = list(phi.member_indices)
+
+    def coset_id(g: int) -> int:
+        return int(np.min(G.mul[g, phi_members]))
+
+    # F_p coordinates on the elementary abelian quotient G/phi.
+    coords: dict[int, tuple[int, ...]] = {0: ()}
+    chosen: list[int] = []
+    for g in coset_representatives(G, phi):
+        if coset_id(g) in coords:
+            continue
+        chosen.append(g)
+        new_coords: dict[int, tuple[int, ...]] = {}
+        for cid, vec in coords.items():
+            cur = cid
+            for e in range(p):
+                new_coords[coset_id(cur)] = vec + (e,)
+                cur = int(G.mul[cur, g])
+        coords = new_coords
+    k = len(chosen)
+    maximals = []
+    for functional in _hyperplane_functionals(p, k):
+        members: set[int] = set()
+        for cid, vec in coords.items():
+            if sum(f * v for f, v in zip(functional, vec)) % p == 0:
+                members.update(int(x) for x in G.mul[cid, phi_members])
+        maximals.append(Subgroup(G, members))
+    uniq = {S.member_indices: S for S in maximals}
+    return sorted(uniq.values(), key=lambda s: s.member_indices)
+
+
+def _hyperplane_functionals(p, k):
+    """One functional per hyperplane of F_p^k (first nonzero coord = 1)."""
+    from itertools import product as iproduct
+    seen = set()
+    for vec in iproduct(range(p), repeat=k):
+        if all(v == 0 for v in vec):
+            continue
+        lead = next(v for v in vec if v)
+        inv = pow(lead, p - 2, p)
+        canon = tuple((v * inv) % p for v in vec)
+        if canon not in seen:
+            seen.add(canon)
+            yield canon

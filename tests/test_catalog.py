@@ -70,6 +70,14 @@ class TestConstructors:
         with pytest.raises(NotAnAutomorphism):
             catalog.make_semidirect(V, Z3, {Z3.generator_indices[0]: bad})
 
+    def test_semidirect_rejects_an_automorphism_for_the_identity(self):
+        # Z1's one generator is the identity, which must act trivially
+        N, H = catalog.make_cyclic(3), catalog.make_cyclic(1)
+        assert H.generator_indices == (0,)
+        inversion = tuple(int(x) for x in N.inv)
+        with pytest.raises(NotAnAutomorphism, match="do not extend"):
+            catalog.make_semidirect(N, H, {0: inversion})
+
     def test_z3_q16(self):
         S = catalog.get_group("Z3Q16")
         assert S.order == 48

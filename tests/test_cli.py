@@ -281,6 +281,17 @@ class TestModule:
         assert text == ""
         assert "InvariantViolation" in capsys.readouterr().err
 
+    def test_module_file_with_two_matrices_for_one_generator(self, tmp_path, capsys):
+        group = tmp_path / "z2.grp"
+        group.write_text("name Z2\ndegree 2\ngen [1,0]\ngen [1,0]\n")
+        f = tmp_path / "two.mod"
+        f.write_text(fileio.format_module_file(2, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]]))
+        code, text = run(["module", "--group", f"file:{group}", "--file", str(f),
+                          "--task", "projective"])
+        assert code == 1
+        assert text == ""
+        assert "RepresentationError" in capsys.readouterr().err
+
     def test_bad_module_file(self, tmp_path, Z4, capsys):
         f = tmp_path / "bad.mod"
         f.write_text("p 2\ndim 2\nmat\n0 1\n1 1\n")  # order-3 matrix over F_2

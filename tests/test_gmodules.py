@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from modcoh import catalog, fplinalg
+from modcoh import catalog, fileio, fplinalg
 from modcoh.errors import GroupMismatch, RepresentationError
 from modcoh.gmodules import (
     GModule,
@@ -20,7 +20,15 @@ from modcoh.gmodules import (
     tensor_module,
     trivial_module,
 )
-from modcoh.groups import center, subgroup_closure, sylow, trivial_subgroup, whole_group
+from modcoh.groups import (
+    center,
+    coset_representatives,
+    prime_factors,
+    subgroup_closure,
+    sylow,
+    trivial_subgroup,
+    whole_group,
+)
 
 
 def find_equivariant_iso(M, N):
@@ -128,6 +136,45 @@ class TestInduction:
         R = regular_module(Z4, 2)
         assert ind.dim == 4
         assert find_equivariant_iso(ind, R) is not None
+
+
+def induce_by_scan(M, H):
+    """The induced action by the scan `induce_module` once ran: for g t_i,
+    try each representative t_j until t_j^{-1} g t_i lies in H."""
+    G = H.parent
+    reps = coset_representatives(G, H)
+    pos_in_H = {idx: k for k, idx in enumerate(H.parent_embedding())}
+    d = M.dim
+    action = np.zeros((G.order, len(reps) * d, len(reps) * d), dtype=np.int64)
+    for g in range(G.order):
+        for i, t in enumerate(reps):
+            gt = int(G.mul[g, t])
+            for j, t2 in enumerate(reps):
+                h = int(G.mul[int(G.inv[t2]), gt])
+                if h in pos_in_H:
+                    action[g, j * d:(j + 1) * d, i * d:(i + 1) * d] = M.action[pos_in_H[h]]
+                    break
+    return action
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_induced_modules_match_the_coset_scan(name):
+    """permutation_module is the induced trivial module, and both, and the
+    induced regular module of each subgroup, agree with the scan entry for
+    entry, on the Sylow subgroups, the centre, the trivial subgroup and the
+    cyclic subgroup of each generator."""
+    G = catalog.get_group(name)
+    primes = prime_factors(G.order) or [2]
+    subgroups = [sylow(G, p) for p in primes] + [center(G), trivial_subgroup(G)]
+    subgroups += [subgroup_closure(G, [s]) for s in G.generator_indices]
+    for H, p in itertools.product(subgroups, primes):
+        trivial = trivial_module(H.as_group(), p)
+        perm = permutation_module(G, H, p)
+        assert perm.action.dtype == np.int64
+        assert np.array_equal(perm.action, induce_module(trivial, H).action)
+        assert np.array_equal(perm.action, induce_by_scan(trivial, H))
+        regular = regular_module(H.as_group(), p)
+        assert np.array_equal(induce_module(regular, H).action, induce_by_scan(regular, H))
 
 
 class TestDualTensor:
@@ -261,3 +308,20 @@ class TestFromGeneratorMatrices:
         bad = np.array([[0, 1], [1, 1]])  # order 3 over F_2 breaks g^4 = 1
         with pytest.raises(RepresentationError):
             module_from_generator_matrices(Z4, 2, 2, [bad])
+
+    def test_rejects_two_matrices_for_one_generator(self):
+        # the first matrix alone is a representation of Z2, so only the
+        # check of each generator's matrix sees the second
+        G = fileio.parse_group_file("degree 2\ngen [1,0]\ngen [1,0]\n")
+        assert G.generator_indices == (1, 1)
+        shear, eye = [[1, 1], [0, 1]], [[1, 0], [0, 1]]
+        with pytest.raises(RepresentationError, match="two different matrices"):
+            module_from_generator_matrices(G, 2, 2, [shear, eye])
+        M = module_from_generator_matrices(G, 2, 2, [shear, shear])
+        assert M.action[1].tolist() == shear
+
+    def test_rejects_a_matrix_other_than_one_for_the_identity(self):
+        G = fileio.parse_group_file("degree 2\ngen [0,1]\ngen [1,0]\n")
+        assert G.generator_indices == (0, 1)
+        with pytest.raises(RepresentationError, match="two different matrices"):
+            module_from_generator_matrices(G, 2, 2, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]])

@@ -1,4 +1,5 @@
-"""Group tables pinned byte for byte, and Subgroup.as_group against its oracle.
+"""Group tables pinned byte for byte, and Subgroup.as_group, maximal_subgroups
+and frattini_subgroup against their oracles.
 
 The SHA-256 pins cover each group's element images, generator indices,
 multiplication table and inverses.  They were taken while the table was
@@ -16,8 +17,17 @@ import pytest
 
 from modcoh import catalog
 from modcoh.fileio import parse_group_file
-from modcoh.groups import FiniteGroup, center, prime_factors, subgroup_closure, sylow
+from modcoh.groups import (
+    FiniteGroup,
+    center,
+    frattini_subgroup,
+    maximal_subgroups,
+    prime_factors,
+    subgroup_closure,
+    sylow,
+)
 
+import group_oracle
 from group_oracle import greedy_generators
 
 DATA = Path(__file__).parent / "data"
@@ -133,3 +143,31 @@ def test_as_group_matches_the_permutation_closure_oracle(name):
         rebuilt = FiniteGroup(H.degree, H.elements, H.generator_indices)
         assert np.array_equal(H.mul, rebuilt.mul)
         assert np.array_equal(H.inv, rebuilt.inv)
+
+
+def oracle_p_groups():
+    """(P, p) for every nontrivial Sylow subgroup of the catalog, stretch
+    groups included, and for p-groups with more maximal subgroups."""
+    out = []
+    for name in catalog.names(include_stretch=True):
+        for p in prime_factors(catalog.get_group(name).order):
+            out.append(pytest.param(pinned_group(f"{name}:sylow{p}"), p, id=f"{name}:sylow{p}"))
+    D8, Q8, Z4 = (catalog.get_group(n) for n in ("D8", "Q8", "Z4"))
+    for G in (parse_group_file((DATA / "D8xD8.grp").read_text()),
+              parse_group_file((DATA / "D8xD8xZ2.grp").read_text()),
+              catalog.make_elementary_abelian(2, 6), catalog.make_elementary_abelian(3, 4),
+              catalog.make_direct_product(catalog.make_cyclic(9), catalog.make_cyclic(3)),
+              catalog.make_direct_product(D8, Z4),
+              catalog.make_direct_product(Q8, catalog.get_group("Z2xZ2")),
+              catalog.make_cyclic(25), catalog.make_elementary_abelian(5, 2)):
+        out.append(pytest.param(G, prime_factors(G.order)[0], id=G.name))
+    return out
+
+
+@pytest.mark.parametrize("P,p", oracle_p_groups())
+def test_maximal_and_frattini_subgroups_match_the_oracle(P, p):
+    """The kernels of Hom(P, F_p) against the hyperplanes of hand-built
+    coordinates on P / Phi(P), and their intersection against the closure
+    of p-th powers and commutators."""
+    assert maximal_subgroups(P) == group_oracle.maximal_subgroups(P)
+    assert frattini_subgroup(P, p) == group_oracle.frattini_subgroup(P, p)

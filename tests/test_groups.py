@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modcoh import fplinalg
 from modcoh.errors import BadParameters, GroupTooLarge, NonPermutation
 from modcoh.groups import (
     DoubleCosetDecomposition,
@@ -13,8 +14,10 @@ from modcoh.groups import (
     coset_representatives,
     double_cosets,
     elementary_abelian_subgroups,
+    extend_from_generators,
     frattini_subgroup,
     generate_group,
+    homs_to_fp,
     is_p_power,
     maximal_subgroups,
     normalizer,
@@ -27,6 +30,7 @@ from modcoh.groups import (
     whole_group,
 )
 
+import group_oracle
 from corpus import is_isomorphic
 
 # local constructions so this file does not depend on the catalog module
@@ -500,6 +504,60 @@ class TestMaximalSubgroups:
     def test_frattini_of_q8_is_center(self):
         G = quaternion8()
         assert frattini_subgroup(G, 2) == center(G)
+
+    @pytest.mark.parametrize("G", [cyclic(4), cyclic(8), dihedral8(), quaternion8(),
+                                   generate_group(6, [Permutation((1, 0, 2, 3, 4, 5)),
+                                                      Permutation((0, 1, 3, 2, 4, 5)),
+                                                      Permutation((0, 1, 2, 3, 5, 4))])],
+                             ids=lambda G: f"order{G.order}")
+    def test_frattini_is_the_intersection_of_the_maximal_subgroups(self, G):
+        members = set(range(G.order))
+        for M in maximal_subgroups(G):
+            assert M.order * 2 == G.order and M.is_normal()
+            members &= set(M.member_indices)
+        assert frattini_subgroup(G, 2) == Subgroup(G, members)
+
+    def test_frattini_of_the_trivial_group(self):
+        G = cyclic(1)
+        assert frattini_subgroup(G, 3) == whole_group(G)
+
+    @pytest.mark.parametrize("G,p", [(symmetric4(), 2), (quaternion8(), 3), (cyclic(6), 2)],
+                             ids=["S4-2", "Q8-3", "Z6-2"])
+    def test_frattini_rejects_a_group_that_is_not_a_p_group(self, G, p):
+        # the closure of p-th powers and commutators is not Phi(G) here:
+        # order 12 in S4 (Phi(S4) = 1), all of Q8, order 3 in Z6 (Phi(Z6) = 1)
+        with pytest.raises(BadParameters, match=f"not a {p}-group"):
+            frattini_subgroup(G, p)
+
+
+class TestExtendFromGenerators:
+    def test_permutation_products_give_the_elements(self):
+        G = symmetric4()
+        gens = [G.elements[s] for s in G.generator_indices]
+        f = extend_from_generators(G, Permutation.identity(4), gens,
+                                   lambda x, s: x * s)
+        assert f == list(G.elements)
+
+    def test_first_image_of_a_repeated_generator_wins(self):
+        G = generate_group(2, [Permutation((1, 0))] * 2)
+        assert G.generator_indices == (1, 1)
+        assert extend_from_generators(G, "", ["a", "b"], str.__add__) == ["", "a"]
+
+
+@given(generating_lists(), st.sampled_from([2, 3, 5]))
+@settings(max_examples=60, deadline=None)
+def test_homs_to_fp_are_a_basis_of_hom(case, p):
+    degree, gens = case
+    if len(bfs_images(degree, gens)) > LOOP_ORACLE_MAX_ORDER:
+        return
+    G = generate_group(degree, gens)
+    homs = homs_to_fp(G, p)
+    assert homs.shape[1] == G.order and homs.dtype == np.int64
+    # each row is a homomorphism G -> F_p, and the rows are independent
+    assert np.array_equal(homs[:, G.mul], (homs[:, :, None] + homs[:, None, :]) % p)
+    assert len(fplinalg.rref_pivots(homs, p)) == len(homs)
+    # for any G, the closure of p-th powers and commutators has index |Hom(G, F_p)|
+    assert p ** len(homs) * group_oracle.frattini_subgroup(G, p).order == G.order
 
 
 class TestIsomorphism:

@@ -90,6 +90,14 @@ class TestAgainstGResolution:
         G = catalog.get_group(name)
         assert cohomology_dims(G, p, 8).dims == free_dims(G, p, 8)
 
+    @pytest.mark.parametrize("name,p", [(name, p) for name in catalog.names(include_stretch=True)
+                                        for p in prime_factors(catalog.get_group(name).order)])
+    def test_h1_is_hom_to_fp(self, name, p):
+        """H^1(G; F_p) = Hom(G, F_p): the stable elements in degree 1
+        against one kernel on G's generators, which reads no resolution."""
+        G = catalog.get_group(name)
+        assert len(groups.homs_to_fp(G, p)) == cohomology_dims(G, p, 1).dims[1]
+
     def test_p_group_every_class_stable(self, D8):
         for i in range(5):
             dim, basis = stable_subspace(D8, 2, i)
