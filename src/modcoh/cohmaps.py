@@ -15,30 +15,22 @@ St, the one differential that `ext_dims` uses with S = G.
 
 A report over degrees, such as `modcoh maps`, runs in one pass over a
 `MapBuilder`: each context, each block for each (source, target, C), each
-transfer's representatives and each double coset term (g, K^g, H n K^g)
-is built once, and each degree only applies the blocks and reads class
-coordinates.  The double coset check reuses the res and tr that the
-report has already printed as its left side, and when K = H the term of
-the double coset H itself is I_{dim H^i(H)}, since c_1, res^H_H and tr^H_H
-are identities, as `StableElements` counts n_1 I; it costs no induced map.
+transfer's representatives and each double coset term (g, H n K^g) is
+built once, and each degree only applies the blocks and reads class
+coordinates.  A term's res^{K^g}_{H n K^g} c_g is one coset sum, C = {g}
+from K straight to H n K^g, so no context of a conjugate K^g is built.
+The double coset check reuses the res and tr that the report has already
+printed as its left side, and when K = H the term of the double coset H
+itself is I_{dim H^i(H)}, since c_1, res^H_H and tr^H_H are identities,
+as `StableElements` counts n_1 I; it costs no induced map.
 `restriction`, `transfer`, `conjugation` and `double_coset_identity_check`
 are one-degree uses of a fresh builder, so there is one code path.
 
 Stable elements (`StableElements`, `stable_subspace`), and with them the
 cup products of `products.CupRing`, run on the minimal resolution of a
-Sylow p-subgroup P instead, which is |G : P| times smaller.  They are the
-image of res^G_P tr^G_P, which the Mackey formula writes as a sum over the
-double cosets PdP of tr^P_{S_t} c_d res^P_{S_s}, S_t = P n dPd^{-1}: one
-r_i x r_i matrix M_i per degree, whose row space is H^i(G).  With trivial
-coefficients, restriction to a subgroup of P needs no coset sum there, and
-transfer from S_t sums a cochain's values over S_t's transversal, exactly
-at cochain level, since P's Hom differential is zero.  g outside P does
-not act on P's resolution: conjugation by d composes cochains with a
-lifted chain map psi, psi(s x) = (d^{-1} s d) psi(x), from
-`FreeResolution.lift`.  A d that centralises S_t contributes [P : S_t] I,
-zero mod p unless S_t = P, and a repeated (S_t, sigma) only adds to a
-multiplicity mod p, so only the distinct other pairs of nonzero
-multiplicity are lifted, and no S_t-coboundary is eliminated.
+Sylow p-subgroup P instead, which is |G : P| times smaller: H^i(G) is the
+row space of one r_i x r_i Mackey matrix of res^G_P tr^G_P per degree,
+summed over the double cosets PdP (`StableElements`).
 
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
 coboundary space, so maps expressed in these bases are reproducible.
@@ -64,11 +56,11 @@ from .groups import (
     Subgroup,
     conjugate_subgroup,
     coset_representatives,
-    double_cosets,
     group_cache,
-    intersect,
+    mackey_terms,
     normalizer,
     require_prime,
+    right_coset_table,
     sylow,
     whole_group,
 )
@@ -176,15 +168,12 @@ class CochainContext:
         self.module = module
         self.p = resolution.p
         self.group = G
-        self.transversal = coset_representatives(G, subgroup, right=True)
-        members = np.asarray(subgroup.member_indices)
         # _cosets[t, s] = s . t; every g is _s_of[g] . transversal[_rep_of[g]]
-        self._cosets = G.mul[np.ix_(members, self.transversal)].T
-        self._rep_of = np.empty(G.order, dtype=np.int64)
-        self._s_of = np.empty(G.order, dtype=np.int64)
+        self._cosets = right_coset_table(G, subgroup)
+        self.transversal = self._cosets[:, 0].tolist()
+        self._rep_of, self._s_of = np.empty((2, G.order), dtype=np.int64)
         self._rep_of[self._cosets] = np.arange(len(self.transversal))[:, None]
-        self._s_of[self._cosets] = members
-        self._deltas: dict[int, np.ndarray] = {}
+        self._s_of[self._cosets] = subgroup.member_indices
         self._eliminated: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._bases: dict[int, CohBasis] = {}
 
@@ -193,11 +182,10 @@ class CochainContext:
         return self.resolution.ranks[i] * len(self.transversal) * self.module.dim
 
     def differential(self, i: int) -> np.ndarray:
-        """delta^i : C^i -> C^{i+1}, as a matrix on column vectors."""
-        if i not in self._deltas:
-            self.resolution.extend_to(i + 1)
-            self._deltas[i] = _hom_delta(self.resolution, self.module, i, self._cosets)
-        return self._deltas[i]
+        """delta^i : C^i -> C^{i+1}, as a matrix on column vectors, built on
+        each call: `_eliminate` keeps all a basis reads, Z^i, pivots, B^{i+1}."""
+        self.resolution.extend_to(i + 1)
+        return _hom_delta(self.resolution, self.module, i, self._cosets)
 
     def _eliminate(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Z^i, its pivots, B^{i+1}) from one elimination of delta^i.
@@ -279,10 +267,11 @@ clear_context_cache = clear_resolution_cache
 def _coset_sum_cochain(src: CochainContext, dst: CochainContext, C: list[int]) -> np.ndarray:
     """C^i_S -> C^i_{S'}: (phi f)(e_{j, u}) = sum_{c in C} c . f(c^{-1} u . e_j).
 
-    C = {1} gives restriction (S' <= S), C = {g} conjugation by g
-    (S' = gSg^{-1}), and the left-coset representatives of S inside S' the
-    transfer (S <= S').  Each c^{-1} u splits as s . t with s in S and t in
-    src's transversal, where f takes the value s . f(e_{j, t}).  These are
+    C = {1} gives restriction (S' <= S), C = {g} conjugation by g followed
+    by restriction to any S' <= gSg^{-1} (g^{-1} S' g lies in S, so the map
+    is S'-equivariant), and the left-coset representatives of S inside S'
+    the transfer (S <= S').  Each c^{-1} u splits as s . t with s in S and
+    t in src's transversal, where f takes the value s . f(e_{j, t}).  These are
     the maps of contexts on G's resolution; `StableElements` restricts
     trivial-coefficient classes on P's resolution without a coset sum.
 
@@ -320,17 +309,10 @@ class MapBuilder:
     """Restriction, transfer, conjugation and the double coset formula on G's
     resolution with coefficients M, for one report that runs over degrees.
 
-    Everything that does not depend on the degree is built once, at its
-    first use: each coset-sum block for each (source, target, C), each
-    transfer's coset representatives, and for each pair (H, K) the double
-    coset terms (g, K^g, H n K^g); `context` already keeps one context per
-    subgroup.  Each degree
-    then only applies the blocks and reads class coordinates, and every
-    map, once induced in a degree, is kept for the rest of the report, so
-    the double coset check's left side is the res and tr that a report has
-    already printed.  The public `restriction`, `transfer`, `conjugation`
-    and `double_coset_identity_check` are one-degree uses of a fresh
-    builder.
+    Each block for each (source, target, C), each transfer's coset
+    representatives and each pair's double coset terms (g, H n K^g) is
+    built once, at its first use, and each map once per degree; `context`
+    keeps one context per subgroup (module docstring).
     """
 
     def __init__(self, G: FiniteGroup, M: GModule) -> None:
@@ -376,37 +358,34 @@ class MapBuilder:
         return self._map(H, conjugate_subgroup(self.group, H, g), (g,), i)
 
     def _double_coset_terms(self, H: Subgroup, K: Subgroup) -> list:
-        """(g, K^g, H n K^g) for each double coset HgK, K^g = gKg^{-1}.
+        """(g, H n K^g) for each double coset HgK, K^g = gKg^{-1}.
 
         When K is H the double coset H itself is left out: its term
         tr^H_H res^H_H c_1 is the identity (`double_coset_identity`).
         """
         if (H, K) not in self._terms:
-            terms = []
-            for g in double_cosets(self.group, H, K).reps:
-                if g or H != K:
-                    Kg = conjugate_subgroup(self.group, K, g)
-                    terms.append((g, Kg, intersect(H, Kg)))
-            self._terms[H, K] = terms
+            self._terms[H, K] = [(g, inter) for g, inter in mackey_terms(self.group, H, K)
+                                 if g or H != K]
         return self._terms[H, K]
 
     def double_coset_identity(self, H: Subgroup, K: Subgroup, i: int) -> bool:
         """res^G_H tr^G_K = sum over HgK of tr^H_{H n K^g} res^{K^g}_{H n K^g} c_g.
 
-        Both sides are exact matrices in degree i.  When K is H the g = 1
-        term is I_{dim H^i(H)}: c_1, res^H_H and tr^H_H are identities on
-        the classes, as `StableElements` counts n_1 I.
+        Both sides are exact matrices in degree i.  In each term res c_g is
+        one coset sum, C = {g} from K straight to H n K^g, so no context of
+        K^g is built.  When K is H the g = 1 term is I_{dim H^i(H)}: c_1,
+        res^H_H and tr^H_H are identities on the classes, as
+        `StableElements` counts n_1 I.
         """
         res, tr = self.restriction(H, i), self.transfer(K, i)
         if res.source is not tr.target:
             raise BadParameters("maps are not composable in these bases")
         lhs = (res.matrix @ tr.matrix) % self.p
         total = np.eye(len(lhs), dtype=np.int64) if H == K else np.zeros_like(lhs)
-        for g, Kg, inter in self._double_coset_terms(H, K):
-            c = self._map(K, Kg, (g,), i)
-            r = self.restriction(inter, i, Kg)
+        for g, inter in self._double_coset_terms(H, K):
+            rc = self._map(K, inter, (g,), i)
             t = self.transfer(inter, i, H)
-            total = (total + t.matrix @ r.matrix @ c.matrix) % self.p
+            total = (total + t.matrix @ rc.matrix) % self.p
         return np.array_equal(lhs, total)
 
 
@@ -533,8 +512,7 @@ class StableElements:
         everything = tuple(range(P.order))
         counts: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
         identity_count = 1  # the double coset P itself
-        for d in double_cosets(G, P, P).reps[1:]:
-            target = intersect(P, conjugate_subgroup(G, P, d))
+        for d, target in mackey_terms(G, P, P)[1:]:
             # positions in P's sorted members, of S_t and of sigma[s] = d^{-1} s d
             conjugates = G.mul[G.mul[G.inv[d], target.member_indices], d]
             members = tuple(np.searchsorted(self.members, target.member_indices).tolist())
@@ -542,21 +520,13 @@ class StableElements:
             if sigma != members or members == everything:  # else [P : S_t] I = 0
                 counts.setdefault((members, sigma), []).append(d)
         identity_count += len(counts.pop((everything, everything), ()))
-        tables: dict[tuple[int, ...], np.ndarray] = {}
         pairs = []
         for (members, sigma), ds in counts.items():
             if len(ds) % self.p:
-                if members not in tables:
-                    tables[members] = self._coset_table(members)
-                twist = (tables[members], np.array(sigma, dtype=np.intp))
+                cosets = right_coset_table(self.group, Subgroup(self.group, members))
+                twist = (cosets, np.array(sigma, dtype=np.intp))
                 pairs.append((ds[0], twist, len(ds) % self.p))
         return identity_count, pairs
-
-    def _coset_table(self, members: tuple[int, ...]) -> np.ndarray:
-        """cosets[u, s] = s . u for S's right transversal u in P, as `_hom_delta` reads it."""
-        transversal = coset_representatives(self.group, Subgroup(self.group, members),
-                                            right=True)
-        return self.group.mul[np.ix_(members, transversal)].T
 
     def lifts(self, top: int) -> list[list[np.ndarray]]:
         """psi_0 .. psi_top for every pair, by their free S_t-generator images.

@@ -18,6 +18,7 @@ from .groups import (
     Subgroup,
     coset_representatives,
     extend_from_generators,
+    require_prime,
     trivial_subgroup,
 )
 
@@ -27,8 +28,7 @@ class GModule:
 
     def __init__(self, group: FiniteGroup, p: int, action, validate=True) -> None:
         self.group = group
-        self.p = int(p)
-        fplinalg.check_prime_size(self.p)
+        self.p = require_prime(int(p))
         arr = np.mod(np.asarray(action, dtype=np.int64), self.p)
         if arr.ndim != 3 or arr.shape[0] != group.order or arr.shape[1] != arr.shape[2]:
             raise BadParameters(f"action tensor has shape {arr.shape}")
@@ -175,17 +175,17 @@ def invariants(M: GModule) -> FpSubspace:
     return FpSubspace(M.p, M.dim, fplinalg.kernel(stacked, M.p)[0])
 
 
+def radical_rows(M: GModule) -> np.ndarray:
+    """Rows (action(s) - 1) e_i, in (s, i) order, for the generators s: they
+    span I . M, I the augmentation ideal, as (gs - 1) = (g - 1) s + (s - 1)."""
+    gens = np.asarray(M.group.generator_indices, dtype=np.intp)
+    radical = M.action[gens] - np.eye(M.dim, dtype=np.int64)
+    return radical.transpose(0, 2, 1).reshape(len(gens) * M.dim, M.dim) % M.p
+
+
 def coinvariants(M: GModule) -> int:
     """dim M/IM where I is the augmentation ideal."""
-    return M.dim - len(coinvariant_coordinates(M))
-
-
-def coinvariant_coordinates(M: GModule):
-    """Rows spanning IM (RREF) for reuse by generator-selection loops."""
-    eye = np.eye(M.dim, dtype=np.int64)
-    stacked = np.vstack([(M.action[g] - eye).T for g in range(M.group.order)])
-    reduced, r = fplinalg.rref_array(stacked, M.p)
-    return reduced[:r]
+    return M.dim - len(fplinalg.rref_pivots(radical_rows(M), M.p))
 
 
 def module_from_generator_matrices(G: FiniteGroup, p: int, dim: int, mats) -> GModule:
@@ -194,8 +194,9 @@ def module_from_generator_matrices(G: FiniteGroup, p: int, dim: int, mats) -> GM
     The matrices are multiplied along a word for each element
     (`extend_from_generators`) and the result is checked as a
     representation, as is each generator's matrix against its action:
-    failure is a hard error.
+    failure is a hard error, as is a p that is not a prime.
     """
+    require_prime(p)
     mats = [np.mod(np.asarray(m, dtype=np.int64), p) for m in mats]
     if len(mats) != len(G.generator_indices):
         raise BadParameters(

@@ -434,9 +434,10 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
 
     Grown from the least-index p-element by normalizer steps, always
     absorbing the least-index usable element, so repeated calls agree.
+    BadParameters when p is not a prime.
     """
     # the p-part of |G|: p^k exceeds |G| once k is its bit length
-    target = math.gcd(G.order, p ** G.order.bit_length())
+    target = math.gcd(G.order, require_prime(p) ** G.order.bit_length())
     if target == 1:
         return trivial_subgroup(G)
     if target == G.order:
@@ -513,6 +514,14 @@ def coset_representatives(G: FiniteGroup, H: Subgroup, right: bool = False) -> l
     return reps
 
 
+def right_coset_table(G: FiniteGroup, S: Subgroup) -> np.ndarray:
+    """cosets[t, s] = s . t for the t-th representative t of the right cosets
+    St (`coset_representatives` order) and the s-th member s of S: column 0
+    is the transversal and row 0 is S itself."""
+    transversal = coset_representatives(G, S, right=True)
+    return G.mul[np.ix_(S.member_indices, transversal)].T
+
+
 @dataclass(frozen=True)
 class DoubleCosetDecomposition:
     reps: tuple[int, ...]
@@ -533,6 +542,14 @@ def double_cosets(G: FiniteGroup, H: Subgroup, K: Subgroup) -> DoubleCosetDecomp
         reps.append(g)
         blocks.append(frozenset(block.ravel().tolist()))
     return DoubleCosetDecomposition(tuple(reps), tuple(blocks))
+
+
+def mackey_terms(G: FiniteGroup, H: Subgroup, K: Subgroup) -> list[tuple[int, Subgroup]]:
+    """(g, H n gKg^{-1}) for the representative g of each double coset HgK,
+    in `double_cosets` order: one term of the Mackey double coset formula
+    res^G_H tr^G_K = sum over HgK of tr^H_{H n gKg^{-1}} res c_g."""
+    return [(g, intersect(H, conjugate_subgroup(G, K, g)))
+            for g in double_cosets(G, H, K).reps]
 
 
 def homs_to_fp(G: FiniteGroup, p: int) -> np.ndarray:

@@ -38,8 +38,10 @@ among its own translates, a dropped one when it was reached), so e_i lies
 in S exactly when some vector of S has its last nonzero coordinate at i:
 one forward scan in which each kept row adds its |G| translates K_i[at]
 to an echelon of S by last coordinates, and no row still to come is
-reduced (`fplinalg.greedy_generators`).  Stage zero
-scans the columns of M's action matrices the same way.
+reduced (`fplinalg.greedy_generators`).  Stage zero runs the same
+tests on M in its own coordinates: the lead test on I . M, spanned by the
+columns of action(s) - 1 (`gmodules.radical_rows`), and the scan on the
+columns of M's action matrices.
 
 The next kernel is that of d = d_{L+1} on F_p[G]^{r_{L+1}}.  Its image is
 K, and a vector of K is zero exactly when its entries at piv are, so
@@ -167,9 +169,8 @@ class FreeResolution:
 
     def _stage_zero_generators(self, M: GModule):
         eye = np.eye(M.dim, dtype=np.int64)
-        if self.minimal:
-            kept = fplinalg.independent_rows(
-                gmodules.coinvariant_coordinates(M), eye, M.p)
+        if self.minimal:  # the lead test of every later stage, on I . M
+            kept = _outside_radical(gmodules.radical_rows(M)[:, ::-1], M.p)
         else:  # g . e_j is column j of M's action of g
             kept = fplinalg.greedy_generators(M.dim, lambda j: M.action[:, :, j], M.p)
         return [eye[i] for i in kept]
@@ -233,10 +234,7 @@ class FreeResolution:
             # gathered from K^T, which the byte kernel holds contiguously
             radical = kernel_rows.T[gens.T[::-1]]
             radical[np.arange(k), :, np.arange(k)[::-1]] -= 1  # in bytes 0 - 1 is 255, odd
-            last = fplinalg.rref_pivots(radical.reshape(k, -1).T, p)
-            kept = np.ones(k, dtype=bool)
-            kept[k - 1 - last] = False
-            return kept.nonzero()[0]
+            return _outside_radical(radical.reshape(k, -1).T, p)
         return fplinalg.greedy_generators(k, lambda i: kernel_rows[i][at], p)
 
     def _pivot_rows(self, i: int) -> np.ndarray:
@@ -383,6 +381,16 @@ class FreeResolution:
             for row in arr:
                 lines.append(" ".join(str(int(x)) for x in row))
         return "\n".join(lines) + "\n"
+
+
+def _outside_radical(reversed_rows: np.ndarray, p: int) -> np.ndarray:
+    """The rows e_i that a minimal stage keeps: each i that is not the last
+    nonzero coordinate of any vector of the radical, spanned by
+    reversed_rows with their coordinates reversed (module docstring)."""
+    k = reversed_rows.shape[1]
+    kept = np.ones(k, dtype=bool)
+    kept[k - 1 - fplinalg.rref_pivots(reversed_rows, p)] = False
+    return kept.nonzero()[0]
 
 
 def free_resolution(M: GModule, length: int, minimal: bool = False) -> FreeResolution:

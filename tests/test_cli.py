@@ -6,9 +6,9 @@ import pytest
 
 import maps_oracle
 from modcoh import catalog, fileio
-from modcoh.cli import build_parser, main
+from modcoh.cli import _resolve_subgroup, build_parser, main
 from modcoh.gmodules import permutation_module, regular_module
-from modcoh.groups import center, prime_factors
+from modcoh.groups import center, prime_factors, whole_group
 
 
 def run(argv):
@@ -292,6 +292,25 @@ class TestModule:
         assert text == ""
         assert "RepresentationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", [4, 9, 1])
+    @pytest.mark.parametrize("task", ["projective", "complexity"])
+    def test_module_file_with_a_p_that_is_not_prime(self, tmp_path, capsys, p, task):
+        """p 4 recursed without end (sylow(G, 4) was all of G), p 9 and p 1
+        printed reports and exited 0."""
+        f = tmp_path / "m.mod"
+        f.write_text(fileio.format_module_file(p, [[[1, 2], [0, 1]], [[1, 0], [0, 1]]]))
+        code, text = run(["module", "--group", "Z2xZ2", "--file", str(f), "--task", task])
+        assert (code, text) == (1, "")
+        assert "error: BadParameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["sylow:6", "sylow:0", "sylow:4", "sylow:1"])
+    def test_sylow_spec_with_a_number_that_is_not_prime(self, capsys, sub):
+        """sylow:6 and sylow:0 printed a report for all of S4, sylow:4 raised
+        a bare StopIteration."""
+        code, text = run(["maps", "--group", "S4", "--p", "2", "--sub", sub])
+        assert (code, text) == (1, "")
+        assert "error: BadParameters" in capsys.readouterr().err
+
     def test_bad_module_file(self, tmp_path, Z4, capsys):
         f = tmp_path / "bad.mod"
         f.write_text("p 2\ndim 2\nmat\n0 1\n1 1\n")  # order-3 matrix over F_2
@@ -357,12 +376,13 @@ class TestMapsReport:
         assert [row[3] for row in rows] == ["yes"] * 5  # tr.res never reads a term
         assert [row[4] for row in rows] == ["yes", "NO", "NO", "NO", "NO"]
 
-    @pytest.mark.parametrize("sub,blocks", [("sylow:2", 5), ("order:4", 7)])
+    @pytest.mark.parametrize("sub,blocks", [("sylow:2", 4), ("order:4", 6)])
     def test_each_block_built_once_per_report(self, monkeypatch, sub, blocks):
-        """res and tr, then c_g, res and tr for each double coset HgH, g != 1.
+        """res and tr, then res c_g (one block) and tr for each double coset
+        HgH, g != 1.
 
-        For order:4 the g that normalises H has H n H^g = H, so its res and
-        tr are the same block, (H, H, {1}).
+        For order:4 the g that normalises H has H n H^g = H, so its tr is
+        the block (H, H, {1}) for both such g.
         """
         from modcoh import cohmaps
         real, built = cohmaps._coset_sum_cochain, []
@@ -376,3 +396,28 @@ class TestMapsReport:
                        "--max-deg", "4", "--dcheck", "--format", "csv"])
         assert code == 0
         assert len(built) == len(set(built)) == blocks
+
+    @pytest.mark.parametrize("name,sub,contexts", [
+        ("S4", "sylow:2", 3),
+        pytest.param("L3_2", "order:3", 3, marks=pytest.mark.stretch)])
+    def test_contexts_only_for_g_h_and_intersections(self, monkeypatch, name, sub,
+                                                     contexts):
+        """A --dcheck report builds contexts for G, H and the H n H^g alone,
+        never for a conjugate H^g: res c_g is one block from H to H n H^g."""
+        from modcoh import cohmaps
+        real, built = cohmaps.CochainContext.__init__, []
+
+        def spy(self, resolution, subgroup, module):
+            built.append(subgroup)
+            real(self, resolution, subgroup, module)
+
+        cohmaps.clear_context_cache()
+        monkeypatch.setattr(cohmaps.CochainContext, "__init__", spy)
+        code, _ = run(["maps", "--group", name, "--p", "2", "--sub", sub,
+                       "--max-deg", "4", "--dcheck", "--format", "csv"])
+        assert code == 0
+        G = catalog.get_group(name)
+        H = _resolve_subgroup(G, sub)
+        assert len(built) == len(set(built)) == contexts
+        assert built[:2] == [whole_group(G), H]
+        assert all(set(S.member_indices) < set(H.member_indices) for S in built[2:])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modcoh import catalog, fileio, fplinalg
-from modcoh.errors import GroupMismatch, RepresentationError
+from modcoh.errors import BadParameters, GroupMismatch, RepresentationError
 from modcoh.gmodules import (
     GModule,
     ModuleHom,
@@ -29,6 +29,8 @@ from modcoh.groups import (
     trivial_subgroup,
     whole_group,
 )
+
+from corpus import build_corpus
 
 
 def find_equivariant_iso(M, N):
@@ -231,6 +233,22 @@ class TestInvariantsCoinvariants:
         for M in mods:
             assert invariants(M).dim == coinvariants(dual_module(M))
 
+    def test_generators_give_the_every_element_rank(self):
+        """coinvariants reads (A_s - 1) for the generators s only; the span
+        of (A_g - 1) over every element g has the same rank."""
+        shear = [[1, 1], [0, 1]]
+        mods = [M for _, M in build_corpus()] + [
+            regular_module(catalog.get_group("Z3"), 3),
+            tensor_module(regular_module(catalog.get_group("Z3"), 3),
+                          regular_module(catalog.get_group("Z3"), 3)),
+            module_from_generator_matrices(catalog.get_group("Z3"), 3, 2, [shear]),
+            permutation_module(catalog.get_group("S3"), sylow(catalog.get_group("S3"), 2), 3),
+            regular_module(catalog.get_group("Z5"), 5)]
+        for M in mods:
+            eye = np.eye(M.dim, dtype=np.int64)
+            every = np.vstack([(M.action[g] - eye).T for g in range(M.group.order)])
+            assert coinvariants(M) == M.dim - fplinalg.rref_array(every, M.p)[1]
+
 
 class TestRepresentationProperty:
     def test_exhaustive_on_catalog_modules(self, D8, Q8, A4):
@@ -319,6 +337,17 @@ class TestFromGeneratorMatrices:
             module_from_generator_matrices(G, 2, 2, [shear, eye])
         M = module_from_generator_matrices(G, 2, 2, [shear, shear])
         assert M.action[1].tolist() == shear
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9])
+    def test_rejects_a_p_that_is_not_prime(self, V4, p):
+        """Refused before any reduction mod p: sylow(G, 4) was all of G."""
+        mats = [[[1, 2], [0, 1]], [[1, 0], [0, 1]]]
+        with pytest.raises(BadParameters, match="not a prime"):
+            module_from_generator_matrices(V4, p, 2, mats)
+        with pytest.raises(BadParameters, match="not a prime"):
+            GModule(V4, p, np.broadcast_to(np.eye(2, dtype=np.int64), (4, 2, 2)))
+        with pytest.raises(BadParameters, match="not a prime"):
+            trivial_module(V4, p)
 
     def test_rejects_a_matrix_other_than_one_for_the_identity(self):
         G = fileio.parse_group_file("degree 2\ngen [0,1]\ngen [1,0]\n")

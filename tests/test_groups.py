@@ -11,6 +11,7 @@ from modcoh.groups import (
     Permutation,
     Subgroup,
     center,
+    conjugate_subgroup,
     coset_representatives,
     double_cosets,
     elementary_abelian_subgroups,
@@ -18,12 +19,15 @@ from modcoh.groups import (
     frattini_subgroup,
     generate_group,
     homs_to_fp,
+    intersect,
     is_p_power,
+    mackey_terms,
     maximal_subgroups,
     normalizer,
     p_rank,
     prime_factors,
     require_prime,
+    right_coset_table,
     subgroup_closure,
     sylow,
     trivial_subgroup,
@@ -292,6 +296,13 @@ class TestPrimeFactors:
 
 
 class TestSylow:
+    @pytest.mark.parametrize("p", [-2, 0, 1, 4, 6, 8])
+    def test_rejects_a_p_that_is_not_prime(self, p):
+        """sylow(S4, 4) raised a bare StopIteration, and sylow(S4, 6) and
+        sylow(S4, 0) returned all of S4."""
+        with pytest.raises(BadParameters, match="not a prime"):
+            sylow(symmetric4(), p)
+
     def test_z6_at_3(self):
         G = cyclic(6)
         S = sylow(G, 3)
@@ -430,6 +441,39 @@ class TestNormalizerCosets:
             assert not (coset & seen)
             seen |= coset
         assert len(seen) == 24
+
+
+def _two_generated_subgroups(G):
+    """Every subgroup of G generated by at most two elements, each once."""
+    found = {subgroup_closure(G, [a, b]).member_indices
+             for a in range(G.order) for b in range(a, G.order)}
+    return [Subgroup(G, members) for members in sorted(found)]
+
+
+class TestMackeyHelpers:
+    """right_coset_table and mackey_terms against the formulas they replace."""
+
+    @pytest.mark.parametrize("make", [symmetric4, dihedral8, lambda: cyclic(6)])
+    def test_right_coset_table(self, make):
+        G = make()
+        for S in _two_generated_subgroups(G):
+            transversal = coset_representatives(G, S, right=True)
+            table = right_coset_table(G, S)
+            assert np.array_equal(table, G.mul[np.ix_(S.member_indices, transversal)].T)
+            assert table[:, 0].tolist() == transversal
+            assert sorted(table.ravel().tolist()) == list(range(G.order))
+
+    @pytest.mark.parametrize("make", [symmetric4, dihedral8])
+    def test_mackey_terms(self, make):
+        G = make()
+        subgroups = _two_generated_subgroups(G)
+        for H in subgroups:
+            for K in subgroups:
+                terms = mackey_terms(G, H, K)
+                assert terms == [(g, intersect(H, conjugate_subgroup(G, K, g)))
+                                 for g in double_cosets(G, H, K).reps]
+                # |HgK| = |H| |K| / |H n gKg^{-1}|, and the double cosets partition G
+                assert sum(H.order * K.order // S.order for _, S in terms) == G.order
 
 
 class TestDoubleCosets:

@@ -19,6 +19,7 @@ from modcoh.errors import (
 from modcoh.gmodules import (
     GModule,
     direct_sum,
+    module_from_generator_matrices,
     dual_module,
     invariants,
     permutation_module,
@@ -27,7 +28,7 @@ from modcoh.gmodules import (
     tensor_module,
     trivial_module,
 )
-from modcoh.groups import center, prime_factors, sylow
+from modcoh.groups import center, generate_group, prime_factors, sylow
 from modcoh.resolutions import (
     DimSeries,
     FreeResolution,
@@ -239,6 +240,34 @@ FREE_RESOLUTION_SHA256 = {
     ("Z3Q16", 3, 5): "0db66d7141071cedf5106130f338862089e4092770759dcf555d39fb20946657",
     ("L3_2", 2, 3): "9b7695f0cb5dc243d5fa76e914b552f40330c6b82ffa5c29120ac2d67113f11c",
 }
+
+
+def _every_element_stage_zero(M):
+    """Minimal stage zero as it was selected: e_i outside the RREF span of
+    (A_g - 1) . M over every element g and of the rows kept before it."""
+    eye = np.eye(M.dim, dtype=np.int64)
+    every = np.vstack([(M.action[g] - eye).T for g in range(M.group.order)])
+    reduced, rank = fplinalg.rref_array(every, M.p)
+    return fplinalg.independent_rows(reduced[:rank], eye, M.p)
+
+
+class TestStageZeroSelection:
+    """Minimal stage zero runs the lead test of the later stages on
+    (A_s - 1) for the generators s, and keeps the same rows."""
+
+    def test_matches_every_element_selection(self):
+        Z3, Z9 = catalog.get_group("Z3"), generate_group(9, [list(range(1, 9)) + [0]])
+        shear = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+        mods = [M for _, M in build_corpus() if M.group.is_p_group(2)] + [
+            regular_module(Z3, 3), tensor_module(regular_module(Z3, 3), regular_module(Z3, 3)),
+            module_from_generator_matrices(Z3, 3, 3, [shear]),
+            direct_sum(trivial_module(Z3, 3, 2), module_from_generator_matrices(Z3, 3, 3, [shear])),
+            regular_module(Z9, 3), regular_module(catalog.get_group("Z5"), 5)]
+        assert len(mods) > 20
+        for M in mods:
+            gens = FreeResolution(M, minimal=True)._stage_zero_generators(M)
+            want = np.eye(M.dim, dtype=np.int64)[_every_element_stage_zero(M)]
+            assert np.array_equal(np.reshape(gens, (-1, M.dim)), want)
 
 
 class TestFreeGoldens:
