@@ -7,18 +7,20 @@ maps are one coset sum on cochains, f |-> sum_{c in C} c . f(c^{-1} . -):
 C = {1} re-coordinatizes (restriction), C = {g} conjugates, and a set of
 coset representatives transfers.  On G's resolution no chain lifting is
 needed, and the double-coset identity holds exactly at cochain level.  The
-coset sum never mixes free generators, so it is one block, shared by every
-generator and every degree, applied to each generator's slice of the
-classes (`_coset_sum_cochain`, `induced_map`).  The differential of
-Hom_S(P_*, M) is `resolutions._hom_delta` over the table of right cosets
-St, the one differential that `ext_dims` uses with S = G.
+coset sum never mixes free generators, and each term reads one coset and
+acts by one element: it is held as the index map of those cosets and
+actions, shared by every generator and degree, and applied to each
+generator's slice of the classes (`_coset_sum_cochain`, `induced_map`).
+The differential of Hom_S(P_*, M) is `resolutions._hom_delta` over the
+table of right cosets St, the one differential that `ext_dims` uses with
+S = G.
 
 A report over degrees, such as `modcoh maps`, runs in one pass over a
-`MapBuilder`: each context, each block for each (source, target, C), each
-transfer's representatives and each double coset term (g, H n K^g) is
-built once, and each degree only applies the blocks and reads class
-coordinates.  A term's res^{K^g}_{H n K^g} c_g is one coset sum, C = {g}
-from K straight to H n K^g, so no context of a conjugate K^g is built.
+`MapBuilder`: each context, each index map for each (source, target, C),
+each transfer's representatives and each double coset term (g, H n K^g)
+is built once, and each degree only applies the index maps and reads
+class coordinates.  A term's res^{K^g}_{H n K^g} c_g is one coset sum,
+C = {g} from K straight to H n K^g, so no context of K^g is built.
 The double coset check reuses the res and tr that the report has already
 printed as its left side, and when K = H the term of the double coset H
 itself is I_{dim H^i(H)}, since c_1, res^H_H and tr^H_H are identities,
@@ -54,9 +56,9 @@ from .gmodules import GModule, trivial_module
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _memo,
     conjugate_subgroup,
     coset_representatives,
-    group_cache,
     mackey_terms,
     normalizer,
     require_prime,
@@ -238,11 +240,7 @@ class CochainContext:
 # emptied with them: a context never outlives the resolution it is built on.
 
 def trivial_coefficients(G: FiniteGroup, p: int) -> GModule:
-    cache = group_cache(G)
-    key = ("coefficients", p)
-    if key not in cache:
-        cache[key] = trivial_module(G, p)
-    return cache[key]
+    return _memo(G, ("coefficients", p), lambda: trivial_module(G, p))
 
 
 def context(G: FiniteGroup, M: GModule, subgroup: Subgroup | None = None,
@@ -251,11 +249,8 @@ def context(G: FiniteGroup, M: GModule, subgroup: Subgroup | None = None,
     if subgroup is None:
         subgroup = whole_group(G)
     res = trivial_resolution(G, M.p, max(length, 1))
-    cache = group_cache(G)
-    key = ("context", M, subgroup.member_indices)
-    if key not in cache:
-        cache[key] = CochainContext(res, subgroup, M)
-    return cache[key]
+    return _memo(G, ("context", M, subgroup.member_indices),
+                 lambda: CochainContext(res, subgroup, M))
 
 
 # One clear function serves both names: contexts live beside resolutions.
@@ -264,7 +259,8 @@ clear_context_cache = clear_resolution_cache
 
 # -- cochain-level maps -------------------------------------------------------
 
-def _coset_sum_cochain(src: CochainContext, dst: CochainContext, C: list[int]) -> np.ndarray:
+def _coset_sum_cochain(src: CochainContext, dst: CochainContext,
+                       C: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """C^i_S -> C^i_{S'}: (phi f)(e_{j, u}) = sum_{c in C} c . f(c^{-1} u . e_j).
 
     C = {1} gives restriction (S' <= S), C = {g} conjugation by g followed
@@ -275,32 +271,33 @@ def _coset_sum_cochain(src: CochainContext, dst: CochainContext, C: list[int]) -
     the maps of contexts on G's resolution; `StableElements` restricts
     trivial-coefficient classes on P's resolution without a coset sum.
 
-    The map does not mix free generators: in every degree it is the block
-    diagonal kron(I_{r_i}, block) of the block returned here, of shape
-    (|dst transversal| dim M, |src transversal| dim M), and `induced_map`
-    applies it to each generator's slice of a cochain.
+    The map does not mix free generators.  It is returned as the index map
+    that determines it in every degree, cosets[c, u] = t and actions[c, u] =
+    M(c . s) for c in C and u in dst's transversal: |dst transversal| entries
+    for C = {g}, and [S' : S] [G : S'] = [G : S] for a transfer S -> S'.
     """
     G = src.group
-    nt_src, nt_dst = len(src.transversal), len(dst.transversal)
-    m, A = src.module.dim, src.module.action
-    block = np.zeros((nt_dst, m, nt_src, m), dtype=np.int64)
-    for ui, u in enumerate(dst.transversal):
-        for c in C:
-            x = int(G.mul[int(G.inv[c]), u])
-            block[ui, :, src._rep_of[x]] += A[G.mul[c, src._s_of[x]]]
-    return block.reshape(nt_dst * m, nt_src * m) % src.p
+    C = np.asarray(C, dtype=np.intp)
+    x = G.mul[G.inv[C][:, None], dst.transversal]  # x[c, u] = c^{-1} u
+    return src._rep_of[x], src.module.action[G.mul[C[:, None], src._s_of[x]]]
 
 
-def induced_map(src: CochainContext, dst: CochainContext, block: np.ndarray,
-                i: int) -> CohMap:
-    """Map on cohomology induced by a cochain map, given by its per-generator block."""
+def induced_map(src: CochainContext, dst: CochainContext,
+                coset_sum: tuple[np.ndarray, np.ndarray], i: int) -> CohMap:
+    """Map on cohomology induced by a coset sum, given by its index map."""
     sb, tb = src.basis(i), dst.basis(i)
     if sb.dim == 0:
         return CohMap(sb, tb, np.zeros((tb.dim, 0), dtype=np.int64))
-    # a cochain is flattened (j, t, M): one slice per free generator j
-    slices = sb.classes.reshape(-1, block.shape[1])
-    images = (slices @ block.T % src.p).reshape(sb.dim, -1)
-    return CohMap(sb, tb, tb.class_coordinates(images.T))
+    cosets, actions = coset_sum
+    k, nt, m = actions.shape[:3]
+    # a cochain is flattened (j, t, M); per u, one product of each slice's
+    # values at cosets[:, u] with actions[:, u] side by side sums over C and M
+    values = sb.classes.reshape(-1, len(src.transversal), m).take(cosets.T, axis=1)
+    stacked = actions.transpose(1, 2, 0, 3).reshape(nt, m, k * m)
+    # exact in int64, reduced by class_coordinates: the c in C read distinct
+    # cosets, so |C| dim M <= |src transversal| dim M < 2^21 terms below (p - 1)^2
+    images = stacked @ values.reshape(-1, nt, k * m, 1)
+    return CohMap(sb, tb, tb.class_coordinates(images.reshape(sb.dim, -1).T))
 
 
 # -- one pass per report -------------------------------------------------------
@@ -309,10 +306,10 @@ class MapBuilder:
     """Restriction, transfer, conjugation and the double coset formula on G's
     resolution with coefficients M, for one report that runs over degrees.
 
-    Each block for each (source, target, C), each transfer's coset
-    representatives and each pair's double coset terms (g, H n K^g) is
-    built once, at its first use, and each map once per degree; `context`
-    keeps one context per subgroup (module docstring).
+    Each coset sum's index map for each (source, target, C), each
+    transfer's coset representatives and each pair's double coset terms
+    (g, H n K^g) is built once, at its first use, and each map once per
+    degree; `context` keeps one context per subgroup (module docstring).
     """
 
     def __init__(self, G: FiniteGroup, M: GModule) -> None:
@@ -320,7 +317,7 @@ class MapBuilder:
         self.module = M
         self.p = M.p
         self._whole = whole_group(G)
-        self._blocks: dict[tuple[Subgroup, Subgroup, tuple[int, ...]], np.ndarray] = {}
+        self._sums: dict[tuple[Subgroup, Subgroup, tuple[int, ...]], tuple] = {}
         self._maps: dict[tuple[Subgroup, Subgroup, tuple[int, ...], int], CohMap] = {}
         self._transfer_reps: dict[tuple[Subgroup, Subgroup], tuple[int, ...]] = {}
         self._terms: dict[tuple[Subgroup, Subgroup], list] = {}
@@ -332,10 +329,10 @@ class MapBuilder:
         if found is None:
             s = context(self.group, self.module, src)
             d = context(self.group, self.module, dst)
-            block = self._blocks.get(key[:3])
-            if block is None:
-                block = self._blocks[key[:3]] = _coset_sum_cochain(s, d, list(C))
-            found = self._maps[key] = induced_map(s, d, block, i)
+            coset_sum = self._sums.get(key[:3])
+            if coset_sum is None:
+                coset_sum = self._sums[key[:3]] = _coset_sum_cochain(s, d, list(C))
+            found = self._maps[key] = induced_map(s, d, coset_sum, i)
         return found
 
     def restriction(self, H: Subgroup, i: int, K: Subgroup | None = None) -> CohMap:
@@ -582,11 +579,7 @@ class StableElements:
 def stable_elements(G: FiniteGroup, p: int) -> StableElements:
     """G's cached Sylow-local state at p."""
     require_prime(p)
-    cache = group_cache(G)
-    key = ("stable", p)
-    if key not in cache:
-        cache[key] = StableElements(G, p)
-    return cache[key]
+    return _memo(G, ("stable", p), lambda: StableElements(G, p))
 
 
 def stable_subspace(G: FiniteGroup, p: int, i: int):

@@ -238,10 +238,11 @@ def _pack(a: np.ndarray) -> list[int]:
     """The rows of a mod 2 as Python ints: entry j of a row is bit j.
 
     a may have any integer dtype and any layout: it is read once, into
-    contiguous bytes (a cast to uint8 keeps each entry's parity).
+    one contiguous uint8 array of its parities (the unsafe cast to uint8
+    keeps each entry's parity).
     """
     width = -(-a.shape[1] // 8)
-    bits = np.ascontiguousarray(a, dtype=np.uint8) & 1
+    bits = np.bitwise_and(a, 1, dtype=np.uint8, casting="unsafe")
     buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(buf[i * width:(i + 1) * width], "little")
             for i in range(len(a))]

@@ -217,11 +217,12 @@ def _cayley_table(imgs: np.ndarray, index: dict, gens) -> np.ndarray:
 
 def _closure(mul: np.ndarray, gens, reached: np.ndarray) -> np.ndarray:
     """reached, grown in place by right multiplication by gens until it stops."""
+    by_gens = mul.take(gens, axis=1)  # by_gens[x, k] = x . gens[k]
     frontier = reached.nonzero()[0]
     while frontier.size:
-        fresh = np.zeros_like(reached)
-        fresh[mul[frontier[:, None], gens]] = True
-        frontier = (fresh & ~reached).nonzero()[0]
+        fresh = np.zeros(len(reached), dtype=bool)
+        fresh.put(by_gens.take(frontier, axis=0), True)
+        frontier = (fresh > reached).nonzero()[0]  # fresh and not reached
         reached |= fresh
     return reached
 
@@ -262,6 +263,14 @@ def group_cache(G: FiniteGroup) -> dict:
     """
     _CACHING.add(G)
     return G._cache
+
+
+def _memo(G: FiniteGroup, key, build):
+    """G's memo entry for key, made by build() at its first use."""
+    cache = group_cache(G)
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def clear_group_caches() -> None:
@@ -386,23 +395,15 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
-    """Smallest subgroup of G containing the seed element indices."""
+    """Smallest subgroup of G containing the seed element indices: the words
+    in the seeds, grown from 1 by `_closure` (s^{-1} is a power of s)."""
     seeds = [int(s) for s in seeds]
     for s in seeds:
         if s < 0 or s >= G.order:
             raise BadParameters(f"seed {s} out of range")
-    members = {0}
-    work = list(seeds)
-    while work:
-        x = work.pop()
-        if x in members:
-            continue
-        members.add(x)
-        for m in list(members):
-            for c in (int(G.mul[x, m]), int(G.mul[m, x])):
-                if c not in members:
-                    work.append(c)
-    return Subgroup(G, members)
+    reached = np.zeros(G.order, dtype=bool)
+    reached[[0] + seeds] = True  # the words of length 0 and 1
+    return Subgroup(G, _closure(G.mul, seeds, reached).nonzero()[0])
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -430,18 +431,25 @@ def intersect(H: Subgroup, K: Subgroup) -> Subgroup:
 
 
 def sylow(G: FiniteGroup, p: int) -> Subgroup:
-    """A deterministic Sylow p-subgroup.
+    """A deterministic Sylow p-subgroup, grown once per group and prime.
 
     Grown from the least-index p-element by normalizer steps, always
     absorbing the least-index usable element, so repeated calls agree.
-    BadParameters when p is not a prime.
+    G's cache keeps its members, so a repeated call does not grow it
+    again.  No Subgroup is kept there: its parent is G, and G must go by
+    reference counting alone.  BadParameters when p is not a prime.
     """
+    return Subgroup(G, _memo(G, ("sylow", require_prime(p)), lambda: _grow_sylow(G, p)))
+
+
+def _grow_sylow(G: FiniteGroup, p: int) -> tuple[int, ...]:
+    """The members of `sylow(G, p)`."""
     # the p-part of |G|: p^k exceeds |G| once k is its bit length
-    target = math.gcd(G.order, require_prime(p) ** G.order.bit_length())
+    target = math.gcd(G.order, p ** G.order.bit_length())
     if target == 1:
-        return trivial_subgroup(G)
+        return trivial_subgroup(G).member_indices
     if target == G.order:
-        return whole_group(G)
+        return whole_group(G).member_indices
     start = next(g for g in range(1, G.order)
                  if is_p_power(G.element_order(g), p))
     S = subgroup_closure(G, [start])
@@ -458,7 +466,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
                 break
         if not grown:
             raise BadParameters("sylow growth stalled")  # unreachable on groups
-    return S
+    return S.member_indices
 
 
 def elementary_abelian_subgroups(G: FiniteGroup, p: int) -> list[Subgroup]:

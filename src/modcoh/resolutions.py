@@ -103,9 +103,9 @@ from .errors import (
 from .gmodules import GModule, dual_module, restrict_module, trivial_module
 from .groups import (
     FiniteGroup,
+    _memo,
     clear_group_caches,
     elementary_abelian_subgroups,
-    group_cache,
     sylow,
 )
 
@@ -407,11 +407,8 @@ def free_resolution(M: GModule, length: int, minimal: bool = False) -> FreeResol
 
 def trivial_resolution(G: FiniteGroup, p: int, length: int) -> FreeResolution:
     """Cached resolution of the one-dimensional trivial module."""
-    cache = group_cache(G)
-    key = ("resolution", p)
-    if key not in cache:
-        cache[key] = FreeResolution(trivial_module(G, p), minimal=G.is_p_group(p))
-    return cache[key].extend_to(length)
+    return _memo(G, ("resolution", p), lambda: FreeResolution(
+        trivial_module(G, p), minimal=G.is_p_group(p))).extend_to(length)
 
 
 def clear_resolution_cache() -> None:

@@ -1,17 +1,25 @@
-"""The subgroup cochain differential as an explicit loop: the reference oracle.
+"""Cochain-level maps as explicit loops: the reference oracles.
 
 `modcoh.cohmaps.CochainContext.differential` now calls the one Hom-complex
 differential `modcoh.resolutions._hom_delta` over a table of right cosets.
-This is the per-generator, per-coset loop it replaced, kept as an
-independent oracle, as `diagonal_oracle.py` keeps the diagonal for cup
-products.  It reads only the context's resolution, module and transversal;
-the coset tables it needs come from `coset_tables`, the per-element loop
-that filled `_rep_of` and `_s_of`.
+`cochain_differential` is the per-generator, per-coset loop it replaced,
+kept as an independent oracle, as `diagonal_oracle.py` keeps the diagonal
+for cup products.  It reads only the context's resolution, module and
+transversal; the coset tables it needs come from `coset_tables`, the
+per-element loop that filled `_rep_of` and `_s_of`.
+
+`coset_sum_block` is the dense per-generator block of a coset sum, the loop
+that `modcoh.cohmaps._coset_sum_cochain` ran before it returned the index
+map (cosets, actions) that determines the block; `densify` expands such an
+index map back into the block, so tests can compare the two and use the
+production map as a matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from modcoh.cohmaps import _coset_sum_cochain
 
 
 def coset_tables(G, subgroup, transversal):
@@ -66,3 +74,35 @@ def cochain_differential(ctx, i: int) -> np.ndarray:
                         delta[row, col] = (delta[row, col] + blocks[ti]) % p
     delta %= p
     return delta
+
+
+def coset_sum_block(src, dst, C) -> np.ndarray:
+    """The block of (phi f)(e_{j, u}) = sum_{c in C} c . f(c^{-1} u . e_j),
+    of shape (|dst transversal| dim M, |src transversal| dim M)."""
+    G = src.group
+    nt_src, nt_dst = len(src.transversal), len(dst.transversal)
+    m, A = src.module.dim, src.module.action
+    block = np.zeros((nt_dst, m, nt_src, m), dtype=np.int64)
+    for ui, u in enumerate(dst.transversal):
+        for c in C:
+            x = int(G.mul[int(G.inv[c]), u])
+            block[ui, :, src._rep_of[x]] += A[G.mul[c, src._s_of[x]]]
+    return block.reshape(nt_dst * m, nt_src * m) % src.p
+
+
+def densify(src, coset_sum) -> np.ndarray:
+    """The block of an index map: actions[c, u] at row u, column cosets[c, u]."""
+    cosets, actions = coset_sum
+    k, nt_dst, m = actions.shape[:3]
+    block = np.zeros((nt_dst, m, len(src.transversal), m), dtype=np.int64)
+    for c in range(k):
+        for ui in range(nt_dst):
+            block[ui, :, cosets[c, ui]] += actions[c, ui]
+    return block.reshape(nt_dst * m, -1) % src.p
+
+
+def coset_sum_matrix(src, dst, i: int, C) -> np.ndarray:
+    """The degree-i cochain map of the production index map: the densified
+    block on each free generator."""
+    eye = np.eye(src.resolution.ranks[i], dtype=np.int64)
+    return np.kron(eye, densify(src, _coset_sum_cochain(src, dst, C)))

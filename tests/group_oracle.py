@@ -5,6 +5,10 @@ multiplication table.  `greedy_generators` is the scan it replaced: it
 closes each candidate generating set with Python `Permutation` products and
 never reads a table.
 
+`groups.subgroup_closure` grows the words in its seeds with `_closure`.
+`subgroup_closure` here is the worklist it replaced, which multiplies each
+new element by every member found so far, on both sides.
+
 `groups.maximal_subgroups` and `groups.frattini_subgroup` read the kernels
 of Hom(P, F_p).  `maximal_subgroups` and `frattini_subgroup` here are the
 earlier construction: the Frattini subgroup as the closure of p-th powers
@@ -54,6 +58,26 @@ def greedy_generators(elements) -> tuple[int, ...]:
         if len(closure) == len(elements):
             break
     return tuple(chosen) if chosen else (0,)
+
+
+def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
+    """Smallest subgroup of G containing the seed element indices."""
+    seeds = [int(s) for s in seeds]
+    for s in seeds:
+        if s < 0 or s >= G.order:
+            raise BadParameters(f"seed {s} out of range")
+    members = {0}
+    work = list(seeds)
+    while work:
+        x = work.pop()
+        if x in members:
+            continue
+        members.add(x)
+        for m in list(members):
+            for c in (int(G.mul[x, m]), int(G.mul[m, x])):
+                if c not in members:
+                    work.append(c)
+    return Subgroup(G, members)
 
 
 def frattini_subgroup(G: FiniteGroup, p: int) -> Subgroup:

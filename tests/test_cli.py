@@ -359,14 +359,17 @@ class TestMapsReport:
             assert run(argv) == (want_code, want_out.getvalue()), sub
 
     def test_zeroed_conjugation_block_reads_no(self, monkeypatch):
-        """A corrupted term of g != 1 fails the check; the identity term is no block."""
+        """A term of g != 1 with zeroed actions fails the check; the identity
+        term is no coset sum."""
         from modcoh import cohmaps
         real = cohmaps._coset_sum_cochain
 
         def zero_conjugations(src, dst, C):
-            block = real(src, dst, C)
+            cosets, actions = real(src, dst, C)
             # a transfer's representatives start with 1, so this is c_g, g != 1
-            return 0 * block if list(C) != [0] and len(C) == 1 else block
+            if list(C) != [0] and len(C) == 1:
+                actions = 0 * actions
+            return cosets, actions
 
         monkeypatch.setattr(cohmaps, "_coset_sum_cochain", zero_conjugations)
         code, text = run(["maps", "--group", "S4", "--p", "2", "--sub", "sylow:2",

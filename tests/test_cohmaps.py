@@ -10,6 +10,7 @@ from modcoh.cohmaps import (
     context,
     detection_check,
     double_coset_identity_check,
+    induced_map,
     restriction,
     stable_subspace,
     transfer,
@@ -18,7 +19,7 @@ from modcoh.cohmaps import (
     _transfer_reps,
 )
 from modcoh.errors import InvariantViolation, SylowNotAbelian
-from modcoh.gmodules import regular_module, trivial_module
+from modcoh.gmodules import permutation_module, regular_module, trivial_module
 from modcoh.groups import (
     Permutation,
     center,
@@ -33,14 +34,14 @@ from modcoh.groups import (
 from modcoh.products import CupRing
 from modcoh.resolutions import cohomology_dims, trivial_resolution
 
-from cochain_oracle import cochain_differential, coset_tables
+from cochain_oracle import (
+    cochain_differential,
+    coset_sum_block,
+    coset_sum_matrix,
+    coset_tables,
+    densify,
+)
 from resolution_oracle import solve_batch
-
-
-def _coset_sum_cochain_matrix(src, dst, i, C):
-    """The full degree-i cochain map: the shared block on each free generator."""
-    eye = np.eye(src.resolution.ranks[i], dtype=np.int64)
-    return np.kron(eye, _coset_sum_cochain(src, dst, C))
 
 
 def sub_by_perms(G, perms):
@@ -128,6 +129,70 @@ class TestDifferentialOracle:
                     got, want = ctx.differential(i), cochain_differential(ctx, i)
                     assert got.dtype == want.dtype, (S.order, M.dim, i)
                     assert np.array_equal(got, want), (S.order, M.dim, i)
+
+
+class TestCosetSumIndexMap:
+    """The index map of each coset sum against the dense block loop it replaced."""
+
+    CASES = [(name, p, None) for name in catalog.names() for p in (2, 3)] + \
+        [("D8", 2, "permutation")]
+
+    @pytest.mark.parametrize("name,p,module", CASES,
+                             ids=[f"{n}-{p}-{m or 'trivial'}" for n, p, m in CASES])
+    def test_densified_matches_block_loop(self, name, p, module):
+        G = catalog.get_group(name)
+        M = permutation_module(G, center(G), p) if module else trivial_module(G, p)
+        found = [whole_group(G), sylow(G, 2), sylow(G, 3), center(G), trivial_subgroup(G)]
+        found += [subgroup_closure(G, [g]) for g in G.generator_indices]
+        subgroups = list({S.member_indices: S for S in found}.values())
+
+        def check(S, T, C):
+            src, dst = context(G, M, S), context(G, M, T)
+            cosets, actions = _coset_sum_cochain(src, dst, C)
+            assert cosets.shape == actions.shape[:2] == (len(C), len(dst.transversal))
+            assert np.array_equal(densify(src, (cosets, actions)),
+                                  coset_sum_block(src, dst, C)), (S, T, C)
+            return cosets.size
+
+        for S in subgroups:
+            for T in subgroups:
+                if set(T.member_indices) <= set(S.member_indices):
+                    check(S, T, [0])
+                if set(S.member_indices) <= set(T.member_indices):
+                    # [T : S] [G : T] = [G : S] entries
+                    reps = _transfer_reps(G, S, T)
+                    assert check(S, T, reps) == G.order // S.order
+            for g in range(G.order):
+                for T in (conjugate_subgroup(G, S, g), trivial_subgroup(G)):
+                    # one entry per coset of the target
+                    assert check(S, T, [g]) == G.order // T.order
+
+    @pytest.mark.parametrize("name,p", [("S3", 2), ("A4", 2), ("S4", 2), ("S4", 3)])
+    def test_induced_map_matches_block_product(self, name, p):
+        """induced_map against the product with the dense block, on a
+        permutation module whose action matrices are not symmetric."""
+        G = catalog.get_group(name)
+        t = next(g for g in range(G.order) if G.element_order(g) == 2)
+        M = permutation_module(G, subgroup_closure(G, [t]), p)
+        W, P = whole_group(G), sylow(G, p)
+        g = next(g for g in range(G.order) if G.element_order(g) == 3)
+        cases = [(W, P, [0]), (P, W, _transfer_reps(G, P, W)),
+                 (P, conjugate_subgroup(G, P, g), [g])]
+        nonzero = 0
+        for i in range(4):
+            for S, T, C in cases:
+                src, dst = context(G, M, S, length=i + 1), context(G, M, T, length=i + 1)
+                got = induced_map(src, dst, _coset_sum_cochain(src, dst, C), i).matrix
+                sb, tb = src.basis(i), dst.basis(i)
+                if sb.dim == 0:
+                    assert got.shape == (tb.dim, 0)
+                    continue
+                block = coset_sum_block(src, dst, C)
+                images = (sb.classes.reshape(-1, block.shape[1]) @ block.T) % p
+                want = tb.class_coordinates(images.reshape(sb.dim, -1).T)
+                assert np.array_equal(got, want), (S, T, C, i)
+                nonzero += bool(got.any())
+        assert nonzero
 
 
 def _check_coordinates(basis, coboundaries, p, rng):
@@ -234,8 +299,8 @@ class TestRestriction:
         src = context(S4, M, length=4)
         dst = context(S4, M, sylow(S4, 2), length=4)
         for i in range(3):
-            phi_i = _coset_sum_cochain_matrix(src, dst, i, [0])
-            phi_next = _coset_sum_cochain_matrix(src, dst, i + 1, [0])
+            phi_i = coset_sum_matrix(src, dst, i, [0])
+            phi_next = coset_sum_matrix(src, dst, i + 1, [0])
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)
@@ -296,8 +361,8 @@ class TestTransfer:
         src = context(A4, M, sylow(A4, 2), length=4)
         for i in range(3):
             reps = _transfer_reps(A4, src.subgroup, dst.subgroup)
-            phi_i = _coset_sum_cochain_matrix(src, dst, i, reps)
-            phi_next = _coset_sum_cochain_matrix(src, dst, i + 1, reps)
+            phi_i = coset_sum_matrix(src, dst, i, reps)
+            phi_next = coset_sum_matrix(src, dst, i + 1, reps)
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)
@@ -338,8 +403,8 @@ class TestConjugation:
         dst = context(S4, M, conjugate_subgroup(S4, P, g), length=4)
         src = context(S4, M, P, length=4)
         for i in range(3):
-            phi_i = _coset_sum_cochain_matrix(src, dst, i, [g])
-            phi_next = _coset_sum_cochain_matrix(src, dst, i + 1, [g])
+            phi_i = coset_sum_matrix(src, dst, i, [g])
+            phi_next = coset_sum_matrix(src, dst, i + 1, [g])
             lhs = (dst.differential(i) @ phi_i) % 2
             rhs = (phi_next @ src.differential(i)) % 2
             assert np.array_equal(lhs, rhs)

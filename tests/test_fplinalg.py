@@ -467,6 +467,25 @@ class TestPack:
                     assert _pack(view) == want, (dtype, m, n, view.strides)
                     assert np.array_equal(_unpack(want, view.shape[1]), view % 2)
 
+    def test_peak_memory_is_one_parity_copy(self):
+        """A view or an int64 input is read into one uint8 array of parities:
+        no contiguous copy first, which doubled the peak."""
+        import tracemalloc
+        from modcoh.fplinalg import _pack
+        m, n = 4000, 3000
+        a = np.random.default_rng(5).integers(0, 4, size=(m, n), dtype=np.uint8)
+        at = np.ascontiguousarray(a.T)
+        for make in (lambda: a[:, ::-1], lambda: at.T, lambda: a.astype(np.int64)):
+            view = make()
+            tracemalloc.start()
+            try:
+                _pack(view)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * m * n, (view.dtype, view.strides, peak / (m * n))
+            del view
+
 
 def _shifts(k):
     """Expansion by k cyclic shifts, standing in for group translates."""

@@ -1,5 +1,6 @@
-"""Group tables pinned byte for byte, and Subgroup.as_group, maximal_subgroups
-and frattini_subgroup against their oracles.
+"""Group tables pinned byte for byte; Subgroup.as_group, subgroup_closure,
+maximal_subgroups and frattini_subgroup against their oracles; and one
+Sylow growth per group and prime.
 
 The SHA-256 pins cover each group's element images, generator indices,
 multiplication table and inverses.  They were taken while the table was
@@ -26,6 +27,8 @@ from modcoh.groups import (
     subgroup_closure,
     sylow,
 )
+
+from modcoh.resolutions import clear_resolution_cache
 
 import group_oracle
 from group_oracle import greedy_generators
@@ -171,3 +174,36 @@ def test_maximal_and_frattini_subgroups_match_the_oracle(P, p):
     of p-th powers and commutators."""
     assert maximal_subgroups(P) == group_oracle.maximal_subgroups(P)
     assert frattini_subgroup(P, p) == group_oracle.frattini_subgroup(P, p)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=pytest.mark.stretch) if n in ("L3_2", "A6") else n
+    for n in catalog.names(include_stretch=True)])
+def test_subgroup_closure_matches_the_worklist_oracle(name):
+    """Every single seed, 20 random seed pairs and no seed at all."""
+    G = catalog.get_group(name)
+    rng = np.random.default_rng(7)
+    seed_sets = [[g] for g in range(G.order)] + \
+        rng.integers(0, G.order, size=(20, 2)).tolist() + [[]]
+    for seeds in seed_sets:
+        assert subgroup_closure(G, seeds) == group_oracle.subgroup_closure(G, seeds), seeds
+
+
+def test_sylow_grown_once_per_group_and_prime(monkeypatch):
+    """G's cache keeps the members of one Sylow subgroup per prime, and a
+    cleared cache grows it afresh, with the same members."""
+    from modcoh import groups
+    real, grown = groups._grow_sylow, []
+
+    def spy(G, p):
+        grown.append(p)
+        return real(G, p)
+
+    monkeypatch.setattr(groups, "_grow_sylow", spy)
+    clear_resolution_cache()
+    G = catalog.get_group("Z3Q16")
+    P = sylow(G, 2)
+    assert sylow(G, 2) == P and sylow(G, 3) != P and sylow(G, 3) == sylow(G, 3)
+    assert grown == [2, 3]
+    clear_resolution_cache()
+    assert sylow(G, 2) == P and grown == [2, 3, 2]

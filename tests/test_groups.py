@@ -18,6 +18,7 @@ from modcoh.groups import (
     extend_from_generators,
     frattini_subgroup,
     generate_group,
+    group_cache,
     homs_to_fp,
     intersect,
     is_p_power,
@@ -269,6 +270,12 @@ class TestSubgroups:
         assert Z.order == 2
         assert G.element_order(Z.member_indices[1]) == 2
 
+    def test_closure_rejects_out_of_range_seeds(self):
+        G = dihedral8()
+        for seeds in ([8], [1, -1]):
+            with pytest.raises(BadParameters, match="out of range"):
+                subgroup_closure(G, seeds)
+
 
 class TestPrimeFactors:
     def test_against_naive_definition(self):
@@ -326,6 +333,13 @@ class TestSylow:
     def test_deterministic(self):
         G = symmetric4()
         assert sylow(G, 2) == sylow(G, 2)
+
+    def test_non_prime_caches_nothing(self):
+        """A p that is no prime is refused before anything is kept."""
+        G = symmetric4()
+        with pytest.raises(BadParameters, match="not a prime"):
+            sylow(G, 4)
+        assert group_cache(G) == {}
 
 
 def oracle_elementary_abelian(G, p):

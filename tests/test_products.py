@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from modcoh import catalog
-from modcoh.cohmaps import _coset_sum_cochain, context, restriction, trivial_coefficients
+from modcoh.cohmaps import context, restriction, trivial_coefficients
 from modcoh.errors import DegreeMismatch, InvariantViolation, LiftFailure, NotMaximal
 from modcoh.gmodules import trivial_module
 from modcoh.groups import maximal_subgroups, sylow, whole_group
@@ -19,6 +19,7 @@ from modcoh.products import (
 )
 from modcoh.resolutions import FreeResolution, cohomology_dims, trivial_resolution
 
+from cochain_oracle import coset_sum_matrix
 from diagonal_oracle import cup, diagonal_approximation, product_span_dim
 from presentations import PRODUCT_ORACLES
 
@@ -214,9 +215,7 @@ class TestCup:
 
 
 def _restrict_cochain_vec(vec, i, ctx, sub_ctx):
-    eye = np.eye(ctx.resolution.ranks[i], dtype=np.int64)
-    mat = np.kron(eye, _coset_sum_cochain(ctx, sub_ctx, [0]))
-    return (mat @ vec) % ctx.p
+    return (coset_sum_matrix(ctx, sub_ctx, i, [0]) @ vec) % ctx.p
 
 
 def _sub_cup(sub_ctx, diag, av, i, bv, j):
