@@ -146,6 +146,17 @@ class FpSubspace:
         self.basis = reduced[: len(pivots)]
         self._pivots = np.asarray(pivots, dtype=np.intp)
 
+    @classmethod
+    def from_rref(cls, p: int, basis, pivots) -> "FpSubspace":
+        """The span of basis, given already as a canonical RREF with its
+        pivots (as `kernel` returns them): nothing is eliminated again."""
+        space = cls.__new__(cls)
+        space.p = int(p)
+        space.basis = np.ascontiguousarray(basis, dtype=np.int64)
+        space.ambient_dim = space.basis.shape[1]
+        space._pivots = np.asarray(pivots, dtype=np.intp)
+        return space
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]

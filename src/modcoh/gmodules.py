@@ -27,9 +27,13 @@ class GModule:
     """Module over F_p[G] given by an action matrix per group element."""
 
     def __init__(self, group: FiniteGroup, p: int, action, validate=True) -> None:
+        """validate=False is for builders whose action is already reduced
+        mod p: it is kept as it is, neither reduced nor checked."""
         self.group = group
         self.p = require_prime(int(p))
-        arr = np.mod(np.asarray(action, dtype=np.int64), self.p)
+        arr = np.asarray(action, dtype=np.int64)
+        if validate:
+            arr = np.mod(arr, self.p)
         if arr.ndim != 3 or arr.shape[0] != group.order or arr.shape[1] != arr.shape[2]:
             raise BadParameters(f"action tensor has shape {arr.shape}")
         self.action = arr
@@ -172,7 +176,8 @@ def invariants(M: GModule) -> FpSubspace:
     """
     gens = np.asarray(M.group.generator_indices, dtype=np.intp)
     stacked = (M.action[gens] - np.eye(M.dim, dtype=np.int64)).reshape(-1, M.dim)
-    return FpSubspace(M.p, M.dim, fplinalg.kernel(stacked, M.p)[0])
+    basis, pivots, _ = fplinalg.kernel(stacked, M.p)
+    return FpSubspace.from_rref(M.p, basis, pivots)
 
 
 def radical_rows(M: GModule) -> np.ndarray:

@@ -407,9 +407,11 @@ def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
+    """Z(G), found once per group: G's cache keeps its members, as it keeps
+    `sylow`'s."""
     mul = G.mul
-    members = [g for g in range(G.order) if np.array_equal(mul[g], mul[:, g])]
-    return Subgroup(G, members)
+    return Subgroup(G, _memo(G, ("center",), lambda: tuple(
+        g for g in range(G.order) if np.array_equal(mul[g], mul[:, g]))))
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -470,14 +472,23 @@ def _grow_sylow(G: FiniteGroup, p: int) -> tuple[int, ...]:
 
 
 def elementary_abelian_subgroups(G: FiniteGroup, p: int) -> list[Subgroup]:
-    """All subgroups isomorphic to (Z/p)^k, k >= 1, each listed once."""
+    """All subgroups isomorphic to (Z/p)^k, k >= 1, each listed once.
+
+    They are enumerated once per group and prime: G's cache keeps their
+    members, as it keeps `sylow`'s.
+    """
+    return [Subgroup(G, members) for members in _memo(
+        G, ("elementary_abelian", p), lambda: _enumerate_elementary_abelian(G, p))]
+
+
+def _enumerate_elementary_abelian(G: FiniteGroup, p: int) -> tuple[tuple[int, ...], ...]:
     order_p = [g for g in range(1, G.order) if G.element_order(g) == p]
-    found: dict[tuple[int, ...], Subgroup] = {}
+    found: set[tuple[int, ...]] = set()
     frontier: list[Subgroup] = []
     for g in order_p:
         S = subgroup_closure(G, [g])
         if S.member_indices not in found:
-            found[S.member_indices] = S
+            found.add(S.member_indices)
             frontier.append(S)
     while frontier:
         nxt = []
@@ -491,10 +502,10 @@ def elementary_abelian_subgroups(G: FiniteGroup, p: int) -> list[Subgroup]:
                 if T.order != S.order * p:
                     continue
                 if T.member_indices not in found:
-                    found[T.member_indices] = T
+                    found.add(T.member_indices)
                     nxt.append(T)
         frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.member_indices))
+    return tuple(sorted(found, key=lambda members: (len(members), members)))
 
 
 def p_rank(G: FiniteGroup, p: int) -> int:

@@ -57,6 +57,26 @@ also gives K's pivots, the complement of the image columns, and every
 stage's are kept (small index arrays, no matrix), so the pivot rows of any
 d_i can be gathered again from W_i.
 
+A computed stage is a function of its input state alone.  Stage L + 1
+reads W_L and the pivots of ker d_{L-1}: they give d_L's pivot rows, so
+K = ker d_L, its canonical basis and its pivots, so the rows kept, so
+W_{L+1}; the group, p and minimality are fixed.  So when a computed stage
+L has the state (W_L, pivots of ker d_{L-1}) of an earlier stage j >= 1,
+compared exactly (`_find_period`), induction on i gives W_i = W_{i-per}
+and equal kernel pivots for every i >= j + per, per = L - j.  Every later
+stage is then appended as a copy of stage i - per, sharing its arrays,
+and nothing is eliminated (`_append_stage`).  The factor of d_k below is
+a function of the same state, so for k >= j + per it is the factor of
+k - per (`_factor`); as factors are built lazily, that holds however far
+`extend_to` went before one is asked for.  `syzygy` still eliminates the
+newest kernel, from a copied d_L as from a computed one.  Periods occur
+for the p-groups of p-rank one, cyclic and generalized quaternion, whose
+minimal resolutions are periodic (Swan, "Periodic resolutions for finite
+groups", 1960; Cartan-Eilenberg XII.11): Z/2 repeats from stage 2 with
+period 1, Z/p with period 2, Q8 and Q16 with period 4.  A resolution
+that is exact already repeats zero stages, which cost nothing and start
+no search.
+
 For other groups a greedily pruned free resolution is used and all Ext
 dimensions come out of the Hom complex, which is resolution-independent.
 H^*(G, F_p) itself never needs the larger one: every group gets it as the
@@ -164,6 +184,8 @@ class FreeResolution:
         self._kernel_pivots: list[np.ndarray] = []
         # (A, c, E) for d_1, d_2, ...: `_factor`, built when a lift first reaches them
         self._factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # (j, per) once stage j + per repeats stage j: later stages are copies
+        self._period: tuple[int, int] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -259,6 +281,15 @@ class FreeResolution:
         return self._kernel
 
     def _append_stage(self) -> None:
+        if self._period is not None:  # stage i repeats stage i - per
+            per = self._period[1]
+            i = self.length + 1
+            if self._kernel is None:  # ker d_{i-1} not read yet: its pivots repeat too
+                self._kernel_pivots.append(self._kernel_pivots[i - 1 - per])
+            self.ranks.append(self.ranks[i - per])
+            self.boundaries.append(self.boundaries[i - 1 - per])
+            self._kernel = None
+            return
         K = self._newest_kernel()
         if not len(K):  # exact already: zero modules, and K stays empty
             self.ranks.append(0)
@@ -270,6 +301,19 @@ class FreeResolution:
         self.ranks.append(W.shape[1])
         self.boundaries.append(W)
         self._kernel = None
+        self._period = self._find_period()
+
+    def _find_period(self) -> tuple[int, int] | None:
+        """(j, L - j) for the stage j < L whose state (W_j, pivots of
+        ker d_{j-1}) equals that of the newest stage L, or None."""
+        L, ranks = self.length, self.ranks
+        W, piv = self.boundaries[L - 1], self._kernel_pivots[L - 1]
+        for j in range(1, L):
+            if ranks[j - 1:j + 1] == ranks[L - 1:L + 1] and \
+                    np.array_equal(self.boundaries[j - 1], W) and \
+                    np.array_equal(self._kernel_pivots[j - 1], piv):
+                return j, L - j
+        return None
 
     def extend_to(self, length: int) -> "FreeResolution":
         """Ensure boundaries d_1 .. d_length exist (idempotent, append-only)."""
@@ -332,8 +376,13 @@ class FreeResolution:
 
         Computed once per stage, for every stage through k, and kept: the
         step through d_k solves with (c, E), and the step after it checks
-        its right-hand side against A.
+        its right-hand side against A.  Past a period (j, per), stage k
+        repeats stage k - per for k >= j + per, and so does its factor.
         """
+        if self._period is not None:
+            j, per = self._period
+            if k >= j + per:
+                k -= (k - j) // per * per
         while len(self._factors) < k:
             rows = self._pivot_rows(len(self._factors) + 1)
             self._factors.append((rows, *fplinalg.pivot_inverse(rows, self.p)))

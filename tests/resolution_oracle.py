@@ -10,6 +10,11 @@ the right-hand sides, and LiftFailure when a right-hand side is outside the
 image of d_k.  The solution with free variables zero depends only on d_k's
 row space, so both must give the same Phi_k, byte for byte.
 
+`AperiodicResolution` never looks for a period, so it eliminates every
+stage and factors every stage's pivot rows.  A resolution that copies
+stages past a period must agree with it byte for byte: ranks, boundaries,
+kernel pivots, factors, lifts and syzygies.
+
 `solve_batch` is the solve it ran, one elimination of [a | rhs] per call;
 lifts now solve through `fplinalg.pivot_inverse`, a factor kept per
 stage, and must agree with it byte for byte.
@@ -28,6 +33,13 @@ class PaddedResolution(FreeResolution):
     def _stage_zero_generators(self, M):
         gens = super()._stage_zero_generators(M)
         return gens + gens[:1]
+
+
+class AperiodicResolution(FreeResolution):
+    """A free resolution that computes every stage: it finds no period."""
+
+    def _find_period(self):
+        return None
 
 
 def padded_resolution(M, length):

@@ -1,6 +1,6 @@
 import pytest
 
-from modcoh import catalog
+from modcoh import catalog, groups
 from modcoh.actions import (
     _nonabelian_pq_orders,
     _twop_cyclic_at,
@@ -13,7 +13,7 @@ from modcoh.actions import (
     twop_condition_cyclic_form,
     wolf_pq_condition,
 )
-from modcoh.groups import p_rank, subgroup_closure
+from modcoh.groups import clear_group_caches, p_rank, prime_factors, subgroup_closure
 
 from corpus import catalog_closure
 
@@ -191,6 +191,26 @@ class TestFullReport:
         rep = full_report(catalog.get_group("Z3Q16"))
         assert rep.order == 48
         assert rep.swan_ok and rep.twop_central_ok
+
+    @pytest.mark.parametrize("name", ["S4", "Q16", "Z3Q16", "D6", "Z12", "A4"])
+    def test_each_elementary_abelian_enumeration_runs_once(self, name, monkeypatch):
+        """A report enumerates the elementary abelian subgroups of each
+        (group, prime) once, G's and its centre's, and finds Z(G) once."""
+        G = catalog.get_group(name)
+        clear_group_caches()
+        want = full_report(G)
+        clear_group_caches()
+        enumerated, built = [], []
+        enumerate_ = groups._enumerate_elementary_abelian
+        monkeypatch.setattr(groups, "_enumerate_elementary_abelian",
+                            lambda H, p: enumerated.append((id(H), p)) or enumerate_(H, p))
+        memo = groups._memo
+        monkeypatch.setattr(groups, "_memo", lambda H, key, build: memo(
+            H, key, lambda: built.append(key) or build()))
+        assert full_report(G) == want
+        assert len(enumerated) == len(set(enumerated))
+        assert {p for _, p in enumerated} == set(prime_factors(G.order))
+        assert built.count(("center",)) == 1
 
     def test_dict_shape_stable(self, Q8):
         d = full_report(Q8).as_dict()

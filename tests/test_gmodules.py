@@ -96,6 +96,26 @@ class TestConstructors:
         assert np.array_equal(M.action, R.action)
 
 
+@pytest.mark.parametrize("name,p", [("D8", 2), ("S3", 3), ("A4", 3), ("Z5", 5)])
+def test_every_builder_returns_reduced_int64_actions(name, p):
+    """Builders pass validate=False, and the action they pass is kept as it
+    is: it must already be int64 and reduced mod p."""
+    from modcoh.resolutions import syzygy
+    G = catalog.get_group(name)
+    P, Z = sylow(G, p), center(G)
+    M = permutation_module(G, P, p)
+    built = [trivial_module(G, p, 3), regular_module(G, p), M,
+             permutation_module(G, Z, p), restrict_module(M, P),
+             induce_module(trivial_module(P.as_group(), p, 2), P),
+             dual_module(M), tensor_module(M, regular_module(G, p)),
+             direct_sum(M, dual_module(M)), syzygy(M, 2),
+             module_from_generator_matrices(
+                 G, p, M.dim, [M.action[s] + p for s in G.generator_indices])]
+    for N in built:
+        assert N.action.dtype == np.int64
+        assert N.action.min() >= 0 and N.action.max() < p
+
+
 class TestRestriction:
     def test_restrict_regular_is_free(self, D8):
         M = regular_module(D8, 2)
@@ -248,6 +268,29 @@ class TestInvariantsCoinvariants:
             eye = np.eye(M.dim, dtype=np.int64)
             every = np.vstack([(M.action[g] - eye).T for g in range(M.group.order)])
             assert coinvariants(M) == M.dim - fplinalg.rref_array(every, M.p)[1]
+
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_invariants_eliminate_once(self, p, monkeypatch):
+        """The kernel's basis is already the canonical RREF: one elimination
+        at odd p (none of `_rref` over GF(2)), and the subspace it gives is
+        the one the basis rows span."""
+        calls = []
+        rref = fplinalg._rref
+        G = catalog.get_group({2: "D8", 3: "S3", 5: "Z5"}[p])
+        for M in (trivial_module(G, p, 3), regular_module(G, p),
+                  permutation_module(G, sylow(G, p), p),
+                  direct_sum(regular_module(G, p), trivial_module(G, p, 2))):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(fplinalg, "_rref", lambda a, q: calls.append(a.shape) or rref(a, q))
+                got = invariants(M)
+            assert len(calls) == (p != 2)
+            gens = list(G.generator_indices)
+            stacked = (M.action[gens] - np.eye(M.dim, dtype=np.int64)).reshape(-1, M.dim)
+            want = fplinalg.FpSubspace(p, M.dim, fplinalg.kernel(stacked, p)[0])
+            assert got == want and got.basis.dtype == want.basis.dtype
+            assert np.array_equal(got._pivots, want._pivots)
 
 
 class TestRepresentationProperty:
