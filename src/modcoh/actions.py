@@ -174,7 +174,12 @@ def _twop_cyclic_at(p: int, rank: int, pq_orders: set[int]) -> bool:
 
 
 def full_report(G: FiniteGroup, max_deg: int = 10) -> ConditionReport:
-    """All section-level conditions plus per-prime rank invariants."""
+    """All section-level conditions plus per-prime rank invariants.
+
+    A negative max_deg raises BadParameters: no degree would be evidence.
+    """
+    if max_deg < 0:
+        raise BadParameters(f"max_deg must be nonnegative, got {max_deg}")
     pq_orders = _nonabelian_pq_orders(G)
     prime_reports = []
     Z = center(G)

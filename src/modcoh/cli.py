@@ -181,6 +181,8 @@ def cmd_poincare(args, out) -> int:
 
 def cmd_maps(args, out) -> int:
     _require_prime(args.p)
+    if args.max_deg < 0:
+        raise BadParameters(f"--max-deg must be nonnegative, got {args.max_deg}")
     G, _ = _load_group(args.group, args.size_cap)
     H = _resolve_subgroup(G, args.sub)
     M = trivial_coefficients(G, args.p)

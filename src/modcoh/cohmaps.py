@@ -32,7 +32,8 @@ Stable elements (`StableElements`, `stable_subspace`), and with them the
 cup products of `products.CupRing`, run on the minimal resolution of a
 Sylow p-subgroup P instead, which is |G : P| times smaller: H^i(G) is the
 row space of one r_i x r_i Mackey matrix of res^G_P tr^G_P per degree,
-summed over the double cosets PdP (`StableElements`).
+summed over the double cosets PdP, and every degree a call needs is
+checked and row-reduced in one block-diagonal matrix (`StableElements`).
 
 Cohomology bases are canonical: RREF cocycle vectors extending the RREF
 coboundary space, so maps expressed in these bases are reproducible.
@@ -471,6 +472,12 @@ class StableElements:
     no pairs M_i = n_1 I, and n_1 must not be 0 mod p.  For a p-group
     P = G, n_1 = 1, there is no pair, and H^i(G) is all of F_p^{r_i}.
 
+    Each call reduces every degree it needs that is not reduced yet at
+    once: their M_i are the blocks of one block-diagonal matrix, whose
+    square is checked with one product and whose RREF, one
+    `fplinalg.rref_array`, is the blocks' RREFs in block order (`_reduce`).
+    `dims(n)` reduces the missing degrees through n, `stable(i)` degree i.
+
     `products.CupRing` multiplies the stable classes on the same X_*:
     restriction to P is an injective ring map onto them.  P is kept as a
     standalone group with its own resolution, and nothing here refers back
@@ -541,39 +548,72 @@ class StableElements:
         Raises InvariantViolation when M_i^2 != [G : P] M_i mod p, or when
         there is no pair and n_1 is 0 mod p (class docstring).
         """
-        p, r = self.p, self.resolution.extend_to(max(i, 1)).ranks[i]
-        M = self.identity_count * np.eye(r, dtype=np.int64)
-        if r and self.pairs:
-            for (_, _, count), psis in zip(self.pairs, self.lifts(i)):
-                M += count * psis[i].reshape(r, self.group.order, r, -1).sum(axis=(1, 3))
+        return self._mackey_matrices([i])[0]
+
+    def _mackey_matrices(self, degrees: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(M, offsets): the M_i of the degrees as the blocks of one
+        block-diagonal M, block k in rows and columns offsets[k]:offsets[k + 1].
+
+        One product checks M^2 = [G : P] M mod p, which holds for M exactly
+        when it holds for every block; a failure names the first degree
+        whose block fails.
+        """
+        p, n = self.p, self.group.order
+        ranks = self.resolution.extend_to(max(max(degrees), 1)).ranks
+        offsets = np.cumsum([0] + [ranks[i] for i in degrees])
+        M = self.identity_count * np.eye(offsets[-1], dtype=np.int64)
+        if offsets[-1] and self.pairs:
+            for (_, _, count), psis in zip(self.pairs, self.lifts(max(degrees))):
+                for i, lo, hi in zip(degrees, offsets, offsets[1:]):
+                    if hi > lo:
+                        r = hi - lo
+                        M[lo:hi, lo:hi] += count * psis[i].reshape(r, n, r, -1).sum(axis=(1, 3))
         M %= p
         if not self.pairs and self.identity_count % p == 0:
             raise InvariantViolation(f"no pair, and n_1 = {self.identity_count} is 0 mod {p}")
-        if (fplinalg._matmul_mod(M, M, p) != self.index * M % p).any():
+        bad = (fplinalg._matmul_mod(M, M, p) != self.index * M % p).any(axis=1)
+        if bad.any():
+            i = degrees[np.searchsorted(offsets, bad.argmax(), side="right") - 1]
             raise InvariantViolation(f"M_{i}^2 != [G : P] M_{i} mod {p}: res tr is not "
                                      "[G : P] times an idempotent")
-        return M
+        return M, offsets
 
-    def stable(self, i: int) -> np.ndarray:
-        """Canonical basis (rows) of the stable classes in H^i(P): M_i's row space.
+    def _reduce(self, degrees) -> None:
+        """Reduce the stable classes of every degree not reduced yet, at once.
 
-        With no pair M_i = n_1 I, and the two checks of `mackey_matrix`
-        together read n_1 = [G : P] mod p, a unit: every class is stable.
+        Their M_i form one block-diagonal M (`_mackey_matrices`), checked
+        and row-reduced once.  M's row space is the direct sum of the
+        blocks' row spaces, so its RREF rows are those of the blocks, in
+        block order: the rows with pivots in block k are M_k's RREF.  With
+        no pair M_i = n_1 I, and the checks of `_mackey_matrices` together
+        read n_1 = [G : P] mod p, a unit: every class is stable.
         """
-        if i not in self._stable:
-            if self.pairs:
-                reduced, rank = fplinalg.rref_array(self.mackey_matrix(i), self.p)
-                self._stable[i] = reduced[:rank]
-            elif (self.identity_count - self.index) % self.p:
+        degrees = [i for i in degrees if i not in self._stable]
+        if not degrees:
+            return
+        if not self.pairs:
+            if (self.identity_count - self.index) % self.p:
                 raise InvariantViolation(f"no pair, and n_1 = {self.identity_count} "
                                          f"!= [G : P] = {self.index} mod {self.p}")
-            else:
-                r = self.resolution.extend_to(max(i, 1)).ranks[i]
-                self._stable[i] = np.eye(r, dtype=np.int64)
+            ranks = self.resolution.extend_to(max(max(degrees), 1)).ranks
+            for i in degrees:
+                self._stable[i] = np.eye(ranks[i], dtype=np.int64)
+            return
+        M, offsets = self._mackey_matrices(degrees)
+        reduced, rank = fplinalg.rref_array(M, self.p)
+        ends = np.searchsorted(fplinalg.pivot_columns(reduced[:rank]), offsets)
+        for i, lo, hi, first, last in zip(degrees, offsets, offsets[1:], ends, ends[1:]):
+            self._stable[i] = reduced[first:last, lo:hi].copy()
+
+    def stable(self, i: int) -> np.ndarray:
+        """Canonical basis (rows) of the stable classes in H^i(P): M_i's row space."""
+        self._reduce([i])
         return self._stable[i]
 
     def dims(self, max_deg: int) -> tuple[int, ...]:
-        return tuple(len(self.stable(i)) for i in range(max_deg + 1))
+        """dim H^i(G) for i <= max_deg, every degree not reduced yet at once."""
+        self._reduce(range(max_deg + 1))
+        return tuple(len(self._stable[i]) for i in range(max_deg + 1))
 
 
 def stable_elements(G: FiniteGroup, p: int) -> StableElements:

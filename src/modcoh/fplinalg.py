@@ -41,11 +41,13 @@ is int64, so the prime is capped at `MAX_PRIME` = 2^21: then
 (p - 1)^2 < 2^42, which leaves room for 2^21 terms before 2^63.  Larger
 primes raise `PrimeTooLarge` instead of wrapping.
 
-Products of residue matrices (`_matmul_mod`) run in float64 BLAS with one
-`fmod` at the end whenever the inner dimension k satisfies
-k * (p - 1)^2 < 2^53 (Dumas-Giorgi-Pernet, FFLAS-FFPACK): every partial sum
-is then an integer below 2^53, which float64 holds exactly, so the result
-equals the int64 product mod p.  Above that bound they fall back to int64.
+Products of residue matrices (`_matmul_mod`) run in floating-point BLAS
+with one `fmod` at the end (Dumas-Giorgi-Pernet, FFLAS-FFPACK): with inner
+dimension k every partial sum is an integer below k * (p - 1)^2, so float32
+is exact when that is below 2^24 and float64 when it is below 2^53, and the
+result equals the int64 product mod p.  Above 2^53 they fall back to
+int64.  `_product_dtype` picks the tier, and an input already in it is not
+copied, so a caller that multiplies one operand by many converts it once.
 
 A matrix a of full row rank m is factored once for every system a x = b
 to come (`pivot_inverse`): the RREF of [a | I_m] is [R | E] with E the
@@ -446,16 +448,26 @@ def pivot_columns(rref_basis: np.ndarray) -> np.ndarray:
     return np.argmax(rref_basis != 0, axis=1)
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p for residue matrices, entries in [0, p).
+def _product_dtype(k: int, p: int):
+    """The dtype of an exact product of residues mod p with inner dimension k:
+    float32 while k (p - 1)^2 < 2^24, float64 while it is below 2^53, else int64."""
+    bound = k * (p - 1) ** 2
+    if bound < 2 ** 24:  # float32 represents every integer below 2^24 exactly
+        return np.float32
+    return np.float64 if bound < _FLOAT_EXACT else np.int64
 
-    float64 BLAS when the inner dimension k keeps k * (p - 1)^2 below 2^53,
-    so the product is exact; int64 otherwise.
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p for residue matrices, entries in [0, p), as int64.
+
+    In the exact tier of `_product_dtype`; an input already in its dtype is
+    not copied.
     """
-    if a.shape[1] * (p - 1) ** 2 < _FLOAT_EXACT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.fmod(prod, p, out=prod).astype(np.int64)
-    return (a @ b) % p
+    dtype = _product_dtype(a.shape[1], p)
+    if dtype is np.int64:
+        return (a @ b) % p
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return np.fmod(prod, p, out=prod).astype(np.int64)
 
 
 def independent_rows(span_rows, rows, p: int) -> np.ndarray:

@@ -331,7 +331,6 @@ class Subgroup:
         if 0 not in self.member_indices:
             raise BadParameters("subgroup must contain the identity")
         self._member_set = frozenset(self.member_indices)
-        self._as_group: FiniteGroup | None = None
 
     @property
     def order(self) -> int:
@@ -362,21 +361,24 @@ class Subgroup:
         """The subgroup re-enumerated as a standalone group.
 
         Elements keep their parent-index order (identity stays first); the
-        parent indices are recoverable through parent_embedding().
+        parent indices are recoverable through parent_embedding().  It is
+        built once per member set and kept in the parent's memo table, so
+        every Subgroup object with these members shares it; it refers to
+        nothing of the parent.
         """
-        if self._as_group is None:
-            G = self.parent
-            members = np.array(self.member_indices)
-            pos = np.full(G.order, -1, dtype=np.int32)
-            pos[members] = np.arange(self.order)
-            table = pos[G.mul[np.ix_(members, members)]]
-            if (table < 0).any():
-                raise BadParameters("members are not closed under product")
-            self._as_group = FiniteGroup(
-                G.degree, [G.elements[i] for i in self.member_indices],
-                _greedy_generators(table), name=f"{G.name}:sub{self.order}",
-                mul_table=table)
-        return self._as_group
+        return _memo(self.parent, ("as_group", self.member_indices), self._standalone)
+
+    def _standalone(self) -> FiniteGroup:
+        G = self.parent
+        members = np.array(self.member_indices)
+        pos = np.full(G.order, -1, dtype=np.int32)
+        pos[members] = np.arange(self.order)
+        table = pos[G.mul[np.ix_(members, members)]]
+        if (table < 0).any():
+            raise BadParameters("members are not closed under product")
+        return FiniteGroup(G.degree, [G.elements[i] for i in self.member_indices],
+                           _greedy_generators(table), name=f"{G.name}:sub{self.order}",
+                           mul_table=table)
 
     def parent_embedding(self) -> tuple[int, ...]:
         """parent index of each as_group element, in as_group order."""

@@ -10,8 +10,10 @@ a is lifted to a chain map tau: X_{i+*} -> X_*, stored, like the
 boundaries, by the images of the free generators: Phi_k holds tau(e_{m, 1})
 in column m, of shape (r_k |P|) x r_{i+k}.  Phi_0 is a in row 0 (X_0 has
 rank one), and Phi_k solves d_k Phi_k = tau_{k-1} W_{i+k}, where tau_{k-1}
-is Phi_{k-1} expanded by F_p[P]-linearity and W_{i+k} are the generator
-columns of d_{i+k}: the untwisted `FreeResolution.lift`.  A right-hand
+is the F_p[P]-linear map that Phi_{k-1} determines and W_{i+k} are the
+generator columns of d_{i+k}: the untwisted `FreeResolution.lift`, which
+never expands tau_{k-1} and multiplies Phi_{k-1} by W_{i+k} gathered at
+h u^{-1} for each h instead.  A right-hand
 side outside the image of d_k means the resolution is not exact there, and
 raises LiftFailure.  The product is the composite b . tau_j with the sign
 of the diagonal-approximation cup product: a cup b = (-1)^{ij}

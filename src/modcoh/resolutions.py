@@ -6,7 +6,7 @@ d_i is stored only as its generator columns W_i = d_i(e_{k, 1}), one column
 per free generator of P_i (the chosen kernel generators, reduced mod p):
 F_p[G]-linearity determines the rest, and `FreeResolution.expand` builds
 the full matrix, |G| times wider, only where one is needed (exactness
-checks, text output, the translates of a chain map).
+checks, text output, the translates of a twisted chain map).
 
 Each stage works in the coordinates of the kernel K of the newest stage.
 K is held as its canonical RREF basis, with pivot columns piv, so a vector
@@ -14,6 +14,10 @@ v of K is v[piv] . K, and the coordinates of g . v are v[at[g]], where
 at[g, c] = j n + g^{-1} h for piv[c] = j n + h (`_translates`).  The
 generators picked from K's rows are those of a full-width scan, since
 taking coordinates is an isomorphism of K onto F_p^k.
+
+Stage L + 1 picks its generators with the translates at of ker d_L's
+pivots, and the next `_pivot_rows(L + 1)`, which eliminates ker d_{L+1},
+gathers with the same at: it is kept until then, not built twice.
 
 Minimal resolutions are constructed only over p-groups, where the
 augmentation ideal I is the radical: by Nakayama, a minimal generating set
@@ -100,6 +104,22 @@ ker d_{k-1} = image d_k: it does exactly when d_{k-1}[piv', :] rhs = 0 for
 the pivots piv' of ker d_{k-2} (the augmentation times rhs, for k = 1),
 and LiftFailure is raised otherwise.  Those rows are stage k - 1's A, kept
 with its factor (`FreeResolution._factor`).
+
+The right-hand side of an untwisted step is tau W for W = W_{shift+k} and
+tau the F_p[G]-linear map of Phi = Phi_{k-1}, and tau is never expanded:
+tau(g . e_m) = g . Phi[:, m] gives
+
+    rhs[(j, h), (a, x)] = sum_{u, m} Phi[(j, u), (a, m)] W[(m, h u^{-1}), x],
+
+so with Phi regrouped once per step to rows (j, a) and columns (u, m),
+each h is one product with W gathered at h u^{-1}, the size of W.  The
+gathers for a block of h run as one product, and a block holds at most
+`groups._BLOCK` entries, or one h; every catalog group's Sylow subgroup
+fits in one block.  A twisted step still gathers tau from Phi, with the
+twist's index maps (`_twist_maps`) built once per `lift` call.  Both kinds
+gather Phi and W already in the dtype of their exact product
+(`fplinalg._product_dtype`: float32 while the inner dimension k keeps
+k (p - 1)^2 below 2^24), so the product converts no operand.
 """
 
 from __future__ import annotations
@@ -110,6 +130,7 @@ import numpy as np
 
 from . import fplinalg, gmodules, groups
 from .errors import (
+    BadParameters,
     GroupMismatch,
     InsufficientData,
     InvariantViolation,
@@ -186,6 +207,9 @@ class FreeResolution:
         self._factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # (j, per) once stage j + per repeats stage j: later stages are copies
         self._period: tuple[int, int] | None = None
+        # (i, at): the translates of ker d_{i-1}'s pivots, which stage i's
+        # generators were picked with, until _pivot_rows(i) reads them
+        self._translated: tuple[int, np.ndarray] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -211,21 +235,30 @@ class FreeResolution:
         for u = cosets[u, 0].  Every g is s . u, so column k |G| + g of the
         result is sigma[s] . images[:, (k, u)].
         """
+        return self._expand(images, self._twist_maps(twist))
+
+    def _twist_maps(self, twist) -> tuple[np.ndarray, np.ndarray | int, int]:
+        """(taken, column, nu) for `_expand`: taken[h, g] = acting[g]^{-1} h,
+        and column[g] = u for g = s . u, over nu cosets (`expand`)."""
+        if twist is None:  # acting[g] = g, column[g] = 0, nu = 1
+            return self._take.T, 0, 1
+        cosets, sigma = twist
+        nu = len(cosets)
+        acting = np.empty(self._n, dtype=np.intp)
+        acting[cosets] = sigma
+        column = np.empty(self._n, dtype=np.intp)
+        column[cosets] = np.arange(nu)[:, None]
+        return self._take.T[:, acting], column, nu
+
+    def _expand(self, images: np.ndarray, maps) -> np.ndarray:
+        """`expand` with the twist's index maps built (`_twist_maps`)."""
+        taken, column, nu = maps
         rows, cols = images.shape
         n = self._n
         # out[j, h, k, g] = images[j n + acting[g]^{-1} h, k nu + column[g]]
         # = images[j, at[h, g] + k nu] with images viewed as (r, n cols): one
         # gather into each block of n rows, in C order, with a flat index
-        if twist is None:  # acting[g] = g, column[g] = 0, nu = 1
-            at, nu = self._take.T * cols, 1
-        else:
-            cosets, sigma = twist
-            nu = len(cosets)
-            acting = np.empty(n, dtype=np.intp)
-            acting[cosets] = sigma
-            column = np.empty(n, dtype=np.intp)
-            column[cosets] = np.arange(nu)[:, None]
-            at = self._take.T[:, acting] * cols + column
+        at = taken * cols + column
         out = np.take(images.reshape(rows // n, n * cols),
                       at[:, None, :] + np.arange(0, cols, nu)[:, None], axis=1)
         return out.reshape(rows, cols // nu * n)
@@ -269,7 +302,11 @@ class FreeResolution:
         # over GF(2) gathered as bytes, which the kernel elimination reads
         W = self.boundaries[i - 1].astype(np.uint8 if self.p == 2 else np.int64, copy=False)
         piv = self._kernel_pivots[i - 1]
-        rows = W.T[:, self._translates(piv).T]  # rows[k, c, g] = d_i[piv[c], k n + g]
+        if self._translated is not None and self._translated[0] == i:
+            at, self._translated = self._translated[1], None
+        else:
+            at = self._translates(piv)
+        rows = W.T[:, at.T]  # rows[k, c, g] = d_i[piv[c], k n + g]
         return rows.transpose(1, 0, 2).reshape(len(piv), W.shape[1] * self._n)
 
     def _newest_kernel(self) -> np.ndarray:
@@ -300,6 +337,7 @@ class FreeResolution:
         W = np.ascontiguousarray(K[self._kernel_generators(K, at)].T, dtype=np.int64)
         self.ranks.append(W.shape[1])
         self.boundaries.append(W)
+        self._translated = (self.length, at)  # the pivots that _pivot_rows(length) reads
         self._kernel = None
         self._period = self._find_period()
 
@@ -336,31 +374,45 @@ class FreeResolution:
         column a r_shift + m for generator m of map a, and (a, m, u) columns
         under a twist (see `expand`, whose semilinearity the lifts share).
         Phi_k solves d_k Phi_k = tau_{k-1} d_{shift+k} on the free
-        generators, where tau_{k-1} is Phi_{k-1} expanded.  The list is
-        extended in place through Phi_steps and returned, so a caller that
-        needs more degrees later resumes where it stopped.  A right-hand
-        side outside the image of d_k, which is ker d_{k-1}, raises
-        LiftFailure.  Each step solves on the rows of d_k at the pivots of
-        ker d_{k-1}, with the right-hand side's entries there, through the
-        factor of those rows kept per stage (module docstring).
+        generators, where tau_{k-1} is the map that Phi_{k-1} determines.
+        The list is extended in place through Phi_steps and returned, so a
+        caller that needs more degrees later resumes where it stopped.  A
+        right-hand side outside the image of d_k, which is ker d_{k-1},
+        raises LiftFailure.  Each step solves on the rows of d_k at the
+        pivots of ker d_{k-1}, with the right-hand side's entries there,
+        through the factor of those rows kept per stage (module docstring).
+
+        Untwisted, tau_{k-1} is never built: F_p[G]-linearity gives
+        rhs[(j, h), (a, x)] = sum_{u, m} Phi[(j, u), (a, m)] W[(m, h u^{-1}), x]
+        for W = W_{shift+k}, one product per block of h (`_untwisted_rhs`).
+        A twisted step gathers tau_{k-1} from Phi_{k-1} with the twist's
+        index maps, built once per call.  Both gather in the dtype of the
+        exact product (`fplinalg._product_dtype`), so it copies no operand.
 
         Cup products lift cocycles untwisted; conjugation on a Sylow
         subgroup's resolution lifts the identity of F_p with a twist.
         """
         p, n = self.p, self._n
         self.extend_to(max(shift + steps, 1))
-        transversal = [0] if twist is None else twist[0][:, 0]
-        nu = len(transversal)
+        if twist is None:
+            nu, quotients = 1, self.group.mul[:, self.group.inv].T  # [u, h] = h u^{-1}
+        else:
+            maps = self._twist_maps(twist)
+            nu = maps[2]
+            # d_{shift+k} on the free generators u . e_m: W[:, take[u]], columns (m, u)
+            on_cosets = self._take[twist[0][:, 0]]
         count = lifts[0].shape[1] // max(self.ranks[shift] * nu, 1)
         for k in range(len(lifts), steps + 1):
             phi = lifts[-1]
             r_src = self.ranks[shift + k - 1]
-            tau = self.expand(phi, twist).reshape(len(phi), count, r_src * n)
-            # d_{shift+k} on the free generators u . e_m, columns (m, u)
-            W = self.boundaries[shift + k - 1].reshape(r_src, n, -1)
-            W = W[:, self._take[transversal]].transpose(0, 2, 3, 1)
-            rhs = fplinalg._matmul_mod(tau.reshape(-1, r_src * n), W.reshape(r_src * n, -1),
-                                       p).reshape(len(phi), -1)
+            W = self.boundaries[shift + k - 1]
+            dtype = fplinalg._product_dtype(r_src * n, p)
+            if twist is None:
+                rhs = self._untwisted_rhs(phi, W.astype(dtype), count, quotients)
+            else:
+                tau = self._expand(phi.astype(dtype), maps).reshape(-1, r_src * n)
+                W = W.astype(dtype).reshape(r_src, n, -1)[:, on_cosets].transpose(0, 2, 3, 1)
+                rhs = fplinalg._matmul_mod(tau, W.reshape(r_src * n, -1), p).reshape(len(phi), -1)
             upstream = self.augmentation if k == 1 else self._factor(k - 1)[0]
             if fplinalg._matmul_mod(upstream, rhs, p).any():
                 raise LiftFailure(f"degree-{shift} maps do not lift to "
@@ -370,6 +422,33 @@ class FreeResolution:
             phi[columns] = fplinalg._matmul_mod(inverse, rhs[self._kernel_pivots[k - 1]], p)
             lifts.append(phi)
         return lifts
+
+    def _untwisted_rhs(self, phi: np.ndarray, W: np.ndarray, count: int,
+                       quotients: np.ndarray) -> np.ndarray:
+        """tau W for the F_p[G]-linear tau that phi determines (`lift`), from
+        phi and W in the dtype of their exact product; quotients[u, h] is
+        h u^{-1}.
+
+        Row (j, h) of tau W is sum_{u, m} Phi[(j, u), (a, m)] W[(m, h u^{-1}), x]
+        in column (a, x): with phi regrouped to rows (j, a) and columns
+        (u, m), one product with W gathered at h u^{-1} for each h.  The
+        gathers hold at most `groups._BLOCK` entries at once, or one h.
+        """
+        n, p = self._n, self.p
+        r_j, (r_m, r_x) = len(phi) // n, (W.shape[0] // n, W.shape[1])
+        left = np.empty((r_j, count, n, r_m), dtype=W.dtype)  # [(j, a), (u, m)]
+        left[...] = phi.reshape(r_j, n, count, r_m).transpose(0, 2, 1, 3)
+        left = left.reshape(r_j * count, n * r_m)
+        # rows[u, m, h] = m n + h u^{-1}
+        rows = np.arange(r_m)[:, None] * n + quotients[:, None, :]
+        rhs = np.empty((r_j, n, count, r_x), dtype=np.int64)
+        step = max(1, groups._BLOCK // max(W.size, 1))  # a gather per h is W.size entries
+        for start in range(0, n, step):
+            block = rows[:, :, start:start + step]
+            hb = block.shape[2]
+            prod = fplinalg._matmul_mod(left, W[block].reshape(n * r_m, hb * r_x), p)
+            rhs[:, start:start + hb] = prod.reshape(r_j, count, hb, r_x).transpose(0, 2, 1, 3)
+        return rhs.reshape(r_j * n, count * r_x)
 
     def _factor(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, c, E): d_k's pivot rows A and their `fplinalg.pivot_inverse`.
@@ -525,9 +604,9 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
              resolution: FreeResolution | None = None) -> DimSeries:
     """dim Ext^i_{F_p[G]}(M, N) for 0 <= i <= max_deg.
 
-    Post-condition, raising InvariantViolation: for one-dimensional trivial
-    M, Ext^0 = Hom_G(F_p, N) is the fixed space N^G, computed apart from
-    the Hom complex (`gmodules.invariants`).
+    Post-condition, raising InvariantViolation: Ext^0 = Hom_G(M, N) is the
+    fixed space (M* (x) N)^G, computed apart from the Hom complex
+    (`gmodules.invariants`).
     """
     if M.group is not N.group or M.p != N.p:
         raise GroupMismatch("Ext arguments live over different algebras")
@@ -548,10 +627,10 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
         rank_i = len(fplinalg.rref_pivots(delta, p))
         dims.append(cur_dim - rank_i - prev_rank)
         prev_rank = rank_i
-    if dims and M.is_trivial() and M.dim == 1:
-        fixed = gmodules.invariants(N).dim
+    if dims:
+        fixed = gmodules.invariants(gmodules.tensor_module(dual_module(M), N)).dim
         if dims[0] != fixed:
-            raise InvariantViolation(f"Ext^0 has dimension {dims[0]}, N^G {fixed}")
+            raise InvariantViolation(f"Ext^0 has dimension {dims[0]}, (M* (x) N)^G {fixed}")
     return DimSeries(tuple(dims), p,
                      label=f"Ext({M.group.name}; dims {M.dim}->{N.dim})")
 
@@ -565,9 +644,11 @@ def cohomology_dims(G: FiniteGroup, p: int, max_deg: int) -> DimSeries:
     P = G and the dims are the ranks of that resolution.
 
     Post-conditions, raising InvariantViolation: no dim is negative, and
-    H^0 = F_p^G is one-dimensional.
+    H^0 = F_p^G is one-dimensional.  A negative max_deg raises BadParameters.
     """
     from .cohmaps import stable_elements  # cohmaps builds on this module
+    if max_deg < 0:
+        raise BadParameters(f"max_deg must be nonnegative, got {max_deg}")
     dims = stable_elements(G, p).dims(max_deg)
     if dims and (dims[0] != 1 or min(dims) < 0):
         raise InvariantViolation(

@@ -311,6 +311,19 @@ class TestModule:
         assert (code, text) == (1, "")
         assert "error: BadParameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["dims", "--group", "S4", "--p", "2", "--max-deg", "-1"],
+        ["poincare", "--group", "Z2", "--p", "2", "--den", "1", "--max-deg", "-1"],
+        ["maps", "--group", "S4", "--p", "2", "--sub", "sylow:2", "--max-deg", "-2"],
+        ["actions", "--group", "Q8", "--max-deg", "-3"],
+    ])
+    def test_negative_degree_refused(self, capsys, argv):
+        """dims and maps printed only a table header, and actions a full
+        report whose periodicity evidence came from no degree."""
+        code, text = run(argv)
+        assert (code, text) == (1, "")
+        assert "error: BadParameters" in capsys.readouterr().err
+
     def test_bad_module_file(self, tmp_path, Z4, capsys):
         f = tmp_path / "bad.mod"
         f.write_text("p 2\ndim 2\nmat\n0 1\n1 1\n")  # order-3 matrix over F_2

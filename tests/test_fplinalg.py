@@ -618,6 +618,43 @@ class TestIncrementalSpan:
         odd = np.full((1, k_max + 1), p - 2, dtype=np.float64)
         assert int((odd @ odd.T)[0, 0]) != (k_max + 1) * (p - 2) ** 2
 
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_matmul_mod_at_float32_bound(self, p):
+        """float32 up to the last k with k (p - 1)^2 < 2^24, float64 from
+        the first k past it, and the int64 product mod p on both sides.
+        Entries p - 1 make every partial sum as large as the bound allows."""
+        from modcoh.fplinalg import _matmul_mod, _product_dtype
+        k_max = (2 ** 24 - 1) // (p - 1) ** 2
+        assert _product_dtype(k_max, p) is np.float32
+        assert _product_dtype(k_max + 1, p) is np.float64
+        rng = np.random.default_rng(p)
+        for k in (k_max, k_max + 1):
+            for a, b in ((np.full((1, k), p - 1, dtype=np.uint8),
+                          np.full((k, 1), p - 1, dtype=np.uint8)),
+                         (rng.integers(0, p, size=(1, k), dtype=np.uint8),
+                          rng.integers(0, p, size=(k, 1), dtype=np.uint8))):
+                want = sum(a[:, i:i + 2 ** 20].astype(np.int64) @ b[i:i + 2 ** 20].astype(np.int64)
+                           for i in range(0, k, 2 ** 20)) % p
+                got = _matmul_mod(a, b, p)
+                assert got.dtype == np.int64 and np.array_equal(got, want), k
+
+    def test_matmul_mod_copies_no_input_in_the_product_dtype(self):
+        from modcoh.fplinalg import _matmul_mod
+        a = np.ones((3, 4), dtype=np.float32)
+        b = np.ones((4, 2), dtype=np.float32)
+        seen = []
+        real_astype = np.ndarray.astype
+
+        class Spy(np.ndarray):
+            def astype(self, dtype, *args, **kwargs):
+                out = real_astype(np.asarray(self), dtype, *args, **kwargs)
+                seen.append(np.shares_memory(out, self))
+                return out
+
+        assert np.array_equal(_matmul_mod(a.view(Spy), b.view(Spy), 5),
+                              np.full((3, 2), 4))
+        assert seen == [True, True]
+
     def test_matmul_mod_small_primes(self):
         from modcoh.fplinalg import _matmul_mod
         rng = np.random.default_rng(47)

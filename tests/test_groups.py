@@ -264,6 +264,19 @@ class TestSubgroups:
         with pytest.raises(BadParameters, match="not closed under product"):
             Subgroup(G, [0, G.generator_indices[0]]).as_group()
 
+    def test_as_group_is_built_once_per_member_set(self, monkeypatch):
+        """sylow returns a new Subgroup on every call; the standalone group
+        of its members is built once and kept on G, so every call shares it."""
+        G = symmetric4()
+        built = []
+        standalone = Subgroup._standalone
+        monkeypatch.setattr(Subgroup, "_standalone",
+                            lambda self: built.append(self) or standalone(self))
+        P, Q = sylow(G, 2), sylow(G, 2)
+        assert P is not Q and P.as_group() is Q.as_group() is P.as_group()
+        assert len(built) == 1
+        assert group_cache(G)[("as_group", P.member_indices)] is P.as_group()
+
     def test_center_q8(self):
         G = quaternion8()
         Z = center(G)

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from modcoh import catalog
+from modcoh import catalog, fplinalg, groups
 from modcoh.cohmaps import context, restriction, trivial_coefficients
 from modcoh.errors import DegreeMismatch, InvariantViolation, LiftFailure, NotMaximal
 from modcoh.gmodules import trivial_module
@@ -22,6 +22,9 @@ from modcoh.resolutions import FreeResolution, cohomology_dims, trivial_resoluti
 from cochain_oracle import coset_sum_matrix
 from diagonal_oracle import cup, diagonal_approximation, product_span_dim
 from presentations import PRODUCT_ORACLES
+from resolution_oracle import full_boundary_lift
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +353,22 @@ class TestProductTable:
             assert span == oracle.product_span_dim(i, j)
             assert total == oracle.component_dim(i + j)
 
+    def test_d8xd8_table_through_degree_5_traced_peak(self):
+        """Untwisted lifts build no expanded tau.  Lifts that expand each
+        Phi_{k-1} into tau peak near 238 MiB on D8 x D8's table through
+        degree 5; without tau the peak stays well under this bound."""
+        import tracemalloc
+        from modcoh.fileio import parse_group_file
+        from modcoh.products import product_table_csv
+        G = parse_group_file((DATA / "D8xD8.grp").read_text())
+        tracemalloc.start()
+        try:
+            product_table_csv(G, 2, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2 ** 20, peak / 2 ** 20
+
     def test_d8xd8_table_through_degree_5_is_pinned(self):
         """The SHA-256 of D8 x D8's product table through total degree 5:
         every lift step of every degree-i class batch on an order-64 group."""
@@ -360,3 +379,32 @@ class TestProductTable:
         assert text.splitlines()[-1] == "2,3,56,56"  # dim H^5 = C(8, 3), Kunneth
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "6fde7903079c5f1537e5674e5bee844b6a62b7b5bbfc62cebb0209ef9d75fbdd"
+
+
+class TestUntwistedLiftBlocks:
+    @pytest.mark.parametrize("per_block", ["one h", "all of P"])
+    def test_blocked_lifts_match_full_boundary_lifts(self, monkeypatch, per_block):
+        """Each untwisted step multiplies Phi by W gathered at h u^-1, one
+        product per block of h under the entry budget `groups._BLOCK`.  On
+        D8 x D8's cocycle batches, with the budget set to one h per block
+        and to all of P in one block, every Phi_k is byte for byte the lift
+        solved on the full d_k, and each step runs as many products as
+        blocks, plus the exactness check and the solve."""
+        from modcoh.fileio import parse_group_file
+        G, top = parse_group_file((DATA / "D8xD8.grp").read_text()), 4
+        ring = CupRing(G, 2, top)
+        batches = [(i, ring.basis(i).classes) for i in range(top)]
+        ring.resolution.extend_to(top)._factor(top)
+        blocks = {"one h": G.order, "all of P": 1}[per_block]
+        monkeypatch.setattr(groups, "_BLOCK", 1 if blocks > 1 else 1 << 40)
+        calls = []
+        product = fplinalg._matmul_mod
+        monkeypatch.setattr(fplinalg, "_matmul_mod",
+                            lambda a, b, p: calls.append(1) or product(a, b, p))
+        for i, classes in batches:
+            del calls[:]
+            got = ring._lift(classes.T, i, top - i)
+            assert len(calls) == (top - i) * (blocks + 2)
+            want = full_boundary_lift(ring.resolution, got[:1], i, top - i)
+            assert [a.dtype for a in got] == [b.dtype for b in want]
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], i

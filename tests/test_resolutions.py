@@ -599,10 +599,38 @@ class TestExtDims:
         # a zero delta^0 makes Ext^0 all of N, not the one-dimensional N^G
         monkeypatch.setattr(resolutions, "_hom_delta",
                             lambda res, M, i, cosets=None: real(res, M, i, cosets) * (i != 0))
-        with pytest.raises(InvariantViolation, match="N\\^G"):
+        with pytest.raises(InvariantViolation, match="N\\)\\^G"):
             ext_dims(triv, N, 2)
-        # the check is on Ext^0 with trivial one-dimensional source only
+        # a free source has no delta^0 to zero: Hom_G(F_2[G], N) is all of N
         assert ext_dims(N, N, 0).dims == (8,)
+
+    def test_ext0_is_hom_for_every_corpus_module(self):
+        """Ext^0(M, N) = Hom_G(M, N) for the corpus modules, as source and as
+        target against the trivial and the regular module: the dimension of
+        the X with N(s) X = X M(s) for the generators s, solved apart from
+        both the Hom complex and the tensor module the check reads."""
+        def hom_dim(M, N):
+            eye_m, eye_n = np.eye(M.dim, dtype=np.int64), np.eye(N.dim, dtype=np.int64)
+            # column-major vec: vec(N X - X M) = (I (x) N - M^T (x) I) vec(X)
+            rows = [np.kron(eye_m, N.action[s]) - np.kron(M.action[s].T, eye_n)
+                    for s in M.group.generator_indices]
+            return M.dim * N.dim - len(fplinalg.rref_pivots(np.vstack(rows) % M.p, M.p))
+
+        for _, M in build_corpus():
+            G = M.group
+            for other in (trivial_module(G, 2), regular_module(G, 2)):
+                for A, B in ((M, other), (other, M)):
+                    assert ext_dims(A, B, 0).dims[0] == hom_dim(A, B)
+
+    def test_ext0_mismatch_raises_for_any_source(self, D8):
+        """A zeroed d_1 on the resolution of a permutation module makes
+        Ext^0(F_2[D8/Z], F_2[D8]) all 8 of P_0's values, not Hom_G's 4."""
+        M, N = permutation_module(D8, center(D8), 2), regular_module(D8, 2)
+        res = free_resolution(M, 1, minimal=True)
+        assert ext_dims(M, N, 0, resolution=res).dims == (4,)
+        res.boundaries[0] = np.zeros_like(res.boundaries[0])
+        with pytest.raises(InvariantViolation, match="Ext\\^0 has dimension 8"):
+            ext_dims(M, N, 0, resolution=res)
 
 
 class TestMinimalRankIdentity:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from modcoh import catalog, groups
+from modcoh import catalog, fplinalg, groups
 from modcoh.cohmaps import (
     StableElements,
     clear_context_cache,
@@ -183,6 +183,55 @@ def test_corrupted_multiplicity_raises():
     state.identity_count, state._stable = 2, {}
     with pytest.raises(InvariantViolation):
         state.stable(0)
+
+
+class TestOneReductionPerCall:
+    """dims reduces every degree not reduced yet in one block-diagonal
+    Mackey matrix: one M^2 check and one `fplinalg.rref_array`."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        reduced, products = [], []
+        rref, product = fplinalg.rref_array, fplinalg._matmul_mod
+        monkeypatch.setattr(fplinalg, "rref_array",
+                            lambda a, p: reduced.append(np.shape(a)) or rref(a, p))
+        monkeypatch.setattr(fplinalg, "_matmul_mod",
+                            lambda a, b, p: products.append(a.shape) or product(a, b, p))
+        return reduced, products
+
+    @pytest.mark.parametrize("name,p", [("S4", 2), ("S4", 3), ("L3_2", 2)])
+    def test_dims_reduce_once(self, monkeypatch, name, p):
+        G = catalog.get_group(name)
+        ranks = StableElements(G, p).resolution.extend_to(8).ranks
+        state, before = StableElements(G, p), StableElements(G, p)
+        state.lifts(8)  # the lifts' own products are not counted
+        reduced, products = self.spy(monkeypatch)
+        assert state.dims(8) == catalog.expected_dims(name, p, 8).dims
+        width = sum(ranks[:9])
+        assert reduced == [(width, width)] and products == [(width, width)]
+        # the same bases as one reduction per degree
+        for i in range(9):
+            M = before.mackey_matrix(i)
+            rows, rank = fplinalg.rref_array(M, p)
+            assert state.stable(i).tobytes() == rows[:rank].tobytes(), i
+            assert state.stable(i).dtype == rows.dtype
+
+    def test_only_missing_degrees_are_reduced(self, monkeypatch):
+        G = catalog.get_group("S4")
+        ranks = StableElements(G, 2).resolution.extend_to(8).ranks
+        reduced, _ = self.spy(monkeypatch)
+        state = StableElements(G, 2)
+        state.dims(3)
+        state.stable(3)
+        assert reduced == [(sum(ranks[:4]),) * 2]
+        state.dims(8)
+        assert reduced[1:] == [(sum(ranks[4:9]),) * 2]
+        fresh = StableElements(G, 2)
+        fresh.stable(3)
+        fresh.dims(8)
+        width = sum(ranks[:9]) - ranks[3]
+        assert reduced[2:] == [(ranks[3],) * 2, (width, width)]
+        assert fresh.dims(8) == state.dims(8) and len(reduced) == 4
 
 
 def translation(P, r, h):
