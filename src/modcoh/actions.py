@@ -26,7 +26,7 @@ filter over its result and the p-ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -140,29 +140,10 @@ class ConditionReport:
     primes: tuple[PrimeReport, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "order": self.order,
-            "r_of_G": self.r_of_G,
-            "swan_ok": self.swan_ok,
-            "twop_central_ok": self.twop_central_ok,
-            "twop_cyclic_ok": self.twop_cyclic_ok,
-            "mtw_ok": self.mtw_ok,
-            "wolf_pq_ok": self.wolf_pq_ok,
-            "periodic_ok": self.periodic_ok,
-            "primes": {
-                str(pr.p): {
-                    "p2_ok": pr.p2_ok,
-                    "twop_cyclic_ok": pr.twop_cyclic_ok,
-                    "p_rank": pr.p_rank,
-                    "duflot_z": pr.duflot_z,
-                    "krull_pole": pr.krull_pole,
-                    "periodic_ok": pr.periodic_ok,
-                    "observed_dim_period": pr.observed_dim_period,
-                }
-                for pr in self.primes
-            },
-        }
+        """The fields as plain data, primes keyed by str(p) and without p."""
+        out = asdict(self)
+        out["primes"] = {str(pr.pop("p")): pr for pr in out["primes"]}
+        return out
 
 
 def _twop_cyclic_at(p: int, rank: int, pq_orders: set[int]) -> bool:

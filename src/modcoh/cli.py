@@ -3,9 +3,9 @@
 Subcommands:
 
     dims      --group NAME|file:PATH --p P --max-deg N [--format F]
-    poincare  --group ... --p P --den 1,1,2 [--max-deg N]
-    maps      --group ... --p P --sub SPEC --max-deg N [--dcheck]
-    actions   --group ... [--max-deg N]
+    poincare  --group ... --p P --den 1,1,2 [--max-deg N] [--format F]
+    maps      --group ... --p P --sub SPEC --max-deg N [--dcheck] [--format F]
+    actions   --group ... [--max-deg N] [--format F]
     module    --group ... --file PATH --task projective|chouinard|complexity
 
 Group sources are catalog names (Z2, Z4, Z2xZ2, D6, D8, Q8, Q16, A4, S4,
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -35,7 +36,7 @@ import sys
 import numpy as np
 
 from . import catalog, fileio
-from .actions import full_report
+from .actions import ConditionReport, PrimeReport, full_report
 from .cohmaps import MapBuilder, trivial_coefficients
 from .errors import BadParameters, InvariantViolation, ModcohError, NoExpectedData
 from .groups import FiniteGroup, center, require_prime, subgroup_closure, sylow
@@ -160,18 +161,13 @@ def cmd_poincare(args, out) -> int:
         return EXIT_NOFIT
     den = " ".join(f"(1-t^{d})" for d in fit.denominator_exponents) or "1"
     if args.format == "json":
-        json.dump({"numerator": list(fit.numerator),
-                   "denominator_exponents": list(fit.denominator_exponents),
-                   "verified_through": fit.verified_through},
-                  out, sort_keys=True)
+        json.dump(dataclasses.asdict(fit), out, sort_keys=True)
         out.write("\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("numerator", "denominator_exponents",
-                         "verified_through"))
-        writer.writerow((" ".join(map(str, fit.numerator)),
-                         " ".join(map(str, fit.denominator_exponents)),
-                         fit.verified_through))
+        _emit_table(("numerator", "denominator_exponents", "verified_through"),
+                    [(" ".join(map(str, fit.numerator)),
+                      " ".join(map(str, fit.denominator_exponents)),
+                      fit.verified_through)], "csv", out)
     else:
         out.write(f"numerator: {_format_poly(fit.numerator)}\n")
         out.write(f"denominator: {den}\n")
@@ -211,24 +207,21 @@ def cmd_actions(args, out) -> int:
     G, _ = _load_group(args.group, args.size_cap)
     rep = full_report(G, max_deg=args.max_deg)
     payload = rep.as_dict()
+    keys = [f.name for f in dataclasses.fields(ConditionReport) if f.name != "primes"]
     if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        head = ["group", "order", "r_of_G", "swan_ok", "twop_central_ok",
-                "twop_cyclic_ok", "mtw_ok", "wolf_pq_ok", "periodic_ok"]
-        writer.writerow(head + ["p", "p2_ok", "p_rank", "duflot_z",
-                                "krull_pole", "observed_dim_period"])
-        for p, pr in sorted(payload["primes"].items(), key=lambda kv: int(kv[0])):
-            writer.writerow([payload[k] for k in head] +
-                            [p, pr["p2_ok"], pr["p_rank"], pr["duflot_z"],
-                             pr["krull_pole"], pr["observed_dim_period"]])
+        # a csv column per name: the per-prime fields that share a group-level
+        # field's name are left out
+        prime_keys = [f.name for f in dataclasses.fields(PrimeReport) if f.name not in keys]
+        rows = [[getattr(rep, k) for k in keys] + [getattr(pr, k) for k in prime_keys]
+                for pr in rep.primes]
+        _emit_table(keys + prime_keys, rows, "csv", out)
     elif args.format == "json":
         json.dump(payload, out, indent=1, sort_keys=True)
         out.write("\n")
     else:
-        for key in ("group", "order", "r_of_G", "swan_ok", "twop_central_ok",
-                    "twop_cyclic_ok", "mtw_ok", "wolf_pq_ok", "periodic_ok"):
+        for key in keys:
             out.write(f"{key}: {payload[key]}\n")
-        for p, pr in sorted(payload["primes"].items(), key=lambda kv: int(kv[0])):
+        for p, pr in payload["primes"].items():
             flat = ", ".join(f"{k}={v}" for k, v in sorted(pr.items()))
             out.write(f"p={p}: {flat}\n")
     return EXIT_OK
@@ -265,11 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="mod-p cohomology workbench for finite groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=True):
         p.add_argument("--group", required=True,
                        help="catalog name or file:PATH")
-        p.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text")
+        if formats:  # every report but `module`'s
+            p.add_argument("--format", choices=("text", "csv", "json"),
+                           default="text")
         p.add_argument("--size-cap", type=int, default=2000,
                        help="group enumeration cap for file groups")
 
@@ -299,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--max-deg", type=int, default=10)
 
     mod = sub.add_parser("module", help="projectivity/complexity of a module file")
-    common(mod)
+    common(mod, formats=False)
     mod.add_argument("--file", required=True)
     mod.add_argument("--task", choices=("projective", "chouinard", "complexity"),
                      required=True)

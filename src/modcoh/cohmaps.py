@@ -90,13 +90,13 @@ class CochainComplex:
 class CohBasis:
     """Canonical basis of H^i with explicit cocycle representatives.
 
-    Coordinates drop the coboundaries.  Without coboundaries (a zero Hom
-    differential, as on a minimal resolution with trivial coefficients) a
-    vector outside the span of the classes is no cocycle of this basis.
+    Coordinates drop the coboundaries, an array of rows.  With zero rows (a
+    zero Hom differential, as on a minimal resolution with trivial
+    coefficients) a vector outside the span of the classes is no cocycle.
 
     The c rows of B, the classes and then a basis of the coboundaries, are
     independent and span the cocycles Z^i, which come in as their RREF U
-    with pivots piv (a context's elimination of delta^i has both; without
+    with pivots piv (a context's elimination of delta^i has both; with no
     coboundaries U is the RREF of the classes).  So a cocycle v is x . B
     for exactly one x, and x[:dim] are its coordinates.  v lies in Z^i
     exactly when its residual against U is zero, and then v = v[piv] . U;
@@ -107,7 +107,7 @@ class CohBasis:
     """
 
     def __init__(self, p: int, degree: int, reps: np.ndarray,
-                 coboundaries: np.ndarray | None, cocycles: np.ndarray,
+                 coboundaries: np.ndarray, cocycles: np.ndarray,
                  pivots: np.ndarray) -> None:
         self.p = p
         self.degree = degree
@@ -123,8 +123,7 @@ class CohBasis:
     @functools.cached_property
     def _inverse(self) -> np.ndarray:
         """T[:, :dim], T the inverse of B[:, piv]."""
-        rows = self.classes if self._coboundaries is None else \
-            np.vstack([self.classes, self._coboundaries])
+        rows = np.vstack([self.classes, self._coboundaries])
         _, inverse = fplinalg.pivot_inverse(rows[:, self._pivots], self.p)
         return inverse[:, :self.dim].astype(np.int64)
 
@@ -244,12 +243,12 @@ def trivial_coefficients(G: FiniteGroup, p: int) -> GModule:
     return _memo(G, ("coefficients", p), lambda: trivial_module(G, p))
 
 
-def context(G: FiniteGroup, M: GModule, subgroup: Subgroup | None = None,
-            length: int = 1) -> CochainContext:
-    """Cochain context for a subgroup (default: G itself) on G's resolution."""
+def context(G: FiniteGroup, M: GModule, subgroup: Subgroup | None = None) -> CochainContext:
+    """Cochain context for a subgroup (default: G itself) on G's resolution,
+    which `cochain_dim` and `differential` extend as far as they read."""
     if subgroup is None:
         subgroup = whole_group(G)
-    res = trivial_resolution(G, M.p, max(length, 1))
+    res = trivial_resolution(G, M.p, 1)
     return _memo(G, ("context", M, subgroup.member_indices),
                  lambda: CochainContext(res, subgroup, M))
 
@@ -398,11 +397,6 @@ def _require_nested(H: Subgroup, K: Subgroup) -> None:
 
 
 # -- public operations --------------------------------------------------------
-
-def coh_basis(G: FiniteGroup, M: GModule, i: int) -> CohBasis:
-    """Canonical basis of H^i(G, M) with explicit cocycle representatives."""
-    return context(G, M, length=i + 1).basis(i)
-
 
 def restriction(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
                 K: Subgroup | None = None) -> CohMap:
@@ -639,7 +633,7 @@ def stable_subspace(G: FiniteGroup, p: int, i: int):
 def detection_check(G: FiniteGroup, p: int, subgroups, i: int) -> bool:
     """Whether the joint restriction to the subgroups is injective on H^i(G)."""
     M = trivial_coefficients(G, p)
-    top = context(G, M, length=i + 1).basis(i)
+    top = context(G, M).basis(i)
     if top.dim == 0:
         return True
     blocks = [restriction(G, H, M, i).matrix for H in subgroups]

@@ -111,7 +111,7 @@ def restrict_module(M: GModule, H: Subgroup) -> GModule:
     if H.parent is not M.group:
         raise GroupMismatch("subgroup of a different group")
     Hgrp = H.as_group()
-    embedding = list(H.parent_embedding())
+    embedding = list(H.member_indices)
     return GModule(Hgrp, M.p, M.action[embedding], validate=False)
 
 
@@ -129,7 +129,7 @@ def induce_module(M: GModule, H: Subgroup) -> GModule:
     m, d = len(reps), M.dim
     # t_j h, for h the k-th member of H, lies in coset j at H-position k
     coset, position = np.empty((2, G.order), dtype=np.intp)
-    cosets = G.mul[np.ix_(reps, H.parent_embedding())]
+    cosets = G.mul[np.ix_(reps, H.member_indices)]
     coset[cosets] = np.arange(m)[:, None]
     position[cosets] = np.arange(H.order)
     moved = G.mul[:, reps]  # moved[g, i] = g t_i
@@ -170,14 +170,19 @@ def direct_sum(M: GModule, N: GModule) -> GModule:
 
 
 def invariants(M: GModule) -> FpSubspace:
-    """Fixed subspace M^G, the kernel of the stacked (action(s) - 1).
-
-    s runs over the generators: a vector fixed by them is fixed by G.
-    """
+    """Fixed subspace M^G: a vector fixed by the generators is fixed by G."""
     gens = np.asarray(M.group.generator_indices, dtype=np.intp)
-    stacked = (M.action[gens] - np.eye(M.dim, dtype=np.int64)).reshape(-1, M.dim)
-    basis, pivots, _ = fplinalg.kernel(stacked, M.p)
-    return FpSubspace.from_rref(M.p, basis, pivots)
+    return fixed_space(M.action[gens], M.p)
+
+
+def fixed_space(mats: np.ndarray, p: int) -> FpSubspace:
+    """The vectors that every matrix of the stack fixes: the kernel of the
+    stacked (mats[s] - 1), built in one copy of mats."""
+    stacked = np.array(mats, dtype=np.int64)
+    dim = stacked.shape[-1]
+    stacked[:, np.arange(dim), np.arange(dim)] -= 1
+    basis, pivots, _ = fplinalg.kernel(stacked.reshape(-1, dim), p)
+    return FpSubspace.from_rref(p, basis, pivots)
 
 
 def radical_rows(M: GModule) -> np.ndarray:

@@ -360,10 +360,9 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         """The subgroup re-enumerated as a standalone group.
 
-        Elements keep their parent-index order (identity stays first); the
-        parent indices are recoverable through parent_embedding().  It is
-        built once per member set and kept in the parent's memo table, so
-        every Subgroup object with these members shares it; it refers to
+        Element k is the parent's member_indices[k] (identity stays first).
+        It is built once per member set and kept in the parent's memo table,
+        so every Subgroup object with these members shares it; it refers to
         nothing of the parent.
         """
         return _memo(self.parent, ("as_group", self.member_indices), self._standalone)
@@ -379,10 +378,6 @@ class Subgroup:
         return FiniteGroup(G.degree, [G.elements[i] for i in self.member_indices],
                            _greedy_generators(table), name=f"{G.name}:sub{self.order}",
                            mul_table=table)
-
-    def parent_embedding(self) -> tuple[int, ...]:
-        """parent index of each as_group element, in as_group order."""
-        return self.member_indices
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"

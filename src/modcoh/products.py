@@ -54,7 +54,7 @@ class CupRing:
         """The stable classes of H^i(P), one basis per degree."""
         if i not in self._bases:
             stable = self.stable_elements.stable(i)  # RREF: its own cocycle span
-            self._bases[i] = CohBasis(self.p, i, stable, None, stable,
+            self._bases[i] = CohBasis(self.p, i, stable, stable[:0], stable,
                                       fplinalg.pivot_columns(stable))
         return self._bases[i]
 

@@ -15,10 +15,6 @@ at[g, c] = j n + g^{-1} h for piv[c] = j n + h (`_translates`).  The
 generators picked from K's rows are those of a full-width scan, since
 taking coordinates is an isomorphism of K onto F_p^k.
 
-Stage L + 1 picks its generators with the translates at of ker d_L's
-pivots, and the next `_pivot_rows(L + 1)`, which eliminates ker d_{L+1},
-gathers with the same at: it is kept until then, not built twice.
-
 Minimal resolutions are constructed only over p-groups, where the
 augmentation ideal I is the radical: by Nakayama, a minimal generating set
 of K lifts a basis of K / I . K, picked as the rows of K outside I . K and
@@ -207,9 +203,6 @@ class FreeResolution:
         self._factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # (j, per) once stage j + per repeats stage j: later stages are copies
         self._period: tuple[int, int] | None = None
-        # (i, at): the translates of ker d_{i-1}'s pivots, which stage i's
-        # generators were picked with, until _pivot_rows(i) reads them
-        self._translated: tuple[int, np.ndarray] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -302,11 +295,7 @@ class FreeResolution:
         # over GF(2) gathered as bytes, which the kernel elimination reads
         W = self.boundaries[i - 1].astype(np.uint8 if self.p == 2 else np.int64, copy=False)
         piv = self._kernel_pivots[i - 1]
-        if self._translated is not None and self._translated[0] == i:
-            at, self._translated = self._translated[1], None
-        else:
-            at = self._translates(piv)
-        rows = W.T[:, at.T]  # rows[k, c, g] = d_i[piv[c], k n + g]
+        rows = W.T[:, self._translates(piv).T]  # rows[k, c, g] = d_i[piv[c], k n + g]
         return rows.transpose(1, 0, 2).reshape(len(piv), W.shape[1] * self._n)
 
     def _newest_kernel(self) -> np.ndarray:
@@ -337,7 +326,6 @@ class FreeResolution:
         W = np.ascontiguousarray(K[self._kernel_generators(K, at)].T, dtype=np.int64)
         self.ranks.append(W.shape[1])
         self.boundaries.append(W)
-        self._translated = (self.length, at)  # the pivots that _pivot_rows(length) reads
         self._kernel = None
         self._period = self._find_period()
 
@@ -539,9 +527,8 @@ def trivial_resolution(G: FiniteGroup, p: int, length: int) -> FreeResolution:
         trivial_module(G, p), minimal=G.is_p_group(p))).extend_to(length)
 
 
-def clear_resolution_cache() -> None:
-    """Empty every group's cache: resolutions, and all that is built on them."""
-    clear_group_caches()
+# resolutions, and all that is built on them, live in the groups' caches
+clear_resolution_cache = clear_group_caches
 
 
 def syzygy(M: GModule, i: int) -> GModule:
@@ -605,8 +592,8 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
     """dim Ext^i_{F_p[G]}(M, N) for 0 <= i <= max_deg.
 
     Post-condition, raising InvariantViolation: Ext^0 = Hom_G(M, N) is the
-    fixed space (M* (x) N)^G, computed apart from the Hom complex
-    (`gmodules.invariants`).
+    fixed space (M* (x) N)^G, computed apart from the Hom complex from the
+    generators' matrices M*(s) (x) N(s) alone (`gmodules.fixed_space`).
     """
     if M.group is not N.group or M.p != N.p:
         raise GroupMismatch("Ext arguments live over different algebras")
@@ -628,7 +615,11 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
         dims.append(cur_dim - rank_i - prev_rank)
         prev_rank = rank_i
     if dims:
-        fixed = gmodules.invariants(gmodules.tensor_module(dual_module(M), N)).dim
+        gens = list(M.group.generator_indices)
+        # M*(s) (x) N(s), M*(s) = M(s^-1)^T: entry (a c, b d) is M(s^-1)[b, a] N(s)[c, d]
+        mats = np.einsum("sba,scd->sacbd", M.action[M.group.inv[gens]], N.action[gens],
+                         order="C").reshape(len(gens), M.dim * N.dim, -1)
+        fixed = gmodules.fixed_space(mats, p).dim
         if dims[0] != fixed:
             raise InvariantViolation(f"Ext^0 has dimension {dims[0]}, (M* (x) N)^G {fixed}")
     return DimSeries(tuple(dims), p,

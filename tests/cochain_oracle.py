@@ -104,5 +104,5 @@ def densify(src, coset_sum) -> np.ndarray:
 def coset_sum_matrix(src, dst, i: int, C) -> np.ndarray:
     """The degree-i cochain map of the production index map: the densified
     block on each free generator."""
-    eye = np.eye(src.resolution.ranks[i], dtype=np.int64)
+    eye = np.eye(src.resolution.extend_to(i + 1).ranks[i], dtype=np.int64)
     return np.kron(eye, densify(src, _coset_sum_cochain(src, dst, C)))

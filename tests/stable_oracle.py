@@ -55,7 +55,7 @@ def stable_subspace(G: FiniteGroup, p: int, i: int):
         raise BadParameters(f"p = {p} does not divide |{G.name}| = {G.order}")
     M = trivial_coefficients(G, p)
     P = sylow(G, p)
-    base = context(G, M, P, length=i + 1).basis(i)
+    base = context(G, M, P).basis(i)
     if base.dim == 0:
         return 0, np.zeros((0, 0), dtype=np.int64)
     rows = []

@@ -6,11 +6,16 @@ H^*(G, F_p) that shares nothing with the resolution pipeline except the
 rank routine.  Degrees are capped by |G|^n growth.
 """
 
+import functools
+import random
+
 import numpy as np
 import pytest
 
 from modcoh import catalog
+from modcoh.errors import GroupTooLarge
 from modcoh.fplinalg import rref_array
+from modcoh.groups import generate_group, prime_factors
 from modcoh.resolutions import cohomology_dims
 
 
@@ -79,3 +84,35 @@ def test_bar_complex_agrees(name, p, max_deg):
     G = catalog.get_group(name)
     assert bar_cohomology_dims(G, p, max_deg) == \
         cohomology_dims(G, p, max_deg).dims
+
+
+RANDOM_GROUPS = 12
+
+
+@functools.cache
+def random_groups(seed=20261020, cap=16):
+    """Groups generated by two seeded random permutations of degree 2 to 6:
+    no trivial group, no closure larger than cap, and at most two groups of
+    each order, which random pairs would otherwise fill with Z2 and S3.
+    Random generators order the elements as no catalog group does."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < RANDOM_GROUPS:
+        degree = rng.randint(2, 6)
+        gens = [rng.sample(range(degree), degree) for _ in range(2)]
+        try:
+            G = generate_group(degree, gens, name=f"R{len(found)}", cap=cap)
+        except GroupTooLarge:
+            continue
+        if G.order > 1 and sum(H.order == G.order for H in found) < 2:
+            found.append(G)
+    return tuple(found)
+
+
+@pytest.mark.parametrize("k", range(RANDOM_GROUPS))
+def test_random_group_agrees_with_bar_complex(k):
+    """Resolution dims against the bar complex through degree 2, at each
+    prime dividing the order (Sylow-local for non-p-groups)."""
+    G = random_groups()[k]
+    for p in prime_factors(G.order):
+        assert cohomology_dims(G, p, 2).dims == bar_cohomology_dims(G, p, 2), (G.order, p)

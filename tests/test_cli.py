@@ -281,6 +281,17 @@ class TestModule:
         assert text == ""
         assert "InvariantViolation" in capsys.readouterr().err
 
+    def test_format_is_refused(self, tmp_path, D8, capsys):
+        """`module` prints text only: --format, which it used to accept and
+        ignore, is an unrecognized argument (argparse exit 2)."""
+        f = tmp_path / "triv.mod"
+        f.write_text(fileio.format_module_file(2, [[[1]]] * len(D8.generator_indices)))
+        with pytest.raises(SystemExit) as exc:
+            run(["module", "--group", "D8", "--file", str(f), "--task", "projective",
+                 "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_module_file_with_two_matrices_for_one_generator(self, tmp_path, capsys):
         group = tmp_path / "z2.grp"
         group.write_text("name Z2\ndegree 2\ngen [1,0]\ngen [1,0]\n")

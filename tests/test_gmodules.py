@@ -165,7 +165,7 @@ def induce_by_scan(M, H):
     try each representative t_j until t_j^{-1} g t_i lies in H."""
     G = H.parent
     reps = coset_representatives(G, H)
-    pos_in_H = {idx: k for k, idx in enumerate(H.parent_embedding())}
+    pos_in_H = {idx: k for k, idx in enumerate(H.member_indices)}
     d = M.dim
     action = np.zeros((G.order, len(reps) * d, len(reps) * d), dtype=np.int64)
     for g in range(G.order):

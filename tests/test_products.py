@@ -198,9 +198,9 @@ class TestCup:
         p = 2
         M = trivial_coefficients(S4, p)
         P = sylow(S4, 2)
-        ctx = context(S4, M, length=5)
+        ctx = context(S4, M)
         diag = diagonal_approximation(ctx.resolution, 4)
-        sub_ctx = context(S4, M, P, length=5)
+        sub_ctx = context(S4, M, P)
         for i, j in [(1, 1), (1, 2), (2, 2)]:
             res_ij = restriction(S4, P, M, i + j)
             for a in ctx.basis(i).classes:
@@ -268,7 +268,7 @@ class TestAgainstGResolution:
     def test_span_dims(self, name, p, max_deg):
         G = catalog.get_group(name)
         ring = CupRing(G, p, max_deg)
-        ctx = context(G, trivial_coefficients(G, p), length=max_deg + 1)
+        ctx = context(G, trivial_coefficients(G, p))
         diag = diagonal_approximation(ctx.resolution, max_deg)
         for i in range(1, max_deg):
             for j in range(i, max_deg - i + 1):

@@ -622,6 +622,38 @@ class TestExtDims:
                 for A, B in ((M, other), (other, M)):
                     assert ext_dims(A, B, 0).dims[0] == hom_dim(A, B)
 
+    def test_ext0_agrees_with_the_tensor_module(self):
+        """The check's fixed space of the generators' M*(s) (x) N(s) against
+        the invariants of the whole tensor module M* (x) N, kept here as the
+        oracle: the corpus at p = 2, and A4 and S3 at p = 3."""
+        cases = [(M, other) for _, M in build_corpus()
+                 for other in (trivial_module(M.group, 2), regular_module(M.group, 2))]
+        for name in ("A4", "S3"):
+            G = catalog.get_group(name)
+            mods = [trivial_module(G, 3), regular_module(G, 3),
+                    permutation_module(G, sylow(G, 2), 3)]
+            cases += [(A, B) for A in mods for B in mods]
+        for M, other in cases:
+            for A, B in ((M, other), (other, M)):
+                want = invariants(tensor_module(dual_module(A), B)).dim
+                assert ext_dims(A, B, 0).dims[0] == want
+
+    def test_ext0_check_builds_no_tensor_module(self):
+        """The check reads the generators' M*(s) (x) N(s) alone: for the
+        40-dimensional Q8 corpus module ext_dims(M, M, 0) peaks under three
+        stacks of those matrices, where the tensor module over all of Q8
+        took six and a half."""
+        import tracemalloc
+        M = next(M for name, M in build_corpus() if name == "Q8" and M.dim == 40)
+        stack = len(M.group.generator_indices) * M.dim ** 4 * 8
+        tracemalloc.start()
+        try:
+            assert ext_dims(M, M, 0).dims == (200,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * stack, peak / stack
+
     def test_ext0_mismatch_raises_for_any_source(self, D8):
         """A zeroed d_1 on the resolution of a permutation module makes
         Ext^0(F_2[D8/Z], F_2[D8]) all 8 of P_0's values, not Hom_G's 4."""

@@ -119,7 +119,7 @@ def test_random_permutation_group_products(G):
     through degree 3; the oracle is quadratic in |G|, hence the lower cap."""
     for p in prime_factors(G.order):
         ring = CupRing(G, p, 3)
-        ctx = context(G, trivial_coefficients(G, p), length=4)
+        ctx = context(G, trivial_coefficients(G, p))
         diag = diagonal_approximation(ctx.resolution, 3)
         for i, j in [(1, 1), (1, 2)]:
             assert product_span_dims(G, p, i, j, ring) == product_span_dim(ctx, i, j, diag)
@@ -366,7 +366,7 @@ class TestCaches:
         G = catalog.make_symmetric(4)
         cohomology_dims(G, 2, 4)
         stable_subspace(G, 3, 3)
-        context(G, trivial_coefficients(G, 2), length=3).basis(2)
+        context(G, trivial_coefficients(G, 2)).basis(2)
         CupRing(G, 2, 3).products_of_bases(1, 2)
         refs = [weakref.ref(G), weakref.ref(stable_elements(G, 2).group)]
         del G
