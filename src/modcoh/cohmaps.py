@@ -72,6 +72,7 @@ from .resolutions import (
     _hom_delta,
     clear_resolution_cache,
     trivial_resolution,
+    twist_maps,
 )
 
 
@@ -441,8 +442,12 @@ class StableElements:
     - c_d res_s x composes x, a cochain with the value x_m on every g e_m,
       with a chain map psi: X_* -> X_* over the identity of F_p with
       psi(s x) = (d^{-1} s d) psi(x) for s in S_t, lifted by
-      `FreeResolution.lift` with that twist.  Its value on the free
-      S_t-generator u . e_m is x times column (m, u) of psi summed over P.
+      `FreeResolution.lift` with that twist: the same step as a cup
+      product's, over S_t instead of P, with the rows of psi read through
+      the right cosets of S_s = sigma(S_t).  Both coset tables, columns
+      aligned by sigma, and the step's quotients are built once per pair
+      (`resolutions.Twist`).  psi's value on the free S_t-generator
+      u . e_m is x times column (m, u) of psi summed over P.
     - tr^P_{S_t} of an S_t-cochain y is, with trivial coefficients, the sum
       of its values over S_t's right transversal: tr y (e_m) = sum_u
       y(u . e_m).  That holds exactly at cochain level, and tr sends
@@ -489,8 +494,8 @@ class StableElements:
         self.identity_count, self.pairs = self._double_coset_pairs(G, P)
         # psi_0 per pair: u . e_0 -> 1, over the identity of F_p
         self._lifts = []
-        for _, (cosets, _), _ in self.pairs:
-            psi0 = np.zeros((self.group.order, len(cosets)), dtype=np.int64)
+        for _, twist, _ in self.pairs:
+            psi0 = np.zeros((self.group.order, len(twist.source)), dtype=np.int64)
             psi0[0] = 1
             self._lifts.append([psi0])
         self._stable: dict[int, np.ndarray] = {}
@@ -502,7 +507,8 @@ class StableElements:
         (d, twist, multiplicity) for every other (S_t, sigma) whose sigma is
         not the identity, in the order of their first d: the multiplicity
         is their count mod p, and the pairs where it is 0 are dropped.  The
-        twist (S_t's coset table, sigma) gives sigma[s] = d^{-1} s d in P's
+        twist (`resolutions.Twist`) holds the right-coset tables of S_t and
+        of S_s = sigma(S_t), whose column s is sigma[s] = d^{-1} s d in P's
         indices for the s-th member of S_t (class docstring).
         """
         if P.order == 1:  # every double coset is one d, with S_t = P = 1
@@ -521,8 +527,11 @@ class StableElements:
         pairs = []
         for (members, sigma), ds in counts.items():
             if len(ds) % self.p:
-                cosets = right_coset_table(self.group, Subgroup(self.group, members))
-                twist = (cosets, np.array(sigma, dtype=np.intp))
+                image = Subgroup(self.group, sigma)
+                source = right_coset_table(self.group, Subgroup(self.group, members))
+                target = right_coset_table(self.group, image)[
+                    :, np.searchsorted(image.member_indices, sigma)]
+                twist = twist_maps(self.group, source, target)
                 pairs.append((ds[0], twist, len(ds) % self.p))
         return identity_count, pairs
 

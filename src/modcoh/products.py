@@ -11,15 +11,16 @@ boundaries, by the images of the free generators: Phi_k holds tau(e_{m, 1})
 in column m, of shape (r_k |P|) x r_{i+k}.  Phi_0 is a in row 0 (X_0 has
 rank one), and Phi_k solves d_k Phi_k = tau_{k-1} W_{i+k}, where tau_{k-1}
 is the F_p[P]-linear map that Phi_{k-1} determines and W_{i+k} are the
-generator columns of d_{i+k}: the untwisted `FreeResolution.lift`, which
-never expands tau_{k-1} and multiplies Phi_{k-1} by W_{i+k} gathered at
-h u^{-1} for each h instead.  A right-hand
-side outside the image of d_k means the resolution is not exact there, and
-raises LiftFailure.  The product is the composite b . tau_j with the sign
-of the diagonal-approximation cup product: a cup b = (-1)^{ij}
-(b @ S_j), where row m of S_j sums the |P| rows of block m of Phi_j:
-repeat(b, |P|) @ Phi_j from a product |P| times narrower.  A product of
-stable classes is stable; one outside their span raises InvariantViolation.
+generator columns of d_{i+k}: `FreeResolution.lift` untwisted, the case
+S = P, sigma the identity and one coset of its one step, which never
+expands tau_{k-1} and multiplies Phi_{k-1} by W_{i+k} gathered at h u^{-1}
+for each h instead.  A right-hand side outside the image of d_k means the
+resolution is not exact there, and raises LiftFailure.  The product is
+the composite b . tau_j with the sign of the diagonal-approximation cup
+product: a cup b = (-1)^{ij} (b @ S_j), where row m of S_j sums the |P|
+rows of block m of Phi_j: repeat(b, |P|) @ Phi_j from a product |P| times
+narrower.  A product of stable classes is stable; one outside their span
+raises InvariantViolation.
 
 Only trivial coefficients are supported: every product statement with
 acceptance data lives in H^*(G, F_p).

@@ -6,7 +6,7 @@ d_i is stored only as its generator columns W_i = d_i(e_{k, 1}), one column
 per free generator of P_i (the chosen kernel generators, reduced mod p):
 F_p[G]-linearity determines the rest, and `FreeResolution.expand` builds
 the full matrix, |G| times wider, only where one is needed (exactness
-checks, text output, the translates of a twisted chain map).
+checks and text output).
 
 Each stage works in the coordinates of the kernel K of the newest stage.
 K is held as its canonical RREF basis, with pivot columns piv, so a vector
@@ -101,19 +101,24 @@ the pivots piv' of ker d_{k-2} (the augmentation times rhs, for k = 1),
 and LiftFailure is raised otherwise.  Those rows are stage k - 1's A, kept
 with its factor (`FreeResolution._factor`).
 
-The right-hand side of an untwisted step is tau W for W = W_{shift+k} and
-tau the F_p[G]-linear map of Phi = Phi_{k-1}, and tau is never expanded:
-tau(g . e_m) = g . Phi[:, m] gives
+Every step's right-hand side is tau W for W = W_{shift+k} and tau the map
+Phi = Phi_{k-1} determines, and tau is never expanded.  A lift is
+semilinear over S <= G along sigma: S -> G (`Twist`): cup products lift
+with S = G, sigma the identity; conjugation by d on a Sylow subgroup with
+S = S_t, sigma = d^{-1} (-) d.  Phi holds tau(w . e_m) in column (a, m, w)
+for the representatives w of S's right cosets, column (a, x, t) of tau W
+is tau(t . W_x), and with rows read through sigma(S)'s cosets, h = sigma(s) v,
 
-    rhs[(j, h), (a, x)] = sum_{u, m} Phi[(j, u), (a, m)] W[(m, h u^{-1}), x],
+    rhs[(j, sigma(s) v), (a, x, t)]
+        = sum_{s', m, w} Phi[(j, sigma(s') v), (a, m, w)] W[(m, t^{-1} s s'^{-1} w), x].
 
-so with Phi regrouped once per step to rows (j, a) and columns (u, m),
-each h is one product with W gathered at h u^{-1}, the size of W.  The
-gathers for a block of h run as one product, and a block holds at most
-`groups._BLOCK` entries, or one h; every catalog group's Sylow subgroup
-fits in one block.  A twisted step still gathers tau from Phi, with the
-twist's index maps (`_twist_maps`) built once per `lift` call.  Both kinds
-gather Phi and W already in the dtype of their exact product
+So Phi's rows are relabelled and regrouped once per step, to rows
+(j, v, a) and columns (s', m, w); each s is one product with W gathered at
+the twist's quotients, and its rows go back to (j, sigma(s) v).  An
+untwisted lift is the case of one coset: rhs[(j, h), (a, x)] =
+sum_{u, m} Phi[(j, u), (a, m)] W[(m, h u^{-1}), x].  The gathers for a
+block of s run as one product of at most `groups._BLOCK` gathered entries,
+or one s.  Phi and W are gathered in the dtype of their exact product
 (`fplinalg._product_dtype`: float32 while the inner dimension k keeps
 k (p - 1)^2 below 2^24), so the product converts no operand.
 """
@@ -121,6 +126,7 @@ k (p - 1)^2 below 2^24), so the product converts no operand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,10 +180,38 @@ def _series_entries(series) -> list[int]:
     return [int(x) for x in series]
 
 
+class Twist(NamedTuple):
+    """A lift's semilinearity over S <= G along sigma: S -> G, as index maps
+    (module docstring): source[w, s] = s . w and target[v, s] = sigma(s) . v
+    are the right-coset tables of S and of sigma(S), columns aligned by
+    sigma, and quotients[s', w, s, t] = t^{-1} s s'^{-1} w."""
+
+    source: np.ndarray
+    target: np.ndarray
+    quotients: np.ndarray
+
+
+def twist_maps(G: FiniteGroup, source: np.ndarray, target: np.ndarray) -> Twist:
+    """The Twist of the coset tables source and target, with its quotients."""
+    members, reps = source[0], source[:, 0]
+    left = G.mul[G.inv[members][:, None], reps]  # [s', w] = s'^{-1} w
+    right = G.mul[G.inv[reps], members[:, None]]  # [s, t] = t^{-1} s
+    return Twist(source, target, G.mul[right, left[:, :, None, None]])
+
+
+def untwisted(G: FiniteGroup) -> Twist:
+    """S = G and sigma the identity, one coset: built once per group."""
+    every = np.arange(G.order)[None, :]
+    return _memo(G, ("untwisted",), lambda: twist_maps(G, every, every))
+
+
 class FreeResolution:
     """Staged free resolution ... -> F_p[G]^{r_1} -> F_p[G]^{r_0} -> M -> 0."""
 
     def __init__(self, M: GModule, minimal: bool) -> None:
+        if minimal and not M.group.is_p_group(M.p):
+            raise MinimalityUnavailable(f"{M.group.name} is not a {M.p}-group; minimal "
+                                        "resolutions are only constructed over p-groups")
         self.group: FiniteGroup = M.group
         self.p = M.p
         self.target = M
@@ -214,47 +248,21 @@ class FreeResolution:
             kept = fplinalg.greedy_generators(M.dim, lambda j: M.action[:, :, j], M.p)
         return [eye[i] for i in kept]
 
-    def expand(self, images: np.ndarray, twist=None) -> np.ndarray:
-        """The full matrix of a map out of F_p[G]^r, from generator images.
-
-        Untwisted, the map is F_p[G]-linear and sends e_{k, 1} to column k
-        of images, of shape (r' |G|, r): column k |G| + g of the result is
-        g . images[:, k], so expand(boundaries[i - 1]) is the full d_i.
-
-        A twist (cosets, sigma) makes it semilinear over a subgroup S:
-        x(s . y) = sigma[s] . x(y) for the s-th member of S.  cosets is S's
-        right-coset table as in `_hom_delta` (cosets[u, s] = s . u), and
-        images has one column per free S-generator u . e_k, in (k, u) order,
-        for u = cosets[u, 0].  Every g is s . u, so column k |G| + g of the
-        result is sigma[s] . images[:, (k, u)].
+    def expand(self, images: np.ndarray) -> np.ndarray:
+        """The full matrix of the F_p[G]-linear map out of F_p[G]^r that
+        sends e_{k, 1} to column k of images, of shape (r' |G|, r): column
+        k |G| + g of the result is g . images[:, k], so expand(boundaries[i - 1])
+        is the full d_i.
         """
-        return self._expand(images, self._twist_maps(twist))
-
-    def _twist_maps(self, twist) -> tuple[np.ndarray, np.ndarray | int, int]:
-        """(taken, column, nu) for `_expand`: taken[h, g] = acting[g]^{-1} h,
-        and column[g] = u for g = s . u, over nu cosets (`expand`)."""
-        if twist is None:  # acting[g] = g, column[g] = 0, nu = 1
-            return self._take.T, 0, 1
-        cosets, sigma = twist
-        nu = len(cosets)
-        acting = np.empty(self._n, dtype=np.intp)
-        acting[cosets] = sigma
-        column = np.empty(self._n, dtype=np.intp)
-        column[cosets] = np.arange(nu)[:, None]
-        return self._take.T[:, acting], column, nu
-
-    def _expand(self, images: np.ndarray, maps) -> np.ndarray:
-        """`expand` with the twist's index maps built (`_twist_maps`)."""
-        taken, column, nu = maps
         rows, cols = images.shape
         n = self._n
-        # out[j, h, k, g] = images[j n + acting[g]^{-1} h, k nu + column[g]]
-        # = images[j, at[h, g] + k nu] with images viewed as (r, n cols): one
-        # gather into each block of n rows, in C order, with a flat index
-        at = taken * cols + column
+        # out[j, h, k, g] = images[j n + g^{-1} h, k] = images[j, take[g, h] cols + k]
+        # with images viewed as (r', n cols): one gather into each block of n
+        # rows, in C order, with a flat index
+        at = self._take.T * cols
         out = np.take(images.reshape(rows // n, n * cols),
-                      at[:, None, :] + np.arange(0, cols, nu)[:, None], axis=1)
-        return out.reshape(rows, cols // nu * n)
+                      at[:, None, :] + np.arange(cols)[:, None], axis=1)
+        return out.reshape(rows, cols * n)
 
     def boundary(self, i: int) -> np.ndarray:
         """The full matrix of d_i, r_{i-1}|G| x r_i|G|."""
@@ -354,53 +362,29 @@ class FreeResolution:
         return len(self.boundaries)
 
     def lift(self, lifts: list[np.ndarray], shift: int, steps: int,
-             twist=None) -> list[np.ndarray]:
+             twist: Twist | None = None) -> list[np.ndarray]:
         """Chain maps P_{shift + *} -> P_* by their generator images.
 
-        lifts starts with Phi_0 (entries reduced mod p), the images in P_0
-        of the free generators of P_shift, for c maps side by side: shape (r_0 |G|, c r_shift) with
-        column a r_shift + m for generator m of map a, and (a, m, u) columns
-        under a twist (see `expand`, whose semilinearity the lifts share).
-        Phi_k solves d_k Phi_k = tau_{k-1} d_{shift+k} on the free
-        generators, where tau_{k-1} is the map that Phi_{k-1} determines.
-        The list is extended in place through Phi_steps and returned, so a
-        caller that needs more degrees later resumes where it stopped.  A
-        right-hand side outside the image of d_k, which is ker d_{k-1},
-        raises LiftFailure.  Each step solves on the rows of d_k at the
-        pivots of ker d_{k-1}, with the right-hand side's entries there,
-        through the factor of those rows kept per stage (module docstring).
-
-        Untwisted, tau_{k-1} is never built: F_p[G]-linearity gives
-        rhs[(j, h), (a, x)] = sum_{u, m} Phi[(j, u), (a, m)] W[(m, h u^{-1}), x]
-        for W = W_{shift+k}, one product per block of h (`_untwisted_rhs`).
-        A twisted step gathers tau_{k-1} from Phi_{k-1} with the twist's
-        index maps, built once per call.  Both gather in the dtype of the
-        exact product (`fplinalg._product_dtype`), so it copies no operand.
-
-        Cup products lift cocycles untwisted; conjugation on a Sylow
-        subgroup's resolution lifts the identity of F_p with a twist.
+        The maps are semilinear along the twist, untwisted by default
+        (`untwisted`).  lifts starts with Phi_0 (entries reduced mod p), the
+        images in P_0 of the free S-generators w . e_m of P_shift, for c
+        maps side by side: shape (r_0 |G|, c r_shift nu) for nu = |G : S|,
+        with column (a, m, w) for generator m of map a.  Phi_k solves
+        d_k Phi_k = tau_{k-1} d_{shift+k} on the free S-generators, where
+        tau_{k-1} is the map that Phi_{k-1} determines; it is never built
+        (`_step`).  The list is extended in place through Phi_steps and
+        returned, so a caller that needs more degrees later resumes where
+        it stopped.  A right-hand side outside the image of d_k, which is
+        ker d_{k-1}, raises LiftFailure.  Each step solves on the rows of
+        d_k at the pivots of ker d_{k-1} through the factor of those rows
+        kept per stage (module docstring).
         """
         p, n = self.p, self._n
         self.extend_to(max(shift + steps, 1))
-        if twist is None:
-            nu, quotients = 1, self.group.mul[:, self.group.inv].T  # [u, h] = h u^{-1}
-        else:
-            maps = self._twist_maps(twist)
-            nu = maps[2]
-            # d_{shift+k} on the free generators u . e_m: W[:, take[u]], columns (m, u)
-            on_cosets = self._take[twist[0][:, 0]]
-        count = lifts[0].shape[1] // max(self.ranks[shift] * nu, 1)
+        twist = untwisted(self.group) if twist is None else twist
+        count = lifts[0].shape[1] // max(self.ranks[shift] * len(twist.source), 1)
         for k in range(len(lifts), steps + 1):
-            phi = lifts[-1]
-            r_src = self.ranks[shift + k - 1]
-            W = self.boundaries[shift + k - 1]
-            dtype = fplinalg._product_dtype(r_src * n, p)
-            if twist is None:
-                rhs = self._untwisted_rhs(phi, W.astype(dtype), count, quotients)
-            else:
-                tau = self._expand(phi.astype(dtype), maps).reshape(-1, r_src * n)
-                W = W.astype(dtype).reshape(r_src, n, -1)[:, on_cosets].transpose(0, 2, 3, 1)
-                rhs = fplinalg._matmul_mod(tau, W.reshape(r_src * n, -1), p).reshape(len(phi), -1)
+            rhs = self._step(lifts[-1], self.boundaries[shift + k - 1], count, twist)
             upstream = self.augmentation if k == 1 else self._factor(k - 1)[0]
             if fplinalg._matmul_mod(upstream, rhs, p).any():
                 raise LiftFailure(f"degree-{shift} maps do not lift to "
@@ -411,32 +395,28 @@ class FreeResolution:
             lifts.append(phi)
         return lifts
 
-    def _untwisted_rhs(self, phi: np.ndarray, W: np.ndarray, count: int,
-                       quotients: np.ndarray) -> np.ndarray:
-        """tau W for the F_p[G]-linear tau that phi determines (`lift`), from
-        phi and W in the dtype of their exact product; quotients[u, h] is
-        h u^{-1}.
-
-        Row (j, h) of tau W is sum_{u, m} Phi[(j, u), (a, m)] W[(m, h u^{-1}), x]
-        in column (a, x): with phi regrouped to rows (j, a) and columns
-        (u, m), one product with W gathered at h u^{-1} for each h.  The
-        gathers hold at most `groups._BLOCK` entries at once, or one h.
-        """
+    def _step(self, phi: np.ndarray, W: np.ndarray, count: int, twist: Twist) -> np.ndarray:
+        """tau W for the tau that phi determines: one product per block of s,
+        gathered in the dtype of the exact product (module docstring)."""
         n, p = self._n, self.p
-        r_j, (r_m, r_x) = len(phi) // n, (W.shape[0] // n, W.shape[1])
-        left = np.empty((r_j, count, n, r_m), dtype=W.dtype)  # [(j, a), (u, m)]
-        left[...] = phi.reshape(r_j, n, count, r_m).transpose(0, 2, 1, 3)
-        left = left.reshape(r_j * count, n * r_m)
-        # rows[u, m, h] = m n + h u^{-1}
-        rows = np.arange(r_m)[:, None] * n + quotients[:, None, :]
-        rhs = np.empty((r_j, n, count, r_x), dtype=np.int64)
-        step = max(1, groups._BLOCK // max(W.size, 1))  # a gather per h is W.size entries
-        for start in range(0, n, step):
-            block = rows[:, :, start:start + step]
-            hb = block.shape[2]
-            prod = fplinalg._matmul_mod(left, W[block].reshape(n * r_m, hb * r_x), p)
-            rhs[:, start:start + hb] = prod.reshape(r_j, count, hb, r_x).transpose(0, 2, 1, 3)
-        return rhs.reshape(r_j * n, count * r_x)
+        target, quotients = twist.target, twist.quotients
+        nu, q = target.shape
+        r_j, r_m, r_x = len(phi) // n, W.shape[0] // n, W.shape[1]
+        W = W.astype(fplinalg._product_dtype(len(W), p)).reshape(r_m, n, r_x)
+        left = np.empty((r_j, nu, count, r_m, q, nu), dtype=W.dtype)  # [(j, v, a), (m, s', w)]
+        left[...] = np.take(phi.reshape(r_j, n, count, r_m, nu), target, axis=1).transpose(
+            0, 1, 3, 4, 2, 5)
+        left = left.reshape(r_j * nu * count, r_m * n)
+        rhs = np.empty((r_j, n, count, r_x, nu), dtype=np.int64)
+        step = max(1, groups._BLOCK // max(W.size * nu, 1))  # a gather per s is W.size nu entries
+        for start in range(0, q, step):
+            # gathered[m, s', w, s, t, x] = W[(m, t^{-1} s s'^{-1} w), x]
+            gathered = np.take(W, quotients[:, :, start:start + step], axis=1)
+            sb = gathered.shape[3]
+            prod = fplinalg._matmul_mod(left, gathered.reshape(r_m * n, sb * nu * r_x), p)
+            rhs[:, target[:, start:start + sb]] = prod.reshape(
+                r_j, nu, count, sb, nu, r_x).transpose(0, 1, 3, 2, 5, 4)
+        return rhs.reshape(r_j * n, count * r_x * nu)
 
     def _factor(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, c, E): d_k's pivot rows A and their `fplinalg.pivot_inverse`.
@@ -513,12 +493,7 @@ def free_resolution(M: GModule, length: int, minimal: bool = False) -> FreeResol
     """Free resolution of M, exact through the requested length."""
     if length < 1:
         raise LengthTooSmall("resolution length must be at least 1")
-    if minimal and not M.group.is_p_group(M.p):
-        raise MinimalityUnavailable(
-            f"{M.group.name} is not a {M.p}-group; minimal resolutions "
-            "are only constructed over p-groups")
-    res = FreeResolution(M, minimal=minimal)
-    return res.extend_to(length)
+    return FreeResolution(M, minimal=minimal).extend_to(length)
 
 
 def trivial_resolution(G: FiniteGroup, p: int, length: int) -> FreeResolution:

@@ -5,10 +5,12 @@ its P_0 repeats the first generator, so e_0 - e_1 lies in the kernel of the
 augmentation but not in I . F_p[G]^2.  Ext dimensions must not notice.
 
 `full_boundary_lift` is `FreeResolution.lift` as it solved before lifts
-moved onto the pivot rows: each Phi_k from the whole expanded d_k beside
-the right-hand sides, and LiftFailure when a right-hand side is outside the
-image of d_k.  The solution with free variables zero depends only on d_k's
-row space, so both must give the same Phi_k, byte for byte.
+moved onto the pivot rows, and before a step stopped expanding tau: each
+Phi_k from the whole expanded d_k beside the right-hand sides tau W, with
+tau the full matrix of the twisted or untwisted map (`expand`), and
+LiftFailure when a right-hand side is outside the image of d_k.  The
+solution with free variables zero depends only on d_k's row space, so both
+must give the same Phi_k, byte for byte.
 
 `AperiodicResolution` never looks for a period, so it eliminates every
 stage and factors every stage's pivot rows.  A resolution that copies
@@ -24,7 +26,7 @@ import numpy as np
 
 from modcoh import fplinalg
 from modcoh.errors import DimensionMismatch, LiftFailure
-from modcoh.resolutions import FreeResolution
+from modcoh.resolutions import FreeResolution, twist_maps
 
 
 class PaddedResolution(FreeResolution):
@@ -69,17 +71,56 @@ def solve_batch(a, rhs_cols, p: int):
     return x
 
 
+def make_twist(G, cosets, sigma):
+    """The `Twist` of S's right-coset table cosets and sigma, sigma[s] the
+    image of the s-th member of S: sigma(S)'s table built by a scan of G."""
+    image, reps, covered = sigma.tolist(), [], set()
+    for g in range(G.order):
+        if g not in covered:
+            reps.append(g)
+            covered.update(int(G.mul[s, g]) for s in image)
+    target = np.array([[G.mul[s, v] for s in image] for v in reps], dtype=np.intp)
+    return twist_maps(G, cosets, target)
+
+
+def expand(res, images, twist=None):
+    """The full matrix of a map out of F_p[G]^r from its generator images,
+    twisted or not; untwisted it is `FreeResolution.expand`.
+
+    A twist makes the map semilinear over S along sigma: x(s . y) =
+    sigma(s) . x(y) for the s-th member of S.  images has one column per
+    free S-generator u . e_k, in (k, u) order, for u = cosets[u, 0] and
+    cosets = twist.source.  Every g is s . u, so column k |G| + g of the
+    result is sigma(s) . images[:, (k, u)], with sigma = twist.target[0].
+    """
+    if twist is None:
+        return res.expand(images)
+    cosets, sigma = twist.source, twist.target[0]
+    rows, cols = images.shape
+    n, nu = res.group.order, len(cosets)
+    acting = np.empty(n, dtype=np.intp)  # acting[s . u] = sigma(s)
+    acting[cosets] = sigma
+    column = np.empty(n, dtype=np.intp)  # column[s . u] = u
+    column[cosets] = np.arange(nu)[:, None]
+    # out[j, h, k, g] = images[j n + acting[g]^{-1} h, k nu + column[g]]
+    at = res._take.T[:, acting] * cols + column
+    out = np.take(images.reshape(rows // n, n * cols),
+                  at[:, None, :] + np.arange(0, cols, nu)[:, None], axis=1)
+    return out.reshape(rows, cols // nu * n)
+
+
 def full_boundary_lift(res, lifts, shift, steps, twist=None):
-    """Phi_0 .. Phi_steps as `FreeResolution.lift` gives them, solved on full d_k."""
+    """Phi_0 .. Phi_steps as `FreeResolution.lift` gives them, solved on full d_k
+    with tau_{k-1} expanded (`expand`)."""
     p, n = res.p, res.group.order
     res.extend_to(max(shift + steps, 1))
-    transversal = [0] if twist is None else twist[0][:, 0]
+    transversal = [0] if twist is None else twist.source[:, 0]
     nu = len(transversal)
     count = lifts[0].shape[1] // max(res.ranks[shift] * nu, 1)
     for k in range(len(lifts), steps + 1):
         phi = lifts[-1]
         r_src = res.ranks[shift + k - 1]
-        tau = res.expand(phi, twist).reshape(len(phi), count, r_src * n)
+        tau = expand(res, phi, twist).reshape(len(phi), count, r_src * n)
         W = res.boundaries[shift + k - 1].reshape(r_src, n, -1)
         W = W[:, res._take[transversal]].transpose(0, 2, 3, 1)
         rhs = (tau @ W.reshape(r_src * n, -1)) % p

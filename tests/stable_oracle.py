@@ -43,6 +43,8 @@ from modcoh.groups import (
 )
 from modcoh.resolutions import FreeResolution
 
+from resolution_oracle import make_twist
+
 
 def stable_subspace(G: FiniteGroup, p: int, i: int):
     """Cartan-Eilenberg stable classes inside H^i(Syl_p(G), F_p).
@@ -81,8 +83,9 @@ class EveryDoubleCoset:
     of one condition per double coset PdP with d outside P and S_t nontrivial.
 
     pairs holds (d, S_t context, twist) per double coset; the twist
-    (S_t's coset table, sigma) gives sigma[s] = d^{-1} s d in P's indices
-    for the s-th member of S_t, as `FreeResolution.lift` takes it.
+    (`resolution_oracle.make_twist`) is built from S_t's coset table and
+    sigma[s] = d^{-1} s d in P's indices for the s-th member of S_t, as
+    `FreeResolution.lift` takes it.
     """
 
     def __init__(self, G: FiniteGroup, p: int) -> None:
@@ -103,7 +106,7 @@ class EveryDoubleCoset:
                                    self.module)
             sigma = np.array([position[G.conjugate(int(G.inv[d]), s)]
                               for s in target.member_indices], dtype=np.intp)
-            self.pairs.append((d, ctx_t, (ctx_t._cosets, sigma)))
+            self.pairs.append((d, ctx_t, make_twist(self.group, ctx_t._cosets, sigma)))
         # psi_0 per pair: u . e_0 -> 1, over the identity of F_p
         self._lifts = []
         for _, ctx_t, _ in self.pairs:

@@ -78,7 +78,7 @@ def test_sylow_resolutions_match_the_aperiodic_oracle(name, p, monkeypatch):
         _assert_same_arrays(res.lift([phi], shift, length - shift),
                             oracle.lift([phi], shift, length - shift))
     for _, twist, _ in stable_elements(G, p).pairs:
-        psi = np.zeros((P.order, len(twist[0])), dtype=np.int64)
+        psi = np.zeros((P.order, len(twist.source)), dtype=np.int64)
         psi[0] = 1
         _assert_same_arrays(res.lift([psi], 0, length, twist),
                             oracle.lift([psi], 0, length, twist))

@@ -51,7 +51,7 @@ from modcoh.resolutions import (
 )
 
 from corpus import build_corpus, small_permutation_groups
-from resolution_oracle import padded_resolution
+from resolution_oracle import expand, padded_resolution
 from span_oracle import SequentialRowSpan, select
 
 
@@ -112,10 +112,10 @@ class TestConstruction:
                 assert np.array_equal(res.boundary(i), _boundary_by_loop(res, i))
 
     def test_expand_gathers_in_c_order(self, D8, S4):
-        """expand, plain and twisted, returns a C-contiguous matrix equal to
-        the column-by-column translation loop: plain on boundaries of free
-        and minimal resolutions (r_0 = 1 and wider), twisted on the
-        conjugation lifts of S4 and L3(2) at p = 2."""
+        """expand, and the oracle's twisted expansion, return a C-contiguous
+        matrix equal to the column-by-column translation loop: expand on
+        boundaries of free and minimal resolutions (r_0 = 1 and wider), the
+        twisted one on the conjugation lifts of S4 and L3(2) at p = 2."""
         cases = []
         for res in (free_resolution(trivial_module(D8, 2), 4, minimal=True),
                     free_resolution(trivial_module(S4, 3), 4)):
@@ -125,7 +125,7 @@ class TestConstruction:
             for (_, twist, _), phis in zip(state.pairs, state.lifts(3)):
                 cases += [(state.resolution, phi, twist) for phi in phis]
         for res, images, twist in cases:
-            got = res.expand(images, twist)
+            got = expand(res, images, twist)
             assert got.flags.c_contiguous
             assert np.array_equal(got, _expand_by_loop(res, images, twist))
 
@@ -155,6 +155,17 @@ class TestConstruction:
     def test_minimal_rejected_for_non_p_group(self, A4):
         with pytest.raises(MinimalityUnavailable):
             free_resolution(trivial_module(A4, 2), 3, minimal=True)
+
+    @pytest.mark.parametrize("name,p", [("S3", 3), ("A4", 2)])
+    def test_constructor_rejects_minimal_for_non_p_group(self, name, p):
+        """Built directly, a minimal resolution over a non-p-group would
+        keep too few generators and not be exact: S3 at p = 3 would have
+        ranks 1, 0, 0, ... .  The constructor refuses it, as
+        free_resolution does."""
+        M = trivial_module(catalog.get_group(name), p)
+        with pytest.raises(MinimalityUnavailable):
+            FreeResolution(M, minimal=True)
+        FreeResolution(M, minimal=False).extend_to(3).check_exactness()
 
     def test_deterministic_serialization(self, Q8):
         a = free_resolution(trivial_module(Q8, 2), 4, minimal=True)
@@ -398,7 +409,8 @@ def _expand_by_loop(res, images, twist=None):
     """expand column by column: column k |G| + g is sigma[s] . images[:, (k, u)]
     for g = s . u, and untwisted (S = G, sigma the identity) g . images[:, k]."""
     n = res.group.order
-    cosets, sigma = (np.arange(n)[None, :], np.arange(n)) if twist is None else twist
+    cosets, sigma = ((np.arange(n)[None, :], np.arange(n)) if twist is None
+                     else (twist.source, twist.target[0]))
     nu = len(cosets)
     out = np.zeros((len(images), images.shape[1] // nu * n), dtype=images.dtype)
     for k in range(images.shape[1] // nu):

@@ -36,7 +36,7 @@ import stable_oracle
 from stable_oracle import EveryDoubleCoset
 from corpus import small_permutation_groups
 from diagonal_oracle import diagonal_approximation, product_span_dim
-from resolution_oracle import PaddedResolution, full_boundary_lift
+from resolution_oracle import PaddedResolution, expand, full_boundary_lift, make_twist
 
 
 def free_dims(G, p, top):
@@ -55,6 +55,12 @@ def prime_cases(names, p_groups=False):
 
 
 STRETCH = [n for n in catalog.names(include_stretch=True) if catalog.REGISTRY[n].stretch]
+
+
+def group(name):
+    """A catalog group, or A7: at p = 3 it has pairs with sigma(S_t) != S_t,
+    which in the catalog only L3(2) and A6 have, and only at p = 2."""
+    return catalog.make_alternating(7) if name == "A7" else catalog.get_group(name)
 
 
 class TestAgainstGResolution:
@@ -150,13 +156,13 @@ def test_only_z3q16_at_3_keeps_a_pair():
     every = EveryDoubleCoset(Z3Q16, 3)
     assert len(every.pairs) == 15
     assert all(ctx_t.subgroup.order == 3 for _, ctx_t, _ in every.pairs)
-    inverting = [sigma for _, ctx_t, (_, sigma) in every.pairs
-                 if sigma.tolist() != list(ctx_t.subgroup.member_indices)]
+    inverting = [twist.target[0] for _, ctx_t, twist in every.pairs
+                 if twist.target[0].tolist() != list(ctx_t.subgroup.member_indices)]
     assert len(inverting) == 8
     state = stable_elements(Z3Q16, 3)
     assert state.identity_count == 8
     assert [multiplicity for _, _, multiplicity in state.pairs] == [2]
-    assert state.pairs[0][1][1].tolist() == inverting[0].tolist()
+    assert state.pairs[0][1].target[0].tolist() == inverting[0].tolist()
     for name in ("Z6", "Z12", "Z3Q16"):
         assert stable_elements(catalog.get_group(name), 2).pairs == []
 
@@ -245,18 +251,18 @@ def translation(P, r, h):
 
 @pytest.mark.parametrize("name,p", [
     ("S3", 3), ("A4", 2), ("S4", 2), ("S4", 3), ("Z3Q16", 2), ("Z3Q16", 3),
-    ("L3_2", 2), ("L3_2", 7), ("A6", 2), ("A6", 3),
+    ("L3_2", 2), ("L3_2", 7), ("A6", 2), ("A6", 3), ("A7", 2), ("A7", 3), ("A7", 5),
 ])
 def test_conjugation_lifts_are_twisted_chain_maps(name, p):
     """d psi = psi d, over the identity of F_p, and psi(s x) = (d^-1 s d) psi(x),
     for every double coset, skipped by StableElements or not."""
-    G = catalog.get_group(name)
+    G = group(name)
     state = EveryDoubleCoset(G, p)
     res, P, top = state.resolution, state.group, 4
     position = {g: k for k, g in enumerate(state.members)}
     assert state.pairs
     for (d, ctx_t, twist), phis in zip(state.pairs, state.lifts(top)):
-        full = [res.expand(phi, twist) for phi in phis[: top + 1]]
+        full = [expand(res, phi, twist) for phi in phis[: top + 1]]
         assert np.array_equal(res.augmentation @ full[0] % p, res.augmentation)
         for k in range(1, top + 1):
             D = res.boundary(k)
@@ -280,13 +286,14 @@ def _assert_same_lifts(got, want):
 
 @pytest.mark.parametrize("name,p,top", [
     (name, p, 6) for name in catalog.names() for p in prime_factors(catalog.get_group(name).order)
-] + [pytest.param(name, p, 4, marks=pytest.mark.stretch) for name, p in prime_cases(STRETCH)])
+] + [("A7", p, 4) for p in (2, 3, 5)] + [
+    pytest.param(name, p, 4, marks=pytest.mark.stretch) for name, p in prime_cases(STRETCH)])
 def test_lifts_on_pivot_rows_match_full_boundary_lifts(name, p, top):
     """Each Phi_k, solved on the rows of d_k at the pivots of ker d_{k-1},
     is byte for byte the lift solved on all of d_k: the cocycle lifts of
     CupRing (untwisted) and the conjugation lifts of every double coset
     (twisted)."""
-    G = catalog.get_group(name)
+    G = group(name)
     ring = CupRing(G, p, top)
     for i in range(top + 1):
         classes = ring.basis(i).classes
@@ -303,7 +310,7 @@ def test_corrupted_conjugation_lift_raises(S4):
     zeroing one of them leaves nothing to lift to."""
     state = StableElements(S4, 2)
     (_, twist, _), = state.pairs
-    assert len(twist[0]) == 2
+    assert len(twist.source) == 2
     psi0 = state.lifts(0)[0][0].copy()
     psi0[0, 1] = 0
     for lift in (state.resolution.lift, lambda *args: full_boundary_lift(state.resolution, *args)):
@@ -325,7 +332,7 @@ def test_corrupted_psi0_raises_at_every_prime(p):
     plain[[0, n], [0, 1]] = 1
     over_one = np.zeros((n, n), dtype=np.int64)
     over_one[0] = 1
-    trivial_twist = (np.arange(n)[:, None], np.zeros(1, dtype=np.intp))
+    trivial_twist = make_twist(P, np.arange(n)[:, None], np.zeros(1, dtype=np.intp))
     for res, phi0, twist in ((padded, plain, None), (minimal, over_one, trivial_twist)):
         got = res.lift([phi0], 0, 4, twist)
         _assert_same_lifts(got, full_boundary_lift(res, [phi0], 0, 4, twist))
@@ -392,8 +399,11 @@ class TestCaches:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("clear", [clear_resolution_cache, clear_context_cache])
-    def test_clear_empties_every_group(self, clear):
+    def test_clear_empties_every_group(self):
+        """clear_resolution_cache and clear_context_cache are the one
+        groups.clear_group_caches."""
+        clear = groups.clear_group_caches
+        assert clear_resolution_cache is clear and clear_context_cache is clear
         G = catalog.make_symmetric(4)
         cohomology_dims(G, 2, 4)
         stable_subspace(G, 2, 2)
