@@ -113,7 +113,7 @@ is tau(t . W_x), and with rows read through sigma(S)'s cosets, h = sigma(s) v,
         = sum_{s', m, w} Phi[(j, sigma(s') v), (a, m, w)] W[(m, t^{-1} s s'^{-1} w), x].
 
 So Phi's rows are relabelled and regrouped once per step, to rows
-(j, v, a) and columns (s', m, w); each s is one product with W gathered at
+(j, v, a) and columns (m, s', w); each s is one product with W gathered at
 the twist's quotients, and its rows go back to (j, sigma(s) v).  An
 untwisted lift is the case of one coset: rhs[(j, h), (a, x)] =
 sum_{u, m} Phi[(j, u), (a, m)] W[(m, h u^{-1}), x].  The gathers for a
