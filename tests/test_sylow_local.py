@@ -399,12 +399,12 @@ class TestCaches:
         finally:
             gc.enable()
 
-    def test_clear_empties_every_group(self):
+    @pytest.mark.parametrize("clear", [clear_resolution_cache, clear_context_cache])
+    def test_clear_empties_every_group(self, clear):
         """clear_resolution_cache and clear_context_cache are the one
         groups.clear_group_caches."""
-        clear = groups.clear_group_caches
-        assert clear_resolution_cache is clear and clear_context_cache is clear
-        G = catalog.make_symmetric(4)
+        assert clear is groups.clear_group_caches
+        G =catalog.make_symmetric(4)
         cohomology_dims(G, 2, 4)
         stable_subspace(G, 2, 2)
         assert G._cache
