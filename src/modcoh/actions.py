@@ -61,36 +61,10 @@ def _nonabelian_pq_orders(G: FiniteGroup) -> set[int]:
     return found
 
 
-def p2_condition(G: FiniteGroup, p: int) -> bool:
-    """No Z/p x Z/p subgroup, i.e. p-rank at most one."""
-    return p_rank(G, p) <= 1
-
-
 def twop_condition(G: FiniteGroup) -> bool:
     """Milnor's form: every element of order 2 is central."""
     Z = center(G)
     return all(G.element_order(g) != 2 or g in Z for g in range(G.order))
-
-
-def twop_condition_cyclic_form(G: FiniteGroup) -> bool:
-    """Every subgroup of order 2q (q prime, q = 2 included) is cyclic."""
-    return p2_condition(G, 2) and not any(
-        n % 2 == 0 for n in _nonabelian_pq_orders(G))
-
-
-def swan_condition(G: FiniteGroup) -> bool:
-    """Every abelian subgroup cyclic: p-rank at most one at every prime."""
-    return all(p2_condition(G, p) for p in prime_factors(G.order))
-
-
-def mtw_condition(G: FiniteGroup) -> bool:
-    """Swan's condition together with the 2p condition."""
-    return swan_condition(G) and twop_condition(G)
-
-
-def wolf_pq_condition(G: FiniteGroup) -> bool:
-    """Every subgroup of order pq (p, q prime, possibly equal) is cyclic."""
-    return swan_condition(G) and not _nonabelian_pq_orders(G)
 
 
 def periodicity_report(G: FiniteGroup, p: int, max_deg: int = 10):

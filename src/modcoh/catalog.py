@@ -149,21 +149,6 @@ def make_psl_3_2() -> FiniteGroup:
     return G
 
 
-def make_direct_product(A: FiniteGroup, B: FiniteGroup, name=None) -> FiniteGroup:
-    """A x B on the disjoint union of the two point sets."""
-    degree = A.degree + B.degree
-    gens = []
-    for i in A.generator_indices:
-        imgs = A.elements[i].images + tuple(range(A.degree, degree))
-        gens.append(Permutation(imgs))
-    for i in B.generator_indices:
-        imgs = tuple(range(A.degree)) + tuple(x + A.degree
-                                              for x in B.elements[i].images)
-        gens.append(Permutation(imgs))
-    return generate_group(degree, gens,
-                          name=name or f"{A.name}x{B.name}")
-
-
 def make_semidirect(N: FiniteGroup, H: FiniteGroup, action, name=None) -> FiniteGroup:
     """N x| H acting on the element set N x H by left translation.
 
@@ -352,21 +337,4 @@ def expected_dims(name: str, p: int, max_deg: int):
     from .resolutions import DimSeries
     rec = expected_record(name, p)
     dims = expand_rational(rec.numerator, rec.denominator_exponents, max_deg)
-    return DimSeries(tuple(dims), p, label=f"expected {name} p={p}")
-
-
-def manifest_text() -> str:
-    """The shipped text manifest: one block per entry, machine-greppable."""
-    lines = ["# modcoh catalog manifest",
-             "# entry NAME ORDER [stretch]",
-             "# expect p=P num=[...] den=[...] through=N  # source"]
-    for entry in _ENTRIES:
-        G = get_group(entry.name)
-        tag = " stretch" if entry.stretch else ""
-        lines.append(f"entry {entry.name} {G.order}{tag}")
-        for rec in entry.expected:
-            num = ",".join(str(c) for c in rec.numerator)
-            den = ",".join(str(d) for d in rec.denominator_exponents)
-            lines.append(f"expect p={rec.p} num=[{num}] den=[{den}] "
-                         f"through={rec.verified_through}  # {rec.source}")
-    return "\n".join(lines) + "\n"
+    return DimSeries(tuple(dims), p)

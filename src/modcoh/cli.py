@@ -20,8 +20,8 @@ and exit code 1 (EXIT_INPUT), before anything is written to stdout.
 Exit codes: 0 success/match, 1 input error, 2 catalog-expectation mismatch,
 3 rational-function fit failure, 4 failed internal invariant
 (InvariantViolation: a computed object failed a consistency check, such as
-exactness of a resolution or agreement of the two projectivity tests, so
-no answer is printed).
+H^0 = F_p or agreement of the two projectivity tests, so no answer is
+printed).
 """
 
 from __future__ import annotations

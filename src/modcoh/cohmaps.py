@@ -25,8 +25,6 @@ The double coset check reuses the res and tr that the report has already
 printed as its left side, and when K = H the term of the double coset H
 itself is I_{dim H^i(H)}, since c_1, res^H_H and tr^H_H are identities,
 as `StableElements` counts n_1 I; it costs no induced map.
-`restriction`, `transfer`, `conjugation` and `double_coset_identity_check`
-are one-degree uses of a fresh builder, so there is one code path.
 
 Stable elements (`StableElements`, `stable_subspace`), and with them the
 cup products of `products.CupRing`, run on the minimal resolution of a
@@ -52,16 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplinalg
-from .errors import BadParameters, GroupMismatch, InvariantViolation, SylowNotAbelian
+from .errors import BadParameters, GroupMismatch, InvariantViolation
 from .gmodules import GModule, trivial_module
 from .groups import (
     FiniteGroup,
     Subgroup,
     _memo,
-    conjugate_subgroup,
     coset_representatives,
     mackey_terms,
-    normalizer,
     require_prime,
     right_coset_table,
     sylow,
@@ -148,11 +144,6 @@ class CohMap:
     def rank(self) -> int:
         return len(fplinalg.rref_pivots(self.matrix, self.source.p))
 
-    def to_csv(self) -> str:
-        """Matrix rows as CSV, for golden-file pinning."""
-        lines = [",".join(str(int(x)) for x in row) for row in self.matrix]
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 class CochainContext:
     """Hom_S(P_*, M) for S <= G on the shared G-resolution P_*.
@@ -228,11 +219,6 @@ class CochainContext:
         basis = CohBasis(self.p, i, reps, cobound, cocycles, pivots)
         self._bases[i] = basis
         return basis
-
-    def complex_through(self, max_deg: int) -> CochainComplex:
-        spaces = tuple(self.cochain_dim(i) for i in range(max_deg + 1))
-        diffs = tuple(self.differential(i) for i in range(max_deg))
-        return CochainComplex(spaces, diffs)
 
 
 # -- context registry ---------------------------------------------------------
@@ -351,10 +337,6 @@ class MapBuilder:
             reps = self._transfer_reps[H, K] = tuple(_transfer_reps(self.group, H, K))
         return self._map(H, K, reps, i)
 
-    def conjugation(self, g: int, H: Subgroup, i: int) -> CohMap:
-        """c_g: H^i(H, M) -> H^i(gHg^{-1}, M)."""
-        return self._map(H, conjugate_subgroup(self.group, H, g), (g,), i)
-
     def _double_coset_terms(self, H: Subgroup, K: Subgroup) -> list:
         """(g, H n K^g) for each double coset HgK, K^g = gKg^{-1}.
 
@@ -395,31 +377,6 @@ def _transfer_reps(G: FiniteGroup, S: Subgroup, K: Subgroup) -> list[int]:
 def _require_nested(H: Subgroup, K: Subgroup) -> None:
     if not set(H.member_indices) <= set(K.member_indices):
         raise BadParameters("expected nested subgroups H <= K")
-
-
-# -- public operations --------------------------------------------------------
-
-def restriction(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
-                K: Subgroup | None = None) -> CohMap:
-    """res: H^i(K, M) -> H^i(H, M) for H <= K <= G (K defaults to G)."""
-    return MapBuilder(G, M).restriction(H, i, K)
-
-
-def transfer(G: FiniteGroup, H: Subgroup, M: GModule, i: int,
-             K: Subgroup | None = None) -> CohMap:
-    """tr: H^i(H, M) -> H^i(K, M) for H <= K <= G (K defaults to G)."""
-    return MapBuilder(G, M).transfer(H, i, K)
-
-
-def conjugation(G: FiniteGroup, g: int, H: Subgroup, M: GModule, i: int) -> CohMap:
-    """c_g: H^i(H, M) -> H^i(gHg^{-1}, M)."""
-    return MapBuilder(G, M).conjugation(g, H, i)
-
-
-def double_coset_identity_check(G: FiniteGroup, H: Subgroup, K: Subgroup,
-                                M: GModule, i: int) -> bool:
-    """res^G_H tr^G_K = sum over HgK of tr res c_g, as exact matrices."""
-    return MapBuilder(G, M).double_coset_identity(H, K, i)
 
 
 class StableElements:
@@ -545,14 +502,6 @@ class StableElements:
                 self.resolution.lift(psis, 0, top, twist)
         return self._lifts
 
-    def mackey_matrix(self, i: int) -> np.ndarray:
-        """M_i = n_1 I + sum_k n_k T_k, res^G_P tr^G_P on H^i(P) as x -> x M_i.
-
-        Raises InvariantViolation when M_i^2 != [G : P] M_i mod p, or when
-        there is no pair and n_1 is 0 mod p (class docstring).
-        """
-        return self._mackey_matrices([i])[0]
-
     def _mackey_matrices(self, degrees: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """(M, offsets): the M_i of the degrees as the blocks of one
         block-diagonal M, block k in rows and columns offsets[k]:offsets[k + 1].
@@ -637,29 +586,3 @@ def stable_subspace(G: FiniteGroup, p: int, i: int):
         raise BadParameters(f"p = {p} does not divide |{G.name}| = {G.order}")
     basis = stable_elements(G, p).stable(i)
     return len(basis), basis
-
-
-def detection_check(G: FiniteGroup, p: int, subgroups, i: int) -> bool:
-    """Whether the joint restriction to the subgroups is injective on H^i(G)."""
-    M = trivial_coefficients(G, p)
-    top = context(G, M).basis(i)
-    if top.dim == 0:
-        return True
-    blocks = [restriction(G, H, M, i).matrix for H in subgroups]
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, top.dim), dtype=np.int64)
-    return len(fplinalg.rref_pivots(stacked, p)) == top.dim
-
-
-def abelian_sylow_check(G: FiniteGroup, p: int, max_deg: int) -> bool:
-    """H^*(G) = H^*(N_G(P)) via restriction, for abelian Sylow P."""
-    P = sylow(G, p)
-    if not P.is_abelian():
-        raise SylowNotAbelian(f"Sylow {p}-subgroup of {G.name} is not abelian")
-    N = normalizer(G, P)
-    maps = MapBuilder(G, trivial_coefficients(G, p))
-    for i in range(max_deg + 1):
-        res = maps.restriction(N, i)
-        dim_g = res.source.dim
-        if res.target.dim != dim_g or res.rank() != dim_g:
-            return False
-    return True

@@ -106,7 +106,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, PrimeTooLarge
+from .errors import InvariantViolation, PrimeTooLarge
 
 # Largest admissible modulus; the module docstring gives the int64 bound.
 MAX_PRIME = 2 ** 21
@@ -181,13 +181,6 @@ class FpSubspace:
         order = np.argsort(pivots_all, kind="stable")
         self.basis = np.vstack([old, new])[order]
         self._pivots = pivots_all[order]
-
-    def contains_vector(self, v) -> bool:
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if v.shape != (self.ambient_dim,):
-            raise DimensionMismatch("vector has wrong length")
-        return not residual_rows(v.reshape(1, -1), self.basis, self.p,
-                                 self._pivots).any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpSubspace):

@@ -68,28 +68,6 @@ class GModule:
         return f"GModule({self.group.name}, p={self.p}, dim={self.dim})"
 
 
-class ModuleHom:
-    """Equivariant linear map between two modules over the same group."""
-
-    def __init__(self, source: GModule, target: GModule, matrix) -> None:
-        if source.group is not target.group or source.p != target.p:
-            raise GroupMismatch("source and target live over different algebras")
-        self.source = source
-        self.target = target
-        self.matrix = np.mod(np.asarray(matrix, dtype=np.int64), source.p)
-        if self.matrix.shape != (target.dim, source.dim):
-            raise BadParameters("hom matrix has wrong shape")
-
-    def is_equivariant(self) -> bool:
-        p = self.source.p
-        for g in range(self.source.group.order):
-            lhs = (self.matrix @ self.source.action[g]) % p
-            rhs = (self.target.action[g] @ self.matrix) % p
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
-
-
 def trivial_module(G: FiniteGroup, p: int, dim: int = 1) -> GModule:
     eye = np.eye(dim, dtype=np.int64)
     action = np.broadcast_to(eye, (G.order, dim, dim)).copy()
@@ -191,11 +169,6 @@ def radical_rows(M: GModule) -> np.ndarray:
     gens = np.asarray(M.group.generator_indices, dtype=np.intp)
     radical = M.action[gens] - np.eye(M.dim, dtype=np.int64)
     return radical.transpose(0, 2, 1).reshape(len(gens) * M.dim, M.dim) % M.p
-
-
-def coinvariants(M: GModule) -> int:
-    """dim M/IM where I is the augmentation ideal."""
-    return M.dim - len(fplinalg.rref_pivots(radical_rows(M), M.p))
 
 
 def module_from_generator_matrices(G: FiniteGroup, p: int, dim: int, mats) -> GModule:

@@ -17,7 +17,7 @@ and an element list that is not closed under product is refused.
 A homomorphism out of G is fixed by its values on the generators, and
 `extend_from_generators` is the one walk that extends them along words.
 Hom(G, F_p) = H^1(G; F_p) is one kernel on the generators (`homs_to_fp`),
-which gives the maximal and Frattini subgroups of a p-group.
+which gives the maximal subgroups of a p-group.
 """
 
 from __future__ import annotations
@@ -112,15 +112,15 @@ class FiniteGroup:
         self.elements: tuple[Permutation, ...] = tuple(elements)
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
         self.name = str(name)
-        self._index = {e.images: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        index = {e.images: i for i, e in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise BadParameters("duplicate elements")
         if self.elements[0].images != tuple(range(self.degree)):
             raise BadParameters("element 0 must be the identity")
         if mul_table is None:  # _cayley_table checks that the generators generate
             imgs = np.array([e.images for e in self.elements], dtype=np.int32)
             self.mul = _cayley_table(imgs.reshape(self.order, self.degree),
-                                     self._index, self.generator_indices)
+                                     index, self.generator_indices)
         else:
             self.mul = np.asarray(mul_table, dtype=np.int32)
         self.inv = np.empty(self.order, dtype=np.int32)
@@ -142,12 +142,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_index(self, perm: Permutation) -> int:
-        idx = self._index.get(perm.images)
-        if idx is None:
-            raise BadParameters(f"{perm.images} is not an element of {self.name}")
-        return idx
-
     def element_order(self, i: int) -> int:
         if self._orders is None:
             # powers[j] = j^k: j has order k at the first k where it is 1
@@ -160,20 +154,8 @@ class FiniteGroup:
             self._orders = orders
         return int(self._orders[i])
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
     def is_p_group(self, p: int) -> bool:
         return is_p_power(self.order, p)
-
-    def is_elementary_abelian(self, p: int) -> bool:
-        """Nontrivial, abelian and of exponent p."""
-        return self.order > 1 and self.is_abelian() and all(
-            self.element_order(g) == p for g in range(1, self.order))
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^{-1} as element indices."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order}, degree={self.degree})"
@@ -346,16 +328,6 @@ class Subgroup:
 
     def __hash__(self) -> int:
         return hash((id(self.parent), self.member_indices))
-
-    def is_abelian(self) -> bool:
-        mul = self.parent.mul
-        mem = self.member_indices
-        return all(mul[a, b] == mul[b, a] for a in mem for b in mem)
-
-    def is_normal(self) -> bool:
-        G = self.parent
-        return all(G.conjugate(g, x) in self._member_set
-                   for g in range(G.order) for x in self.member_indices)
 
     def as_group(self) -> FiniteGroup:
         """The subgroup re-enumerated as a standalone group.
@@ -538,26 +510,17 @@ def right_coset_table(G: FiniteGroup, S: Subgroup) -> np.ndarray:
     return G.mul[np.ix_(S.member_indices, transversal)].T
 
 
-@dataclass(frozen=True)
-class DoubleCosetDecomposition:
-    reps: tuple[int, ...]
-    blocks: tuple[frozenset[int], ...]
-
-
-def double_cosets(G: FiniteGroup, H: Subgroup, K: Subgroup) -> DoubleCosetDecomposition:
-    """Partition of G into double cosets HgK with least-index representatives."""
+def double_cosets(G: FiniteGroup, H: Subgroup, K: Subgroup) -> list[int]:
+    """The least-index representative of each double coset HgK, in scan order."""
     reps: list[int] = []
-    blocks: list[frozenset[int]] = []
     covered = np.zeros(G.order, dtype=bool)
     hk_members = (list(H.member_indices), list(K.member_indices))
     for g in range(G.order):
         if covered[g]:
             continue
-        block = G.mul[G.mul[hk_members[0], g][:, None], hk_members[1]]
-        covered[block] = True
+        covered[G.mul[G.mul[hk_members[0], g][:, None], hk_members[1]]] = True
         reps.append(g)
-        blocks.append(frozenset(block.ravel().tolist()))
-    return DoubleCosetDecomposition(tuple(reps), tuple(blocks))
+    return reps
 
 
 def mackey_terms(G: FiniteGroup, H: Subgroup, K: Subgroup) -> list[tuple[int, Subgroup]]:
@@ -565,7 +528,7 @@ def mackey_terms(G: FiniteGroup, H: Subgroup, K: Subgroup) -> list[tuple[int, Su
     in `double_cosets` order: one term of the Mackey double coset formula
     res^G_H tr^G_K = sum over HgK of tr^H_{H n gKg^{-1}} res c_g."""
     return [(g, intersect(H, conjugate_subgroup(G, K, g)))
-            for g in double_cosets(G, H, K).reps]
+            for g in double_cosets(G, H, K)]
 
 
 def homs_to_fp(G: FiniteGroup, p: int) -> np.ndarray:
@@ -586,14 +549,6 @@ def homs_to_fp(G: FiniteGroup, p: int) -> np.ndarray:
     relations = words[G.mul[:, gens]] - words[:, None] - unit
     basis = kernel(relations.reshape(G.order * k, k) % p, p)[0]
     return basis.astype(np.int64) @ words.T % p
-
-
-def frattini_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """Frattini subgroup of a p-group: the intersection of its maximal
-    subgroups, so the elements that every homomorphism G -> F_p kills."""
-    if not G.is_p_group(require_prime(p)):
-        raise BadParameters(f"{G.name} is not a {p}-group")
-    return Subgroup(G, (~homs_to_fp(G, p).any(axis=0)).nonzero()[0])
 
 
 def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:

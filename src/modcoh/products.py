@@ -88,10 +88,6 @@ class CupRing:
         b = np.asarray(b, dtype=np.int64).reshape(1, -1) % self.p
         return self._compose(phi, i, b, j)[0]
 
-    def cup_class(self, a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
-        """Class coordinates of the product of two cocycle vectors."""
-        return self.basis(i + j).class_coordinates(self.cup(a, i, b, j)).reshape(-1)
-
     def unit(self) -> np.ndarray:
         return self.basis(0).classes[0]
 

@@ -4,9 +4,8 @@ Free modules F_p[G]^r use the flat basis index j*|G| + g (copy j, group
 element g), with g acting by left translation inside each copy.  A boundary
 d_i is stored only as its generator columns W_i = d_i(e_{k, 1}), one column
 per free generator of P_i (the chosen kernel generators, reduced mod p):
-F_p[G]-linearity determines the rest, and `FreeResolution.expand` builds
-the full matrix, |G| times wider, only where one is needed (exactness
-checks and text output).
+F_p[G]-linearity determines the rest, and no full boundary, |G| times
+wider, is ever built: a stage gathers only the rows it eliminates.
 
 Each stage works in the coordinates of the kernel K of the newest stage.
 K is held as its canonical RREF basis, with pivot columns piv, so a vector
@@ -139,11 +138,10 @@ from .errors import (
     LengthTooSmall,
     LiftFailure,
     MinimalityUnavailable,
-    ElementaryAbelianInput,
     NoFitFound,
     SeriesTooShort,
 )
-from .gmodules import GModule, dual_module, restrict_module, trivial_module
+from .gmodules import GModule, restrict_module, trivial_module
 from .groups import (
     FiniteGroup,
     _memo,
@@ -159,7 +157,6 @@ class DimSeries:
 
     dims: tuple[int, ...]
     p: int
-    label: str = ""
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -247,26 +244,6 @@ class FreeResolution:
         else:  # g . e_j is column j of M's action of g
             kept = fplinalg.greedy_generators(M.dim, lambda j: M.action[:, :, j], M.p)
         return [eye[i] for i in kept]
-
-    def expand(self, images: np.ndarray) -> np.ndarray:
-        """The full matrix of the F_p[G]-linear map out of F_p[G]^r that
-        sends e_{k, 1} to column k of images, of shape (r' |G|, r): column
-        k |G| + g of the result is g . images[:, k], so expand(boundaries[i - 1])
-        is the full d_i.
-        """
-        rows, cols = images.shape
-        n = self._n
-        # out[j, h, k, g] = images[j n + g^{-1} h, k] = images[j, take[g, h] cols + k]
-        # with images viewed as (r', n cols): one gather into each block of n
-        # rows, in C order, with a flat index
-        at = self._take.T * cols
-        out = np.take(images.reshape(rows // n, n * cols),
-                      at[:, None, :] + np.arange(cols)[:, None], axis=1)
-        return out.reshape(rows, cols * n)
-
-    def boundary(self, i: int) -> np.ndarray:
-        """The full matrix of d_i, r_{i-1}|G| x r_i|G|."""
-        return self.expand(self.boundaries[i - 1])
 
     def _translates(self, piv: np.ndarray) -> np.ndarray:
         """at[g, c]: entry piv[c] of g . v is v[at[g, c]], for v in F_p[G]^r.
@@ -435,49 +412,6 @@ class FreeResolution:
             self._factors.append((rows, *fplinalg.pivot_inverse(rows, self.p)))
         return self._factors[k - 1]
 
-    # -- verification ---------------------------------------------------
-
-    def check_exactness(self) -> None:
-        """image(d_{i+1}) = kernel(d_i) at every computed stage."""
-        p = self.p
-        upstream = self.augmentation
-        rank = len(fplinalg.rref_pivots(upstream, p))
-        for i in range(self.length):
-            D = self.boundary(i + 1)
-            if ((upstream @ D) % p).any():
-                raise InvariantViolation(f"d_{i} . d_{i + 1} != 0")
-            im_rank, ker_dim = len(fplinalg.rref_pivots(D, p)), len(D) - rank
-            if im_rank != ker_dim:
-                raise InvariantViolation(
-                    f"stage {i}: image rank {im_rank} != kernel dim {ker_dim}")
-            upstream, rank = D, im_rank
-
-    def image_in_radical(self, i: int) -> bool:
-        """Whether every column of d_i lies in I . F_p[G]^{r_{i-1}}.
-
-        Translation keeps the augmentation sum of each block, so the
-        generator columns decide it.
-        """
-        W = self.boundaries[i - 1]
-        sums = W.reshape(self.ranks[i - 1], self._n, W.shape[1]).sum(axis=1)
-        return not (sums % self.p).any()
-
-    # -- serialization ----------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = ["modcoh-resolution v1",
-                 f"p {self.p}",
-                 f"group {self.group.name}",
-                 f"minimal {int(self.minimal)}",
-                 "ranks " + " ".join(str(r) for r in self.ranks)]
-        blocks = [("aug", self.augmentation)]
-        blocks += [(f"d{i}", self.boundary(i)) for i in range(1, self.length + 1)]
-        for tag, arr in blocks:
-            lines.append(f"{tag} {arr.shape[0]} {arr.shape[1]}")
-            for row in arr:
-                lines.append(" ".join(str(int(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
 
 def _outside_radical(reversed_rows: np.ndarray, p: int) -> np.ndarray:
     """The rows e_i that a minimal stage keeps: each i that is not the last
@@ -566,6 +500,9 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
              resolution: FreeResolution | None = None) -> DimSeries:
     """dim Ext^i_{F_p[G]}(M, N) for 0 <= i <= max_deg.
 
+    A given resolution must resolve M itself: GroupMismatch when its group
+    or prime is not M's, BadParameters when its module's action is not M's.
+
     Post-condition, raising InvariantViolation: Ext^0 = Hom_G(M, N) is the
     fixed space (M* (x) N)^G, computed apart from the Hom complex from the
     generators' matrices M*(s) (x) N(s) alone (`gmodules.fixed_space`).
@@ -579,6 +516,10 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
             resolution = free_resolution(
                 M, max_deg + 1, minimal=M.group.is_p_group(M.p))
     else:
+        if resolution.group is not M.group or resolution.p != M.p:
+            raise GroupMismatch("the resolution lives over a different algebra than M")
+        if not np.array_equal(resolution.target.action, M.action):
+            raise BadParameters("the resolution resolves a different module than M")
         resolution.extend_to(max_deg + 1)
     p = M.p
     dims = []
@@ -597,8 +538,7 @@ def ext_dims(M: GModule, N: GModule, max_deg: int,
         fixed = gmodules.fixed_space(mats, p).dim
         if dims[0] != fixed:
             raise InvariantViolation(f"Ext^0 has dimension {dims[0]}, (M* (x) N)^G {fixed}")
-    return DimSeries(tuple(dims), p,
-                     label=f"Ext({M.group.name}; dims {M.dim}->{N.dim})")
+    return DimSeries(tuple(dims), p)
 
 
 def cohomology_dims(G: FiniteGroup, p: int, max_deg: int) -> DimSeries:
@@ -619,14 +559,7 @@ def cohomology_dims(G: FiniteGroup, p: int, max_deg: int) -> DimSeries:
     if dims and (dims[0] != 1 or min(dims) < 0):
         raise InvariantViolation(
             f"H^*({G.name}; F_{p}) dims {dims}: H^0 must be 1 and no dim negative")
-    return DimSeries(dims, p, label=f"H^*({G.name}; F_{p})")
-
-
-def minimal_rank_identity_check(M: GModule, max_deg: int) -> bool:
-    """ranks of the minimal resolution of M equal dim H^i(P, M*) (p-groups)."""
-    res = free_resolution(M, max_deg + 1, minimal=True)
-    want = ext_dims(trivial_module(M.group, M.p), dual_module(M), max_deg)
-    return tuple(res.ranks[: max_deg + 1]) == want.dims
+    return DimSeries(dims, p)
 
 
 # -- projectivity -------------------------------------------------------------
@@ -655,18 +588,6 @@ def chouinard_projective(M: GModule) -> bool:
         return True
     return all(is_projective(restrict_module(M, E))
                for E in elementary_abelian_subgroups(M.group, M.p))
-
-
-def maximal_subgroup_projectivity(M: GModule) -> bool:
-    """Projectivity from the maximal subgroups of a non-elementary-abelian p-group."""
-    P = M.group
-    if not P.is_p_group(M.p):
-        raise MinimalityUnavailable("maximal-subgroup test requires a p-group")
-    if P.is_elementary_abelian(M.p):
-        raise ElementaryAbelianInput(
-            "the maximal-subgroup criterion excludes elementary abelian groups")
-    return all(is_projective(restrict_module(M, K))
-               for K in groups.maximal_subgroups(P))
 
 
 # -- growth, complexity, Poincare series --------------------------------------

@@ -13,13 +13,23 @@ that `modcoh.cohmaps._coset_sum_cochain` ran before it returned the index
 map (cosets, actions) that determines the block; `densify` expands such an
 index map back into the block, so tests can compare the two and use the
 production map as a matrix.
+
+`complex_through` assembles a context's cochain complex through a degree,
+for the d o d = 0 check of `CochainComplex.check_composition`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from modcoh.cohmaps import _coset_sum_cochain
+from modcoh.cohmaps import CochainComplex, _coset_sum_cochain
+
+
+def complex_through(ctx, max_deg: int) -> CochainComplex:
+    """The context's cochain spaces C^0 .. C^max_deg and differentials."""
+    spaces = tuple(ctx.cochain_dim(i) for i in range(max_deg + 1))
+    diffs = tuple(ctx.differential(i) for i in range(max_deg))
+    return CochainComplex(spaces, diffs)
 
 
 def coset_tables(G, subgroup, transversal):

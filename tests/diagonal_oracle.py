@@ -12,6 +12,9 @@ standard homotopy s (x) 1 + (unit.counit) (x) s, and each lift is a matrix
 product.  The chain-map identity is checked after every degree, so a
 conventions bug cannot slip through silently.  Its tensor components have
 (r_i |G|)(r_j |G|) rows, so it is quadratic in |G|: small groups only.
+
+`cup_coordinates` reads a `products.CupRing` product in class coordinates,
+as the tests compare it with presentations and with this oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from modcoh import fplinalg
 from modcoh.errors import DegreeMismatch, LiftFailure
 from modcoh.resolutions import FreeResolution
 
-from resolution_oracle import solve_batch
+from resolution_oracle import full_boundary, solve_batch
 
 
 class DiagonalMap:
@@ -57,7 +60,7 @@ class DiagonalMap:
         rho_amb = [None]  # index i >= 1: ambient right inverse of d_i on ker d_{i-1}
         kernels = [fplinalg.kernel(aug, p)[0].astype(np.int64)]
         for i in range(1, self.max_deg + 2):
-            D = res.boundary(i)
+            D = full_boundary(res, i)
             Z = kernels[-1]
             if len(Z):
                 X = solve_batch(D, Z.T, p)
@@ -76,7 +79,7 @@ class DiagonalMap:
         eye0 = np.eye(self._space_dim(0), dtype=np.int64)
         s[0] = (rho_amb[1] @ ((eye0 - E) % p)) % p
         for i in range(1, self.max_deg + 1):
-            D = res.boundary(i)
+            D = full_boundary(res, i)
             eye = np.eye(self._space_dim(i), dtype=np.int64)
             s[i] = (rho_amb[i + 1] @ ((eye - rho_amb[i] @ D) % p)) % p
         self._E = E
@@ -145,10 +148,10 @@ class DiagonalMap:
         cols = self.components[deg][(i, j)].reshape(di, dj, -1)
         out = {}
         if i > 0:
-            D = res.boundary(i)
+            D = full_boundary(res, i)
             out[(i - 1, j)] = np.tensordot(D, cols, axes=([1], [0])) % p
         if j > 0:
-            D = res.boundary(j)
+            D = full_boundary(res, j)
             term = np.tensordot(cols, D, axes=([1], [1]))
             term = np.transpose(term, (0, 2, 1))
             sign = 1 if i % 2 == 0 else -1
@@ -199,6 +202,11 @@ def cup(a: np.ndarray, i: int, b: np.ndarray, j: int,
     bbar = np.repeat(np.asarray(b, dtype=np.int64) % p, n)
     weights = np.outer(abar, bbar).reshape(-1)
     return (comp.T @ weights) % p
+
+
+def cup_coordinates(ring, a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
+    """Class coordinates of ring.cup(a, i, b, j) in ring's degree-(i + j) basis."""
+    return ring.basis(i + j).class_coordinates(ring.cup(a, i, b, j)).reshape(-1)
 
 
 def product_span_dim(ctx, i: int, j: int, diag: DiagonalMap) -> int:

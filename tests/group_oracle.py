@@ -9,11 +9,15 @@ never reads a table.
 `subgroup_closure` here is the worklist it replaced, which multiplies each
 new element by every member found so far, on both sides.
 
-`groups.maximal_subgroups` and `groups.frattini_subgroup` read the kernels
-of Hom(P, F_p).  `maximal_subgroups` and `frattini_subgroup` here are the
-earlier construction: the Frattini subgroup as the closure of p-th powers
-and commutators, and the maximal subgroups as preimages of the hyperplanes
-of hand-built F_p coordinates on P / Phi(P).
+`groups.maximal_subgroups` reads the kernels of Hom(P, F_p), and
+`frattini_from_homs` their intersection.  `maximal_subgroups` and
+`frattini_subgroup` here are the earlier construction: the Frattini subgroup
+as the closure of p-th powers and commutators, and the maximal subgroups as
+preimages of the hyperplanes of hand-built F_p coordinates on P / Phi(P).
+
+The predicates on groups and subgroups that only tests ask (`is_abelian`,
+`is_elementary_abelian`, `is_normal`, `conjugate`, `element_index`) and
+`make_direct_product`, which builds test groups, are functions here.
 """
 
 from __future__ import annotations
@@ -23,11 +27,72 @@ import numpy as np
 from modcoh.errors import BadParameters
 from modcoh.groups import (
     FiniteGroup,
+    Permutation,
     Subgroup,
     coset_representatives,
+    generate_group,
+    homs_to_fp,
     prime_factors,
+    require_prime,
     subgroup_closure,
 )
+
+
+def element_index(G: FiniteGroup, perm: Permutation) -> int:
+    """The index of perm among G's elements."""
+    if perm not in G.elements:
+        raise BadParameters(f"{perm.images} is not an element of {G.name}")
+    return G.elements.index(perm)
+
+
+def conjugate(G: FiniteGroup, g: int, x: int) -> int:
+    """g x g^{-1} as element indices."""
+    return int(G.mul[G.mul[g, x], G.inv[g]])
+
+
+def is_abelian(H) -> bool:
+    """Whether the elements of a FiniteGroup, or a Subgroup's members, commute."""
+    if isinstance(H, Subgroup):
+        block = H.parent.mul[np.ix_(H.member_indices, H.member_indices)]
+    else:
+        block = H.mul
+    return bool(np.array_equal(block, block.T))
+
+
+def is_elementary_abelian(G: FiniteGroup, p: int) -> bool:
+    """Nontrivial, abelian and of exponent p."""
+    return G.order > 1 and is_abelian(G) and all(
+        G.element_order(g) == p for g in range(1, G.order))
+
+
+def is_normal(S: Subgroup) -> bool:
+    """Whether every conjugate of every member of S lies in S."""
+    G = S.parent
+    return all(conjugate(G, g, x) in S
+               for g in range(G.order) for x in S.member_indices)
+
+
+def frattini_from_homs(G: FiniteGroup, p: int) -> Subgroup:
+    """Frattini subgroup of a p-group: the intersection of its maximal
+    subgroups, so the elements that every homomorphism G -> F_p kills."""
+    if not G.is_p_group(require_prime(p)):
+        raise BadParameters(f"{G.name} is not a {p}-group")
+    return Subgroup(G, (~homs_to_fp(G, p).any(axis=0)).nonzero()[0])
+
+
+def make_direct_product(A: FiniteGroup, B: FiniteGroup, name=None) -> FiniteGroup:
+    """A x B on the disjoint union of the two point sets."""
+    degree = A.degree + B.degree
+    gens = []
+    for i in A.generator_indices:
+        imgs = A.elements[i].images + tuple(range(A.degree, degree))
+        gens.append(Permutation(imgs))
+    for i in B.generator_indices:
+        imgs = tuple(range(A.degree)) + tuple(x + A.degree
+                                              for x in B.elements[i].images)
+        gens.append(Permutation(imgs))
+    return generate_group(degree, gens,
+                          name=name or f"{A.name}x{B.name}")
 
 
 def closure_images(identity, gens) -> set[tuple[int, ...]]:

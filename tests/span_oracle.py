@@ -9,11 +9,23 @@ resolutions ran it before they picked generators with
 `fplinalg.greedy_generators`: plain rows through `independent_rows`, and
 with `expand` one kept row at a time, updating the residuals of every row
 not yet reached.
+
+`contains_vector` is membership of one vector in an `FpSubspace`, through
+the residual against its basis and kept pivots.
 """
 
 import numpy as np
 
+from modcoh.errors import DimensionMismatch
 from modcoh.fplinalg import FpSubspace, independent_rows, residual_rows
+
+
+def contains_vector(U: FpSubspace, v) -> bool:
+    """Whether the vector v lies in U."""
+    v = np.asarray(v, dtype=np.int64) % U.p
+    if v.shape != (U.ambient_dim,):
+        raise DimensionMismatch("vector has wrong length")
+    return not residual_rows(v.reshape(1, -1), U.basis, U.p, U._pivots).any()
 
 
 def eager_rref_mod(a, p):

@@ -24,13 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from modcoh import fplinalg
-from modcoh.cohmaps import (
-    CochainContext,
-    conjugation,
-    context,
-    restriction,
-    trivial_coefficients,
-)
+from modcoh.cohmaps import CochainContext, MapBuilder, context, trivial_coefficients
 from modcoh.errors import BadParameters
 from modcoh.gmodules import trivial_module
 from modcoh.groups import (
@@ -43,6 +37,8 @@ from modcoh.groups import (
 )
 from modcoh.resolutions import FreeResolution
 
+from group_oracle import conjugate
+from maps_oracle import conjugation_map
 from resolution_oracle import make_twist
 
 
@@ -61,14 +57,15 @@ def stable_subspace(G: FiniteGroup, p: int, i: int):
     if base.dim == 0:
         return 0, np.zeros((0, 0), dtype=np.int64)
     rows = []
-    for d in double_cosets(G, P, P).reps:
+    maps = MapBuilder(G, M)
+    for d in double_cosets(G, P, P):
         if d == 0:
             continue
         S_target = intersect(P, conjugate_subgroup(G, P, d))  # P n dPd^{-1}
         S_source = intersect(P, conjugate_subgroup(G, P, int(G.inv[d])))
-        res_t = restriction(G, S_target, M, i, K=P)
-        res_s = restriction(G, S_source, M, i, K=P)
-        c_d = conjugation(G, d, S_source, M, i)
+        res_t = maps.restriction(S_target, i, P)
+        res_s = maps.restriction(S_source, i, P)
+        c_d = conjugation_map(maps, d, S_source, i)
         rows.append((res_t.matrix - c_d.matrix @ res_s.matrix) % p)
     if not rows:
         basis = np.eye(base.dim, dtype=np.int64)
@@ -97,14 +94,14 @@ class EveryDoubleCoset:
         self.resolution = FreeResolution(self.module, minimal=True)
         position = {g: k for k, g in enumerate(self.members)}
         self.pairs = []
-        for d in double_cosets(G, P, P).reps if P.order > 1 else ():
+        for d in double_cosets(G, P, P) if P.order > 1 else ():
             target = intersect(P, conjugate_subgroup(G, P, d))
             if d in P or target.order == 1:
                 continue
             members = tuple(position[g] for g in target.member_indices)
             ctx_t = CochainContext(self.resolution, Subgroup(self.group, members),
                                    self.module)
-            sigma = np.array([position[G.conjugate(int(G.inv[d]), s)]
+            sigma = np.array([position[conjugate(G, int(G.inv[d]), s)]
                               for s in target.member_indices], dtype=np.intp)
             self.pairs.append((d, ctx_t, make_twist(self.group, ctx_t._cosets, sigma)))
         # psi_0 per pair: u . e_0 -> 1, over the identity of F_p

