@@ -1,10 +1,12 @@
 """Finite permutation groups with full element enumeration.
 
-Groups are stored as an explicit ordered element list plus a complete
-multiplication table; all downstream homological algebra indexes free
-modules by group elements, so the enumeration order is pinned: breadth
-first over generator words, extending words on the right, scanning known
-elements and generators in index order.  The identity is always index 0.
+A group is its elements' permutation images, one row per element, plus
+its complete multiplication table, and `FiniteGroup` is built one way, from
+those rows.  All downstream homological algebra indexes free modules by
+group elements, so the enumeration order is pinned: breadth first over
+generator words, extending words on the right, scanning known elements and
+generators in index order.  The identity is always index 0.  A subgroup
+built as a group keeps its members' rows in the parent's order.
 
 The table is read off the Cayley graph of the generators, not found by
 composing and searching all |G|^2 pairs.  One dict lookup per element x
@@ -22,6 +24,7 @@ which gives the maximal subgroups of a p-group.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -84,12 +87,6 @@ class Permutation:
             raise NonPermutation("degrees differ")
         return Permutation(tuple(self.images[i] for i in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(tuple(inv))
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(n)))
@@ -104,43 +101,39 @@ class Permutation:
 
 
 class FiniteGroup:
-    """Fully enumerated permutation group with a multiplication table."""
+    """Fully enumerated permutation group: its elements' image rows and
+    their multiplication table, checked entry by entry against the rows."""
 
-    def __init__(self, degree, elements, generator_indices, name="G",
-                 mul_table=None):
+    def __init__(self, degree, images, generator_indices, name="G"):
         self.degree = int(degree)
-        self.elements: tuple[Permutation, ...] = tuple(elements)
+        rows = np.asarray(images)
+        if rows.shape[1:] != (self.degree,):
+            raise NonPermutation(f"image rows must have {self.degree} entries")
+        if (np.sort(rows, axis=1) != np.arange(self.degree)).any():
+            raise NonPermutation("an image row is not a bijection")
+        self.images = rows.astype(np.int32)
         self.generator_indices: tuple[int, ...] = tuple(generator_indices)
         self.name = str(name)
-        index = {e.images: i for i, e in enumerate(self.elements)}
-        if len(index) != len(self.elements):
+        index = {row: i for i, row in enumerate(map(tuple, self.images.tolist()))}
+        if len(index) != self.order:
             raise BadParameters("duplicate elements")
-        if self.elements[0].images != tuple(range(self.degree)):
+        if self.order == 0 or (self.images[0] != np.arange(self.degree)).any():
             raise BadParameters("element 0 must be the identity")
-        if mul_table is None:  # _cayley_table checks that the generators generate
-            imgs = np.array([e.images for e in self.elements], dtype=np.int32)
-            self.mul = _cayley_table(imgs.reshape(self.order, self.degree),
-                                     index, self.generator_indices)
-        else:
-            self.mul = np.asarray(mul_table, dtype=np.int32)
-        self.inv = np.empty(self.order, dtype=np.int32)
-        step = max(1, _BLOCK // self.order)  # rows per block: no n x n mask
-        for start in range(0, self.order, step):
-            is_identity = self.mul[start:start + step] == 0
-            if (is_identity.sum(axis=1) != 1).any():
-                raise BadParameters("multiplication table is not a group table")
-            self.inv[start:start + step] = is_identity.argmax(axis=1)
+        # _cayley_table also checks that the generators generate:
+        # GModule.check_representation tests only the generators.
+        self.mul = _cayley_table(self.images, index, self.generator_indices)
+        # each row of a checked table is a permutation of 0 .. |G| - 1
+        self.inv = self.mul.argmin(axis=1).astype(np.int32)
         self._orders: np.ndarray | None = None
         self._cache: dict = {}
-        # GModule.check_representation tests only the generators, so they
-        # must generate: grow the set of words in them until it stops.
-        if mul_table is not None and not _closure(
-                self.mul, self.generator_indices, np.arange(self.order) == 0).all():
-            raise BadParameters("generator_indices do not generate the group")
+
+    @functools.cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(row) for row in map(tuple, self.images.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def element_order(self, i: int) -> int:
         if self._orders is None:
@@ -289,17 +282,18 @@ def generate_group(degree, generators, name="G", cap=DEFAULT_SIZE_CAP) -> Finite
                 index[y] = len(index)
                 level.append(y)
     generator_indices = tuple(index[g.images] for g in gens)
-    return FiniteGroup(degree, map(Permutation, index), generator_indices, name=name)
+    return FiniteGroup(degree, list(index), generator_indices, name=name)
 
 
-def _greedy_generators(table: np.ndarray) -> tuple[int, ...]:
-    """Small generating set: scan elements, keep those enlarging the closure."""
+def _greedy_generators(G: FiniteGroup, members: np.ndarray) -> tuple[int, ...]:
+    """Small generating set of the subgroup with the given members, as
+    positions in members: scan them, keep those enlarging the closure in G."""
     chosen: list[int] = []
-    reached = np.arange(len(table)) == 0
-    for i in range(1, len(table)):
-        if not reached[i]:
-            chosen.append(i)
-            if _closure(table, chosen, reached).all():
+    reached = np.arange(G.order) == 0
+    for k in range(1, len(members)):
+        if not reached[members[k]]:
+            chosen.append(k)
+            if _closure(G.mul, members[chosen], reached)[members].all():
                 break
     return tuple(chosen) or (0,)
 
@@ -342,14 +336,8 @@ class Subgroup:
     def _standalone(self) -> FiniteGroup:
         G = self.parent
         members = np.array(self.member_indices)
-        pos = np.full(G.order, -1, dtype=np.int32)
-        pos[members] = np.arange(self.order)
-        table = pos[G.mul[np.ix_(members, members)]]
-        if (table < 0).any():
-            raise BadParameters("members are not closed under product")
-        return FiniteGroup(G.degree, [G.elements[i] for i in self.member_indices],
-                           _greedy_generators(table), name=f"{G.name}:sub{self.order}",
-                           mul_table=table)
+        return FiniteGroup(G.degree, G.images[members], _greedy_generators(G, members),
+                           name=f"{G.name}:sub{self.order}")
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"

@@ -88,9 +88,6 @@ class CupRing:
         b = np.asarray(b, dtype=np.int64).reshape(1, -1) % self.p
         return self._compose(phi, i, b, j)[0]
 
-    def unit(self) -> np.ndarray:
-        return self.basis(0).classes[0]
-
     def products_of_bases(self, i: int, j: int) -> np.ndarray:
         """Class coordinates of a cup b, one row per basis pair (a, b).
 

@@ -69,6 +69,18 @@ def build_corpus(count=50, seed=CORPUS_SEED):
     return out
 
 
+def two_generated_subgroups(G, max_order=100):
+    """G's proper subgroups generated by two elements, of order at most
+    max_order, each listed once."""
+    subs = {}
+    for g in range(G.order):
+        for h in range(g, G.order):
+            S = subgroup_closure(G, [g, h])
+            if S.order <= max_order and S.order < G.order:
+                subs[S.member_indices] = S
+    return list(subs.values())
+
+
 @functools.lru_cache(maxsize=None)
 def catalog_closure(max_order=100):
     """Catalog groups plus their 2-generated subgroups, as standalone groups."""
@@ -77,13 +89,7 @@ def catalog_closure(max_order=100):
         G = catalog.get_group(name)
         if G.order <= max_order:
             out.append(G)
-        subs = {}
-        for g in range(G.order):
-            for h in range(g, G.order):
-                S = subgroup_closure(G, [g, h])
-                if S.order <= max_order and S.order < G.order:
-                    subs[S.member_indices] = S
-        out.extend(S.as_group() for S in subs.values())
+        out.extend(S.as_group() for S in two_generated_subgroups(G, max_order))
     return tuple(out)
 
 

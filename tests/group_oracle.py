@@ -1,9 +1,12 @@
 """Oracles for group constructions, kept from the algorithms they replaced.
 
-`Subgroup.as_group` picks its generators by growing closures on its
-multiplication table.  `greedy_generators` is the scan it replaced: it
-closes each candidate generating set with Python `Permutation` products and
-never reads a table.
+`Subgroup.as_group` builds its group from its members' image rows, with
+generators picked by growing closures in the parent's table, and so checks
+every entry of its table against the composed images.  `subgroup_table` is
+the construction it replaced: the parent's table restricted to the members,
+its inverses, and generators grown by closures on that sub-table.
+`greedy_generators` is the scan before that: it closes each candidate
+generating set with Python `Permutation` products and never reads a table.
 
 `groups.subgroup_closure` grows the words in its seeds with `_closure`.
 `subgroup_closure` here is the worklist it replaced, which multiplies each
@@ -29,12 +32,12 @@ from modcoh.groups import (
     FiniteGroup,
     Permutation,
     Subgroup,
+    _closure,
     coset_representatives,
     generate_group,
     homs_to_fp,
     prime_factors,
     require_prime,
-    subgroup_closure,
 )
 
 
@@ -123,6 +126,27 @@ def greedy_generators(elements) -> tuple[int, ...]:
         if len(closure) == len(elements):
             break
     return tuple(chosen) if chosen else (0,)
+
+
+def subgroup_table(S: Subgroup) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The multiplication table, inverses and generator indices of S as a
+    standalone group, read off the parent's table: entry (a, b) is the
+    position among S's members of the product of its a-th and b-th."""
+    G = S.parent
+    members = np.array(S.member_indices)
+    pos = np.full(G.order, -1, dtype=np.int32)
+    pos[members] = np.arange(S.order)
+    table = pos[G.mul[np.ix_(members, members)]]
+    if (table < 0).any():
+        raise BadParameters("members are not closed under product")
+    chosen: list[int] = []
+    reached = np.arange(S.order) == 0
+    for i in range(1, S.order):
+        if not reached[i]:
+            chosen.append(i)
+            if _closure(table, chosen, reached).all():
+                break
+    return table, (table == 0).argmax(axis=1), tuple(chosen) or (0,)
 
 
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:

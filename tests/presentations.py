@@ -6,8 +6,6 @@ degree are enumerated, the ideal's graded piece is spanned by monomial
 multiples of the relations, and everything reduces to ranks over F_p.
 """
 
-from itertools import product as iproduct
-
 import numpy as np
 
 from modcoh.fplinalg import rref_array

@@ -5,7 +5,6 @@ from modcoh import catalog
 from modcoh.errors import BadParameters, NoExpectedData, NotAnAutomorphism
 from modcoh.groups import (
     center,
-    elementary_abelian_subgroups,
     p_rank,
     subgroup_closure,
 )

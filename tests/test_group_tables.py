@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from modcoh import catalog
+from modcoh.errors import BadParameters
 from modcoh.fileio import parse_group_file
 from modcoh.groups import (
-    FiniteGroup,
+    Subgroup,
     center,
+    elementary_abelian_subgroups,
     maximal_subgroups,
     prime_factors,
     subgroup_closure,
@@ -31,7 +33,8 @@ from modcoh.groups import (
 from modcoh.resolutions import clear_resolution_cache
 
 import group_oracle
-from group_oracle import greedy_generators, make_direct_product
+from corpus import two_generated_subgroups
+from group_oracle import greedy_generators, make_direct_product, subgroup_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,9 +127,12 @@ def test_group_table_is_pinned(key):
 
 
 def oracle_subgroups(G):
-    """The Sylow subgroups, the centre and four seeded random closures of G."""
+    """The Sylow and elementary abelian subgroups, the centre and four
+    seeded random closures of G."""
     rng = random.Random(G.order)
-    subs = [sylow(G, p) for p in prime_factors(G.order)] + [center(G)]
+    primes = prime_factors(G.order)
+    subs = [sylow(G, p) for p in primes] + [center(G)]
+    subs += [E for p in primes for E in elementary_abelian_subgroups(G, p)]
     for _ in range(4):
         seeds = [rng.randrange(G.order) for _ in range(rng.randint(1, 2))]
         subs.append(subgroup_closure(G, seeds))
@@ -141,11 +147,34 @@ def test_as_group_matches_the_permutation_closure_oracle(name):
         assert [e.images for e in H.elements] == [
             G.elements[i].images for i in S.member_indices]
         assert H.generator_indices == greedy_generators(H.elements)
-        # the restricted parent table against the Cayley-graph build, whose
-        # every entry is checked against the composed images
-        rebuilt = FiniteGroup(H.degree, H.elements, H.generator_indices)
-        assert np.array_equal(H.mul, rebuilt.mul)
-        assert np.array_equal(H.inv, rebuilt.inv)
+        assert_matches_sub_table(S)
+
+
+def assert_matches_sub_table(S):
+    """S.as_group(), built from its members' rows and checked against
+    their composed images, against the parent's table restricted to S."""
+    H = S.as_group()
+    mul, inv, generators = subgroup_table(S)
+    assert np.array_equal(H.mul, mul)
+    assert np.array_equal(H.inv, inv)
+    assert H.generator_indices == generators
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_as_group_matches_the_sub_table_on_two_generated_subgroups(name):
+    """Every subgroup that `corpus.catalog_closure` builds as a group."""
+    for S in two_generated_subgroups(catalog.get_group(name)):
+        assert_matches_sub_table(S)
+
+
+@pytest.mark.parametrize("members", [[0, 1], [0, 1, 2, 3, 4]])
+def test_as_group_refuses_members_not_closed_under_product(members):
+    # D8's elements 1 and 2 are its generators (a 4-cycle and a flip)
+    S = Subgroup(catalog.get_group("D8"), members)
+    with pytest.raises(BadParameters):
+        S.as_group()
+    with pytest.raises(BadParameters, match="not closed"):
+        subgroup_table(S)
 
 
 def oracle_p_groups():

@@ -176,11 +176,24 @@ class TestMulTable:
         assert G.mul.dtype == np.int32 and G.inv.dtype == np.int32
         assert np.array_equal(G.mul, mul)
         assert np.array_equal(G.inv, inv)
+        assert [e.images for e in G.elements] == list(map(tuple, G.images.tolist()))
+
+    @pytest.mark.parametrize("degree,rows", [
+        (2, [(0, 1), (1, 1)]), (2, [(0, 1), (1, 2)]), (3, [(0, 1), (1, 0)])])
+    def test_rejects_rows_that_are_not_bijections(self, degree, rows):
+        with pytest.raises(NonPermutation):
+            FiniteGroup(degree, rows, (1,))
+
+    @pytest.mark.parametrize("rows,match", [
+        ([(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 2, 0)], "duplicate"),
+        ([(1, 2, 0), (0, 1, 2), (2, 0, 1)], "identity")])
+    def test_rejects_rows_out_of_group_order(self, rows, match):
+        with pytest.raises(BadParameters, match=match):
+            FiniteGroup(3, rows, (1,))
 
     def test_rejects_unclosed_elements(self):
-        elements = [Permutation((0, 1, 2)), Permutation((1, 2, 0))]
         with pytest.raises(BadParameters, match="not closed under product"):
-            FiniteGroup(3, elements, (1,))
+            FiniteGroup(3, [(0, 1, 2), (1, 2, 0)], (1,))
 
     def test_rejects_non_generating_generators(self):
         # a representation is checked on the generators only, so they must
@@ -188,12 +201,7 @@ class TestMulTable:
         G = dihedral8()
         rot = G.generator_indices[0]
         with pytest.raises(BadParameters, match="do not generate"):
-            FiniteGroup(G.degree, G.elements, (rot,))
-
-    def test_rejects_table_without_unique_inverses(self):
-        elements = [Permutation((0, 1)), Permutation((1, 0))]
-        with pytest.raises(BadParameters, match="not a group table"):
-            FiniteGroup(2, elements, (1,), mul_table=[[0, 1], [1, 1]])
+            FiniteGroup(G.degree, G.images, (rot,))
 
 
 @st.composite

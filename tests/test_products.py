@@ -138,7 +138,7 @@ class TestCup:
     def test_unit_is_identity(self, D8, Q8):
         for G in (D8, Q8):
             ring = CupRing(G, 2, 5)
-            one = ring.unit()
+            one = ring.basis(0).classes[0]  # H^0 = F_p, spanned by 1
             for i in range(5):
                 basis = ring.basis(i)
                 for a in basis.classes:

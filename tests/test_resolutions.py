@@ -32,7 +32,6 @@ from modcoh.gmodules import (
 )
 from modcoh.groups import center, generate_group, prime_factors, sylow
 from modcoh.resolutions import (
-    DimSeries,
     FreeResolution,
     auto_poincare_fit,
     chouinard_projective,
